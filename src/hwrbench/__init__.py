@@ -13,7 +13,7 @@ from hwrbench.errors import (
     UnknownGameError,
     ValidationError,
 )
-from hwrbench.games import BaselineRecord, BaselineRegistry, ScoreScale, canonical_game
+from hwrbench.games import BaselineRecord, BaselineRegistry, canonical_game
 from hwrbench.metrics import (
     CapMode,
     EfficiencyValue,
@@ -25,7 +25,6 @@ from hwrbench.metrics import (
     hwrb_indicator,
     hwrns,
     learning_efficiency,
-    min_max_scale,
     normalize,
     saber,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "MalformedLogError",
     "MetricKind",
     "MetricValue",
-    "ScoreScale",
     "UnknownGameError",
     "ValidationError",
     "canonical_game",
@@ -52,7 +50,6 @@ __all__ = [
     "hwrb_indicator",
     "hwrns",
     "learning_efficiency",
-    "min_max_scale",
     "normalize",
     "saber",
 ]

@@ -11,7 +11,7 @@ import statistics
 from dataclasses import dataclass, field
 
 from hwrbench.errors import ValidationError
-from hwrbench.games import CANONICAL_GAMES
+from hwrbench.games import CANONICAL_GAMES, _CANONICAL_SET
 from hwrbench.metrics import (
     EfficiencyValue,
     MetricKind,
@@ -19,8 +19,6 @@ from hwrbench.metrics import (
     hwrb_indicator,
     learning_efficiency,
 )
-
-_CANONICAL_SET = frozenset(CANONICAL_GAMES)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ import os
 import sys
 from pathlib import Path
 
-from hwrbench.aggregate import per_game_leader
 from hwrbench.datasets import (
     BUNDLED_DATASETS,
     load_all_bundled,
@@ -194,16 +193,16 @@ def _cmd_compare(args) -> int:
     for name in (a, b):
         if name not in report.aggregates:
             raise BenchmarkError(f"algorithm {name!r} not present in the datasets")
-    col_a = report.columns[(a, MetricKind.HWRNS)]
-    col_b = report.columns[(b, MetricKind.HWRNS)]
     wins_a: list[str] = []
     wins_b: list[str] = []
     ties: list[str] = []
-    for game in sorted(set(col_a.entries) & set(col_b.entries)):
-        leaders = per_game_leader([col_a, col_b], game)
-        if leaders == sorted((a, b)):
+    cells = report.cells
+    for game in sorted(g for algo, g in cells if algo == a and (b, g) in cells):
+        value_a = cells[(a, game)].metrics[MetricKind.HWRNS].value
+        value_b = cells[(b, game)].metrics[MetricKind.HWRNS].value
+        if value_a == value_b:
             ties.append(game)
-        elif a in leaders:
+        elif value_a > value_b:
             wins_a.append(game)
         else:
             wins_b.append(game)
@@ -221,7 +220,7 @@ def _cmd_compare(args) -> int:
 def _cmd_reproduce(args) -> int:
     registry = _load_registry(args)
     # Reference tables apply only the upper cap, so reproduction always
-    # runs in table-compat mode regardless of --cap-mode.
+    # runs in table-compat mode and writes fixed formats.
     result = run_reproduction(baselines=registry)
     out_dir = args.out or "reproduce-out"
     written = write_artifacts(result, out_dir)
@@ -241,13 +240,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, datasets=True):
+    def common(p, datasets=True, modes=True):
         p.add_argument("--baselines", default=_env_default("baselines"),
                        help="baseline CSV path (default: bundled)")
-        p.add_argument("--cap-mode", default=_env_default("cap_mode", "spec-floor"),
-                       choices=[m.value for m in CapMode])
-        p.add_argument("--format", default=_env_default("format", "table"),
-                       choices=["table", "csv", "json"])
+        if modes:
+            p.add_argument("--cap-mode", default=_env_default("cap_mode", "spec-floor"),
+                           choices=[m.value for m in CapMode])
+            p.add_argument("--format", default=_env_default("format", "table"),
+                           choices=["table", "csv", "json"])
         p.add_argument("--out", default=_env_default("out"),
                        help="write output to this path instead of stdout")
         if datasets:
@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce",
                        help="recompute the bundled reference tables and diff them")
-    common(p, datasets=False)
+    common(p, datasets=False, modes=False)
     p.set_defaults(func=_cmd_reproduce)
 
     return parser

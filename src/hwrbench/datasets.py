@@ -9,12 +9,13 @@ from the records and kept as a coverage note.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from hwrbench.errors import DatasetError, UnknownGameError
+from hwrbench.errors import DatasetError, UnknownGameError, ValidationError
 from hwrbench.games import canonical_game, data_path
-from hwrbench.protocol import RunRecord
+from hwrbench.numfmt import parse_frames
 
 BUNDLED_DATASETS = (
     "sota-200m-model-free",
@@ -24,6 +25,24 @@ BUNDLED_DATASETS = (
 )
 
 DATASET_COLUMNS = ("algorithm", "game", "score", "frames", "scale_label")
+
+
+@dataclass(frozen=True)
+class RunRecord:
+    """One algorithm's reported result on one game."""
+
+    algorithm: str
+    game: str
+    score: float
+    frames: int
+    scale_label: str = ""
+
+    def __post_init__(self) -> None:
+        if self.frames <= 0:
+            raise ValidationError(
+                f"{self.algorithm}/{self.game}: frames must be positive")
+        if not math.isfinite(self.score):
+            raise ValidationError(f"{self.algorithm}/{self.game}: non-finite score")
 
 
 @dataclass(frozen=True)
@@ -68,17 +87,15 @@ def load_dataset(path: str | Path, label: str | None = None) -> Dataset:
                 omitted.append(key)
                 continue
             try:
-                score = float(score_text)
-                frames = int(row["frames"])
-            except ValueError as exc:
-                raise DatasetError(f"{src}:{lineno}: {exc}")
-            records.append(RunRecord(
-                algorithm=algorithm,
-                game=game,
-                score=score,
-                frames=frames,
-                scale_label=row["scale_label"].strip(),
-            ))
+                records.append(RunRecord(
+                    algorithm=algorithm,
+                    game=game,
+                    score=float(score_text),
+                    frames=parse_frames(row["frames"]),
+                    scale_label=row["scale_label"].strip(),
+                ))
+            except (ValueError, ValidationError) as exc:
+                raise DatasetError(f"{src}:{lineno}: {exc}") from None
     if not records:
         raise DatasetError(f"{src}: dataset is empty")
     return Dataset(name, tuple(records), tuple(omitted))

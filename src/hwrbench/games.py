@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from importlib.resources import files
 from pathlib import Path
@@ -69,6 +70,10 @@ class BaselineRecord:
 
     def validate(self) -> list[str]:
         """Check invariants; returns soft warnings, raises on hard violations."""
+        for column in ("random", "human_average", "human_world_record"):
+            if not math.isfinite(getattr(self, column)):
+                raise ValidationError(
+                    f"{self.game}: {column} must be finite, got {getattr(self, column)}")
         if self.human_average <= self.random:
             raise ValidationError(
                 f"{self.game}: human_average {self.human_average} must exceed "
@@ -85,34 +90,30 @@ class BaselineRecord:
         return warnings
 
 
-@dataclass(frozen=True)
-class ScoreScale:
-    """Declared raw-score range of one game, for min-max scaling."""
-
-    game: str
-    r_min: float
-    r_max: float
-
-    def __post_init__(self) -> None:
-        if not self.r_max > self.r_min:
-            raise ValidationError(
-                f"{self.game}: degenerate score scale [{self.r_min}, {self.r_max}]")
-
-
 class BaselineRegistry:
     """Immutable mapping from canonical game id to its BaselineRecord."""
 
-    def __init__(self, records: list[BaselineRecord], source: str = "<memory>") -> None:
+    def __init__(
+        self,
+        records: list[BaselineRecord],
+        source: str = "<memory>",
+        lines: list[int] | None = None,
+    ) -> None:
+        """``lines`` gives each record's line in ``source``, for error messages."""
         seen: dict[str, BaselineRecord] = {}
         warnings: list[str] = []
-        for rec in records:
+        for i, rec in enumerate(records):
+            where = f"{source}:{lines[i]}: " if lines else ""
             if rec.game in seen:
-                raise ValidationError(f"duplicate baseline row for {rec.game!r}")
-            warnings.extend(rec.validate())
+                raise ValidationError(f"{where}duplicate baseline row for {rec.game!r}")
+            try:
+                warnings.extend(rec.validate())
+            except ValidationError as exc:
+                raise ValidationError(f"{where}{exc}") from None
             seen[rec.game] = rec
         missing = [g for g in CANONICAL_GAMES if g not in seen]
         if missing:
-            raise ValidationError(f"missing baseline rows: {', '.join(missing)}")
+            raise ValidationError(f"{source}: missing baseline rows: {', '.join(missing)}")
         self._records = {g: seen[g] for g in CANONICAL_GAMES}
         self.warnings = tuple(warnings)
         self.source = source
@@ -122,13 +123,17 @@ class BaselineRegistry:
         """Load from a baselines CSV; the bundled file when no path is given."""
         src = Path(path) if path is not None else data_path("baselines.csv")
         records = []
+        lines = []
         with open(src, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or tuple(reader.fieldnames) != BASELINE_COLUMNS:
                 raise ValidationError(
                     f"{src}: expected header {','.join(BASELINE_COLUMNS)}")
-            for row in reader:
-                game = canonical_game(row["game"])
+            for lineno, row in enumerate(reader, start=2):
+                try:
+                    game = canonical_game(row["game"])
+                except UnknownGameError as exc:
+                    raise UnknownGameError(f"{src}:{lineno}: {exc}") from None
                 try:
                     records.append(BaselineRecord(
                         game=game,
@@ -138,8 +143,10 @@ class BaselineRegistry:
                         source_tag=row["source_tag"],
                     ))
                 except ValueError as exc:
-                    raise ValidationError(f"{src}: non-numeric cell for {game}: {exc}")
-        return cls(records, source=str(src))
+                    raise ValidationError(
+                        f"{src}:{lineno}: non-numeric cell for {game}: {exc}") from None
+                lines.append(lineno)
+        return cls(records, source=str(src), lines=lines)
 
     def lookup(self, game: str) -> BaselineRecord:
         return self._records[canonical_game(game)]

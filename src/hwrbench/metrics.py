@@ -8,12 +8,11 @@ them into percent strings is the presentation layer's job.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 from hwrbench.errors import ValidationError
-from hwrbench.games import BaselineRecord, ScoreScale
+from hwrbench.games import BaselineRecord
 
 # 108000 frames per half hour of play at 60 fps; a day is 48 half hours.
 FRAMES_PER_DAY = 108000 * 2 * 24
@@ -21,7 +20,6 @@ FRAMES_PER_DAY = 108000 * 2 * 24
 
 class MetricKind(str, Enum):
     RAW = "raw"
-    MINMAX = "minmax"
     HNS = "hns"
     CHNS = "chns"
     HWRNS = "hwrns"
@@ -84,23 +82,6 @@ def normalize(raw: float, base: float, reference: float) -> float:
     if denom == 0.0:
         raise ValidationError(f"degenerate normalization: reference == base == {base}")
     return (raw - base) / denom
-
-
-def min_max_scale(raw: float, scale: ScoreScale) -> MetricValue:
-    """Min-max scale a raw score onto [0, 1] using the game's declared range.
-
-    Scores outside the declared range are clamped, with a warning: the
-    scale is supposed to bound all attainable scores.
-    """
-    value = normalize(raw, scale.r_min, scale.r_max)
-    if value < 0.0 or value > 1.0:
-        warnings.warn(
-            f"{scale.game}: raw score {raw} outside declared scale "
-            f"[{scale.r_min}, {scale.r_max}]; clamping",
-            stacklevel=2,
-        )
-        value = min(max(value, 0.0), 1.0)
-    return MetricValue(value, MetricKind.MINMAX)
 
 
 def hns(raw: float, baseline: BaselineRecord) -> MetricValue:

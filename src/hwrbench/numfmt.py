@@ -8,6 +8,7 @@ two-digit scientific notation).
 
 from __future__ import annotations
 
+import math
 from decimal import ROUND_HALF_UP, Decimal
 
 
@@ -36,6 +37,6 @@ def format_efficiency(value: float) -> str:
 def parse_frames(text: str) -> int:
     """Parse a frame count; accepts scientific notation but requires an integral value."""
     value = float(text)
-    if value != int(value):
+    if not math.isfinite(value) or value != int(value):
         raise ValueError(f"frame count must be integral: {text!r}")
     return int(value)

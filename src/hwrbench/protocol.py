@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
+from hwrbench.datasets import RunRecord
 from hwrbench.errors import MalformedLogError, ValidationError
 from hwrbench.games import canonical_game, data_path
 
@@ -81,24 +82,6 @@ class RunLedger:
             raise ValidationError(f"averaging_k must be >= 1: {self.averaging_k}")
         if self.total_env_frames < 0:
             raise ValidationError("total_env_frames must be nonnegative")
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    """One algorithm's reported result on one game."""
-
-    algorithm: str
-    game: str
-    score: float
-    frames: int
-    scale_label: str = ""
-
-    def __post_init__(self) -> None:
-        if self.frames <= 0:
-            raise ValidationError(
-                f"{self.algorithm}/{self.game}: frames must be positive")
-        if not math.isfinite(self.score):
-            raise ValidationError(f"{self.algorithm}/{self.game}: non-finite score")
 
 
 class TrainingScore(NamedTuple):

@@ -34,7 +34,6 @@ class CellMetrics:
     """Every metric for one (algorithm, game) raw score."""
 
     raw: float
-    frames: int
     metrics: dict[MetricKind, MetricValue]
 
 
@@ -44,7 +43,6 @@ class EvaluationReport:
     baseline_source: str
     dataset_labels: tuple[str, ...]
     cells: dict[tuple[str, str], CellMetrics]
-    columns: dict[tuple[str, MetricKind], MetricColumn]
     aggregates: dict[str, dict[MetricKind, AggregateRow]]
     leaders: dict[str, tuple[str, ...]]
     frames: dict[str, int]
@@ -63,8 +61,7 @@ def evaluate(
     if not datasets:
         raise DatasetError("no datasets to evaluate")
     cells: dict[tuple[str, str], CellMetrics] = {}
-    frames_by_algo: dict[str, int] = {}
-    algo_order: list[str] = []
+    frames_by_algo: dict[str, int] = {}  # in order of first appearance
     omitted: dict[str, list[str]] = {}
     for ds in datasets:
         for rec in ds.records:
@@ -73,8 +70,6 @@ def evaluate(
                 raise DatasetError(
                     f"duplicate cell {key} across datasets "
                     f"(second occurrence in {ds.label!r})")
-            if rec.algorithm not in algo_order:
-                algo_order.append(rec.algorithm)
             prior = frames_by_algo.setdefault(rec.algorithm, rec.frames)
             if prior != rec.frames:
                 raise DatasetError(
@@ -85,7 +80,6 @@ def evaluate(
             w = hwrns(rec.score, base)
             cells[key] = CellMetrics(
                 raw=rec.score,
-                frames=rec.frames,
                 metrics={
                     MetricKind.HNS: h,
                     MetricKind.CHNS: chns(h),
@@ -96,20 +90,19 @@ def evaluate(
         for algorithm, game in ds.omitted:
             omitted.setdefault(algorithm, []).append(game)
 
-    columns: dict[tuple[str, MetricKind], MetricColumn] = {}
     raw_columns: list[MetricColumn] = []
     aggregates: dict[str, dict[MetricKind, AggregateRow]] = {}
-    for algo in algo_order:
+    for algo in frames_by_algo:
         entries = {g: cells[(algo, g)] for g in CANONICAL_GAMES if (algo, g) in cells}
         raw_columns.append(MetricColumn(
             algo, MetricKind.RAW,
             {g: MetricValue(c.raw, MetricKind.RAW) for g, c in entries.items()}))
-        aggregates[algo] = {}
-        for kind in METRIC_KINDS:
-            col = MetricColumn(
-                algo, kind, {g: c.metrics[kind] for g, c in entries.items()})
-            columns[(algo, kind)] = col
-            aggregates[algo][kind] = aggregate(col, frames_by_algo[algo])
+        aggregates[algo] = {
+            kind: aggregate(
+                MetricColumn(algo, kind, {g: c.metrics[kind] for g, c in entries.items()}),
+                frames_by_algo[algo])
+            for kind in METRIC_KINDS
+        }
 
     leaders = {
         game: tuple(per_game_leader(raw_columns, game))
@@ -121,7 +114,6 @@ def evaluate(
         baseline_source=baselines.source,
         dataset_labels=tuple(ds.label for ds in datasets),
         cells=cells,
-        columns=columns,
         aggregates=aggregates,
         leaders=leaders,
         frames=frames_by_algo,
@@ -218,7 +210,7 @@ def report_to_dict(report: EvaluationReport) -> dict:
     for (algo, game), cell in report.cells.items():
         per_game.setdefault(algo, {})[game] = {
             "raw": cell.raw,
-            "frames": cell.frames,
+            "frames": report.frames[algo],
             **{kind.value: cell.metrics[kind].value for kind in METRIC_KINDS},
         }
     aggregates = {}

@@ -23,11 +23,13 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from hwrbench.datasets import Dataset, load_all_bundled
+from hwrbench.errors import DatasetError
 from hwrbench.games import BaselineRegistry, data_path
 from hwrbench.metrics import CapMode, MetricKind
 from hwrbench.numfmt import round_half_up
 from hwrbench.report import (
     FIGURES,
+    METRIC_KINDS,
     EvaluationReport,
     TableLayout,
     emit_plot_series,
@@ -37,18 +39,6 @@ from hwrbench.report import (
 
 CELL_TOLERANCE_PP = 0.02
 AGGREGATE_TOLERANCE_PP = 0.5
-
-# Reference-table layouts: table id -> (metric, algorithm columns in print order).
-REFERENCE_TABLES: dict[str, tuple[MetricKind, tuple[str, ...]]] = {}
-for _metric in (MetricKind.HNS, MetricKind.HWRNS, MetricKind.SABER):
-    REFERENCE_TABLES[f"{_metric.value}-sota-200m-model-free"] = (
-        _metric, ("Rainbow", "IMPALA", "LASER", "GDI-I3", "GDI-H3"))
-    REFERENCE_TABLES[f"{_metric.value}-sota-10bplus-model-free"] = (
-        _metric, ("R2D2", "NGU", "Agent57", "GDI-I3", "GDI-H3"))
-    REFERENCE_TABLES[f"{_metric.value}-sota-model-based"] = (
-        _metric, ("MuZero", "DreamerV2", "SimPLe", "GDI-I3", "GDI-H3"))
-    REFERENCE_TABLES[f"{_metric.value}-sota-other"] = (
-        _metric, ("Muesli", "Go-Explore", "GDI-I3", "GDI-H3"))
 
 
 @dataclass(frozen=True)
@@ -102,6 +92,7 @@ class AggregateCheck:
 @dataclass
 class ReproductionResult:
     report: EvaluationReport
+    layouts: dict[str, TableLayout]  # table id -> metric and columns in print order
     table_stats: list[TableStats]
     inconsistencies: list[Inconsistency]
     aggregate_checks: list[AggregateCheck]
@@ -119,18 +110,38 @@ class ReproductionResult:
     def match_rate(self) -> float:
         return self.total_matches / self.total_cells
 
-    def cell_mismatches(self, table: str, algorithm: str) -> list[Inconsistency]:
-        return [m for m in self.inconsistencies
-                if m.table == table and m.algorithm == algorithm and m.game]
 
+def load_golden_cells(
+    path: str | Path | None = None,
+) -> tuple[dict[str, TableLayout], dict[tuple[str, str], dict[str, str]]]:
+    """Table layouts, and (table, algorithm) -> {game: printed percent text}.
 
-def _load_golden_cells() -> dict[tuple[str, str, str], str]:
-    """(table, algorithm, game) -> printed percent text."""
-    cells = {}
-    with open(data_path("golden", "printed_cells.csv"), newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            cells[(row["table"], row["algorithm"], row["game"])] = row["printed_pct"]
-    return cells
+    The layouts come from the file itself: each table's ``metric`` column,
+    and its algorithms in order of first appearance, which is print order.
+    """
+    src = Path(path) if path is not None else data_path("golden", "printed_cells.csv")
+    known = {kind.value: kind for kind in METRIC_KINDS}
+    metrics: dict[str, MetricKind] = {}
+    printed: dict[tuple[str, str], dict[str, str]] = {}
+    with open(src, newline="", encoding="utf-8") as fh:
+        for lineno, row in enumerate(csv.DictReader(fh), start=2):
+            table, algo, game = row["table"], row["algorithm"], row["game"]
+            metric = known.get(row["metric"])
+            if metric is None:
+                raise DatasetError(f"{src}:{lineno}: unknown metric {row['metric']!r}")
+            if metrics.setdefault(table, metric) is not metric:
+                raise DatasetError(
+                    f"{src}:{lineno}: table {table} mixes metrics "
+                    f"{metrics[table].value} and {metric.value}")
+            column = printed.setdefault((table, algo), {})
+            if game in column:
+                raise DatasetError(f"{src}:{lineno}: duplicate cell {table}/{algo}/{game}")
+            column[game] = row["printed_pct"]
+    layouts = {
+        table: TableLayout(metric, tuple(a for t, a in printed if t == table), title=table)
+        for table, metric in metrics.items()
+    }
+    return layouts, printed
 
 
 def _load_golden_aggregates() -> dict[tuple[str, str, str], str]:
@@ -143,10 +154,10 @@ def _load_golden_aggregates() -> dict[tuple[str, str, str], str]:
     return rows
 
 
-def _parse_number(text: str) -> float | None:
+def _parse_number(text: str | None) -> float | None:
     try:
         return float(text)
-    except ValueError:
+    except (TypeError, ValueError):
         return None
 
 
@@ -158,37 +169,39 @@ def run_reproduction(
     registry = baselines if baselines is not None else BaselineRegistry.load()
     data = datasets if datasets is not None else load_all_bundled()
     report = evaluate(data, registry, CapMode.TABLE_COMPAT)
-    golden_cells = _load_golden_cells()
+    layouts, golden_cells = load_golden_cells()
     golden_aggs = _load_golden_aggregates()
+
+    report_games: dict[str, list[str]] = {}  # algorithm -> games, in report order
+    for algo, game in report.cells:
+        report_games.setdefault(algo, []).append(game)
 
     inconsistencies: list[Inconsistency] = []
     table_stats: list[TableStats] = []
 
-    for table_id, (metric, algos) in REFERENCE_TABLES.items():
+    for table_id, layout in layouts.items():
         cells = matches = 0
-        for algo in algos:
-            for (key_algo, game), cell in report.cells.items():
-                if key_algo != algo:
-                    continue
-                printed = golden_cells.get((table_id, algo, game))
-                recomputed_pct = round_half_up(cell.metrics[metric].value * 100.0)
-                recomputed_text = f"{recomputed_pct:.2f}"
+        for algo in layout.algorithms:
+            if algo not in report_games:
+                raise DatasetError(
+                    f"golden table {table_id} has algorithm {algo!r}, "
+                    f"absent from the evaluated datasets")
+            golden = golden_cells[(table_id, algo)]
+            for game in report_games[algo]:
                 cells += 1
-                if printed is None or printed.upper() == "N/A":
-                    inconsistencies.append(Inconsistency(
-                        table_id, algo, game, "coverage", recomputed_text,
-                        printed if printed is not None else "<absent>"))
-                    continue
+                value = report.cells[(algo, game)].metrics[layout.metric].value
+                recomputed_pct = round_half_up(value * 100.0)
+                printed = golden.get(game)
                 printed_value = _parse_number(printed)
-                if printed_value is None:
-                    inconsistencies.append(Inconsistency(
-                        table_id, algo, game, "malformed", recomputed_text, printed))
-                    continue
-                if abs(recomputed_pct - printed_value) <= CELL_TOLERANCE_PP + 1e-9:
+                if printed_value is not None and (
+                        abs(recomputed_pct - printed_value) <= CELL_TOLERANCE_PP + 1e-9):
                     matches += 1
-                else:
-                    inconsistencies.append(Inconsistency(
-                        table_id, algo, game, "value", recomputed_text, printed))
+                    continue
+                kind = ("coverage" if printed is None or printed.upper() == "N/A"
+                        else "malformed" if printed_value is None else "value")
+                inconsistencies.append(Inconsistency(
+                    table_id, algo, game, kind, f"{recomputed_pct:.2f}",
+                    printed if printed is not None else "<absent>"))
         table_stats.append(TableStats(table_id, cells, matches))
 
     # Aggregate rows: compare recomputed mean/median per column against the
@@ -197,26 +210,19 @@ def run_reproduction(
     # and not expected to match the recomputation.
     cell_mismatch_keys = {(m.table, m.algorithm) for m in inconsistencies if m.game}
     aggregate_checks: list[AggregateCheck] = []
-    for table_id, (metric, algos) in REFERENCE_TABLES.items():
-        for algo in algos:
-            row = report.aggregates[algo][metric]
-            printed_col = [
-                v for (t, a, g), text in golden_cells.items()
-                if t == table_id and a == algo and g
-                and (v := _parse_number(text)) is not None
-            ]
-            for stat, recomputed in (("mean", row.mean), ("median", row.median)):
+    for table_id, layout in layouts.items():
+        for algo in layout.algorithms:
+            row = report.aggregates[algo][layout.metric]
+            printed_col = [v for text in golden_cells[(table_id, algo)].values()
+                           if (v := _parse_number(text)) is not None]
+            for stat, recomputed, of_cells in (("mean", row.mean, statistics.fmean),
+                                               ("median", row.median, statistics.median)):
                 printed_text = golden_aggs.get((table_id, algo, stat))
                 if printed_text is None:
                     continue
                 printed_value = _parse_number(printed_text)
-                if printed_value is not None and printed_col:
-                    from_cells = (statistics.fmean(printed_col) if stat == "mean"
-                                  else statistics.median(printed_col))
-                    self_consistent = (
-                        abs(from_cells - printed_value) <= AGGREGATE_TOLERANCE_PP)
-                else:
-                    self_consistent = False
+                self_consistent = printed_value is not None and bool(printed_col) and (
+                    abs(of_cells(printed_col) - printed_value) <= AGGREGATE_TOLERANCE_PP)
                 check = AggregateCheck(
                     table=table_id,
                     algorithm=algo,
@@ -233,35 +239,28 @@ def run_reproduction(
                         table_id, algo, "", "aggregate",
                         f"{check.recomputed_pp:.2f}", printed_text))
 
-    # Breakthrough counts, once per algorithm from the hwrns table family.
+    # Breakthrough counts: HWRNS tables print them and SABER tables reprint
+    # them; a disagreement in either is a conflict. Only the HWRNS printings
+    # are recorded per table.
     hwrb: dict[str, dict[str, int | None]] = {}
-    for table_id, (metric, algos) in REFERENCE_TABLES.items():
-        if metric is not MetricKind.HWRNS:
+    for table_id, layout in layouts.items():
+        if layout.metric not in (MetricKind.HWRNS, MetricKind.SABER):
             continue
-        for algo in algos:
-            recomputed = report.aggregates[algo][MetricKind.HWRNS].hwrb_count
-            entry = hwrb.setdefault(algo, {"recomputed": recomputed})
-            printed_text = golden_aggs.get((table_id, algo, "hwrb"))
-            printed_value = _parse_number(printed_text) if printed_text else None
-            key = f"printed:{table_id}"
-            entry[key] = int(printed_value) if printed_value is not None else None
-            if printed_value is not None and int(printed_value) != recomputed:
-                inconsistencies.append(Inconsistency(
-                    table_id, algo, "", "hwrb", str(recomputed), printed_text))
-    # SABER tables reprint the count; disagreements there are conflicts too.
-    for table_id, (metric, algos) in REFERENCE_TABLES.items():
-        if metric is not MetricKind.SABER:
-            continue
-        for algo in algos:
+        for algo in layout.algorithms:
             recomputed = report.aggregates[algo][MetricKind.HWRNS].hwrb_count
             printed_text = golden_aggs.get((table_id, algo, "hwrb"))
-            printed_value = _parse_number(printed_text) if printed_text else None
+            printed_value = _parse_number(printed_text)
+            if layout.metric is MetricKind.HWRNS:
+                entry = hwrb.setdefault(algo, {"recomputed": recomputed})
+                entry[f"printed:{table_id}"] = (
+                    int(printed_value) if printed_value is not None else None)
             if printed_value is not None and int(printed_value) != recomputed:
                 inconsistencies.append(Inconsistency(
                     table_id, algo, "", "hwrb", str(recomputed), printed_text))
 
     return ReproductionResult(
         report=report,
+        layouts=layouts,
         table_stats=table_stats,
         inconsistencies=inconsistencies,
         aggregate_checks=aggregate_checks,
@@ -301,8 +300,7 @@ def write_artifacts(result: ReproductionResult, out_dir: str | Path) -> list[Pat
 
     tables_dir = out / "tables"
     tables_dir.mkdir(exist_ok=True)
-    for table_id, (metric, algos) in REFERENCE_TABLES.items():
-        layout = TableLayout(metric=metric, algorithms=algos, title=table_id)
+    for table_id, layout in result.layouts.items():
         path = tables_dir / f"{table_id}.csv"
         path.write_text(render_table(result.report, layout, fmt="csv"),
                         encoding="utf-8")

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from hwrbench.cli import main
+from hwrbench.games import BaselineRegistry
 
 
 def run(capsys, *argv):
@@ -91,6 +92,19 @@ class TestValidate:
         code, _, err = run(capsys, "validate", "--baselines", str(path))
         assert code == 1
         assert json.loads(err)["error"] == "ValidationError"
+
+
+    def test_non_finite_baseline_exit_1(self, capsys, tmp_path):
+        lines = BaselineRegistry.load().dump().splitlines(keepends=True)
+        assert lines[1].startswith("alien,")
+        lines[1] = "alien,nan," + lines[1].split(",", 2)[2]
+        path = tmp_path / "nan.csv"
+        path.write_text("".join(lines), encoding="utf-8")
+        code, out, err = run(capsys, "validate", "--baselines", str(path))
+        assert code == 1 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "ValidationError"
+        assert error["detail"] == f"{path}:2: alien: random must be finite, got nan"
 
 
 class TestReport:
@@ -208,3 +222,10 @@ class TestReproduce:
         assert (out_dir / "summary.json").read_bytes() == first
         assert (out_dir / "tables" / "hwrns-sota-200m-model-free.csv").exists()
         assert (out_dir / "figures" / "hwrb_vs_gametime.json").exists()
+
+    @pytest.mark.parametrize("flag", [["--cap-mode", "spec-floor"], ["--format", "json"]])
+    def test_mode_flags_are_usage_errors(self, capsys, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce", "--out", str(tmp_path / "repro"), *flag])
+        assert exc.value.code == 2
+        assert not (tmp_path / "repro").exists()

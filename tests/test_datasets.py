@@ -1,3 +1,7 @@
+import re
+import subprocess
+import sys
+
 import pytest
 
 from hwrbench.datasets import (
@@ -100,3 +104,29 @@ def test_bad_header_rejected(tmp_path):
 def test_unknown_bundled_label_rejected():
     with pytest.raises(DatasetError, match="unknown bundled dataset"):
         load_bundled_dataset("nope")
+
+
+def test_frames_accept_scientific_notation(tmp_path):
+    path = write_dataset(tmp_path, ["A,alien,1,2e8,200M"])
+    assert load_dataset(path).records[0].frames == 200_000_000
+
+
+@pytest.mark.parametrize("row", [
+    "A,alien,1,2.5,x",      # fractional frame count
+    "A,alien,1,0,x",        # frames must be positive
+    "A,alien,1,-4,x",
+    "A,alien,1,inf,x",
+    "A,alien,1,nan,x",
+    "A,alien,inf,100,x",    # non-finite score
+    "A,alien,nan,100,x",
+])
+def test_bad_row_names_file_and_line(tmp_path, row):
+    path = write_dataset(tmp_path, ["A,pong,1,100,x", row])
+    with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}:3: "):
+        load_dataset(path)
+
+
+def test_datasets_module_does_not_load_protocol():
+    code = ("import sys, hwrbench.datasets; "
+            "sys.exit('hwrbench.protocol' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0

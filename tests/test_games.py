@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from hwrbench.errors import UnknownGameError, ValidationError
@@ -5,7 +7,6 @@ from hwrbench.games import (
     CANONICAL_GAMES,
     BaselineRecord,
     BaselineRegistry,
-    ScoreScale,
     canonical_game,
 )
 
@@ -105,11 +106,6 @@ def test_round_trip_is_bit_identical(registry, tmp_path):
     assert path.read_text(encoding="utf-8") == dumped
 
 
-def test_score_scale_rejects_degenerate_range():
-    with pytest.raises(ValidationError):
-        ScoreScale("pong", 21, 21)
-
-
 def test_non_numeric_cell_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text(
@@ -125,4 +121,52 @@ def test_unknown_game_row_rejected(tmp_path):
         "game,random,human_average,human_world_record,source_tag\n"
         "foo,0,1,2,x\n", encoding="utf-8")
     with pytest.raises(UnknownGameError):
+        BaselineRegistry.load(path)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("column", ["random", "human_average", "human_world_record"])
+def test_non_finite_baseline_is_hard_error(column, value):
+    fields = {"random": -20.7, "human_average": 14.6, "human_world_record": 21.0}
+    fields[column] = value
+    with pytest.raises(ValidationError, match=f"pong: {column} must be finite"):
+        BaselineRecord("pong", **fields).validate()
+
+
+def baselines_with(registry, tmp_path, game, column, text):
+    """The bundled baselines with one cell replaced; returns the file and its line."""
+    lines = registry.dump().splitlines(keepends=True)
+    index = 1 + [r.game for r in registry].index(game)
+    cells = lines[index].rstrip("\n").split(",")
+    cells[("random", "human_average", "human_world_record").index(column) + 1] = text
+    lines[index] = ",".join(cells) + "\n"
+    path = tmp_path / "baselines.csv"
+    path.write_text("".join(lines), encoding="utf-8")
+    return path, index + 1
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", ["random", "human_average", "human_world_record"])
+def test_load_rejects_non_finite_with_location(registry, tmp_path, column, text):
+    path, lineno = baselines_with(registry, tmp_path, "alien", column, text)
+    where = f"{re.escape(str(path))}:{lineno}"
+    with pytest.raises(ValidationError, match=f"{where}: alien: {column} must be finite"):
+        BaselineRegistry.load(path)
+
+
+def test_load_ordering_error_names_line(registry, tmp_path):
+    path, lineno = baselines_with(registry, tmp_path, "pong", "human_average", "-30")
+    with pytest.raises(ValidationError,
+                       match=f"{re.escape(str(path))}:{lineno}: pong: human_average"):
+        BaselineRegistry.load(path)
+
+
+def test_load_duplicate_row_names_line(tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text(
+        "game,random,human_average,human_world_record,source_tag\n"
+        "alien,0,1,2,x\n"
+        "Alien,0,1,2,x\n", encoding="utf-8")
+    where = f"{re.escape(str(path))}:3"
+    with pytest.raises(ValidationError, match=f"{where}: duplicate baseline row"):
         BaselineRegistry.load(path)

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hwrbench.errors import ValidationError
-from hwrbench.games import BaselineRecord, BaselineRegistry, ScoreScale
+from hwrbench.games import BaselineRecord, BaselineRegistry
 from hwrbench.metrics import (
     FRAMES_PER_DAY,
     CapMode,
@@ -17,7 +17,6 @@ from hwrbench.metrics import (
     hwrb_indicator,
     hwrns,
     learning_efficiency,
-    min_max_scale,
     normalize,
     saber,
 )
@@ -27,7 +26,6 @@ BOXING = BaselineRecord("boxing", 0.1, 12.1, 100)
 SEAQUEST = BaselineRecord("seaquest", 68.4, 42054.7, 999999)
 SKIING = BaselineRecord("skiing", -17098, -4336.9, -3272)
 MONTEZUMA = BaselineRecord("montezuma revenge", 0, 4753.3, 1219200)
-PONG_SCALE = ScoreScale("pong", -21, 21)
 
 finite_scores = st.floats(min_value=-1e6, max_value=1e7,
                           allow_nan=False, allow_infinity=False)
@@ -46,18 +44,6 @@ class TestNormalize:
     def test_degenerate_denominator_raises(self):
         with pytest.raises(ValidationError):
             normalize(1.0, 5.0, 5.0)
-
-
-class TestMinMaxScale:
-    @pytest.mark.parametrize("raw,expected", [(21, 1.0), (-21, 0.0), (0, 0.5)])
-    def test_pong_anchors(self, raw, expected):
-        assert min_max_scale(raw, PONG_SCALE).value == expected
-
-    def test_out_of_scale_clamps_with_warning(self):
-        with pytest.warns(UserWarning, match="outside declared scale"):
-            assert min_max_scale(30, PONG_SCALE).value == 1.0
-        with pytest.warns(UserWarning):
-            assert min_max_scale(-30, PONG_SCALE).value == 0.0
 
 
 class TestHns:
