@@ -1,16 +1,18 @@
 """Command-line interface.
 
 Verbs: validate, score, aggregate, report, protocol-check, compare,
-reproduce. Results go to stdout, diagnostics to stderr; exit status is
-0 on success, 1 on data errors, 2 on usage errors. Every flag can also
-be supplied through an environment variable with the ``HWRBENCH_``
-prefix (``HWRBENCH_BASELINES``, ``HWRBENCH_CAP_MODE``, ...).
+reproduce. Each verb registers only the flags that change its output;
+the JSON report is ``aggregate --format json``. Results go to stdout,
+diagnostics to stderr; exit status is 0 on success, 1 on data errors,
+2 on usage errors. Most flags take their default from an ``HWRBENCH_``
+variable (``HWRBENCH_K``, ...), which argparse parses like the flag.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -51,11 +53,9 @@ from hwrbench.report import (
 )
 from hwrbench.reproduce import run_reproduction, summary_lines, write_artifacts
 
-ENV_PREFIX = "HWRBENCH_"
-
 
 def _env_default(flag: str, fallback=None):
-    return os.environ.get(ENV_PREFIX + flag.upper().replace("-", "_"), fallback)
+    return os.environ.get("HWRBENCH_" + flag.upper(), fallback)
 
 
 def _load_registry(args) -> BaselineRegistry:
@@ -66,19 +66,34 @@ def _load_registry(args) -> BaselineRegistry:
 
 
 def _load_datasets(args) -> list:
-    paths = args.dataset or []
+    # --dataset appends, so the environment is read only when it is absent.
+    env = _env_default("dataset")
+    paths = args.dataset or (env.split(os.pathsep) if env else None)
     if not paths:
         return load_all_bundled()
     return [load_bundled_dataset(p) if p in BUNDLED_DATASETS else load_dataset(p)
             for p in paths]
 
 
-def _cap_mode(args) -> CapMode:
-    return CapMode(args.cap_mode)
+def finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def _add_format(p: argparse.ArgumentParser, *choices: str) -> None:
+    def check(text: str) -> str:  # argparse checks ``choices`` on argv, not on defaults
+        if text not in choices:
+            raise argparse.ArgumentTypeError(
+                f"invalid choice: {text!r} (choose from {', '.join(choices)})")
+        return text
+    p.add_argument("--format", type=check, choices=choices,
+                   default=_env_default("format", "table"))
 
 
 def _emit(text: str, args) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
@@ -94,15 +109,13 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    registry = _load_registry(args)
-    baseline = registry.lookup(args.game)
-    raw = float(args.score)
-    h = hns(raw, baseline)
-    w = hwrns(raw, baseline)
-    s = saber(w, _cap_mode(args))
+    baseline = _load_registry(args).lookup(args.game)
+    h = hns(args.score, baseline)
+    w = hwrns(args.score, baseline)
+    s = saber(w, args.cap_mode)
     result = {
         "game": baseline.game,
-        "score": raw,
+        "score": args.score,
         "hns_pct": format_percent(h.value),
         "chns_pct": format_percent(chns(h).value),
         "hwrns_pct": format_percent(w.value),
@@ -110,8 +123,7 @@ def _cmd_score(args) -> int:
         "cap_mode": s.cap_mode.value,
         "hwrb": hwrb_indicator(w),
     }
-    if args.frames:
-        frames = parse_frames(args.frames)
+    if (frames := args.frames) is not None:
         result["frames"] = frames
         result["game_time_days"] = round(game_time_days(frames), 3)
         result["hns_efficiency"] = format_efficiency(
@@ -128,14 +140,13 @@ def _cmd_score(args) -> int:
 
 def _cmd_aggregate(args) -> int:
     registry = _load_registry(args)
-    report = evaluate(_load_datasets(args), registry, _cap_mode(args))
+    report = evaluate(_load_datasets(args), registry, args.cap_mode)
     if args.format == "json":
         _emit(report_to_json(report) + "\n", args)
         return 0
     lines = []
     for algo in report.algorithms():
         rows = report.aggregates[algo]
-        hwrb = rows[MetricKind.HWRNS].hwrb_count
         lines.append(f"{algo} (frames {format_number(report.frames[algo])}, "
                      f"coverage {rows[MetricKind.HNS].coverage}/57)")
         for kind in METRIC_KINDS:
@@ -144,32 +155,23 @@ def _cmd_aggregate(args) -> int:
                 f"  {kind.value:6s} mean {format_percent(row.mean):>10s}%  "
                 f"median {format_percent(row.median):>9s}%  "
                 f"eff {format_efficiency(row.efficiency_mean.value)}")
-        lines.append(f"  hwrb   {hwrb}")
+        lines.append(f"  hwrb   {rows[MetricKind.HWRNS].hwrb_count}")
     _emit("\n".join(lines) + "\n", args)
     return 0
 
 
 def _cmd_report(args) -> int:
     registry = _load_registry(args)
-    report = evaluate(_load_datasets(args), registry, _cap_mode(args))
-    if args.format == "json":
-        _emit(report_to_json(report) + "\n", args)
-        return 0
-    metric = MetricKind(args.metric)
+    report = evaluate(_load_datasets(args), registry, args.cap_mode)
     algos = tuple(args.algorithms) if args.algorithms else tuple(report.algorithms())
-    layout = TableLayout(metric=metric, algorithms=algos)
-    fmt = "csv" if args.format == "csv" else "text"
-    _emit(render_table(report, layout, fmt=fmt), args)
+    layout = TableLayout(metric=MetricKind(args.metric), algorithms=algos)
+    _emit(render_table(report, layout, fmt="text" if args.format == "table" else "csv"), args)
     return 0
 
 
 def _cmd_protocol_check(args) -> int:
-    ledger = ledger_from_log(
-        args.log,
-        action_set=args.action_set,
-        averaging_k=args.k,
-        budget=parse_frames(args.budget),
-    )
+    ledger = ledger_from_log(args.log, action_set=args.action_set, averaging_k=args.k,
+                             budget=args.budget)
     verdict = check_budget(ledger)
     returns = [ep.episode_return for ep in ledger.episodes]
     result = {
@@ -188,7 +190,7 @@ def _cmd_protocol_check(args) -> int:
 
 def _cmd_compare(args) -> int:
     registry = _load_registry(args)
-    report = evaluate(_load_datasets(args), registry, _cap_mode(args))
+    report = evaluate(_load_datasets(args), registry)
     a, b = args.algorithm_a, args.algorithm_b
     for name in (a, b):
         if name not in report.aggregates:
@@ -218,10 +220,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    registry = _load_registry(args)
     # Reference tables apply only the upper cap, so reproduction always
     # runs in table-compat mode and writes fixed formats.
-    result = run_reproduction(baselines=registry)
+    result = run_reproduction(baselines=_load_registry(args))
     out_dir = args.out or "reproduce-out"
     written = write_artifacts(result, out_dir)
     for line in summary_lines(result):
@@ -240,74 +241,70 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, datasets=True, modes=True):
-        p.add_argument("--baselines", default=_env_default("baselines"),
-                       help="baseline CSV path (default: bundled)")
-        if modes:
-            p.add_argument("--cap-mode", default=_env_default("cap_mode", "spec-floor"),
-                           choices=[m.value for m in CapMode])
-            p.add_argument("--format", default=_env_default("format", "table"),
-                           choices=["table", "csv", "json"])
-        p.add_argument("--out", default=_env_default("out"),
-                       help="write output to this path instead of stdout")
-        if datasets:
-            p.add_argument("--dataset", action="append",
-                           default=_env_default_datasets(),
-                           help="dataset CSV path or bundled label; repeatable "
-                                "(default: all bundled)")
+    baselines = argparse.ArgumentParser(add_help=False)
+    baselines.add_argument("--baselines", default=_env_default("baselines"),
+                           help="baseline CSV path (default: bundled)")
+    datasets = argparse.ArgumentParser(add_help=False)
+    datasets.add_argument("--dataset", action="append",
+                          help="dataset CSV path or bundled label; repeatable "
+                               "(default: all bundled)")
+    cap_mode = argparse.ArgumentParser(add_help=False)
+    cap_mode.add_argument("--cap-mode", type=CapMode, choices=[m.value for m in CapMode],
+                          default=_env_default("cap_mode", "spec-floor"))
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=_env_default("out"),
+                     help="write output to this path instead of stdout")
 
-    p = sub.add_parser("validate", help="check baseline and dataset integrity")
-    common(p)
+    p = sub.add_parser("validate", parents=[baselines, datasets],
+                       help="check baseline and dataset integrity")
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("score", help="normalize one raw score")
-    common(p, datasets=False)
+    p = sub.add_parser("score", parents=[baselines, cap_mode], help="normalize one raw score")
+    _add_format(p, "table", "json")
     p.add_argument("--game", required=True)
-    p.add_argument("--score", required=True)
-    p.add_argument("--frames", default=None,
+    p.add_argument("--score", type=finite_float, required=True)
+    p.add_argument("--frames", type=parse_frames,
                    help="training frames, for game time and efficiency")
     p.set_defaults(func=_cmd_score)
 
-    p = sub.add_parser("aggregate", help="aggregate rows per algorithm")
-    common(p)
+    p = sub.add_parser("aggregate", parents=[baselines, datasets, cap_mode, out],
+                       help="aggregate rows per algorithm")
+    _add_format(p, "table", "json")
     p.set_defaults(func=_cmd_aggregate)
 
-    p = sub.add_parser("report", help="render a full score table")
-    common(p)
-    p.add_argument("--metric", default="hwrns",
-                   choices=[k.value for k in METRIC_KINDS])
+    p = sub.add_parser("report", parents=[baselines, datasets, cap_mode, out],
+                       help="render a full score table")
+    _add_format(p, "table", "csv")
+    p.add_argument("--metric", default="hwrns", choices=[k.value for k in METRIC_KINDS])
     p.add_argument("--algorithms", nargs="*", default=None,
                    help="columns to include (default: all)")
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("protocol-check", help="check an episode log for conformance")
     p.add_argument("--log", required=True, help="episode log path")
-    p.add_argument("--k", type=int, default=int(_env_default("k", "1")),
+    p.add_argument("--k", type=int, default=_env_default("k", "1"),
                    help="training-score averaging window")
-    p.add_argument("--budget", default=_env_default("budget", str(DEFAULT_FRAME_BUDGET)),
+    p.add_argument("--budget", type=parse_frames,
+                   default=_env_default("budget", str(DEFAULT_FRAME_BUDGET)),
                    help="frame budget (scientific notation accepted)")
     p.add_argument("--action-set", type=int,
-                   default=int(_env_default("action_set", str(FULL_ACTION_SET))),
+                   default=_env_default("action_set", str(FULL_ACTION_SET)),
                    help="declared action-space dimension")
     p.set_defaults(func=_cmd_protocol_check)
 
-    p = sub.add_parser("compare", help="per-game leader diff between two algorithms")
-    common(p)
+    p = sub.add_parser("compare", parents=[baselines, datasets],
+                       help="per-game HWRNS leader diff between two algorithms")
     p.add_argument("algorithm_a")
     p.add_argument("algorithm_b")
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("reproduce",
+    p = sub.add_parser("reproduce", parents=[baselines],
                        help="recompute the bundled reference tables and diff them")
-    common(p, datasets=False, modes=False)
+    p.add_argument("--out", default=_env_default("out"),
+                   help="output directory (default: reproduce-out)")
     p.set_defaults(func=_cmd_reproduce)
 
     return parser
-
-
-def _env_default_datasets():
-    value = _env_default("dataset")
-    return value.split(os.pathsep) if value else None
 
 
 def main(argv: list[str] | None = None) -> int:

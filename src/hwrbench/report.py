@@ -133,10 +133,12 @@ class TableLayout:
 
 
 def _layout_algorithms(report: EvaluationReport, layout: TableLayout) -> list[str]:
-    algos = [a for a in layout.algorithms if a in report.aggregates]
-    if not algos:
-        raise ValidationError("layout selects no algorithm present in the report")
-    return algos
+    missing = [a for a in layout.algorithms if a not in report.aggregates]
+    if missing:
+        raise ValidationError(f"algorithms not in the report: {', '.join(missing)}")
+    if not layout.algorithms:
+        raise ValidationError("layout selects no algorithm")
+    return list(layout.algorithms)
 
 
 def render_table(report: EvaluationReport, layout: TableLayout, fmt: str = "text") -> str:

@@ -39,6 +39,7 @@ from hwrbench.report import (
 
 CELL_TOLERANCE_PP = 0.02
 AGGREGATE_TOLERANCE_PP = 0.5
+AGGREGATE_ROWS = ("mean", "median", "mean_eff", "median_eff", "hwrb")
 
 
 @dataclass(frozen=True)
@@ -144,13 +145,30 @@ def load_golden_cells(
     return layouts, printed
 
 
-def _load_golden_aggregates() -> dict[tuple[str, str, str], str]:
-    """(table, algorithm, row) -> printed text; rows mean/median/..._eff/hwrb."""
+def load_golden_aggregates(
+    layouts: dict[str, TableLayout], path: str | Path | None = None,
+) -> dict[tuple[str, str, str], str]:
+    """(table, algorithm, row) -> printed text, checked against the cell layouts.
+
+    Each row must name a (table, algorithm) column of ``layouts`` and that
+    table's metric, with a ``row`` of ``AGGREGATE_ROWS``, at most once.
+    """
+    src = Path(path) if path is not None else data_path("golden", "printed_aggregates.csv")
     rows = {}
-    with open(data_path("golden", "printed_aggregates.csv"), newline="",
-              encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            rows[(row["table"], row["algorithm"], row["row"])] = row["printed"]
+    with open(src, newline="", encoding="utf-8") as fh:
+        for lineno, row in enumerate(csv.DictReader(fh), start=2):
+            table, algo, stat = row["table"], row["algorithm"], row["row"]
+            layout = layouts.get(table)
+            if layout is None or algo not in layout.algorithms:
+                raise DatasetError(f"{src}:{lineno}: no golden cells for {table}/{algo}")
+            if row["metric"] != layout.metric.value:
+                raise DatasetError(f"{src}:{lineno}: metric {row['metric']!r} disagrees "
+                                   f"with table {table} ({layout.metric.value})")
+            if stat not in AGGREGATE_ROWS:
+                raise DatasetError(f"{src}:{lineno}: unknown row {stat!r}")
+            if (table, algo, stat) in rows:
+                raise DatasetError(f"{src}:{lineno}: duplicate row {table}/{algo}/{stat}")
+            rows[(table, algo, stat)] = row["printed"]
     return rows
 
 
@@ -170,7 +188,7 @@ def run_reproduction(
     data = datasets if datasets is not None else load_all_bundled()
     report = evaluate(data, registry, CapMode.TABLE_COMPAT)
     layouts, golden_cells = load_golden_cells()
-    golden_aggs = _load_golden_aggregates()
+    golden_aggs = load_golden_aggregates(layouts)
 
     report_games: dict[str, list[str]] = {}  # algorithm -> games, in report order
     for algo, game in report.cells:

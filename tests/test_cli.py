@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from hwrbench.cli import main
+from hwrbench.cli import build_parser, main
 from hwrbench.games import BaselineRegistry
 
 
@@ -66,6 +67,110 @@ class TestScore:
         assert json.loads(out)["saber_pct"] == "-93.10"
 
 
+# Each verb registers exactly the flags that change its output.
+VERB_OPTIONS = {
+    "validate": {"--baselines", "--dataset"},
+    "score": {"--baselines", "--cap-mode", "--format", "--game", "--score", "--frames"},
+    "aggregate": {"--baselines", "--dataset", "--cap-mode", "--format", "--out"},
+    "report": {"--baselines", "--dataset", "--cap-mode", "--format", "--out",
+               "--metric", "--algorithms"},
+    "protocol-check": {"--log", "--k", "--budget", "--action-set"},
+    "compare": {"--baselines", "--dataset"},
+    "reproduce": {"--baselines", "--out"},
+}
+FORMATS = {"score": ("table", "json"), "aggregate": ("table", "json"),
+           "report": ("table", "csv")}
+VERB_ARGV = {
+    "validate": ["validate"],
+    "score": ["score", "--game", "alien", "--score", "1"],
+    "aggregate": ["aggregate"],
+    "report": ["report"],
+    "compare": ["compare", "Rainbow", "LASER"],
+}
+
+
+def verb_parsers():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+class TestSurface:
+    def test_option_sets(self):
+        parsers = verb_parsers()
+        options = {verb: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+                   for verb, p in parsers.items()}
+        assert options == VERB_OPTIONS
+        formats = {verb: tuple(a.choices) for verb, p in parsers.items()
+                   for a in p._actions if "--format" in a.option_strings}
+        assert formats == FORMATS
+
+    @pytest.mark.parametrize("verb, flag, value", [
+        ("validate", "--cap-mode", "table-compat"), ("validate", "--format", "json"),
+        ("validate", "--out", None), ("compare", "--cap-mode", "table-compat"),
+        ("compare", "--format", "json"), ("compare", "--out", None), ("score", "--out", None),
+        ("score", "--format", "csv"), ("aggregate", "--format", "csv"),
+        ("report", "--format", "json"),
+    ])
+    def test_removed_flag_or_format_is_usage_error(self, capsys, tmp_path, verb, flag, value):
+        out_file = tmp_path / "out.txt"
+        with pytest.raises(SystemExit) as exc:
+            main([*VERB_ARGV[verb], flag, value or str(out_file)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--score", "nan"), ("--score", "inf"), ("--score", "abc"),
+        ("--frames", "2.5"), ("--frames", "inf"),
+    ])
+    def test_bad_score_values_are_usage_errors(self, capsys, flag, value):
+        argv = ["score", "--game", "alien", "--score", "1", "--frames", "2e8"]
+        argv[argv.index(flag) + 1] = value
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid" in capsys.readouterr().err
+
+
+class TestEnvironment:
+    @pytest.mark.parametrize("var, value, argv", [
+        ("HWRBENCH_K", "x", ["protocol-check", "--log", "missing.log"]),
+        ("HWRBENCH_BUDGET", "2.5", ["protocol-check", "--log", "missing.log"]),
+        ("HWRBENCH_CAP_MODE", "bogus", VERB_ARGV["score"]),
+        ("HWRBENCH_FORMAT", "csv", VERB_ARGV["score"]),
+        ("HWRBENCH_FORMAT", "json", VERB_ARGV["report"]),
+    ])
+    def test_bad_value_is_usage_error(self, capsys, monkeypatch, var, value, argv):
+        monkeypatch.setenv(var, value)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        flag = "--" + var.removeprefix("HWRBENCH_").lower().replace("_", "-")
+        assert f"argument {flag}: invalid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["validate", "score"])
+    def test_other_verbs_ignore_bad_k(self, capsys, monkeypatch, verb):
+        monkeypatch.setenv("HWRBENCH_K", "x")
+        code, out, _ = run(capsys, *VERB_ARGV[verb])
+        assert code == 0 and out
+
+    def test_flag_wins_over_bad_value(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("HWRBENCH_K", "x")
+        log = write_log(tmp_path, TestProtocolCheck.CONFORMING)
+        code, out, _ = run(capsys, "protocol-check", "--log", log, "--k", "2")
+        assert code == 0
+        assert json.loads(out)["training_score"] == 3.5
+
+    def test_dataset_flag_replaces_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("HWRBENCH_DATASET", "sota-other")
+        _, out, _ = run(capsys, "validate", "--dataset", "sota-model-based")
+        assert [l.split(":")[0] for l in out.splitlines()[1:]] == [
+            "dataset sota-model-based"]
+        _, out, _ = run(capsys, "validate")
+        assert [l.split(":")[0] for l in out.splitlines()[1:]] == ["dataset sota-other"]
+
+
 class TestUsageErrors:
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -122,6 +227,13 @@ class TestReport:
                         "--algorithms", "Rainbow", "LASER", "GDI-H3")
         boxing = next(l for l in out.splitlines() if l.startswith("boxing"))
         assert boxing.count("100*") == 2  # LASER and GDI-H3, not Rainbow
+
+    def test_unknown_algorithms_are_data_errors(self, capsys):
+        code, out, err = run(capsys, "report", "--algorithms", "Rainbow", "Nope", "Zip")
+        assert code == 1 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "ValidationError"
+        assert error["detail"] == "algorithms not in the report: Nope, Zip"
 
     def test_out_file(self, capsys, tmp_path):
         out_path = tmp_path / "table.csv"

@@ -7,9 +7,10 @@ from hwrbench.datasets import load_bundled_dataset
 from hwrbench.errors import DatasetError
 from hwrbench.games import BaselineRegistry, data_path
 from hwrbench.metrics import MetricKind
-from hwrbench.reproduce import load_golden_cells, run_reproduction
+from hwrbench.reproduce import load_golden_aggregates, load_golden_cells, run_reproduction
 
 GOLDEN_CELLS = data_path("golden", "printed_cells.csv")
+GOLDEN_AGGREGATES = data_path("golden", "printed_aggregates.csv")
 
 # Column order of the printed tables, per table family.
 PRINT_ORDER = {
@@ -92,6 +93,48 @@ def test_duplicate_cell_rejected(tmp_path):
     with pytest.raises(DatasetError, match=f"{where}:3251: duplicate cell "
                                            "hns-sota-200m-model-free/GDI-H3/alien"):
         load_golden_cells(path)
+
+
+def aggregates_copy(tmp_path, line=None, field=None, value=None, duplicate=None):
+    """The bundled golden aggregates in a temp file, with column ``field`` of
+    file line ``line`` set to ``value``, and file line ``duplicate`` appended again."""
+    lines = GOLDEN_AGGREGATES.read_text(encoding="utf-8").splitlines(keepends=True)
+    if line is not None:
+        header = lines[0].rstrip("\n").split(",")
+        cells = lines[line - 1].rstrip("\n").split(",")
+        cells[header.index(field)] = value
+        lines[line - 1] = ",".join(cells) + "\n"
+    if duplicate is not None:
+        lines.append(lines[duplicate - 1])
+    path = tmp_path / "printed_aggregates.csv"
+    path.write_text("".join(lines), encoding="utf-8")
+    return path, re.escape(str(path))
+
+
+def test_bundled_golden_aggregates_load(golden):
+    rows = load_golden_aggregates(golden[0])
+    assert len(rows) == 266
+    assert rows[("hns-sota-200m-model-free", "Rainbow", "mean")] == "873.97"
+    assert len(run_reproduction().inconsistencies) == 42
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("algorithm", "Nope", "no golden cells for hns-sota-200m-model-free/Nope"),
+    ("table", "hns-nowhere", "no golden cells for hns-nowhere/Rainbow"),
+    ("metric", "hwrns", "metric 'hwrns' disagrees with table hns-sota-200m-model-free \\(hns\\)"),
+    ("row", "max", "unknown row 'max'"),
+])
+def test_bad_aggregate_row_rejected(tmp_path, golden, field, value, message):
+    path, where = aggregates_copy(tmp_path, line=2, field=field, value=value)
+    with pytest.raises(DatasetError, match=f"{where}:2: {message}"):
+        load_golden_aggregates(golden[0], path)
+
+
+def test_duplicate_aggregate_row_rejected(tmp_path, golden):
+    path, where = aggregates_copy(tmp_path, duplicate=2)
+    with pytest.raises(DatasetError, match=f"{where}:268: duplicate row "
+                                           "hns-sota-200m-model-free/Rainbow/mean"):
+        load_golden_aggregates(golden[0], path)
 
 
 def test_golden_algorithm_absent_from_datasets():
