@@ -82,6 +82,17 @@ def finite_float(text: str) -> float:
     return value
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"must be >= 1: {text!r}")
+    return value
+
+
+def positive_frames(text: str) -> int:
+    return positive_int(parse_frames(text))
+
+
 def _add_format(p: argparse.ArgumentParser, *choices: str) -> None:
     def check(text: str) -> str:  # argparse checks ``choices`` on argv, not on defaults
         if text not in choices:
@@ -170,7 +181,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_protocol_check(args) -> int:
-    ledger = ledger_from_log(args.log, action_set=args.action_set, averaging_k=args.k,
+    ledger = ledger_from_log(sys.stdin if args.log == "-" else args.log,
+                             action_set=args.action_set, averaging_k=args.k,
                              budget=args.budget)
     verdict = check_budget(ledger)
     returns = [ep.episode_return for ep in ledger.episodes]
@@ -281,13 +293,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("protocol-check", help="check an episode log for conformance")
-    p.add_argument("--log", required=True, help="episode log path")
-    p.add_argument("--k", type=int, default=_env_default("k", "1"),
+    p.add_argument("--log", required=True, help="episode log path, or - for stdin")
+    p.add_argument("--k", type=positive_int, default=_env_default("k", "1"),
                    help="training-score averaging window")
-    p.add_argument("--budget", type=parse_frames,
+    p.add_argument("--budget", type=positive_frames,
                    default=_env_default("budget", str(DEFAULT_FRAME_BUDGET)),
                    help="frame budget (scientific notation accepted)")
-    p.add_argument("--action-set", type=int,
+    p.add_argument("--action-set", type=positive_int,
                    default=_env_default("action_set", str(FULL_ACTION_SET)),
                    help="declared action-space dimension")
     p.set_defaults(func=_cmd_protocol_check)

@@ -11,16 +11,20 @@ Log file format, one step per line, whitespace separated::
     reward lives game_over env_frames
 
 `game_over` is 0 or 1. Episodes are separated by a line containing only
-`---`. Blank lines and lines starting with `#` are ignored.
+`---`. Blank lines and lines starting with `#` are ignored. A log is
+parsed and folded line by line as it is read, so memory grows with the
+number of episodes, not of steps.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from hwrbench.datasets import RunRecord
 from hwrbench.errors import MalformedLogError, ValidationError
@@ -47,7 +51,7 @@ class StepEvent:
             raise ValidationError(f"lives must be nonnegative: {self.lives}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # a ledger holds one per episode
 class EpisodeSummary:
     episode_return: float
     env_frames_used: int
@@ -90,40 +94,22 @@ class TrainingScore(NamedTuple):
 
 
 def accumulate_episode(stream: Iterable[StepEvent]) -> EpisodeSummary:
-    """Consume one episode's steps into its return and frame accounting.
+    """Fold one episode's steps into its return and frame accounting.
 
-    Consumption stops at the game-over signal or just before the step
-    that would push the episode past the frame cap; a capped step's
-    reward is excluded. Life losses never terminate the episode, but a
-    game-over with lives remaining is flagged as an anomaly (it suggests
-    the log was produced with life-loss termination).
+    Runs the same fold as ``ledger_from_log``: the episode ends at the
+    game-over signal or at the frame cap, and the step that would push it
+    past the cap, and every step after that, is checked but not counted.
+    Life losses never end the episode, but a game-over with lives
+    remaining is flagged as an anomaly (it suggests the log was produced
+    with life-loss termination). A step after the game-over step is an
+    error. Errors name a step by its 1-based position in ``stream``.
     """
-    episode_return = 0.0
-    frames_used = 0
-    anomalies: list[str] = []
-    prev_lives: int | None = None
-    for step in stream:
-        if math.isnan(step.reward):
-            raise MalformedLogError("NaN reward in episode stream")
-        if prev_lives is not None and step.lives > prev_lives and not step.game_over:
-            raise MalformedLogError(
-                f"lives increased {prev_lives} -> {step.lives} without episode reset")
-        if frames_used + step.env_frames > MAX_EPISODE_FRAMES:
-            return EpisodeSummary(
-                episode_return, frames_used, "frame_cap", tuple(anomalies))
-        frames_used += step.env_frames
-        episode_return += step.reward
-        prev_lives = step.lives
-        if step.game_over:
-            if step.lives > 0 and "life_loss_termination" not in anomalies:
-                anomalies.append("life_loss_termination")
-            return EpisodeSummary(
-                episode_return, frames_used, "game_over", tuple(anomalies))
-    if frames_used == MAX_EPISODE_FRAMES:
-        return EpisodeSummary(episode_return, frames_used, "frame_cap", tuple(anomalies))
-    raise MalformedLogError(
-        f"episode stream ended after {frames_used} frames without game over "
-        f"or frame cap")
+    steps = ((i, s.reward, s.lives, s.game_over, s.env_frames)
+             for i, s in enumerate(stream, start=1))
+    summary = next(_fold_episodes(steps, "<episode>"), None)
+    if summary is None:
+        raise MalformedLogError("<episode>: no step events")
+    return summary
 
 
 def check_budget(ledger: RunLedger) -> ConformanceVerdict:
@@ -152,8 +138,9 @@ def training_score(returns: list[float], k: int) -> TrainingScore:
         raise ValidationError(f"k must be >= 1: {k}")
     if len(returns) < k:
         raise ValidationError(f"need at least k={k} episodes, got {len(returns)}")
-    series = [sum(returns[i:i + k]) / k for i in range(len(returns) - k + 1)]
-    return TrainingScore(series, series[-1])
+    prefix = list(accumulate(returns, initial=0.0))
+    series = [(prefix[i + k] - prefix[i]) / k for i in range(len(returns) - k + 1)]
+    return TrainingScore(series, sum(returns[-k:]) / k)
 
 
 def to_run_record(ledger: RunLedger, game: str, algorithm: str) -> RunRecord:
@@ -179,46 +166,128 @@ def scale_label_for(frames: int) -> str:
     return str(frames)
 
 
-def _parse_step_line(line: str, lineno: int) -> StepEvent:
-    parts = line.split()
-    if len(parts) != 4:
-        raise MalformedLogError(
-            f"line {lineno}: expected 'reward lives game_over env_frames', "
-            f"got {line!r}")
-    try:
-        reward = float(parts[0])
-        lives = int(parts[1])
-        game_over = bool(int(parts[2]))
-        env_frames = int(parts[3])
-    except ValueError as exc:
-        raise MalformedLogError(f"line {lineno}: {exc}")
-    try:
-        return StepEvent(reward, lives, game_over, env_frames)
-    except ValidationError as exc:
-        raise MalformedLogError(f"line {lineno}: {exc}")
+@contextmanager
+def _open_log(source: str | Path | Iterable[str]) -> Iterator[tuple[Iterable[str], str]]:
+    """``(lines, name)`` of a log path or of an iterable of lines, read lazily."""
+    if isinstance(source, (str, Path)):
+        with open(source, encoding="utf-8") as fh:
+            yield fh, str(source)
+    else:
+        yield source, getattr(source, "name", "<log>")
+
+
+def _parse_steps(lines: Iterable[str], name: str) -> Iterator[tuple]:
+    """Parse log lines as they are read into plain step tuples.
+
+    Yields ``(lineno, reward, lives, game_over, env_frames)`` for each step
+    line and ``(lineno, None, 0, False, 0)`` for each ``---`` line; blank
+    and ``#`` lines are skipped. Every step line is checked here, whether
+    the fold counts it or not: four fields, numeric values, a
+    ``game_over`` of 0 or 1, lives >= 0 and env_frames >= 1.
+    """
+    stepped = False
+    for lineno, raw in enumerate(lines, start=1):
+        # Step lines take this path; any other line raises ValueError here
+        # (a blank, comment or reset line has no four numeric fields).
+        try:
+            reward, lives, game_over, env_frames = raw.split()
+            reward = float(reward)
+            lives = int(lives)
+            env_frames = int(env_frames)
+        except ValueError as exc:
+            parts = raw.split()
+            if not parts or parts[0][0] == "#":
+                continue
+            if parts == [RESET_MARKER]:
+                yield lineno, None, 0, False, 0
+                continue
+            if len(parts) == 4:
+                raise MalformedLogError(f"{name}:{lineno}: {exc}") from None
+            raise MalformedLogError(
+                f"{name}:{lineno}: expected 'reward lives game_over env_frames' "
+                f"on line {lineno}, got {raw.strip()!r}") from None
+        if game_over != "0" and game_over != "1":
+            raise MalformedLogError(f"{name}:{lineno}: game_over must be 0 or 1: {game_over!r}")
+        if lives < 0:
+            raise MalformedLogError(f"{name}:{lineno}: lives must be nonnegative: {lives}")
+        if env_frames < 1:
+            raise MalformedLogError(f"{name}:{lineno}: env_frames must be >= 1: {env_frames}")
+        stepped = True
+        yield lineno, reward, lives, game_over == "1", env_frames
+    if not stepped:
+        raise MalformedLogError(f"{name}: log contains no step events")
+
+
+def _close_episode(episode_return: float, frames_used: int, ended: str | None,
+                   anomalies: tuple[str, ...], where: str) -> EpisodeSummary:
+    if ended is None:
+        if frames_used != MAX_EPISODE_FRAMES:
+            raise MalformedLogError(
+                f"{where}: episode stream ended after {frames_used} frames without "
+                f"game over or frame cap")
+        ended = "frame_cap"
+    return EpisodeSummary(episode_return, frames_used, ended, anomalies)
+
+
+def _fold_episodes(steps: Iterable[tuple], name: str) -> Iterator[EpisodeSummary]:
+    """Fold step tuples into one EpisodeSummary per episode, as each closes.
+
+    ``steps`` holds ``_parse_steps`` tuples. An episode closes at a
+    ``---`` tuple or at the end of ``steps``; only the open episode's
+    running totals are kept, so memory does not grow with its length.
+    """
+    isfinite = math.isfinite
+    episode_return, frames_used, prev_lives, ended, anomalies = 0.0, 0, None, None, ()
+    for lineno, reward, lives, game_over, env_frames in steps:
+        if reward is None:
+            if prev_lives is not None:
+                yield _close_episode(episode_return, frames_used, ended, anomalies,
+                                     f"{name}:{lineno}")
+                episode_return, frames_used, prev_lives, ended, anomalies = (
+                    0.0, 0, None, None, ())
+            continue
+        if not isfinite(reward):
+            raise MalformedLogError(f"{name}:{lineno}: NaN or infinite reward: {reward}")
+        if ended is not None:
+            if ended == "game_over":
+                raise MalformedLogError(
+                    f"{name}:{lineno}: step after the game-over step; "
+                    f"an episode ends with '{RESET_MARKER}'")
+            continue  # past the frame cap: checked, not counted
+        if prev_lives is not None and lives > prev_lives and not game_over:
+            raise MalformedLogError(
+                f"{name}:{lineno}: lives increased {prev_lives} -> {lives} "
+                f"without episode reset")
+        prev_lives = lives
+        if frames_used + env_frames > MAX_EPISODE_FRAMES:
+            ended = "frame_cap"
+            continue
+        frames_used += env_frames
+        episode_return += reward
+        if game_over:
+            ended = "game_over"
+            if lives > 0:
+                anomalies = ("life_loss_termination",)
+    if prev_lives is not None:
+        yield _close_episode(episode_return, frames_used, ended, anomalies, f"{name}:EOF")
 
 
 def read_episode_log(source: str | Path | Iterable[str]) -> list[list[StepEvent]]:
-    """Parse an episode log into per-episode step streams."""
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
-            return read_episode_log(list(fh))
+    """Parse an episode log into per-episode step lists.
+
+    Holds every step in memory; ``ledger_from_log`` streams instead.
+    """
     episodes: list[list[StepEvent]] = []
     current: list[StepEvent] = []
-    for lineno, raw_line in enumerate(source, start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line == RESET_MARKER:
-            if current:
+    with _open_log(source) as (lines, name):
+        for _, reward, lives, game_over, env_frames in _parse_steps(lines, name):
+            if reward is not None:
+                current.append(StepEvent(reward, lives, game_over, env_frames))
+            elif current:
                 episodes.append(current)
                 current = []
-            continue
-        current.append(_parse_step_line(line, lineno))
     if current:
         episodes.append(current)
-    if not episodes:
-        raise MalformedLogError("log contains no step events")
     return episodes
 
 
@@ -229,8 +298,14 @@ def ledger_from_log(
     averaging_k: int = 1,
     budget: int = DEFAULT_FRAME_BUDGET,
 ) -> RunLedger:
-    """Accumulate every episode in a log into a RunLedger."""
-    summaries = tuple(accumulate_episode(ep) for ep in read_episode_log(source))
+    """Fold a log into a RunLedger in one pass, keeping only episode summaries.
+
+    ``source`` is a path or an iterable of lines, such as an open file;
+    errors name ``file:line`` (an iterable is named by its ``name``
+    attribute, else ``<log>``). The first defect in file order is reported.
+    """
+    with _open_log(source) as (lines, name):
+        summaries = tuple(_fold_episodes(_parse_steps(lines, name), name))
     return RunLedger(
         episodes=summaries,
         total_env_frames=sum(ep.env_frames_used for ep in summaries),

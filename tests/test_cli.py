@@ -1,10 +1,18 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hwrbench
 from hwrbench.cli import build_parser, main
 from hwrbench.games import BaselineRegistry
+
+
+SRC = str(Path(hwrbench.__file__).parents[1])
 
 
 def run(capsys, *argv):
@@ -140,6 +148,9 @@ class TestEnvironment:
         ("HWRBENCH_CAP_MODE", "bogus", VERB_ARGV["score"]),
         ("HWRBENCH_FORMAT", "csv", VERB_ARGV["score"]),
         ("HWRBENCH_FORMAT", "json", VERB_ARGV["report"]),
+        ("HWRBENCH_K", "0", ["protocol-check", "--log", "missing.log"]),
+        ("HWRBENCH_BUDGET", "-5", ["protocol-check", "--log", "missing.log"]),
+        ("HWRBENCH_ACTION_SET", "-3", ["protocol-check", "--log", "missing.log"]),
     ])
     def test_bad_value_is_usage_error(self, capsys, monkeypatch, var, value, argv):
         monkeypatch.setenv(var, value)
@@ -316,6 +327,46 @@ class TestProtocolCheck:
         code, _, err = run(capsys, "protocol-check", "--log", log)
         assert code == 1
         assert json.loads(err)["error"] == "MalformedLogError"
+
+    @pytest.mark.parametrize("text, line, detail", [
+        ("1 3 0 4\n0 0 1 4\n---\n2 3 2 4\n0 0 1 4\n", 4, "game_over must be 0 or 1"),
+        ("1 3 0 4\n1 3 0 108000\ninf 3 0 4\n", 3, "NaN or infinite reward"),
+        ("1 3 0 4\n0 0 1 4\n5 0 0 4\n---\n", 3, "step after the game-over step"),
+        ("1 2 0 4\n", "EOF", "episode stream ended after 4 frames"),
+    ])
+    def test_log_defects_are_data_errors_with_file_and_line(self, capsys, tmp_path,
+                                                             text, line, detail):
+        log = write_log(tmp_path, text)
+        code, out, err = run(capsys, "protocol-check", "--log", log)
+        assert code == 1 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "MalformedLogError"
+        assert error["detail"].startswith(f"{log}:{line}: {detail}")
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--k", "0"), ("--k", "-1"), ("--budget", "-5"), ("--budget", "0"),
+        ("--action-set", "-3"), ("--action-set", "0"),
+    ])
+    def test_nonpositive_flags_are_usage_errors(self, capsys, tmp_path, flag, value):
+        log = write_log(tmp_path, self.CONFORMING)
+        with pytest.raises(SystemExit) as exc:
+            main(["protocol-check", "--log", log, flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid" in capsys.readouterr().err
+
+    def test_log_from_stdin(self, capsys, tmp_path):
+        def check(text):
+            return subprocess.run(
+                [sys.executable, "-m", "hwrbench.cli", "protocol-check", "--log", "-",
+                 "--k", "2"], input=text, capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+        _, expected, _ = run(capsys, "protocol-check", "--k", "2",
+                             "--log", write_log(tmp_path, self.CONFORMING))
+        result = check(self.CONFORMING)
+        assert (result.returncode, result.stdout) == (0, expected)
+        result = check(self.CONFORMING + "---\n1 3 0 4\n")
+        assert result.returncode == 1
+        assert json.loads(result.stderr)["detail"].startswith("<stdin>:EOF: ")
 
 
 class TestReproduce:

@@ -1,5 +1,8 @@
 import math
 import random
+import re
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -11,6 +14,7 @@ from hwrbench.protocol import (
     DEFAULT_FRAME_BUDGET,
     FULL_ACTION_SET,
     MAX_EPISODE_FRAMES,
+    RESET_MARKER,
     EpisodeSummary,
     RunLedger,
     StepEvent,
@@ -159,7 +163,7 @@ class TestTrainingScore:
         expected = [sum(returns[i:i + k]) / k for i in range(len(returns) - k + 1)]
         assert len(result.series) == max(0, len(returns) - k + 1)
         assert result.series == pytest.approx(expected)
-        assert result.final == pytest.approx(expected[-1])
+        assert result.final == expected[-1]
 
 
 class TestRunRecordBridge:
@@ -221,6 +225,83 @@ class TestEpisodeLog:
         with pytest.raises(MalformedLogError, match="env_frames"):
             read_episode_log(["1 2 0 0\n", "0 0 1 4\n"])
 
+    @pytest.mark.parametrize("text, where, match", [
+        ("1 3 0 4\nnan 3 0 4\n0 0 1 4\n", ":2: ", "NaN"),
+        ("1 1 0 4\n1 3 0 4\n0 0 1 4\n", ":2: ", "lives increased"),
+        ("1 3 0 4\n---\n", ":2: ", "ended after 4 frames"),
+        ("# a\n1 3 0 4\n\n", ":EOF: ", "ended after 4 frames"),
+        ("# nothing\n\n---\n", ": ", "no step events"),
+        ("1 x 0 4\n", ":1: ", "invalid literal"),
+        ("1 2 3\n", ":1: ", "line 1"),
+        # rejections: game_over other than 0/1, a non-finite reward on a
+        # step past the cap, a step between a game over and its ---
+        ("1 3 2 4\n", ":1: ", "game_over must be 0 or 1"),
+        ("1 3 00 4\n", ":1: ", "game_over must be 0 or 1"),
+        (f"1 1 0 {MAX_EPISODE_FRAMES}\n2 1 0 4\ninf 1 0 4\n", ":3: ", "NaN or infinite"),
+        ("-inf 1 0 4\n", ":1: ", "NaN or infinite"),
+        ("1 3 0 4\n0 0 1 4\n1 0 0 4\n---\n", ":3: ", "after the game-over step"),
+    ])
+    def test_errors_name_file_and_line(self, tmp_path, text, where, match):
+        path = tmp_path / "episodes.log"
+        path.write_text(text, encoding="utf-8")
+        prefix = re.escape(f"{path}{where}")
+        with pytest.raises(MalformedLogError, match=f"^{prefix}.*{match}"):
+            ledger_from_log(path)
+
+    def test_first_defect_in_file_order_is_reported(self):
+        # The truncated episode closes at line 2, before the malformed line 3.
+        with pytest.raises(MalformedLogError, match="^<log>:2: .*ended"):
+            ledger_from_log(["1 3 0 4\n", "---\n", "1 2 3\n"])
+
+    def test_open_file_is_named_by_its_name(self, tmp_path):
+        path = tmp_path / "episodes.log"
+        path.write_text("1 3 0 4\n", encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            with pytest.raises(MalformedLogError, match=f"^{re.escape(str(path))}:EOF: "):
+                ledger_from_log(fh)
+
+    def test_steps_past_the_cap_are_checked_not_counted(self):
+        log = [f"1 1 0 {MAX_EPISODE_FRAMES}", "5 1 0 4", "7 2 1 4", RESET_MARKER,
+               "2 0 1 4"]
+        ledger = ledger_from_log(log)
+        assert ledger.episodes == (
+            EpisodeSummary(1.0, MAX_EPISODE_FRAMES, "frame_cap"),
+            EpisodeSummary(2.0, 4, "game_over"))
+
+    def test_example_with_three_holes_rejects_the_first(self):
+        log = ["1 3 0 4", "0 0 1 4", RESET_MARKER, "2 3 2 4", "inf 1 0 4", "0 0 1 4",
+               "5 0 0 4"]
+        with pytest.raises(MalformedLogError, match="^<log>:4: game_over"):
+            ledger_from_log(log)
+        with pytest.raises(MalformedLogError, match="^<log>:5: NaN or infinite"):
+            ledger_from_log(log[:3] + ["2 3 1 4"] + log[4:])
+        with pytest.raises(MalformedLogError, match="^<log>:7: step after the game-over"):
+            ledger_from_log(log[:3] + ["2 3 0 4", "1 1 0 4"] + log[5:])
+
+    def test_step_after_game_over_rejected_by_fold(self):
+        with pytest.raises(MalformedLogError, match="^<episode>:2: step after"):
+            accumulate_episode([step(lives=0, game_over=True), step(lives=0)])
+
+    @pytest.mark.parametrize("reward", [math.inf, -math.inf])
+    def test_infinite_reward_rejected_by_fold(self, reward):
+        with pytest.raises(MalformedLogError, match="^<episode>:1: NaN or infinite"):
+            accumulate_episode([step(reward), step(lives=0, game_over=True)])
+
+    def test_memory_does_not_grow_with_steps(self):
+        # One capped episode of 200k one-frame steps: 108,000 counted, the
+        # rest checked past the cap. A StepEvent per step would hold MBs.
+        n = 200_000
+        lines = ("1 1 0 1\n" for _ in range(n))
+        tracemalloc.start()
+        try:
+            ledger = ledger_from_log(lines)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ledger.episodes == (
+            EpisodeSummary(float(MAX_EPISODE_FRAMES), MAX_EPISODE_FRAMES, "frame_cap"),)
+        assert peak < n * sys.getsizeof(step()) / 100
+
 
 class TestInvariants:
     def test_no_episode_exceeds_cap_random_streams(self):
@@ -264,3 +345,172 @@ def test_bundled_settings_table():
     assert muzero.action_space == FULL_ACTION_SET
     assert all(s.max_episode_frames == MAX_EPISODE_FRAMES for s in settings.values())
     assert all(s.episode_termination == "all-lives-lost" for s in settings.values())
+
+
+# Reference implementation: the read-then-fold parser that ledger_from_log
+# replaced. It reads every line, builds a StepEvent per step line and keeps
+# every episode's steps before folding any; it is kept only as the oracle of
+# the differential tests below.
+
+def _oracle_accumulate_episode(stream):
+    episode_return = 0.0
+    frames_used = 0
+    anomalies = []
+    prev_lives = None
+    for step_event in stream:
+        if math.isnan(step_event.reward):
+            raise MalformedLogError("NaN reward in episode stream")
+        if (prev_lives is not None and step_event.lives > prev_lives
+                and not step_event.game_over):
+            raise MalformedLogError(
+                f"lives increased {prev_lives} -> {step_event.lives} without episode reset")
+        if frames_used + step_event.env_frames > MAX_EPISODE_FRAMES:
+            return EpisodeSummary(
+                episode_return, frames_used, "frame_cap", tuple(anomalies))
+        frames_used += step_event.env_frames
+        episode_return += step_event.reward
+        prev_lives = step_event.lives
+        if step_event.game_over:
+            if step_event.lives > 0 and "life_loss_termination" not in anomalies:
+                anomalies.append("life_loss_termination")
+            return EpisodeSummary(
+                episode_return, frames_used, "game_over", tuple(anomalies))
+    if frames_used == MAX_EPISODE_FRAMES:
+        return EpisodeSummary(episode_return, frames_used, "frame_cap", tuple(anomalies))
+    raise MalformedLogError(
+        f"episode stream ended after {frames_used} frames without game over "
+        f"or frame cap")
+
+
+def _oracle_parse_step_line(line, lineno):
+    parts = line.split()
+    if len(parts) != 4:
+        raise MalformedLogError(
+            f"line {lineno}: expected 'reward lives game_over env_frames', "
+            f"got {line!r}")
+    try:
+        reward = float(parts[0])
+        lives = int(parts[1])
+        game_over = bool(int(parts[2]))
+        env_frames = int(parts[3])
+    except ValueError as exc:
+        raise MalformedLogError(f"line {lineno}: {exc}")
+    try:
+        return StepEvent(reward, lives, game_over, env_frames)
+    except ValidationError as exc:
+        raise MalformedLogError(f"line {lineno}: {exc}")
+
+
+def _oracle_read_episode_log(lines):
+    episodes = []
+    current = []
+    for lineno, raw_line in enumerate(list(lines), start=1):
+        line = raw_line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line == RESET_MARKER:
+            if current:
+                episodes.append(current)
+                current = []
+            continue
+        current.append(_oracle_parse_step_line(line, lineno))
+    if current:
+        episodes.append(current)
+    if not episodes:
+        raise MalformedLogError("log contains no step events")
+    return episodes
+
+
+def _oracle_ledger_from_log(lines):
+    summaries = tuple(_oracle_accumulate_episode(ep)
+                      for ep in _oracle_read_episode_log(lines))
+    return RunLedger(summaries, sum(ep.env_frames_used for ep in summaries))
+
+
+REWARDS = st.one_of(
+    st.integers(min_value=-50, max_value=50).map(str),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False).map(repr))
+# Frame runs that reach the cap exactly, or cross it (steps after the
+# crossing step follow in the strategy).
+EXACT_RUNS = ([MAX_EPISODE_FRAMES], [54000, 54000], [36000] * 3, [100000, 7996, 4])
+CROSSING_RUNS = ([54000] * 3, [100000, 7000, 4000], [36000] * 3 + [4],
+                 [MAX_EPISODE_FRAMES + 1], [107999, 1, 4])
+
+
+@st.composite
+def episode_lines(draw):
+    """One valid episode: a game over (lives may remain) or a frame cap."""
+    kind = draw(st.sampled_from(("game_over", "cap_exact", "cap_crossing")))
+    if kind == "game_over":
+        frames = draw(st.lists(st.sampled_from([1, 3, 4, 7000]), min_size=1, max_size=12))
+    elif kind == "cap_exact":
+        frames = list(draw(st.sampled_from(EXACT_RUNS)))
+    else:
+        frames = list(draw(st.sampled_from(CROSSING_RUNS)))
+        frames += draw(st.lists(st.sampled_from([1, 4, 50000]), max_size=4))
+    lives = draw(st.integers(min_value=0, max_value=5))
+    lines, used = [], 0
+    for i, env_frames in enumerate(frames):
+        crossed = used > MAX_EPISODE_FRAMES
+        used += env_frames
+        over = 0
+        if used > MAX_EPISODE_FRAMES:
+            # The crossing step and those after it are not counted and may
+            # set game over; lives may rise only after the crossing step.
+            if crossed:
+                lives = draw(st.integers(min_value=0, max_value=5))
+            over = draw(st.integers(min_value=0, max_value=1))
+        elif kind == "game_over" and i == len(frames) - 1:
+            lives = draw(st.integers(min_value=0, max_value=5))  # may rise at game over
+            over = 1
+        elif lives and draw(st.integers(min_value=0, max_value=3)) == 0:
+            lives -= 1  # a life loss, which never ends the episode
+        lines.append(f"{draw(REWARDS)} {lives} {over} {env_frames}")
+    return lines
+
+
+# Exactly one defect that both parsers reject, placed at an episode's start.
+DEFECTS = {
+    "fields": lambda ep: ["1 2 3"] + ep,
+    "number": lambda ep: ["x 3 0 4"] + ep,
+    "env_frames": lambda ep: ["0 3 0 0"] + ep,
+    "negative_lives": lambda ep: ["0 -1 0 4"] + ep,
+    "nan_reward": lambda ep: ["nan 3 0 4"] + ep,
+    "lives_increased": lambda ep: ["0 1 0 4", "0 2 0 4"] + ep,
+    "truncated": lambda ep: ["0 1 0 4"],
+}
+
+
+@st.composite
+def episode_logs(draw, defect=None):
+    """A log of valid episodes with blank, comment and empty-episode lines."""
+    episodes = draw(st.lists(episode_lines(), min_size=1, max_size=6))
+    if defect is not None:
+        i = draw(st.integers(min_value=0, max_value=len(episodes) - 1))
+        episodes[i] = DEFECTS[defect](episodes[i])
+    lines = []
+    for episode in episodes:
+        lines += episode + [RESET_MARKER]
+        lines += draw(st.lists(st.sampled_from(["", RESET_MARKER]), max_size=2))
+    if draw(st.booleans()):
+        lines.pop()  # no reset marker before the end of the file
+    noisy = []
+    for line in lines:
+        noisy += draw(st.lists(st.sampled_from(["", "  ", "# note", "#a 1 0 4"]),
+                               max_size=1))
+        noisy.append(draw(st.sampled_from(["", " ", "\t"])) + line)
+    return [line + "\n" for line in noisy]
+
+
+class TestStreamingMatchesOracle:
+    @given(episode_logs())
+    def test_valid_logs_give_equal_ledgers(self, lines):
+        assert ledger_from_log(lines) == _oracle_ledger_from_log(lines)
+        assert read_episode_log(lines) == _oracle_read_episode_log(lines)
+
+    @given(st.sampled_from(sorted(DEFECTS)).flatmap(episode_logs))
+    def test_one_defect_is_rejected_by_both(self, lines):
+        with pytest.raises(MalformedLogError):
+            _oracle_ledger_from_log(lines)
+        with pytest.raises(MalformedLogError):
+            ledger_from_log(lines)
