@@ -6,26 +6,23 @@ the JSON report is ``aggregate --format json``. Results go to stdout,
 diagnostics to stderr; exit status is 0 on success, 1 on data errors,
 2 on usage errors. Most flags take their default from an ``HWRBENCH_``
 variable (``HWRBENCH_K``, ...), which argparse parses like the flag.
+Each verb imports only the modules it runs, so start-up stays short.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import os
 import sys
 from pathlib import Path
 
-from hwrbench.datasets import (
-    BUNDLED_DATASETS,
-    load_all_bundled,
-    load_bundled_dataset,
-    load_dataset,
-)
 from hwrbench.errors import BenchmarkError
 from hwrbench.games import BaselineRegistry
 from hwrbench.metrics import (
+    METRIC_KINDS,
     CapMode,
     MetricKind,
     chns,
@@ -37,21 +34,24 @@ from hwrbench.metrics import (
     saber,
 )
 from hwrbench.numfmt import format_efficiency, format_number, format_percent, parse_frames
-from hwrbench.protocol import (
-    DEFAULT_FRAME_BUDGET,
-    FULL_ACTION_SET,
-    check_budget,
-    ledger_from_log,
-    training_score,
-)
-from hwrbench.report import (
-    METRIC_KINDS,
-    TableLayout,
-    evaluate,
-    render_table,
-    report_to_json,
-)
-from hwrbench.reproduce import run_reproduction, summary_lines, write_artifacts
+
+# Imported on first use. Verbs call these through ``_module``, so a caller
+# that replaces the attribute (a tracer, say) sees the calls.
+_DEFERRED = {
+    "evaluate": "hwrbench.report",
+    "render_table": "hwrbench.report",
+    "report_to_json": "hwrbench.report",
+    "load_all_bundled": "hwrbench.datasets",
+}
+
+
+def __getattr__(name: str):
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(_DEFERRED[name]), name)
+
+
+_module = sys.modules[__name__]
 
 
 def _env_default(flag: str, fallback=None):
@@ -66,11 +66,13 @@ def _load_registry(args) -> BaselineRegistry:
 
 
 def _load_datasets(args) -> list:
+    from hwrbench.datasets import BUNDLED_DATASETS, load_bundled_dataset, load_dataset
+
     # --dataset appends, so the environment is read only when it is absent.
     env = _env_default("dataset")
     paths = args.dataset or (env.split(os.pathsep) if env else None)
     if not paths:
-        return load_all_bundled()
+        return _module.load_all_bundled()
     return [load_bundled_dataset(p) if p in BUNDLED_DATASETS else load_dataset(p)
             for p in paths]
 
@@ -151,9 +153,9 @@ def _cmd_score(args) -> int:
 
 def _cmd_aggregate(args) -> int:
     registry = _load_registry(args)
-    report = evaluate(_load_datasets(args), registry, args.cap_mode)
+    report = _module.evaluate(_load_datasets(args), registry, args.cap_mode)
     if args.format == "json":
-        _emit(report_to_json(report) + "\n", args)
+        _emit(_module.report_to_json(report) + "\n", args)
         return 0
     lines = []
     for algo in report.algorithms():
@@ -172,18 +174,31 @@ def _cmd_aggregate(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from hwrbench.report import TableLayout
+
     registry = _load_registry(args)
-    report = evaluate(_load_datasets(args), registry, args.cap_mode)
+    report = _module.evaluate(_load_datasets(args), registry, args.cap_mode)
     algos = tuple(args.algorithms) if args.algorithms else tuple(report.algorithms())
     layout = TableLayout(metric=MetricKind(args.metric), algorithms=algos)
-    _emit(render_table(report, layout, fmt="text" if args.format == "table" else "csv"), args)
+    fmt = "text" if args.format == "table" else "csv"
+    _emit(_module.render_table(report, layout, fmt=fmt), args)
     return 0
 
 
 def _cmd_protocol_check(args) -> int:
-    ledger = ledger_from_log(sys.stdin if args.log == "-" else args.log,
-                             action_set=args.action_set, averaging_k=args.k,
-                             budget=args.budget)
+    from hwrbench.protocol import (
+        DEFAULT_FRAME_BUDGET,
+        FULL_ACTION_SET,
+        check_budget,
+        final_score,
+        ledger_from_log,
+    )
+
+    ledger = ledger_from_log(
+        sys.stdin if args.log == "-" else args.log,
+        action_set=FULL_ACTION_SET if args.action_set is None else args.action_set,
+        averaging_k=args.k,
+        budget=DEFAULT_FRAME_BUDGET if args.budget is None else args.budget)
     verdict = check_budget(ledger)
     returns = [ep.episode_return for ep in ledger.episodes]
     result = {
@@ -195,14 +210,14 @@ def _cmd_protocol_check(args) -> int:
         "anomalies": sorted({a for ep in ledger.episodes for a in ep.anomalies}),
     }
     if len(returns) >= args.k:
-        result["training_score"] = training_score(returns, args.k).final
+        result["training_score"] = final_score(returns, args.k)
     print(json.dumps(result, indent=2))
     return 0 if verdict.conforming else 1
 
 
 def _cmd_compare(args) -> int:
     registry = _load_registry(args)
-    report = evaluate(_load_datasets(args), registry)
+    report = _module.evaluate(_load_datasets(args), registry)
     a, b = args.algorithm_a, args.algorithm_b
     for name in (a, b):
         if name not in report.aggregates:
@@ -232,17 +247,18 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    from hwrbench.reproduce import run_reproduction, summary_lines, write_artifacts
+
     # Reference tables apply only the upper cap, so reproduction always
     # runs in table-compat mode and writes fixed formats.
     result = run_reproduction(baselines=_load_registry(args))
-    out_dir = args.out or "reproduce-out"
-    written = write_artifacts(result, out_dir)
+    written = write_artifacts(result, args.out)
     for line in summary_lines(result):
         print(line)
     tables = sum(1 for p in written if p.parent.name == "tables")
     figures = sum(1 for p in written if p.parent.name == "figures")
     print(f"artifacts: {', '.join(str(p) for p in written[:2])}, "
-          f"{tables} tables and {figures} figure series under {out_dir}/")
+          f"{tables} tables and {figures} figure series under {args.out}/")
     return 0
 
 
@@ -296,11 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", required=True, help="episode log path, or - for stdin")
     p.add_argument("--k", type=positive_int, default=_env_default("k", "1"),
                    help="training-score averaging window")
-    p.add_argument("--budget", type=positive_frames,
-                   default=_env_default("budget", str(DEFAULT_FRAME_BUDGET)),
+    p.add_argument("--budget", type=positive_frames, default=_env_default("budget"),
                    help="frame budget (scientific notation accepted)")
-    p.add_argument("--action-set", type=positive_int,
-                   default=_env_default("action_set", str(FULL_ACTION_SET)),
+    p.add_argument("--action-set", type=positive_int, default=_env_default("action_set"),
                    help="declared action-space dimension")
     p.set_defaults(func=_cmd_protocol_check)
 
@@ -312,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", parents=[baselines],
                        help="recompute the bundled reference tables and diff them")
-    p.add_argument("--out", default=_env_default("out"),
+    p.add_argument("--out", default="reproduce-out",
                    help="output directory (default: reproduce-out)")
     p.set_defaults(func=_cmd_reproduce)
 

@@ -26,6 +26,10 @@ class MetricKind(str, Enum):
     SABER = "saber"
 
 
+# The normalized metrics, in table and report order.
+METRIC_KINDS = (MetricKind.HNS, MetricKind.CHNS, MetricKind.HWRNS, MetricKind.SABER)
+
+
 class CapMode(str, Enum):
     """How SABER treats values outside [0, 2].
 

@@ -128,29 +128,33 @@ def check_budget(ledger: RunLedger) -> ConformanceVerdict:
     return ConformanceVerdict(not violations, tuple(violations))
 
 
-def training_score(returns: list[float], k: int) -> TrainingScore:
-    """Sliding mean over k consecutive episode returns (stride 1).
-
-    The final score is the last window's mean, i.e. the mean of the last
-    k episodes of training.
-    """
+def final_score(returns: list[float], k: int) -> float:
+    """The reported training score: the mean of the last k episode returns."""
     if k < 1:
         raise ValidationError(f"k must be >= 1: {k}")
     if len(returns) < k:
         raise ValidationError(f"need at least k={k} episodes, got {len(returns)}")
+    return sum(returns[-k:]) / k
+
+
+def training_score(returns: list[float], k: int) -> TrainingScore:
+    """Sliding mean over k consecutive episode returns (stride 1).
+
+    The final score is the last window's mean (``final_score``).
+    """
+    final = final_score(returns, k)
     prefix = list(accumulate(returns, initial=0.0))
     series = [(prefix[i + k] - prefix[i]) / k for i in range(len(returns) - k + 1)]
-    return TrainingScore(series, sum(returns[-k:]) / k)
+    return TrainingScore(series, final)
 
 
 def to_run_record(ledger: RunLedger, game: str, algorithm: str) -> RunRecord:
     """Bridge a finished ledger to the metrics pipeline."""
     returns = [ep.episode_return for ep in ledger.episodes]
-    final = training_score(returns, ledger.averaging_k).final
     return RunRecord(
         algorithm=algorithm,
         game=canonical_game(game),
-        score=final,
+        score=final_score(returns, ledger.averaging_k),
         frames=ledger.total_env_frames,
         scale_label=scale_label_for(ledger.total_env_frames),
     )

@@ -8,6 +8,7 @@ scores are the only stored quantity; every metric cell is recomputed.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 from hwrbench.aggregate import AggregateRow, MetricColumn, aggregate, per_game_leader
@@ -15,6 +16,7 @@ from hwrbench.datasets import Dataset
 from hwrbench.errors import DatasetError, ValidationError
 from hwrbench.games import CANONICAL_GAMES, BaselineRegistry
 from hwrbench.metrics import (
+    METRIC_KINDS,
     CapMode,
     MetricKind,
     MetricValue,
@@ -25,8 +27,6 @@ from hwrbench.metrics import (
     saber,
 )
 from hwrbench.numfmt import format_efficiency, format_number, format_percent
-
-METRIC_KINDS = (MetricKind.HNS, MetricKind.CHNS, MetricKind.HWRNS, MetricKind.SABER)
 
 
 @dataclass(frozen=True)
@@ -136,6 +136,9 @@ def _layout_algorithms(report: EvaluationReport, layout: TableLayout) -> list[st
     missing = [a for a in layout.algorithms if a not in report.aggregates]
     if missing:
         raise ValidationError(f"algorithms not in the report: {', '.join(missing)}")
+    repeated = [a for a, n in Counter(layout.algorithms).items() if n > 1]
+    if repeated:
+        raise ValidationError(f"algorithms repeated in the layout: {', '.join(repeated)}")
     if not layout.algorithms:
         raise ValidationError("layout selects no algorithm")
     return list(layout.algorithms)

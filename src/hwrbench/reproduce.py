@@ -25,11 +25,10 @@ from pathlib import Path
 from hwrbench.datasets import Dataset, load_all_bundled
 from hwrbench.errors import DatasetError
 from hwrbench.games import BaselineRegistry, data_path
-from hwrbench.metrics import CapMode, MetricKind
+from hwrbench.metrics import METRIC_KINDS, CapMode, MetricKind
 from hwrbench.numfmt import round_half_up
 from hwrbench.report import (
     FIGURES,
-    METRIC_KINDS,
     EvaluationReport,
     TableLayout,
     emit_plot_series,

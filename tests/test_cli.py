@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import json
 import os
 import subprocess
@@ -141,6 +142,66 @@ class TestSurface:
         assert f"argument {flag}: invalid" in capsys.readouterr().err
 
 
+class TestDeferredImports:
+    # Prints the hwrbench modules loaded after running the verb in argv.
+    CHILD = ("import sys\n"
+             "from hwrbench.cli import main\n"
+             "code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
+             "print(*sorted(m for m in sys.modules if m.startswith('hwrbench.')), "
+             "file=sys.stderr)\n"
+             "sys.exit(code)\n")
+    DEFERRED = {"datasets", "protocol", "report", "aggregate", "reproduce"}
+    TABLES = {"datasets", "report", "aggregate"}
+    TRACED = {"evaluate": "report", "render_table": "report", "report_to_json": "report",
+              "load_all_bundled": "datasets"}
+
+    @pytest.mark.parametrize("argv, loaded", [
+        ([], set()),
+        (VERB_ARGV["score"], set()),
+        (VERB_ARGV["validate"], {"datasets"}),
+        (VERB_ARGV["aggregate"], TABLES),
+        (VERB_ARGV["report"], TABLES),
+        (VERB_ARGV["compare"], TABLES),
+        (["protocol-check", "--log", "{log}"], {"protocol", "datasets"}),
+        (["reproduce", "--out", "{out}"], TABLES | {"reproduce"}),
+    ], ids=["import", "score", "validate", "aggregate", "report", "compare", "protocol-check",
+            "reproduce"])
+    def test_verb_loads_only_what_it_runs(self, tmp_path, argv, loaded):
+        log = write_log(tmp_path, TestProtocolCheck.CONFORMING)
+        argv = [a.format(log=log, out=tmp_path / "repro") for a in argv]
+        result = subprocess.run([sys.executable, "-c", self.CHILD, *argv],
+                                capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+        assert result.returncode == 0, result.stderr
+        modules = {m.removeprefix("hwrbench.") for m in result.stderr.splitlines()[-1].split()}
+        assert modules & self.DEFERRED == loaded
+
+    def test_traced_names_resolve_on_first_use(self):
+        import hwrbench.cli as cli
+        for name, module in self.TRACED.items():
+            assert getattr(cli, name) is getattr(importlib.import_module(f"hwrbench.{module}"),
+                                                 name)
+        with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+            cli.nope
+
+    @pytest.mark.parametrize("argv, calls", [
+        (["aggregate", "--format", "json"], ["load_all_bundled", "evaluate", "report_to_json"]),
+        (["report"], ["load_all_bundled", "evaluate", "render_table"]),
+        (["compare", "Rainbow", "LASER"], ["load_all_bundled", "evaluate"]),
+    ], ids=["aggregate", "report", "compare"])
+    def test_verbs_call_through_the_module(self, capsys, monkeypatch, argv, calls):
+        import hwrbench.cli as cli
+        seen = []
+        for name in self.TRACED:
+            def wrapped(*args, _fn=getattr(cli, name), _name=name, **kwargs):
+                seen.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(cli, name, wrapped)
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert seen == calls
+
+
 class TestEnvironment:
     @pytest.mark.parametrize("var, value, argv", [
         ("HWRBENCH_K", "x", ["protocol-check", "--log", "missing.log"]),
@@ -180,6 +241,18 @@ class TestEnvironment:
             "dataset sota-model-based"]
         _, out, _ = run(capsys, "validate")
         assert [l.split(":")[0] for l in out.splitlines()[1:]] == ["dataset sota-other"]
+
+    def test_out_variable_names_a_file_not_the_reproduce_directory(
+            self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("HWRBENCH_OUT", "o.txt")
+        code, out, _ = run(capsys, "reproduce")
+        assert code == 0 and out.endswith("under reproduce-out/\n")
+        assert (tmp_path / "reproduce-out" / "summary.json").is_file()
+        assert not (tmp_path / "o.txt").exists()
+        code, out, _ = run(capsys, "aggregate")
+        assert code == 0 and out == ""
+        assert (tmp_path / "o.txt").is_file()
 
 
 class TestUsageErrors:
@@ -245,6 +318,13 @@ class TestReport:
         error = json.loads(err)
         assert error["error"] == "ValidationError"
         assert error["detail"] == "algorithms not in the report: Nope, Zip"
+
+    def test_repeated_algorithm_is_data_error(self, capsys):
+        code, out, err = run(capsys, "report", "--algorithms", "Rainbow", "LASER", "Rainbow")
+        assert code == 1 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "ValidationError"
+        assert error["detail"] == "algorithms repeated in the layout: Rainbow"
 
     def test_out_file(self, capsys, tmp_path):
         out_path = tmp_path / "table.csv"

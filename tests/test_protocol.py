@@ -20,6 +20,7 @@ from hwrbench.protocol import (
     StepEvent,
     accumulate_episode,
     check_budget,
+    final_score,
     ledger_from_log,
     load_protocol_settings,
     read_episode_log,
@@ -151,6 +152,11 @@ class TestTrainingScore:
         with pytest.raises(ValidationError):
             training_score([1.0], k=2)
 
+    @pytest.mark.parametrize("returns, k", [([1.0], 2), ([1.0], 0), ([], 1)])
+    def test_final_score_checks_k_and_episode_count(self, returns, k):
+        with pytest.raises(ValidationError):
+            final_score(returns, k)
+
     @given(st.lists(st.floats(min_value=-1e4, max_value=1e4, allow_nan=False),
                     min_size=1, max_size=60),
            st.integers(min_value=1, max_value=60))
@@ -163,7 +169,7 @@ class TestTrainingScore:
         expected = [sum(returns[i:i + k]) / k for i in range(len(returns) - k + 1)]
         assert len(result.series) == max(0, len(returns) - k + 1)
         assert result.series == pytest.approx(expected)
-        assert result.final == expected[-1]
+        assert result.final == expected[-1] == final_score(returns, k)
 
 
 class TestRunRecordBridge:

@@ -117,6 +117,8 @@ def test_render_rejects_unknown_layout(registry):
         render_table(report, TableLayout(MetricKind.HNS, ("NotThere",)))
     with pytest.raises(ValidationError):
         render_table(report, TableLayout(MetricKind.HNS, ("Rainbow",)), fmt="html")
+    with pytest.raises(ValidationError, match="repeated in the layout: Rainbow$"):
+        render_table(report, TableLayout(MetricKind.HNS, ("Rainbow", "LASER", "Rainbow")))
 
 
 def test_machine_report_round_trips_full_precision(bundled_report):
