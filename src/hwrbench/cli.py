@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from collections import deque
 from pathlib import Path
 
 from hwrbench.errors import BenchmarkError
@@ -189,28 +190,35 @@ def _cmd_protocol_check(args) -> int:
     from hwrbench.protocol import (
         DEFAULT_FRAME_BUDGET,
         FULL_ACTION_SET,
-        check_budget,
+        check_conformance,
         final_score,
-        ledger_from_log,
+        iter_episodes,
     )
 
-    ledger = ledger_from_log(
-        sys.stdin if args.log == "-" else args.log,
-        action_set=FULL_ACTION_SET if args.action_set is None else args.action_set,
-        averaging_k=args.k,
-        budget=DEFAULT_FRAME_BUDGET if args.budget is None else args.budget)
-    verdict = check_budget(ledger)
-    returns = [ep.episode_return for ep in ledger.episodes]
+    # Episodes are folded as they stream out of the log; only what is
+    # printed is kept, so memory grows with k, not with the log.
+    episodes = total_env_frames = 0
+    anomalies: set[str] = set()
+    last_returns: deque[float] = deque(maxlen=args.k)
+    for episode in iter_episodes(sys.stdin if args.log == "-" else args.log):
+        episodes += 1
+        total_env_frames += episode.env_frames_used
+        anomalies.update(episode.anomalies)
+        last_returns.append(episode.episode_return)
+    verdict = check_conformance(
+        total_env_frames,
+        FULL_ACTION_SET if args.action_set is None else args.action_set,
+        DEFAULT_FRAME_BUDGET if args.budget is None else args.budget)
     result = {
         "conforming": verdict.conforming,
         "violations": [{"code": v.code, "detail": v.detail} for v in verdict.violations],
-        "episodes": len(ledger.episodes),
-        "total_env_frames": ledger.total_env_frames,
-        "game_time_days": round(game_time_days(ledger.total_env_frames), 3),
-        "anomalies": sorted({a for ep in ledger.episodes for a in ep.anomalies}),
+        "episodes": episodes,
+        "total_env_frames": total_env_frames,
+        "game_time_days": round(game_time_days(total_env_frames), 3),
+        "anomalies": sorted(anomalies),
     }
-    if len(returns) >= args.k:
-        result["training_score"] = final_score(returns, args.k)
+    if episodes >= args.k:
+        result["training_score"] = final_score(list(last_returns), args.k)
     print(json.dumps(result, indent=2))
     return 0 if verdict.conforming else 1
 

@@ -12,29 +12,34 @@ Log file format, one step per line, whitespace separated::
 
 `game_over` is 0 or 1. Episodes are separated by a line containing only
 `---`. Blank lines and lines starting with `#` are ignored. A log is
-parsed and folded line by line as it is read, so memory grows with the
-number of episodes, not of steps.
+parsed and folded line by line as it is read, and a step line that
+repeats is parsed once. ``iter_episodes`` streams the episode summaries,
+so a caller that keeps only what it prints (``protocol-check`` keeps the
+last k returns) needs memory that grows with k, not with episodes or
+steps; ``ledger_from_log`` keeps one summary per episode.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import accumulate
+from math import isfinite
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
-from hwrbench.datasets import RunRecord
 from hwrbench.errors import MalformedLogError, ValidationError
 from hwrbench.games import canonical_game, data_path
+
+if TYPE_CHECKING:
+    from hwrbench.datasets import RunRecord
 
 MAX_EPISODE_FRAMES = 108000  # 30 minutes at 60 fps
 DEFAULT_FRAME_BUDGET = 200_000_000
 FULL_ACTION_SET = 18
 
 RESET_MARKER = "---"
+MEMO_LINES = 1024  # distinct lines (and line tails) parsed once per log
 
 
 @dataclass(frozen=True)
@@ -104,26 +109,28 @@ def accumulate_episode(stream: Iterable[StepEvent]) -> EpisodeSummary:
     with life-loss termination). A step after the game-over step is an
     error. Errors name a step by its 1-based position in ``stream``.
     """
-    steps = ((i, s.reward, s.lives, s.game_over, s.env_frames)
-             for i, s in enumerate(stream, start=1))
-    summary = next(_fold_episodes(steps, "<episode>"), None)
-    if summary is None:
-        raise MalformedLogError("<episode>: no step events")
-    return summary
+    steps = ((s.reward, s.lives, s.game_over, s.env_frames) for s in stream)
+    # The fields of a StepEvent are parsed already; the fold checks them.
+    return next(_fold_log(steps, "<episode>", parse=lambda step, *_: step))
 
 
 def check_budget(ledger: RunLedger) -> ConformanceVerdict:
+    """Protocol conformance of a ledger: see ``check_conformance``."""
+    return check_conformance(ledger.total_env_frames, ledger.action_set, ledger.budget)
+
+
+def check_conformance(total_env_frames: int, action_set: int,
+                      budget: int) -> ConformanceVerdict:
     """Protocol conformance: frame budget (inclusive) and full action set."""
     violations = []
-    if ledger.total_env_frames > ledger.budget:
+    if total_env_frames > budget:
         violations.append(Violation(
             "budget_exceeded",
-            f"{ledger.total_env_frames} environment frames exceed the "
-            f"{ledger.budget}-frame budget"))
-    if ledger.action_set != FULL_ACTION_SET:
+            f"{total_env_frames} environment frames exceed the {budget}-frame budget"))
+    if action_set != FULL_ACTION_SET:
         violations.append(Violation(
             "reduced_action_set",
-            f"declared action set has {ledger.action_set} actions; the full "
+            f"declared action set has {action_set} actions; the full "
             f"set has {FULL_ACTION_SET}"))
     return ConformanceVerdict(not violations, tuple(violations))
 
@@ -140,16 +147,19 @@ def final_score(returns: list[float], k: int) -> float:
 def training_score(returns: list[float], k: int) -> TrainingScore:
     """Sliding mean over k consecutive episode returns (stride 1).
 
-    The final score is the last window's mean (``final_score``).
+    The final score is the last window's mean (``final_score``). Each
+    window is summed on its own: a running sum would carry the rounding
+    error of a large return into the windows after it.
     """
     final = final_score(returns, k)
-    prefix = list(accumulate(returns, initial=0.0))
-    series = [(prefix[i + k] - prefix[i]) / k for i in range(len(returns) - k + 1)]
+    series = [sum(returns[i:i + k]) / k for i in range(len(returns) - k + 1)]
     return TrainingScore(series, final)
 
 
 def to_run_record(ledger: RunLedger, game: str, algorithm: str) -> RunRecord:
     """Bridge a finished ledger to the metrics pipeline."""
+    from hwrbench.datasets import RunRecord
+
     returns = [ep.episode_return for ep in ledger.episodes]
     return RunRecord(
         algorithm=algorithm,
@@ -180,48 +190,6 @@ def _open_log(source: str | Path | Iterable[str]) -> Iterator[tuple[Iterable[str
         yield source, getattr(source, "name", "<log>")
 
 
-def _parse_steps(lines: Iterable[str], name: str) -> Iterator[tuple]:
-    """Parse log lines as they are read into plain step tuples.
-
-    Yields ``(lineno, reward, lives, game_over, env_frames)`` for each step
-    line and ``(lineno, None, 0, False, 0)`` for each ``---`` line; blank
-    and ``#`` lines are skipped. Every step line is checked here, whether
-    the fold counts it or not: four fields, numeric values, a
-    ``game_over`` of 0 or 1, lives >= 0 and env_frames >= 1.
-    """
-    stepped = False
-    for lineno, raw in enumerate(lines, start=1):
-        # Step lines take this path; any other line raises ValueError here
-        # (a blank, comment or reset line has no four numeric fields).
-        try:
-            reward, lives, game_over, env_frames = raw.split()
-            reward = float(reward)
-            lives = int(lives)
-            env_frames = int(env_frames)
-        except ValueError as exc:
-            parts = raw.split()
-            if not parts or parts[0][0] == "#":
-                continue
-            if parts == [RESET_MARKER]:
-                yield lineno, None, 0, False, 0
-                continue
-            if len(parts) == 4:
-                raise MalformedLogError(f"{name}:{lineno}: {exc}") from None
-            raise MalformedLogError(
-                f"{name}:{lineno}: expected 'reward lives game_over env_frames' "
-                f"on line {lineno}, got {raw.strip()!r}") from None
-        if game_over != "0" and game_over != "1":
-            raise MalformedLogError(f"{name}:{lineno}: game_over must be 0 or 1: {game_over!r}")
-        if lives < 0:
-            raise MalformedLogError(f"{name}:{lineno}: lives must be nonnegative: {lives}")
-        if env_frames < 1:
-            raise MalformedLogError(f"{name}:{lineno}: env_frames must be >= 1: {env_frames}")
-        stepped = True
-        yield lineno, reward, lives, game_over == "1", env_frames
-    if not stepped:
-        raise MalformedLogError(f"{name}: log contains no step events")
-
-
 def _close_episode(episode_return: float, frames_used: int, ended: str | None,
                    anomalies: tuple[str, ...], where: str) -> EpisodeSummary:
     if ended is None:
@@ -233,25 +201,93 @@ def _close_episode(episode_return: float, frames_used: int, ended: str | None,
     return EpisodeSummary(episode_return, frames_used, ended, anomalies)
 
 
-def _fold_episodes(steps: Iterable[tuple], name: str) -> Iterator[EpisodeSummary]:
-    """Fold step tuples into one EpisodeSummary per episode, as each closes.
+def _parse_step(raw: str, name: str, lineno: int,
+                tails: dict[str, tuple[int, bool, int]]) -> tuple | None:
+    """One log line as ``(reward, lives, game_over, env_frames)``.
 
-    ``steps`` holds ``_parse_steps`` tuples. An episode closes at a
-    ``---`` tuple or at the end of ``steps``; only the open episode's
-    running totals are kept, so memory does not grow with its length.
+    Returns ``()`` for a ``---`` line and None for a blank or ``#`` line.
+    Checks four fields, a numeric reward with no ``_``, lives and
+    env_frames in ASCII digits, a ``game_over`` of 0 or 1, lives >= 0 and
+    env_frames >= 1; the fold checks that the reward is finite. ``tails``
+    maps the text after the reward to its parsed fields, for up to
+    ``MEMO_LINES`` distinct tails: in a log whose rewards never repeat,
+    the rest of the line still does.
     """
-    isfinite = math.isfinite
+    # Step lines take the try path; any other line raises ValueError in it
+    # (a blank, comment or reset line has no four numeric fields).
+    try:
+        text, tail = raw.split(None, 1)
+        reward = float(text)
+        rest = tails.get(tail)
+        if rest is None:
+            lives, game_over, env_frames = tail.split()
+            rest = (int(lives), game_over == "1", int(env_frames))
+            if game_over != "0" and game_over != "1":
+                raise MalformedLogError(
+                    f"{name}:{lineno}: game_over must be 0 or 1: {game_over!r}")
+            if rest[0] < 0:
+                raise MalformedLogError(f"{name}:{lineno}: lives must be nonnegative: {rest[0]}")
+            if rest[2] < 1:
+                raise MalformedLogError(f"{name}:{lineno}: env_frames must be >= 1: {rest[2]}")
+            if not (lives.isdigit() and env_frames.isdigit() and tail.isascii()):
+                raise MalformedLogError(
+                    f"{name}:{lineno}: lives and env_frames must be ASCII digits: "
+                    f"{lives!r}, {env_frames!r}")
+            if len(tails) < MEMO_LINES:
+                tails[tail] = rest
+    except ValueError as exc:
+        fields = raw.split()
+        if not fields or fields[0][0] == "#":
+            return None
+        if fields == [RESET_MARKER]:
+            return ()
+        if len(fields) == 4:
+            raise MalformedLogError(f"{name}:{lineno}: {exc}") from None
+        raise MalformedLogError(
+            f"{name}:{lineno}: expected 'reward lives game_over env_frames' "
+            f"on line {lineno}, got {raw.strip()!r}") from None
+    if "_" in text:
+        raise MalformedLogError(f"{name}:{lineno}: reward must not contain '_': {text!r}")
+    return (reward, *rest)
+
+
+def _fold_log(lines: Iterable, name: str,
+              parse: Callable = _parse_step) -> Iterator[EpisodeSummary]:
+    """Parse and fold log lines in one pass, yielding each episode as it closes.
+
+    ``parse`` turns an item of ``lines`` into a step tuple, ``()`` or None,
+    as ``_parse_step`` does for a log line. An episode closes at a ``---``
+    line or at the end of ``lines``; only the open episode's running
+    totals are kept. ``memo`` maps up to ``MEMO_LINES`` distinct step
+    lines that passed every per-line check to their parsed fields, so a
+    repeated line is not parsed again; an error is never stored. The fold
+    checks run on every step line, so the first defect in file order is
+    reported, at its ``file:line``.
+    """
+    memo: dict[str, tuple[float, int, bool, int]] = {}
+    tails: dict[str, tuple[int, bool, int]] = {}
+    memo_get = memo.get
+    room = MEMO_LINES
+    closed = 0
     episode_return, frames_used, prev_lives, ended, anomalies = 0.0, 0, None, None, ()
-    for lineno, reward, lives, game_over, env_frames in steps:
-        if reward is None:
-            if prev_lives is not None:
-                yield _close_episode(episode_return, frames_used, ended, anomalies,
-                                     f"{name}:{lineno}")
-                episode_return, frames_used, prev_lives, ended, anomalies = (
-                    0.0, 0, None, None, ())
-            continue
-        if not isfinite(reward):
-            raise MalformedLogError(f"{name}:{lineno}: NaN or infinite reward: {reward}")
+    for lineno, raw in enumerate(lines, start=1):
+        step = memo_get(raw)
+        if step is None:
+            step = parse(raw, name, lineno, tails)
+            if not step:
+                if step is not None and prev_lives is not None:
+                    yield _close_episode(episode_return, frames_used, ended, anomalies,
+                                         f"{name}:{lineno}")
+                    closed += 1
+                    episode_return, frames_used, prev_lives, ended, anomalies = (
+                        0.0, 0, None, None, ())
+                continue
+            if not isfinite(step[0]):
+                raise MalformedLogError(f"{name}:{lineno}: NaN or infinite reward: {step[0]}")
+            if room:
+                memo[raw] = step
+                room -= 1
+        reward, lives, game_over, env_frames = step
         if ended is not None:
             if ended == "game_over":
                 raise MalformedLogError(
@@ -274,25 +310,44 @@ def _fold_episodes(steps: Iterable[tuple], name: str) -> Iterator[EpisodeSummary
                 anomalies = ("life_loss_termination",)
     if prev_lives is not None:
         yield _close_episode(episode_return, frames_used, ended, anomalies, f"{name}:EOF")
+    elif not closed:
+        raise MalformedLogError(f"{name}: log contains no step events")
 
 
 def read_episode_log(source: str | Path | Iterable[str]) -> list[list[StepEvent]]:
-    """Parse an episode log into per-episode step lists.
+    """Parse an episode log into per-episode step lists, with no fold checks.
 
-    Holds every step in memory; ``ledger_from_log`` streams instead.
+    A non-finite reward passes here; the fold rejects it. Holds every step
+    in memory; ``iter_episodes`` streams instead.
     """
     episodes: list[list[StepEvent]] = []
     current: list[StepEvent] = []
+    tails: dict[str, tuple[int, bool, int]] = {}
     with _open_log(source) as (lines, name):
-        for _, reward, lives, game_over, env_frames in _parse_steps(lines, name):
-            if reward is not None:
-                current.append(StepEvent(reward, lives, game_over, env_frames))
-            elif current:
+        for lineno, raw in enumerate(lines, start=1):
+            step = _parse_step(raw, name, lineno, tails)
+            if step:
+                current.append(StepEvent(*step))
+            elif step is not None and current:
                 episodes.append(current)
                 current = []
-    if current:
-        episodes.append(current)
+        if current:
+            episodes.append(current)
+        if not episodes:
+            raise MalformedLogError(f"{name}: log contains no step events")
     return episodes
+
+
+def iter_episodes(source: str | Path | Iterable[str]) -> Iterator[EpisodeSummary]:
+    """Fold a log in one pass, yielding each episode's summary as it closes.
+
+    ``source`` is a path or an iterable of lines, such as an open file;
+    errors name ``file:line`` (an iterable is named by its ``name``
+    attribute, else ``<log>``). The first defect in file order is reported.
+    Memory does not grow with the log.
+    """
+    with _open_log(source) as (lines, name):
+        yield from _fold_log(lines, name)
 
 
 def ledger_from_log(
@@ -302,14 +357,11 @@ def ledger_from_log(
     averaging_k: int = 1,
     budget: int = DEFAULT_FRAME_BUDGET,
 ) -> RunLedger:
-    """Fold a log into a RunLedger in one pass, keeping only episode summaries.
+    """Fold a log into a RunLedger, keeping one summary per episode.
 
-    ``source`` is a path or an iterable of lines, such as an open file;
-    errors name ``file:line`` (an iterable is named by its ``name``
-    attribute, else ``<log>``). The first defect in file order is reported.
+    Reads ``source`` as ``iter_episodes`` does.
     """
-    with _open_log(source) as (lines, name):
-        summaries = tuple(_fold_episodes(_parse_steps(lines, name), name))
+    summaries = tuple(iter_episodes(source))
     return RunLedger(
         episodes=summaries,
         total_env_frames=sum(ep.env_frames_used for ep in summaries),

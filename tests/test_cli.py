@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -162,7 +163,7 @@ class TestDeferredImports:
         (VERB_ARGV["aggregate"], TABLES),
         (VERB_ARGV["report"], TABLES),
         (VERB_ARGV["compare"], TABLES),
-        (["protocol-check", "--log", "{log}"], {"protocol", "datasets"}),
+        (["protocol-check", "--log", "{log}"], {"protocol"}),
         (["reproduce", "--out", "{out}"], TABLES | {"reproduce"}),
     ], ids=["import", "score", "validate", "aggregate", "report", "compare", "protocol-check",
             "reproduce"])
@@ -433,6 +434,30 @@ class TestProtocolCheck:
             main(["protocol-check", "--log", log, flag, value])
         assert exc.value.code == 2
         assert f"argument {flag}: invalid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("distinct", [False, True], ids=["repeated", "distinct"])
+    def test_memory_does_not_grow_with_episodes(self, capsys, tmp_path, distinct):
+        # 20-step episodes; with distinct rewards every line is new, so the
+        # bounded line memo fills up on both logs.
+        def peak(episodes):
+            lines = []
+            for e in range(episodes):
+                lines += [f"{f'{e}.{i}' if distinct else '1'} 3 0 4" for i in range(19)]
+                lines += ["0 0 1 4", "---"]
+            log = write_log(tmp_path, "\n".join(lines) + "\n")
+            tracemalloc.start()
+            try:
+                code, out, _ = run(capsys, "protocol-check", "--log", log, "--k", "5")
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert code == 0 and json.loads(out)["episodes"] == episodes
+            return peak
+
+        peak(300)  # a first run also loads modules and fills interpreter caches
+        small, large = peak(300), peak(3000)
+        # A summary and a return kept per episode would add about 250 KB.
+        assert abs(large - small) < 64 * 1024, (small, large)
 
     def test_log_from_stdin(self, capsys, tmp_path):
         def check(text):

@@ -3,17 +3,20 @@ import random
 import re
 import sys
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hwrbench import protocol
 from hwrbench.errors import MalformedLogError, ValidationError
 from hwrbench.metrics import game_time_days
 from hwrbench.protocol import (
     DEFAULT_FRAME_BUDGET,
     FULL_ACTION_SET,
     MAX_EPISODE_FRAMES,
+    MEMO_LINES,
     RESET_MARKER,
     EpisodeSummary,
     RunLedger,
@@ -254,6 +257,19 @@ class TestEpisodeLog:
         with pytest.raises(MalformedLogError, match=f"^{prefix}.*{match}"):
             ledger_from_log(path)
 
+    @pytest.mark.parametrize("line, match", [
+        ("1_0 3 0 4", "reward must not contain '_'"),  # float() reads 10
+        ("0 +3 0 4", "lives and env_frames must be ASCII digits"),  # int() reads 3
+        ("0 3 0 0_4", "lives and env_frames must be ASCII digits"),  # int() reads 4
+        ("0 \u0663 0 4", "lives and env_frames must be ASCII digits"),  # int() reads 3
+    ])
+    def test_out_of_contract_numerals_rejected(self, line, match):
+        log = ["1 3 0 4\n", line + "\n", "0 0 1 4\n"]
+        with pytest.raises(MalformedLogError, match=f"^<log>:2: {match}"):
+            ledger_from_log(log)
+        with pytest.raises(MalformedLogError, match=f"^<log>:2: {match}"):
+            read_episode_log(log)
+
     def test_first_defect_in_file_order_is_reported(self):
         # The truncated episode closes at line 2, before the malformed line 3.
         with pytest.raises(MalformedLogError, match="^<log>:2: .*ended"):
@@ -444,7 +460,7 @@ CROSSING_RUNS = ([54000] * 3, [100000, 7000, 4000], [36000] * 3 + [4],
 
 
 @st.composite
-def episode_lines(draw):
+def episode_lines(draw, rewards=REWARDS):
     """One valid episode: a game over (lives may remain) or a frame cap."""
     kind = draw(st.sampled_from(("game_over", "cap_exact", "cap_crossing")))
     if kind == "game_over":
@@ -471,7 +487,7 @@ def episode_lines(draw):
             over = 1
         elif lives and draw(st.integers(min_value=0, max_value=3)) == 0:
             lives -= 1  # a life loss, which never ends the episode
-        lines.append(f"{draw(REWARDS)} {lives} {over} {env_frames}")
+        lines.append(f"{draw(rewards)} {lives} {over} {env_frames}")
     return lines
 
 
@@ -488,9 +504,9 @@ DEFECTS = {
 
 
 @st.composite
-def episode_logs(draw, defect=None):
+def episode_logs(draw, defect=None, rewards=REWARDS):
     """A log of valid episodes with blank, comment and empty-episode lines."""
-    episodes = draw(st.lists(episode_lines(), min_size=1, max_size=6))
+    episodes = draw(st.lists(episode_lines(rewards), min_size=1, max_size=6))
     if defect is not None:
         i = draw(st.integers(min_value=0, max_value=len(episodes) - 1))
         episodes[i] = DEFECTS[defect](episodes[i])
@@ -520,3 +536,55 @@ class TestStreamingMatchesOracle:
             _oracle_ledger_from_log(lines)
         with pytest.raises(MalformedLogError):
             ledger_from_log(lines)
+
+
+# Rewards from a small pool, so most step lines repeat and hit the memo.
+POOLED_LOGS = episode_logs(rewards=st.sampled_from(["0", "1", "-1", "2.5"]))
+# Lines that fail a per-line check, whatever comes before them.
+DEFECT_LINES = ["1 2 3", "x 3 0 4", "0 3 0 0", "0 -1 0 4", "nan 3 0 4", "-inf 3 0 4",
+                "0 3 2 4", "1_0 3 0 4", "0 +3 0 4", "0 3 0 0_4"]
+
+
+class TestMemo:
+    @given(POOLED_LOGS, st.sampled_from([MEMO_LINES, 2, 1]))
+    def test_repeated_lines_give_the_oracle_ledger(self, lines, cap):
+        # A small cap fills the memo, so later distinct lines are parsed
+        # every time they occur.
+        with mock.patch.object(protocol, "MEMO_LINES", cap):
+            assert ledger_from_log(lines) == _oracle_ledger_from_log(lines)
+            assert read_episode_log(lines) == _oracle_read_episode_log(lines)
+
+    def test_more_distinct_lines_than_the_memo_holds(self):
+        # Three times the cap in distinct lines, then each of them again.
+        first = [f"{i} 1 0 1\n" for i in range(3 * MEMO_LINES)]
+        lines = first + first[::-1] + ["0 0 1 1\n"]
+        ledger = ledger_from_log(lines)
+        assert ledger == _oracle_ledger_from_log(lines)
+        assert ledger.episodes == (
+            EpisodeSummary(float(sum(range(3 * MEMO_LINES)) * 2), 6 * MEMO_LINES + 1,
+                           "game_over"),)
+        # Once the memo is full, a new line is still checked in full.
+        with pytest.raises(MalformedLogError, match=f"^<log>:{len(lines)}: NaN or infinite"):
+            ledger_from_log(lines[:-1] + ["nan 1 0 1\n", "0 0 1 1\n"])
+
+    @pytest.mark.parametrize("lines, where, match", [
+        # "0 1 0 4" is stored at line 1; at line 4 it raises lives from 0.
+        (["0 1 0 4", "0 1 0 4", "0 0 0 4", "0 1 0 4"], 4, "lives increased 0 -> 1"),
+        # "0 0 1 4" is stored at line 1; at line 4 it follows a game over.
+        (["0 0 1 4", RESET_MARKER, "0 0 1 4", "0 0 1 4"], 4, "step after the game-over"),
+    ])
+    def test_remembered_line_still_meets_the_fold_checks(self, lines, where, match):
+        with pytest.raises(MalformedLogError, match=f"^<log>:{where}: {match}"):
+            ledger_from_log(lines)
+
+    @given(POOLED_LOGS, st.sampled_from(DEFECT_LINES),
+           st.lists(st.integers(min_value=0), min_size=2, max_size=4),
+           st.sampled_from([MEMO_LINES, 1]))
+    def test_repeated_defect_is_reported_at_its_first_line(self, lines, defect, cuts, cap):
+        lines = list(lines)
+        for cut in sorted(cuts, reverse=True):
+            lines.insert(cut % (len(lines) + 1), defect + "\n")
+        first = lines.index(defect + "\n") + 1
+        with mock.patch.object(protocol, "MEMO_LINES", cap):
+            with pytest.raises(MalformedLogError, match=f"^<log>:{first}: "):
+                ledger_from_log(lines)

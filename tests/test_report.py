@@ -2,11 +2,10 @@ import json
 
 import pytest
 
-from hwrbench.datasets import Dataset, load_all_bundled
+from hwrbench.datasets import Dataset, RunRecord, load_all_bundled
 from hwrbench.errors import DatasetError, ValidationError
 from hwrbench.games import BaselineRegistry
 from hwrbench.metrics import CapMode, MetricKind
-from hwrbench.protocol import RunRecord
 from hwrbench.report import (
     TableLayout,
     emit_plot_series,
