@@ -235,8 +235,8 @@ def _cmd_compare(args) -> int:
     ties: list[str] = []
     cells = report.cells
     for game in sorted(g for algo, g in cells if algo == a and (b, g) in cells):
-        value_a = cells[(a, game)].metrics[MetricKind.HWRNS].value
-        value_b = cells[(b, game)].metrics[MetricKind.HWRNS].value
+        value_a = cells[(a, game)].metrics[MetricKind.HWRNS]
+        value_b = cells[(b, game)].metrics[MetricKind.HWRNS]
         if value_a == value_b:
             ties.append(game)
         elif value_a > value_b:

@@ -3,19 +3,19 @@
 A dataset file is comma-separated with header
 ``algorithm,game,score,frames,scale_label``; the literal ``N/A`` in the
 score column marks a game the source never reported, which is omitted
-from the records and kept as a coverage note.
+from the records and kept as a coverage note. ``scale_label`` is derived
+data: it must equal ``scale_label_for(frames)`` and is not kept.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from hwrbench.errors import DatasetError, UnknownGameError, ValidationError
-from hwrbench.games import canonical_game, data_path
-from hwrbench.numfmt import parse_frames
+from hwrbench.games import canonical_game, data_path, read_csv
+from hwrbench.numfmt import parse_frames, scale_label_for
 
 BUNDLED_DATASETS = (
     "sota-200m-model-free",
@@ -35,7 +35,6 @@ class RunRecord:
     game: str
     score: float
     frames: int
-    scale_label: str = ""
 
     def __post_init__(self) -> None:
         if self.frames <= 0:
@@ -68,34 +67,30 @@ def load_dataset(path: str | Path, label: str | None = None) -> Dataset:
     records: list[RunRecord] = []
     omitted: list[tuple[str, str]] = []
     seen: set[tuple[str, str]] = set()
-    with open(src, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != DATASET_COLUMNS:
-            raise DatasetError(f"{src}: expected header {','.join(DATASET_COLUMNS)}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                game = canonical_game(row["game"])
-            except UnknownGameError as exc:
-                raise DatasetError(f"{src}:{lineno}: {exc}")
-            algorithm = row["algorithm"].strip()
-            key = (algorithm, game)
-            if key in seen:
-                raise DatasetError(f"{src}:{lineno}: duplicate cell {key}")
-            seen.add(key)
-            score_text = row["score"].strip()
-            if score_text.upper() == "N/A":
-                omitted.append(key)
-                continue
-            try:
-                records.append(RunRecord(
-                    algorithm=algorithm,
-                    game=game,
-                    score=float(score_text),
-                    frames=parse_frames(row["frames"]),
-                    scale_label=row["scale_label"].strip(),
-                ))
-            except (ValueError, ValidationError) as exc:
-                raise DatasetError(f"{src}:{lineno}: {exc}") from None
+    for lineno, (algorithm, game, score, frames, label) in read_csv(
+            src, DATASET_COLUMNS, DatasetError):
+        try:
+            game = canonical_game(game)
+        except UnknownGameError as exc:
+            raise DatasetError(f"{src}:{lineno}: {exc}")
+        algorithm = algorithm.strip()
+        key = (algorithm, game)
+        if key in seen:
+            raise DatasetError(f"{src}:{lineno}: duplicate cell {key}")
+        seen.add(key)
+        score = score.strip()
+        if score.upper() == "N/A":
+            omitted.append(key)
+            continue
+        try:
+            record = RunRecord(algorithm, game, float(score), parse_frames(frames))
+        except (ValueError, ValidationError) as exc:
+            raise DatasetError(f"{src}:{lineno}: {exc}") from None
+        expected = scale_label_for(record.frames)
+        if label.strip() != expected:
+            raise DatasetError(f"{src}:{lineno}: scale_label {label!r} does not match "
+                               f"{record.frames} frames ({expected})")
+        records.append(record)
     if not records:
         raise DatasetError(f"{src}: dataset is empty")
     return Dataset(name, tuple(records), tuple(omitted))

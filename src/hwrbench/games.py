@@ -16,7 +16,7 @@ from importlib.resources import files
 from pathlib import Path
 from typing import Iterator
 
-from hwrbench.errors import UnknownGameError, ValidationError
+from hwrbench.errors import BenchmarkError, UnknownGameError, ValidationError
 from hwrbench.numfmt import format_number
 
 CANONICAL_GAMES: tuple[str, ...] = (
@@ -43,6 +43,27 @@ def data_path(*parts: str) -> Path:
     return Path(str(files("hwrbench").joinpath("data", *parts)))
 
 
+def read_csv(
+    src: Path, columns: tuple[str, ...], error: type[BenchmarkError],
+) -> Iterator[tuple[int, list[str]]]:
+    """(line number, cells) of each nonblank row of a CSV file.
+
+    The header must be exactly ``columns`` and every row as wide; otherwise
+    ``error`` is raised naming the file and, for a row, the line.
+    """
+    with open(src, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        if tuple(next(reader, ())) != columns:
+            raise error(f"{src}: expected header {','.join(columns)}")
+        for row in reader:
+            if len(row) != len(columns):
+                if not row:
+                    continue
+                raise error(f"{src}:{reader.line_num}: expected {len(columns)} cells, "
+                            f"got {len(row)}")
+            yield reader.line_num, row
+
+
 def canonical_game(name: str) -> str:
     """Normalize a game identifier to canonical lowercase form.
 
@@ -50,6 +71,8 @@ def canonical_game(name: str) -> str:
     usual separator spellings ("MsPacman" is not recognized, but
     "ms_pacman" and "MS PACMAN " are).
     """
+    if name in _CANONICAL_SET:
+        return name
     cleaned = name.strip().lower().replace("_", " ").replace("-", " ")
     cleaned = cleaned.replace("'", "").replace("’", "").replace(".", "")
     cleaned = " ".join(cleaned.split())
@@ -124,28 +147,19 @@ class BaselineRegistry:
         src = Path(path) if path is not None else data_path("baselines.csv")
         records = []
         lines = []
-        with open(src, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or tuple(reader.fieldnames) != BASELINE_COLUMNS:
+        for lineno, (game, random, human, record, tag) in read_csv(
+                src, BASELINE_COLUMNS, ValidationError):
+            try:
+                game = canonical_game(game)
+            except UnknownGameError as exc:
+                raise UnknownGameError(f"{src}:{lineno}: {exc}") from None
+            try:
+                records.append(BaselineRecord(
+                    game, float(random), float(human), float(record), tag))
+            except ValueError as exc:
                 raise ValidationError(
-                    f"{src}: expected header {','.join(BASELINE_COLUMNS)}")
-            for lineno, row in enumerate(reader, start=2):
-                try:
-                    game = canonical_game(row["game"])
-                except UnknownGameError as exc:
-                    raise UnknownGameError(f"{src}:{lineno}: {exc}") from None
-                try:
-                    records.append(BaselineRecord(
-                        game=game,
-                        random=float(row["random"]),
-                        human_average=float(row["human_average"]),
-                        human_world_record=float(row["human_world_record"]),
-                        source_tag=row["source_tag"],
-                    ))
-                except ValueError as exc:
-                    raise ValidationError(
-                        f"{src}:{lineno}: non-numeric cell for {game}: {exc}") from None
-                lines.append(lineno)
+                    f"{src}:{lineno}: non-numeric cell for {game}: {exc}") from None
+            lines.append(lineno)
         return cls(records, source=str(src), lines=lines)
 
     def lookup(self, game: str) -> BaselineRecord:

@@ -9,12 +9,30 @@ two-digit scientific notation).
 from __future__ import annotations
 
 import math
-from decimal import ROUND_HALF_UP, Decimal
 
 
 def round_half_up(value: float, decimals: int = 2) -> float:
-    quantum = Decimal(1).scaleb(-decimals)
-    return float(Decimal(repr(value)).quantize(quantum, ROUND_HALF_UP))
+    """Round the digits ``repr`` prints half away from zero (2.675 -> 2.68).
+
+    Keeps the sign (-0.001 -> -0.0); ``decimals`` >= 0. Non-finite values,
+    and values of 1e16 or more, which are integral, come back unchanged.
+    """
+    text = repr(value)
+    if "e" in text or "n" in text:  # exponent form, inf or nan
+        if "n" in text or "+" in text:
+            return value
+        mantissa, exponent = text.split("e")
+        digits = mantissa.lstrip("-").replace(".", "")
+        text = f"{'-' if value < 0 else ''}0.{'0' * (-int(exponent) - 1)}{digits}"
+    point = text.index(".")
+    cut = point + 1 + decimals
+    if len(text) <= cut:
+        return value
+    if text[cut] < "5":  # the kept digits are the result
+        return float(text[:cut])
+    negative = text[0] == "-"
+    rounded = (int(text[negative:point] + text[point + 1:cut]) + 1) / 10 ** decimals
+    return -rounded if negative else rounded
 
 
 def format_number(value: float) -> str:
@@ -32,6 +50,16 @@ def format_percent(ratio: float, decimals: int = 2) -> str:
 def format_efficiency(value: float) -> str:
     """Scientific notation with three significant figures ('4.37E-08')."""
     return f"{value:.2E}"
+
+
+def scale_label_for(frames: int) -> str:
+    """Compact training-scale label: 200000000 -> '200M'."""
+    for unit, width in (("B", 10 ** 9), ("M", 10 ** 6), ("K", 10 ** 3)):
+        if frames >= width and frames % width == 0:
+            return f"{frames // width}{unit}"
+        if frames >= width:
+            return f"{frames / width:g}{unit}"
+    return str(frames)
 
 
 def parse_frames(text: str) -> int:

@@ -21,15 +21,15 @@ steps; ``ledger_from_log`` keeps one summary per episode.
 
 from __future__ import annotations
 
-import csv
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import isfinite
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
-from hwrbench.errors import MalformedLogError, ValidationError
-from hwrbench.games import canonical_game, data_path
+from hwrbench.errors import DatasetError, MalformedLogError, ValidationError
+from hwrbench.games import canonical_game, data_path, read_csv
+from hwrbench.numfmt import scale_label_for  # noqa: F401  (re-exported; it lives in numfmt)
 
 if TYPE_CHECKING:
     from hwrbench.datasets import RunRecord
@@ -161,23 +161,8 @@ def to_run_record(ledger: RunLedger, game: str, algorithm: str) -> RunRecord:
     from hwrbench.datasets import RunRecord
 
     returns = [ep.episode_return for ep in ledger.episodes]
-    return RunRecord(
-        algorithm=algorithm,
-        game=canonical_game(game),
-        score=final_score(returns, ledger.averaging_k),
-        frames=ledger.total_env_frames,
-        scale_label=scale_label_for(ledger.total_env_frames),
-    )
-
-
-def scale_label_for(frames: int) -> str:
-    """Compact training-scale label: 200000000 -> '200M'."""
-    for unit, width in (("B", 10 ** 9), ("M", 10 ** 6), ("K", 10 ** 3)):
-        if frames >= width and frames % width == 0:
-            return f"{frames // width}{unit}"
-        if frames >= width:
-            return f"{frames / width:g}{unit}"
-    return str(frames)
+    return RunRecord(algorithm, canonical_game(game), final_score(returns, ledger.averaging_k),
+                     ledger.total_env_frames)
 
 
 @contextmanager
@@ -388,22 +373,33 @@ class AlgorithmSettings:
 
 
 def load_protocol_settings(path: str | Path | None = None) -> dict[str, AlgorithmSettings]:
-    """Per-algorithm settings table, keyed by lowercase algorithm name."""
+    """Per-algorithm settings table, keyed by lowercase algorithm name.
+
+    The header is the fields of ``AlgorithmSettings``, in order. Its int
+    columns must be positive integers and its bool column ``yes`` or
+    ``no``; an algorithm may appear once, in any case. A violation is a
+    DatasetError naming file:line.
+    """
     src = Path(path) if path is not None else data_path("protocol_settings.csv")
+    columns = fields(AlgorithmSettings)  # types are the annotation strings "int", "bool"
     settings = {}
-    with open(src, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            entry = AlgorithmSettings(
-                algorithm=row["algorithm"],
-                max_episode_frames=int(row["max_episode_frames"]),
-                action_repeats=int(row["action_repeats"]),
-                frame_stacks=int(row["frame_stacks"]),
-                image_size=row["image_size"],
-                color=row["color"],
-                life_information=row["life_information"] == "yes",
-                episode_termination=row["episode_termination"],
-                action_space=int(row["action_space"]),
-                averaging_k=int(row["averaging_k"]),
-            )
-            settings[entry.algorithm.lower()] = entry
+    for lineno, row in read_csv(src, tuple(c.name for c in columns), DatasetError):
+        values: dict = {}
+        for column, text in zip(columns, row):
+            if column.type == "int":
+                if not (text.isascii() and text.isdigit() and int(text) > 0):
+                    raise DatasetError(f"{src}:{lineno}: {column.name} must be a positive "
+                                       f"integer, got {text!r}")
+                values[column.name] = int(text)
+            elif column.type == "bool":
+                if text not in ("yes", "no"):
+                    raise DatasetError(
+                        f"{src}:{lineno}: {column.name} must be yes or no, got {text!r}")
+                values[column.name] = text == "yes"
+            else:
+                values[column.name] = text
+        key = values["algorithm"].lower()
+        if key in settings:
+            raise DatasetError(f"{src}:{lineno}: repeated algorithm {values['algorithm']!r}")
+        settings[key] = AlgorithmSettings(**values)
     return settings

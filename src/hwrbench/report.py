@@ -10,31 +10,22 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from math import isfinite
 
-from hwrbench.aggregate import AggregateRow, MetricColumn, aggregate, per_game_leader
+from hwrbench.aggregate import AggregateRow, leaders, summarize
 from hwrbench.datasets import Dataset
 from hwrbench.errors import DatasetError, ValidationError
 from hwrbench.games import CANONICAL_GAMES, BaselineRegistry
-from hwrbench.metrics import (
-    METRIC_KINDS,
-    CapMode,
-    MetricKind,
-    MetricValue,
-    chns,
-    game_time_days,
-    hns,
-    hwrns,
-    saber,
-)
+from hwrbench.metrics import METRIC_KINDS, CapMode, MetricKind, game_time_days, normalize
 from hwrbench.numfmt import format_efficiency, format_number, format_percent
 
 
 @dataclass(frozen=True)
 class CellMetrics:
-    """Every metric for one (algorithm, game) raw score."""
+    """Every metric for one (algorithm, game) raw score, as plain ratios."""
 
     raw: float
-    metrics: dict[MetricKind, MetricValue]
+    metrics: dict[MetricKind, float]
 
 
 @dataclass(frozen=True)
@@ -57,11 +48,18 @@ def evaluate(
     baselines: BaselineRegistry,
     cap_mode: CapMode = CapMode.SPEC_FLOOR,
 ) -> EvaluationReport:
-    """Compute every metric cell, aggregate row, and per-game leader set."""
+    """Compute every metric cell, aggregate row, and per-game leader set.
+
+    Cells are plain floats, capped as ``metrics.chns`` and ``metrics.saber``
+    do. Scores, baselines and denominators were checked at load; only the
+    ratios' finiteness is left to check.
+    """
     if not datasets:
         raise DatasetError("no datasets to evaluate")
+    floor = cap_mode is CapMode.SPEC_FLOOR
     cells: dict[tuple[str, str], CellMetrics] = {}
     frames_by_algo: dict[str, int] = {}  # in order of first appearance
+    rows: dict[str, list[tuple[float, ...]]] = {}  # algorithm -> metric values per cell
     omitted: dict[str, list[str]] = {}
     for ds in datasets:
         for rec in ds.records:
@@ -76,46 +74,35 @@ def evaluate(
                     f"{rec.algorithm}: inconsistent frame counts "
                     f"{prior} vs {rec.frames}")
             base = baselines.lookup(rec.game)
-            h = hns(rec.score, base)
-            w = hwrns(rec.score, base)
-            cells[key] = CellMetrics(
-                raw=rec.score,
-                metrics={
-                    MetricKind.HNS: h,
-                    MetricKind.CHNS: chns(h),
-                    MetricKind.HWRNS: w,
-                    MetricKind.SABER: saber(w, cap_mode),
-                },
-            )
+            h = normalize(rec.score, base.random, base.human_average)
+            w = normalize(rec.score, base.random, base.human_world_record)
+            if not (isfinite(h) and isfinite(w)):
+                raise ValidationError(f"{rec.algorithm}/{rec.game}: normalized score overflows")
+            s = min(w, 2.0)
+            values = (h, min(max(h, 0.0), 1.0), w, max(s, 0.0) if floor else s)
+            cells[key] = CellMetrics(rec.score, dict(zip(METRIC_KINDS, values)))
+            rows.setdefault(rec.algorithm, []).append(values)
         for algorithm, game in ds.omitted:
             omitted.setdefault(algorithm, []).append(game)
 
-    raw_columns: list[MetricColumn] = []
-    aggregates: dict[str, dict[MetricKind, AggregateRow]] = {}
-    for algo in frames_by_algo:
-        entries = {g: cells[(algo, g)] for g in CANONICAL_GAMES if (algo, g) in cells}
-        raw_columns.append(MetricColumn(
-            algo, MetricKind.RAW,
-            {g: MetricValue(c.raw, MetricKind.RAW) for g, c in entries.items()}))
-        aggregates[algo] = {
-            kind: aggregate(
-                MetricColumn(algo, kind, {g: c.metrics[kind] for g, c in entries.items()}),
-                frames_by_algo[algo])
-            for kind in METRIC_KINDS
-        }
-
-    leaders = {
-        game: tuple(per_game_leader(raw_columns, game))
-        for game in CANONICAL_GAMES
-        if any(game in c.entries for c in raw_columns)
+    # Mean and median do not depend on the order of a column's values.
+    aggregates = {
+        algo: {kind: summarize(column, frames_by_algo[algo], kind)
+               for kind, column in zip(METRIC_KINDS, zip(*rows[algo]))}
+        for algo in frames_by_algo
     }
+    best: dict[str, tuple[str, ...]] = {}
+    for game in CANONICAL_GAMES:
+        raw = {a: cells[(a, game)].raw for a in frames_by_algo if (a, game) in cells}
+        if raw:
+            best[game] = tuple(leaders(raw))
     return EvaluationReport(
         cap_mode=cap_mode,
         baseline_source=baselines.source,
         dataset_labels=tuple(ds.label for ds in datasets),
         cells=cells,
         aggregates=aggregates,
-        leaders=leaders,
+        leaders=best,
         frames=frames_by_algo,
         missing={a: tuple(sorted(games)) for a, games in omitted.items()},
     )
@@ -172,26 +159,19 @@ def render_table(report: EvaluationReport, layout: TableLayout, fmt: str = "text
                 continue
             mark = "*" if algo in game_leaders else ""
             row += [format_number(cell.raw) + mark,
-                    format_percent(cell.metrics[metric].value)]
+                    format_percent(cell.metrics[metric])]
         rows.append(row)
 
-    footer: list[list[str]] = []
-
-    def agg_row(label: str, value_of) -> list[str]:
-        out = [label]
-        for algo in algos:
-            out += ["", value_of(report.aggregates[algo][metric])]
-        return out
-
-    footer.append(agg_row(f"mean {metric.value}%", lambda r: format_percent(r.mean)))
-    footer.append(agg_row("learning efficiency",
-                          lambda r: format_efficiency(r.efficiency_mean.value)))
-    footer.append(agg_row(f"median {metric.value}%", lambda r: format_percent(r.median)))
-    footer.append(agg_row("learning efficiency",
-                          lambda r: format_efficiency(r.efficiency_median.value)))
+    stats = [(f"mean {metric.value}%", lambda r: format_percent(r.mean)),
+             ("learning efficiency", lambda r: format_efficiency(r.efficiency_mean.value)),
+             (f"median {metric.value}%", lambda r: format_percent(r.median)),
+             ("learning efficiency", lambda r: format_efficiency(r.efficiency_median.value))]
     if metric is MetricKind.HWRNS:
-        footer.append(agg_row("hwrb", lambda r: str(r.hwrb_count)))
-    footer.append(agg_row("coverage", lambda r: f"{r.coverage}/57"))
+        stats.append(("hwrb", lambda r: str(r.hwrb_count)))
+    stats.append(("coverage", lambda r: f"{r.coverage}/57"))
+    footer = [[label] + [text for algo in algos
+                         for text in ("", value_of(report.aggregates[algo][metric]))]
+              for label, value_of in stats]
 
     if fmt == "csv":
         lines = [",".join(header)]
@@ -216,7 +196,7 @@ def report_to_dict(report: EvaluationReport) -> dict:
         per_game.setdefault(algo, {})[game] = {
             "raw": cell.raw,
             "frames": report.frames[algo],
-            **{kind.value: cell.metrics[kind].value for kind in METRIC_KINDS},
+            **{kind.value: cell.metrics[kind] for kind in METRIC_KINDS},
         }
     aggregates = {}
     for algo, rows in report.aggregates.items():
@@ -240,7 +220,7 @@ def report_to_dict(report: EvaluationReport) -> dict:
         "leaders": {g: list(v) for g, v in report.leaders.items()},
         "coverage": {
             algo: {
-                "present": sum(1 for (a, _g) in report.cells if a == algo),
+                "present": report.aggregates[algo][MetricKind.HNS].coverage,
                 "missing": list(report.missing.get(algo, ())),
             }
             for algo in report.aggregates
@@ -272,50 +252,30 @@ class PlotSeries:
             raise ValidationError(f"{self.name}: points not sorted by x")
 
 
-def _sorted_points(
-    pairs: list[tuple[str, float, float]],
-) -> list[tuple[str, float, float]]:
-    return sorted(pairs, key=lambda p: (p[1], p[0]))
+def _series(name: str, points: list[tuple[str, float, float]],
+            flag_zero: bool = False) -> PlotSeries:
+    """A figure line from (algorithm, x, y) triples, sorted by x, then algorithm."""
+    points = sorted(points, key=lambda p: (p[1], p[0]))
+    return PlotSeries(name, tuple((x, y) for _, x, y in points),
+                      tuple(a for a, _, _ in points),
+                      tuple(a for a, _, y in points if y == 0) if flag_zero else ())
 
 
 def emit_plot_series(report: EvaluationReport, figure: str) -> list[PlotSeries]:
     """Point series behind the summary figures; plotting is external."""
     if figure not in FIGURES:
         raise ValidationError(f"unknown figure {figure!r}; choose from {FIGURES}")
-    algos = report.algorithms()
-    series: list[PlotSeries] = []
+    algos, aggs, frames = report.algorithms(), report.aggregates, report.frames
     if figure == "metric_vs_scale":
-        for kind in (MetricKind.HNS, MetricKind.HWRNS, MetricKind.SABER):
-            for stat in ("mean", "median"):
-                pairs = _sorted_points([
-                    (a, float(report.frames[a]),
-                     getattr(report.aggregates[a][kind], stat))
-                    for a in algos])
-                series.append(PlotSeries(
-                    name=f"{stat}-{kind.value}-vs-scale",
-                    points=tuple((x, y) for _, x, y in pairs),
-                    labels=tuple(a for a, _, _ in pairs),
-                ))
-    elif figure == "hwrb_vs_gametime":
-        pairs = _sorted_points([
-            (a, game_time_days(report.frames[a]),
-             float(report.aggregates[a][MetricKind.HWRNS].hwrb_count))
-            for a in algos])
-        series.append(PlotSeries(
-            name="hwrb-vs-gametime",
-            points=tuple((x, y) for _, x, y in pairs),
-            labels=tuple(a for a, _, _ in pairs),
-            flagged=tuple(a for a, _, y in pairs if y == 0),
-        ))
-    else:
-        for kind in (MetricKind.HNS, MetricKind.HWRNS):
-            pairs = _sorted_points([
-                (a, float(report.frames[a]),
-                 report.aggregates[a][kind].efficiency_mean.value)
-                for a in algos])
-            series.append(PlotSeries(
-                name=f"mean-{kind.value}-efficiency-vs-scale",
-                points=tuple((x, y) for _, x, y in pairs),
-                labels=tuple(a for a, _, _ in pairs),
-            ))
-    return series
+        return [_series(f"{stat}-{kind.value}-vs-scale",
+                        [(a, float(frames[a]), getattr(aggs[a][kind], stat)) for a in algos])
+                for kind in (MetricKind.HNS, MetricKind.HWRNS, MetricKind.SABER)
+                for stat in ("mean", "median")]
+    if figure == "hwrb_vs_gametime":
+        return [_series("hwrb-vs-gametime",
+                        [(a, game_time_days(frames[a]),
+                          float(aggs[a][MetricKind.HWRNS].hwrb_count)) for a in algos],
+                        flag_zero=True)]
+    return [_series(f"mean-{kind.value}-efficiency-vs-scale",
+                    [(a, float(frames[a]), aggs[a][kind].efficiency_mean.value) for a in algos])
+            for kind in (MetricKind.HNS, MetricKind.HWRNS)]

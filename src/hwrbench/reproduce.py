@@ -16,15 +16,14 @@ column is self-consistent.
 
 from __future__ import annotations
 
-import csv
 import json
-import statistics
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+from hwrbench.aggregate import fmean, median
 from hwrbench.datasets import Dataset, load_all_bundled
 from hwrbench.errors import DatasetError
-from hwrbench.games import BaselineRegistry, data_path
+from hwrbench.games import BaselineRegistry, data_path, read_csv
 from hwrbench.metrics import METRIC_KINDS, CapMode, MetricKind
 from hwrbench.numfmt import round_half_up
 from hwrbench.report import (
@@ -39,6 +38,8 @@ from hwrbench.report import (
 CELL_TOLERANCE_PP = 0.02
 AGGREGATE_TOLERANCE_PP = 0.5
 AGGREGATE_ROWS = ("mean", "median", "mean_eff", "median_eff", "hwrb")
+CELL_COLUMNS = ("table", "metric", "algorithm", "game", "printed_raw", "printed_pct")
+AGGREGATE_COLUMNS = ("table", "metric", "algorithm", "row", "printed")
 
 
 @dataclass(frozen=True)
@@ -123,20 +124,19 @@ def load_golden_cells(
     known = {kind.value: kind for kind in METRIC_KINDS}
     metrics: dict[str, MetricKind] = {}
     printed: dict[tuple[str, str], dict[str, str]] = {}
-    with open(src, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.DictReader(fh), start=2):
-            table, algo, game = row["table"], row["algorithm"], row["game"]
-            metric = known.get(row["metric"])
-            if metric is None:
-                raise DatasetError(f"{src}:{lineno}: unknown metric {row['metric']!r}")
-            if metrics.setdefault(table, metric) is not metric:
-                raise DatasetError(
-                    f"{src}:{lineno}: table {table} mixes metrics "
-                    f"{metrics[table].value} and {metric.value}")
-            column = printed.setdefault((table, algo), {})
-            if game in column:
-                raise DatasetError(f"{src}:{lineno}: duplicate cell {table}/{algo}/{game}")
-            column[game] = row["printed_pct"]
+    for lineno, (table, metric_text, algo, game, _raw, pct) in read_csv(
+            src, CELL_COLUMNS, DatasetError):
+        metric = known.get(metric_text)
+        if metric is None:
+            raise DatasetError(f"{src}:{lineno}: unknown metric {metric_text!r}")
+        if metrics.setdefault(table, metric) is not metric:
+            raise DatasetError(
+                f"{src}:{lineno}: table {table} mixes metrics "
+                f"{metrics[table].value} and {metric.value}")
+        column = printed.setdefault((table, algo), {})
+        if game in column:
+            raise DatasetError(f"{src}:{lineno}: duplicate cell {table}/{algo}/{game}")
+        column[game] = pct
     layouts = {
         table: TableLayout(metric, tuple(a for t, a in printed if t == table), title=table)
         for table, metric in metrics.items()
@@ -154,20 +154,19 @@ def load_golden_aggregates(
     """
     src = Path(path) if path is not None else data_path("golden", "printed_aggregates.csv")
     rows = {}
-    with open(src, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.DictReader(fh), start=2):
-            table, algo, stat = row["table"], row["algorithm"], row["row"]
-            layout = layouts.get(table)
-            if layout is None or algo not in layout.algorithms:
-                raise DatasetError(f"{src}:{lineno}: no golden cells for {table}/{algo}")
-            if row["metric"] != layout.metric.value:
-                raise DatasetError(f"{src}:{lineno}: metric {row['metric']!r} disagrees "
-                                   f"with table {table} ({layout.metric.value})")
-            if stat not in AGGREGATE_ROWS:
-                raise DatasetError(f"{src}:{lineno}: unknown row {stat!r}")
-            if (table, algo, stat) in rows:
-                raise DatasetError(f"{src}:{lineno}: duplicate row {table}/{algo}/{stat}")
-            rows[(table, algo, stat)] = row["printed"]
+    for lineno, (table, metric, algo, stat, text) in read_csv(
+            src, AGGREGATE_COLUMNS, DatasetError):
+        layout = layouts.get(table)
+        if layout is None or algo not in layout.algorithms:
+            raise DatasetError(f"{src}:{lineno}: no golden cells for {table}/{algo}")
+        if metric != layout.metric.value:
+            raise DatasetError(f"{src}:{lineno}: metric {metric!r} disagrees "
+                               f"with table {table} ({layout.metric.value})")
+        if stat not in AGGREGATE_ROWS:
+            raise DatasetError(f"{src}:{lineno}: unknown row {stat!r}")
+        if (table, algo, stat) in rows:
+            raise DatasetError(f"{src}:{lineno}: duplicate row {table}/{algo}/{stat}")
+        rows[(table, algo, stat)] = text
     return rows
 
 
@@ -206,7 +205,7 @@ def run_reproduction(
             golden = golden_cells[(table_id, algo)]
             for game in report_games[algo]:
                 cells += 1
-                value = report.cells[(algo, game)].metrics[layout.metric].value
+                value = report.cells[(algo, game)].metrics[layout.metric]
                 recomputed_pct = round_half_up(value * 100.0)
                 printed = golden.get(game)
                 printed_value = _parse_number(printed)
@@ -232,8 +231,8 @@ def run_reproduction(
             row = report.aggregates[algo][layout.metric]
             printed_col = [v for text in golden_cells[(table_id, algo)].values()
                            if (v := _parse_number(text)) is not None]
-            for stat, recomputed, of_cells in (("mean", row.mean, statistics.fmean),
-                                               ("median", row.median, statistics.median)):
+            for stat, recomputed, of_cells in (("mean", row.mean, fmean),
+                                               ("median", row.median, median)):
                 printed_text = golden_aggs.get((table_id, algo, stat))
                 if printed_text is None:
                     continue
@@ -275,14 +274,8 @@ def run_reproduction(
                 inconsistencies.append(Inconsistency(
                     table_id, algo, "", "hwrb", str(recomputed), printed_text))
 
-    return ReproductionResult(
-        report=report,
-        layouts=layouts,
-        table_stats=table_stats,
-        inconsistencies=inconsistencies,
-        aggregate_checks=aggregate_checks,
-        hwrb=hwrb,
-    )
+    return ReproductionResult(report, layouts, table_stats, inconsistencies,
+                              aggregate_checks, hwrb)
 
 
 def write_artifacts(result: ReproductionResult, out_dir: str | Path) -> list[Path]:

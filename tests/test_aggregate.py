@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from hwrbench.aggregate import (
     MetricColumn,
     aggregate,
+    fmean,
     hwrb_count,
     mean_metric,
+    median,
     median_metric,
     per_game_leader,
 )
@@ -170,3 +172,9 @@ def test_bruteforce_oracle_equivalence_small_columns():
         assert median_metric(col) == pytest.approx(oracle_median)
         assert hwrb_count(col) == oracle_count
         assert mean_metric(col)[0] == pytest.approx(statistics.fmean(values))
+
+
+@given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=60))
+def test_float_helpers_match_statistics(values):
+    assert repr(fmean(values)) == repr(statistics.fmean(values))
+    assert repr(median(values)) == repr(statistics.median(values))

@@ -144,14 +144,17 @@ class TestSurface:
 
 
 class TestDeferredImports:
-    # Prints the hwrbench modules loaded after running the verb in argv.
+    # Prints the hwrbench modules loaded after running the verb in argv, and
+    # ``decimal`` or ``statistics`` if either is loaded.
     CHILD = ("import sys\n"
              "from hwrbench.cli import main\n"
              "code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
-             "print(*sorted(m for m in sys.modules if m.startswith('hwrbench.')), "
-             "file=sys.stderr)\n"
+             "print(*sorted(m for m in sys.modules if m.startswith('hwrbench.') "
+             "or m in ('decimal', 'statistics')), file=sys.stderr)\n"
              "sys.exit(code)\n")
     DEFERRED = {"datasets", "protocol", "report", "aggregate", "reproduce"}
+    # No verb needs these; importing them costs milliseconds of start-up.
+    SLOW = {"decimal", "statistics"}
     TABLES = {"datasets", "report", "aggregate"}
     TRACED = {"evaluate": "report", "render_table": "report", "report_to_json": "report",
               "load_all_bundled": "datasets"}
@@ -176,6 +179,7 @@ class TestDeferredImports:
         assert result.returncode == 0, result.stderr
         modules = {m.removeprefix("hwrbench.") for m in result.stderr.splitlines()[-1].split()}
         assert modules & self.DEFERRED == loaded
+        assert not modules & self.SLOW
 
     def test_traced_names_resolve_on_first_use(self):
         import hwrbench.cli as cli

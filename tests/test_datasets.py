@@ -6,11 +6,14 @@ import pytest
 
 from hwrbench.datasets import (
     BUNDLED_DATASETS,
+    DATASET_COLUMNS,
     load_all_bundled,
     load_bundled_dataset,
     load_dataset,
 )
 from hwrbench.errors import DatasetError
+from hwrbench.games import data_path, read_csv
+from hwrbench.numfmt import parse_frames, scale_label_for
 
 
 def write_dataset(tmp_path, rows, header="algorithm,game,score,frames,scale_label"):
@@ -33,7 +36,7 @@ def test_bundled_datasets_load():
     assert ("SimPLe", "berzerk") in model_based.omitted
     simple = [r for r in model_based.records if r.algorithm == "SimPLe"]
     assert len(simple) == 36
-    assert all(r.frames == 1_000_000 and r.scale_label == "1M" for r in simple)
+    assert all(r.frames == 1_000_000 for r in simple)
 
 
 def test_every_algorithm_appears_once_across_bundles():
@@ -119,11 +122,32 @@ def test_frames_accept_scientific_notation(tmp_path):
     "A,alien,1,nan,x",
     "A,alien,inf,100,x",    # non-finite score
     "A,alien,nan,100,x",
+    "A,alien,1,100,x",      # scale_label disagrees with frames
+    "A,alien,1,100",        # a cell short
 ])
 def test_bad_row_names_file_and_line(tmp_path, row):
-    path = write_dataset(tmp_path, ["A,pong,1,100,x", row])
+    path = write_dataset(tmp_path, ["A,pong,1,100,100", row])
     with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}:3: "):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("frames, label", [
+    ("1000000", "1.0M"), ("200000000", "0.2B"), ("2500000", "2500K"), ("2e8", "2e8"),
+])
+def test_mismatched_scale_label_rejected(tmp_path, frames, label):
+    path = write_dataset(tmp_path, ["A,pong,1,100,100", f"A,alien,1,{frames},{label}"])
+    with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}:3: scale_label "):
+        load_dataset(path)
+
+
+def test_bundled_scale_labels_match_frames():
+    # Every bundled row, N/A cells included, carries the derived label.
+    rows = [row for label in BUNDLED_DATASETS
+            for _, row in read_csv(data_path("datasets", f"{label}.csv"),
+                                   DATASET_COLUMNS, DatasetError)]
+    assert len(rows) == 741
+    assert all(label == scale_label_for(parse_frames(frames))
+               for *_, frames, label in rows)
 
 
 def test_datasets_module_does_not_load_protocol():

@@ -28,17 +28,17 @@ def bundled_report(registry):
 
 def small_dataset():
     return Dataset("small", (
-        RunRecord("Rainbow", "boxing", 99.6, 200_000_000, "200M"),
-        RunRecord("LASER", "boxing", 100.0, 200_000_000, "200M"),
-        RunRecord("GDI-H3", "boxing", 100.0, 200_000_000, "200M"),
+        RunRecord("Rainbow", "boxing", 99.6, 200_000_000),
+        RunRecord("LASER", "boxing", 100.0, 200_000_000),
+        RunRecord("GDI-H3", "boxing", 100.0, 200_000_000),
     ))
 
 
 def test_rainbow_alien_cell(bundled_report):
     cell = bundled_report.cells[("Rainbow", "alien")]
-    assert cell.metrics[MetricKind.HNS].value == pytest.approx(1.3426, abs=5e-5)
-    assert cell.metrics[MetricKind.HWRNS].value == pytest.approx(0.0368, abs=5e-5)
-    assert cell.metrics[MetricKind.CHNS].value == 1.0
+    assert cell.metrics[MetricKind.HNS] == pytest.approx(1.3426, abs=5e-5)
+    assert cell.metrics[MetricKind.HWRNS] == pytest.approx(0.0368, abs=5e-5)
+    assert cell.metrics[MetricKind.CHNS] == 1.0
 
 
 def test_gdi_mean_hwrns_from_200m_dataset(registry, bundled_report):
@@ -65,15 +65,15 @@ def test_empty_input_rejected(registry):
 
 def test_mixed_frames_rejected(registry):
     ds = Dataset("bad", (
-        RunRecord("A", "alien", 1000, 100, "100"),
-        RunRecord("A", "pong", 10, 200, "200"),
+        RunRecord("A", "alien", 1000, 100),
+        RunRecord("A", "pong", 10, 200),
     ))
     with pytest.raises(DatasetError, match="inconsistent frame counts"):
         evaluate([ds], registry)
 
 
 def test_cross_dataset_duplicate_rejected(registry):
-    ds = Dataset("one", (RunRecord("A", "alien", 1000, 100, "100"),))
+    ds = Dataset("one", (RunRecord("A", "alien", 1000, 100),))
     with pytest.raises(DatasetError, match="duplicate cell"):
         evaluate([ds, ds], registry)
 
@@ -125,9 +125,9 @@ def test_machine_report_round_trips_full_precision(bundled_report):
     for (algo, game), cell in bundled_report.cells.items():
         stored = payload["per_game"][algo][game]
         assert stored["raw"] == cell.raw
-        assert stored["hns"] == cell.metrics[MetricKind.HNS].value
-        assert stored["hwrns"] == cell.metrics[MetricKind.HWRNS].value
-        assert stored["saber"] == cell.metrics[MetricKind.SABER].value
+        assert stored["hns"] == cell.metrics[MetricKind.HNS]
+        assert stored["hwrns"] == cell.metrics[MetricKind.HWRNS]
+        assert stored["saber"] == cell.metrics[MetricKind.SABER]
     assert payload["cap_mode"] == "table-compat"
 
 
@@ -147,9 +147,9 @@ def test_every_cell_rederivable_from_inputs(registry, bundled_report):
             expected_hns = (rec.score - base.random) / (base.human_average - base.random)
             expected_hwrns = (rec.score - base.random) / (
                 base.human_world_record - base.random)
-            assert cell.metrics[MetricKind.HNS].value == expected_hns
-            assert cell.metrics[MetricKind.HWRNS].value == expected_hwrns
-            assert cell.metrics[MetricKind.SABER].value == min(expected_hwrns, 2.0)
+            assert cell.metrics[MetricKind.HNS] == expected_hns
+            assert cell.metrics[MetricKind.HWRNS] == expected_hwrns
+            assert cell.metrics[MetricKind.SABER] == min(expected_hwrns, 2.0)
 
 
 class TestPlotSeries:
