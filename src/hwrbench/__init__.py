@@ -16,7 +16,6 @@ from hwrbench.errors import (
 from hwrbench.games import BaselineRecord, BaselineRegistry, canonical_game
 from hwrbench.metrics import (
     CapMode,
-    EfficiencyValue,
     MetricKind,
     MetricValue,
     chns,
@@ -37,7 +36,6 @@ __all__ = [
     "BenchmarkError",
     "CapMode",
     "DatasetError",
-    "EfficiencyValue",
     "MalformedLogError",
     "MetricKind",
     "MetricValue",

@@ -1,10 +1,12 @@
 """Column aggregation: mean/median rows, breakthrough counts, leaders.
 
-A MetricColumn holds one algorithm's values for one metric kind across
-the 57 games; games absent from the mapping are N/A in the source data
-and are excluded from every statistic, with coverage reported alongside.
-The statistics themselves work on plain float lists (``summarize``,
-``leaders``), which is what the evaluation core passes them.
+Each rule has one implementation, on plain float lists: ``fmean``,
+``median``, ``breakthroughs`` (HWRNS >= 1), ``leaders`` (every name at
+the maximum) and ``summarize`` (the aggregate row). ``evaluate`` passes
+them each column's present values. ``aggregate`` gives the same row for
+a MetricColumn: one algorithm's values for one metric kind, keyed by
+game. Games absent from a column are N/A in the source data and are
+excluded from every statistic, with coverage reported alongside.
 """
 
 from __future__ import annotations
@@ -14,12 +16,7 @@ from dataclasses import dataclass, field
 
 from hwrbench.errors import ValidationError
 from hwrbench.games import CANONICAL_GAMES, _CANONICAL_SET
-from hwrbench.metrics import (
-    EfficiencyValue,
-    MetricKind,
-    MetricValue,
-    learning_efficiency,
-)
+from hwrbench.metrics import MetricKind, MetricValue, learning_efficiency
 
 
 @dataclass(frozen=True)
@@ -54,8 +51,8 @@ class AggregateRow:
     mean: float
     median: float
     coverage: int
-    efficiency_mean: EfficiencyValue
-    efficiency_median: EfficiencyValue
+    efficiency_mean: float
+    efficiency_median: float
     hwrb_count: int | None = None  # hwrns columns only
 
 
@@ -95,43 +92,9 @@ def summarize(values, frames: int, kind: MetricKind) -> AggregateRow:
     )
 
 
-def _present(column: MetricColumn) -> list[float]:
+def aggregate(column: MetricColumn, frames: int) -> AggregateRow:
+    """Mean, median, coverage, efficiencies, and (for hwrns) the HWRB count."""
     values = column.values
     if not values:
         raise ValidationError(f"{column.algorithm}: empty column")
-    return values
-
-
-def mean_metric(column: MetricColumn) -> tuple[float, int]:
-    """Arithmetic mean over present entries, with the coverage count."""
-    values = _present(column)
-    return fmean(values), len(values)
-
-
-def median_metric(column: MetricColumn) -> float:
-    """Middle order statistic over present entries."""
-    return median(_present(column))
-
-
-def hwrb_count(column: MetricColumn) -> int:
-    """Number of present games at or beyond the world record."""
-    if column.kind is not MetricKind.HWRNS:
-        raise ValidationError(
-            f"breakthrough count requires an hwrns column, got {column.kind.value}")
-    return breakthroughs(column.values)
-
-
-def per_game_leader(columns: list[MetricColumn], game: str) -> list[str]:
-    """All algorithms attaining the game's maximum value, sorted by name."""
-    kinds = {c.kind for c in columns}
-    if len(kinds) > 1:
-        raise ValidationError(f"leader comparison across metric kinds: {kinds}")
-    present = {c.algorithm: c.entries[game].value for c in columns if game in c.entries}
-    if not present:
-        raise ValidationError(f"{game}: absent from every column")
-    return leaders(present)
-
-
-def aggregate(column: MetricColumn, frames: int) -> AggregateRow:
-    """Mean, median, coverage, efficiencies, and (for hwrns) the HWRB count."""
-    return summarize(_present(column), frames, column.kind)
+    return summarize(values, frames, column.kind)

@@ -140,10 +140,8 @@ def _cmd_score(args) -> int:
     if (frames := args.frames) is not None:
         result["frames"] = frames
         result["game_time_days"] = round(game_time_days(frames), 3)
-        result["hns_efficiency"] = format_efficiency(
-            learning_efficiency(h.value, frames).value)
-        result["hwrns_efficiency"] = format_efficiency(
-            learning_efficiency(w.value, frames).value)
+        result["hns_efficiency"] = format_efficiency(learning_efficiency(h.value, frames))
+        result["hwrns_efficiency"] = format_efficiency(learning_efficiency(w.value, frames))
     if args.format == "json":
         print(json.dumps(result, indent=2))
     else:
@@ -168,7 +166,7 @@ def _cmd_aggregate(args) -> int:
             lines.append(
                 f"  {kind.value:6s} mean {format_percent(row.mean):>10s}%  "
                 f"median {format_percent(row.median):>9s}%  "
-                f"eff {format_efficiency(row.efficiency_mean.value)}")
+                f"eff {format_efficiency(row.efficiency_mean)}")
         lines.append(f"  hwrb   {rows[MetricKind.HWRNS].hwrb_count}")
     _emit("\n".join(lines) + "\n", args)
     return 0
@@ -230,6 +228,8 @@ def _cmd_compare(args) -> int:
     for name in (a, b):
         if name not in report.aggregates:
             raise BenchmarkError(f"algorithm {name!r} not present in the datasets")
+    if a == b:
+        raise BenchmarkError(f"algorithm {a!r} compared with itself")
     wins_a: list[str] = []
     wins_b: list[str] = []
     ties: list[str] = []

@@ -4,7 +4,8 @@ A dataset file is comma-separated with header
 ``algorithm,game,score,frames,scale_label``; the literal ``N/A`` in the
 score column marks a game the source never reported, which is omitted
 from the records and kept as a coverage note. ``scale_label`` is derived
-data: it must equal ``scale_label_for(frames)`` and is not kept.
+data: it must equal ``scale_label_for(frames)`` and is not kept. Every
+row, ``N/A`` or not, needs a positive integral ``frames`` and its label.
 """
 
 from __future__ import annotations
@@ -52,13 +53,6 @@ class Dataset:
     records: tuple[RunRecord, ...]
     omitted: tuple[tuple[str, str], ...] = ()  # (algorithm, game) N/A cells
 
-    def algorithms(self) -> list[str]:
-        seen: list[str] = []
-        for rec in self.records:
-            if rec.algorithm not in seen:
-                seen.append(rec.algorithm)
-        return seen
-
 
 def load_dataset(path: str | Path, label: str | None = None) -> Dataset:
     """Load and validate one dataset file."""
@@ -78,19 +72,24 @@ def load_dataset(path: str | Path, label: str | None = None) -> Dataset:
         if key in seen:
             raise DatasetError(f"{src}:{lineno}: duplicate cell {key}")
         seen.add(key)
+        try:
+            frames = parse_frames(frames)
+        except ValueError as exc:
+            raise DatasetError(f"{src}:{lineno}: {exc}") from None
+        if frames <= 0:
+            raise DatasetError(f"{src}:{lineno}: frames must be positive: {frames}")
+        expected = scale_label_for(frames)
+        if label.strip() != expected:
+            raise DatasetError(f"{src}:{lineno}: scale_label {label!r} does not match "
+                               f"{frames} frames ({expected})")
         score = score.strip()
         if score.upper() == "N/A":
             omitted.append(key)
             continue
         try:
-            record = RunRecord(algorithm, game, float(score), parse_frames(frames))
+            records.append(RunRecord(algorithm, game, float(score), frames))
         except (ValueError, ValidationError) as exc:
             raise DatasetError(f"{src}:{lineno}: {exc}") from None
-        expected = scale_label_for(record.frames)
-        if label.strip() != expected:
-            raise DatasetError(f"{src}:{lineno}: scale_label {label!r} does not match "
-                               f"{record.frames} frames ({expected})")
-        records.append(record)
     if not records:
         raise DatasetError(f"{src}: dataset is empty")
     return Dataset(name, tuple(records), tuple(omitted))

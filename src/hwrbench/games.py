@@ -9,7 +9,6 @@ across threads.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 from importlib.resources import files
@@ -17,7 +16,6 @@ from pathlib import Path
 from typing import Iterator
 
 from hwrbench.errors import BenchmarkError, UnknownGameError, ValidationError
-from hwrbench.numfmt import format_number
 
 CANONICAL_GAMES: tuple[str, ...] = (
     "alien", "amidar", "assault", "asterix", "asteroids", "atlantis",
@@ -170,18 +168,3 @@ class BaselineRegistry:
 
     def __len__(self) -> int:
         return len(self._records)
-
-    def dump(self) -> str:
-        """Serialize to CSV text; load(dump()) round-trips bit-for-bit."""
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(BASELINE_COLUMNS)
-        for rec in self:
-            writer.writerow([
-                rec.game,
-                format_number(rec.random),
-                format_number(rec.human_average),
-                format_number(rec.human_world_record),
-                rec.source_tag,
-            ])
-        return out.getvalue()

@@ -19,7 +19,6 @@ FRAMES_PER_DAY = 108000 * 2 * 24
 
 
 class MetricKind(str, Enum):
-    RAW = "raw"
     HNS = "hns"
     CHNS = "chns"
     HWRNS = "hwrns"
@@ -62,18 +61,6 @@ class MetricValue:
                 raise ValidationError(f"saber value above cap: {self.value}")
             if self.cap_mode is CapMode.SPEC_FLOOR and self.value < 0.0:
                 raise ValidationError(f"spec-floor saber value below 0: {self.value}")
-
-
-@dataclass(frozen=True)
-class EfficiencyValue:
-    """A metric ratio divided by the environment frames spent earning it."""
-
-    value: float
-    frames: int
-
-    def __post_init__(self) -> None:
-        if self.frames <= 0:
-            raise ValidationError(f"frames must be positive: {self.frames}")
 
 
 def normalize(raw: float, base: float, reference: float) -> float:
@@ -132,8 +119,8 @@ def game_time_days(frames: float) -> float:
     return frames / FRAMES_PER_DAY
 
 
-def learning_efficiency(metric_ratio: float, frames: int) -> EfficiencyValue:
+def learning_efficiency(metric_ratio: float, frames: int) -> float:
     """Metric ratio per training frame (mean HNS 873.97% enters as 8.7397)."""
     if frames <= 0:
         raise ValidationError(f"frames must be positive: {frames}")
-    return EfficiencyValue(metric_ratio / frames, frames)
+    return metric_ratio / frames

@@ -4,7 +4,9 @@ Enforces the evaluation protocol without an emulator: episodes end on
 the game-over signal or at the 30-minute frame cap (108,000 environment
 frames), training runs must fit a frame budget with the full 18-action
 set declared, and the reported score is the mean over the last k
-consecutive episodes.
+consecutive episodes. ``check_conformance`` takes a run's frame total
+with its declared action set and budget; a log carries neither, so
+neither is kept with the episodes.
 
 Log file format, one step per line, whitespace separated::
 
@@ -25,14 +27,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from math import isfinite
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from hwrbench.errors import DatasetError, MalformedLogError, ValidationError
-from hwrbench.games import canonical_game, data_path, read_csv
-from hwrbench.numfmt import scale_label_for  # noqa: F401  (re-exported; it lives in numfmt)
-
-if TYPE_CHECKING:
-    from hwrbench.datasets import RunRecord
+from hwrbench.games import data_path, read_csv
 
 MAX_EPISODE_FRAMES = 108000  # 30 minutes at 60 fps
 DEFAULT_FRAME_BUDGET = 200_000_000
@@ -78,13 +76,11 @@ class ConformanceVerdict:
 
 @dataclass(frozen=True)
 class RunLedger:
-    """Accounting for one training run: episodes, frames, declared settings."""
+    """Accounting for one training run: episodes, frames, the averaging window."""
 
     episodes: tuple[EpisodeSummary, ...]
     total_env_frames: int
-    action_set: int = FULL_ACTION_SET
     averaging_k: int = 1
-    budget: int = DEFAULT_FRAME_BUDGET
 
     def __post_init__(self) -> None:
         if self.averaging_k < 1:
@@ -112,11 +108,6 @@ def accumulate_episode(stream: Iterable[StepEvent]) -> EpisodeSummary:
     steps = ((s.reward, s.lives, s.game_over, s.env_frames) for s in stream)
     # The fields of a StepEvent are parsed already; the fold checks them.
     return next(_fold_log(steps, "<episode>", parse=lambda step, *_: step))
-
-
-def check_budget(ledger: RunLedger) -> ConformanceVerdict:
-    """Protocol conformance of a ledger: see ``check_conformance``."""
-    return check_conformance(ledger.total_env_frames, ledger.action_set, ledger.budget)
 
 
 def check_conformance(total_env_frames: int, action_set: int,
@@ -154,15 +145,6 @@ def training_score(returns: list[float], k: int) -> TrainingScore:
     final = final_score(returns, k)
     series = [sum(returns[i:i + k]) / k for i in range(len(returns) - k + 1)]
     return TrainingScore(series, final)
-
-
-def to_run_record(ledger: RunLedger, game: str, algorithm: str) -> RunRecord:
-    """Bridge a finished ledger to the metrics pipeline."""
-    from hwrbench.datasets import RunRecord
-
-    returns = [ep.episode_return for ep in ledger.episodes]
-    return RunRecord(algorithm, canonical_game(game), final_score(returns, ledger.averaging_k),
-                     ledger.total_env_frames)
 
 
 @contextmanager
@@ -335,13 +317,7 @@ def iter_episodes(source: str | Path | Iterable[str]) -> Iterator[EpisodeSummary
         yield from _fold_log(lines, name)
 
 
-def ledger_from_log(
-    source: str | Path | Iterable[str],
-    *,
-    action_set: int = FULL_ACTION_SET,
-    averaging_k: int = 1,
-    budget: int = DEFAULT_FRAME_BUDGET,
-) -> RunLedger:
+def ledger_from_log(source: str | Path | Iterable[str], *, averaging_k: int = 1) -> RunLedger:
     """Fold a log into a RunLedger, keeping one summary per episode.
 
     Reads ``source`` as ``iter_episodes`` does.
@@ -350,9 +326,7 @@ def ledger_from_log(
     return RunLedger(
         episodes=summaries,
         total_env_frames=sum(ep.env_frames_used for ep in summaries),
-        action_set=action_set,
         averaging_k=averaging_k,
-        budget=budget,
     )
 
 

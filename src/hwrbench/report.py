@@ -163,9 +163,9 @@ def render_table(report: EvaluationReport, layout: TableLayout, fmt: str = "text
         rows.append(row)
 
     stats = [(f"mean {metric.value}%", lambda r: format_percent(r.mean)),
-             ("learning efficiency", lambda r: format_efficiency(r.efficiency_mean.value)),
+             ("learning efficiency", lambda r: format_efficiency(r.efficiency_mean)),
              (f"median {metric.value}%", lambda r: format_percent(r.median)),
-             ("learning efficiency", lambda r: format_efficiency(r.efficiency_median.value))]
+             ("learning efficiency", lambda r: format_efficiency(r.efficiency_median))]
     if metric is MetricKind.HWRNS:
         stats.append(("hwrb", lambda r: str(r.hwrb_count)))
     stats.append(("coverage", lambda r: f"{r.coverage}/57"))
@@ -206,8 +206,8 @@ def report_to_dict(report: EvaluationReport) -> dict:
                 "mean": row.mean,
                 "median": row.median,
                 "coverage": row.coverage,
-                "efficiency_mean": row.efficiency_mean.value,
-                "efficiency_median": row.efficiency_median.value,
+                "efficiency_mean": row.efficiency_mean,
+                "efficiency_median": row.efficiency_median,
             }
             if row.hwrb_count is not None:
                 aggregates[algo][kind.value]["hwrb"] = row.hwrb_count
@@ -277,5 +277,5 @@ def emit_plot_series(report: EvaluationReport, figure: str) -> list[PlotSeries]:
                           float(aggs[a][MetricKind.HWRNS].hwrb_count)) for a in algos],
                         flag_zero=True)]
     return [_series(f"mean-{kind.value}-efficiency-vs-scale",
-                    [(a, float(frames[a]), aggs[a][kind].efficiency_mean.value) for a in algos])
+                    [(a, float(frames[a]), aggs[a][kind].efficiency_mean) for a in algos])
             for kind in (MetricKind.HNS, MetricKind.HWRNS)]

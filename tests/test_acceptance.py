@@ -10,7 +10,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from hwrbench.aggregate import MetricColumn, hwrb_count, median_metric, per_game_leader
+from hwrbench.aggregate import MetricColumn, aggregate, leaders
 from hwrbench.games import CANONICAL_GAMES, BaselineRegistry
 from hwrbench.metrics import (
     CapMode,
@@ -24,12 +24,14 @@ from hwrbench.metrics import (
 )
 from hwrbench.numfmt import format_efficiency
 from hwrbench.protocol import (
+    DEFAULT_FRAME_BUDGET,
+    FULL_ACTION_SET,
     MAX_EPISODE_FRAMES,
     EpisodeSummary,
     RunLedger,
     StepEvent,
     accumulate_episode,
-    check_budget,
+    check_conformance,
     training_score,
 )
 from hwrbench.reproduce import run_reproduction, write_artifacts
@@ -132,7 +134,7 @@ def test_c4_learning_efficiency(reproduction):
             ("Agent57", MetricKind.HWRNS, "1.26E-11"),
         ]
         for algo, kind, want in expected:
-            got = format_efficiency(aggregates[algo][kind].efficiency_mean.value)
+            got = format_efficiency(aggregates[algo][kind].efficiency_mean)
             assert got == want, (algo, kind, got, want)
 
 
@@ -178,19 +180,9 @@ def test_c6_property_suites(registry):
                     for i in range(rng.randint(2, 6))}
             if rng.random() < 0.3:  # force ties sometimes
                 raws["algo_tie"] = max(raws.values())
-            raw_cols = [
-                MetricColumn(a, MetricKind.RAW,
-                             {rec.game: MetricValue(v, MetricKind.RAW)})
-                for a, v in raws.items()]
-            hns_cols = [
-                MetricColumn(a, MetricKind.HNS, {rec.game: hns(v, rec)})
-                for a, v in raws.items()]
-            hwrns_cols = [
-                MetricColumn(a, MetricKind.HWRNS, {rec.game: hwrns(v, rec)})
-                for a, v in raws.items()]
-            leaders = per_game_leader(raw_cols, rec.game)
-            assert per_game_leader(hns_cols, rec.game) == leaders
-            assert per_game_leader(hwrns_cols, rec.game) == leaders
+            best = leaders(raws)
+            assert leaders({a: hns(v, rec).value for a, v in raws.items()}) == best
+            assert leaders({a: hwrns(v, rec).value for a, v in raws.items()}) == best
 
         # median and breakthrough count vs a sort/scan oracle, 1000 columns
         for _ in range(1000):
@@ -205,8 +197,9 @@ def test_c6_property_suites(registry):
             mid = len(ordered) // 2
             oracle_median = (ordered[mid] if len(ordered) % 2
                              else (ordered[mid - 1] + ordered[mid]) / 2)
-            assert median_metric(col) == pytest.approx(oracle_median)
-            assert hwrb_count(col) == sum(1 for v in values if v >= 1.0)
+            row = aggregate(col, 1)
+            assert row.median == pytest.approx(oracle_median)
+            assert row.hwrb_count == sum(1 for v in values if v >= 1.0)
 
         # episode return vs brute-force reward sum, 1000 random logs;
         # no episode ever exceeds the frame cap
@@ -242,27 +235,31 @@ def test_c6_property_suites(registry):
             assert result.final == pytest.approx(oracle[-1])
 
 
-def _synthetic_ledger(total_frames: int, action_set: int = 18) -> RunLedger:
+def _synthetic_ledger(total_frames: int) -> RunLedger:
     full, remainder = divmod(total_frames, MAX_EPISODE_FRAMES)
     episodes = [EpisodeSummary(100.0, MAX_EPISODE_FRAMES, "frame_cap")
                 for _ in range(full)]
     if remainder:
         episodes.append(EpisodeSummary(100.0, remainder, "game_over"))
-    return RunLedger(tuple(episodes), total_frames,
-                     action_set=action_set, averaging_k=32)
+    return RunLedger(tuple(episodes), total_frames, averaging_k=32)
+
+
+def _check(total_frames: int, action_set: int = FULL_ACTION_SET):
+    ledger = _synthetic_ledger(total_frames)
+    return check_conformance(ledger.total_env_frames, action_set, DEFAULT_FRAME_BUDGET)
 
 
 def test_c7_protocol_conformance_fixtures(tmp_path, capsys):
     with criterion(7, "protocol conformance fixtures (200M pass, 10B and "
                       "4-action violations)"):
-        conforming = check_budget(_synthetic_ledger(200_000_000))
+        conforming = _check(200_000_000)
         assert conforming.conforming and conforming.violations == ()
 
-        over_budget = check_budget(_synthetic_ledger(10_000_000_000))
+        over_budget = _check(10_000_000_000)
         assert not over_budget.conforming
         assert [v.code for v in over_budget.violations] == ["budget_exceeded"]
 
-        reduced = check_budget(_synthetic_ledger(200_000_000, action_set=4))
+        reduced = _check(200_000_000, action_set=4)
         assert not reduced.conforming
         assert [v.code for v in reduced.violations] == ["reduced_action_set"]
 

@@ -11,7 +11,7 @@ import pytest
 
 import hwrbench
 from hwrbench.cli import build_parser, main
-from hwrbench.games import BaselineRegistry
+from hwrbench.games import data_path
 
 
 SRC = str(Path(hwrbench.__file__).parents[1])
@@ -289,7 +289,7 @@ class TestValidate:
 
 
     def test_non_finite_baseline_exit_1(self, capsys, tmp_path):
-        lines = BaselineRegistry.load().dump().splitlines(keepends=True)
+        lines = data_path("baselines.csv").read_text(encoding="utf-8").splitlines(keepends=True)
         assert lines[1].startswith("alien,")
         lines[1] = "alien,nan," + lines[1].split(",", 2)[2]
         path = tmp_path / "nan.csv"
@@ -377,6 +377,13 @@ class TestCompare:
         code, _, err = run(capsys, "compare", "Rainbow", "NotAnAlgo")
         assert code == 1
         assert json.loads(err)["error"] == "BenchmarkError"
+
+    def test_repeated_algorithm_is_data_error(self, capsys):
+        code, out, err = run(capsys, "compare", "Rainbow", "Rainbow")
+        assert code == 1 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "BenchmarkError"
+        assert error["detail"] == "algorithm 'Rainbow' compared with itself"
 
 
 class TestProtocolCheck:

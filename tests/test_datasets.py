@@ -28,7 +28,8 @@ def test_bundled_datasets_load():
     by_label = {ds.label: ds for ds in datasets}
 
     free_200m = by_label["sota-200m-model-free"]
-    assert free_200m.algorithms() == ["Rainbow", "IMPALA", "LASER", "GDI-I3", "GDI-H3"]
+    algorithms = list(dict.fromkeys(r.algorithm for r in free_200m.records))
+    assert algorithms == ["Rainbow", "IMPALA", "LASER", "GDI-I3", "GDI-H3"]
     assert len(free_200m.records) == 5 * 57
     assert free_200m.omitted == ()
 
@@ -124,10 +125,30 @@ def test_frames_accept_scientific_notation(tmp_path):
     "A,alien,nan,100,x",
     "A,alien,1,100,x",      # scale_label disagrees with frames
     "A,alien,1,100",        # a cell short
+    # an omitted score does not exempt the row's frames and label
+    "A,alien,N/A,abc,x",
+    "A,alien,N/A,2.5,x",
+    "A,alien,N/A,0,0",
+    "A,alien,N/A,-4,-4",
+    "A,alien,N/A,inf,x",
+    "A,alien,N/A,100,x",
 ])
 def test_bad_row_names_file_and_line(tmp_path, row):
     path = write_dataset(tmp_path, ["A,pong,1,100,100", row])
     with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}:3: "):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("frames, label", [("abc", "1M"), ("1000000", "x")])
+def test_perturbed_bundled_na_row_rejected(tmp_path, frames, label):
+    # sota-model-based.csv with one N/A row's frames or label replaced
+    text = data_path("datasets", "sota-model-based.csv").read_text(encoding="utf-8")
+    lines = text.splitlines(keepends=True)
+    lineno = lines.index("SimPLe,berzerk,N/A,1000000,1M\n") + 1
+    lines[lineno - 1] = f"SimPLe,berzerk,N/A,{frames},{label}\n"
+    path = tmp_path / "sota-model-based.csv"
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}:{lineno}: "):
         load_dataset(path)
 
 

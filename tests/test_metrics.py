@@ -162,15 +162,13 @@ class TestGameTime:
 
 class TestLearningEfficiency:
     def test_rainbow_mean_hns(self):
-        eff = learning_efficiency(8.7397, 200_000_000)
-        assert eff.value == pytest.approx(4.37e-8, rel=1e-3)
+        assert learning_efficiency(8.7397, 200_000_000) == pytest.approx(4.37e-8, rel=1e-3)
 
     def test_rainbow_mean_hwrns(self):
-        eff = learning_efficiency(0.2839, 200_000_000)
-        assert eff.value == pytest.approx(1.42e-9, rel=1e-3)
+        assert learning_efficiency(0.2839, 200_000_000) == pytest.approx(1.42e-9, rel=1e-3)
 
     def test_zero_ratio(self):
-        assert learning_efficiency(0.0, 5).value == 0.0
+        assert learning_efficiency(0.0, 5) == 0.0
 
     def test_zero_frames_rejected(self):
         with pytest.raises(ValidationError):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from hwrbench.cli import main
 from hwrbench.games import CANONICAL_GAMES
-from hwrbench.protocol import scale_label_for
+from hwrbench.numfmt import scale_label_for
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import oracle  # noqa: E402

@@ -13,6 +13,7 @@ from hwrbench import protocol
 from hwrbench.errors import DatasetError, MalformedLogError, ValidationError
 from hwrbench.games import data_path
 from hwrbench.metrics import game_time_days
+from hwrbench.numfmt import scale_label_for
 from hwrbench.protocol import (
     DEFAULT_FRAME_BUDGET,
     FULL_ACTION_SET,
@@ -23,13 +24,11 @@ from hwrbench.protocol import (
     RunLedger,
     StepEvent,
     accumulate_episode,
-    check_budget,
+    check_conformance,
     final_score,
     ledger_from_log,
     load_protocol_settings,
     read_episode_log,
-    scale_label_for,
-    to_run_record,
     training_score,
 )
 
@@ -110,29 +109,28 @@ class TestAccumulateEpisode:
         assert summary.env_frames_used == total <= MAX_EPISODE_FRAMES
 
 
+def check(total_env_frames, action_set=FULL_ACTION_SET):
+    return check_conformance(total_env_frames, action_set, DEFAULT_FRAME_BUDGET)
+
+
 class TestCheckBudget:
     def test_exact_budget_is_conforming(self):
         # 50M agent steps x repeat 4 = 2e8 frames, inclusive boundary
-        ledger = RunLedger((capped_episode(),), 200_000_000)
-        verdict = check_budget(ledger)
+        verdict = check(200_000_000)
         assert verdict.conforming and verdict.violations == ()
 
     def test_budget_overrun_flagged(self):
-        ledger = RunLedger((capped_episode(),), 200_000_004)
-        verdict = check_budget(ledger)
+        verdict = check(200_000_004)
         assert not verdict.conforming
         assert [v.code for v in verdict.violations] == ["budget_exceeded"]
 
     def test_reduced_action_set_flagged(self):
-        ledger = RunLedger((capped_episode(),), 1000, action_set=4)
-        verdict = check_budget(ledger)
+        verdict = check(1000, action_set=4)
         assert [v.code for v in verdict.violations] == ["reduced_action_set"]
 
     def test_monotone_adding_frames_never_helps(self):
         for frames in (0, 10 ** 6, DEFAULT_FRAME_BUDGET, DEFAULT_FRAME_BUDGET * 2):
-            small = check_budget(RunLedger((), frames)).conforming
-            bigger = check_budget(RunLedger((), frames + 1)).conforming
-            assert small or not bigger
+            assert check(frames).conforming or not check(frames + 1).conforming
 
 
 class TestTrainingScore:
@@ -176,28 +174,6 @@ class TestTrainingScore:
         assert result.final == expected[-1] == final_score(returns, k)
 
 
-class TestRunRecordBridge:
-    def _ledger(self, returns, k=3):
-        episodes = tuple(EpisodeSummary(r, 1000, "game_over") for r in returns)
-        return RunLedger(episodes, sum(e.env_frames_used for e in episodes),
-                         averaging_k=k)
-
-    def test_final_window_becomes_score(self):
-        ledger = self._ledger([800.0, 864.0, 864.0, 864.0])
-        record = to_run_record(ledger, "Breakout", "gdi-like")
-        assert record.score == 864.0
-        assert record.game == "breakout"
-        assert record.frames == 4000
-
-    def test_below_k_episodes_rejected(self):
-        with pytest.raises(ValidationError):
-            to_run_record(self._ledger([1.0, 2.0], k=3), "pong", "a")
-
-    def test_empty_ledger_rejected(self):
-        with pytest.raises(ValidationError):
-            to_run_record(self._ledger([], k=1), "pong", "a")
-
-
 class TestEpisodeLog:
     LOG = """\
 # reward lives game_over env_frames
@@ -221,7 +197,8 @@ class TestEpisodeLog:
         ledger = ledger_from_log(path, averaging_k=2)
         assert [ep.episode_return for ep in ledger.episodes] == [2.0, 5.0]
         assert ledger.total_env_frames == 20
-        assert check_budget(ledger).conforming
+        assert ledger.averaging_k == 2
+        assert check(ledger.total_env_frames).conforming
 
     def test_malformed_line_rejected(self):
         with pytest.raises(MalformedLogError, match="line 1"):
@@ -340,7 +317,7 @@ class TestInvariants:
 
     def test_conforming_200m_ledger_game_time(self):
         ledger = RunLedger((capped_episode(),), 200_000_000)
-        assert check_budget(ledger).conforming
+        assert check(ledger.total_env_frames).conforming
         assert game_time_days(ledger.total_env_frames) == pytest.approx(38.580, abs=5e-4)
 
 

@@ -52,10 +52,10 @@ def test_rainbow_efficiency_rows(bundled_report):
     from hwrbench.numfmt import format_efficiency
 
     row = bundled_report.aggregates["Rainbow"][MetricKind.HNS]
-    assert format_efficiency(row.efficiency_mean.value) == "4.37E-08"
-    assert format_efficiency(row.efficiency_median.value) == "1.15E-08"
+    assert format_efficiency(row.efficiency_mean) == "4.37E-08"
+    assert format_efficiency(row.efficiency_median) == "1.15E-08"
     agent57 = bundled_report.aggregates["Agent57"][MetricKind.HWRNS]
-    assert format_efficiency(agent57.efficiency_mean.value) == "1.26E-11"
+    assert format_efficiency(agent57.efficiency_mean) == "1.26E-11"
 
 
 def test_empty_input_rejected(registry):
