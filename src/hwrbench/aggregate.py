@@ -12,48 +12,48 @@ excluded from every statistic, with coverage reported alongside.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from hwrbench.errors import ValidationError
 from hwrbench.games import CANONICAL_GAMES, _CANONICAL_SET
 from hwrbench.metrics import MetricKind, MetricValue, learning_efficiency
 
 
-@dataclass(frozen=True)
-class MetricColumn:
-    """One algorithm's per-game values for a single metric kind."""
+class MetricColumn(namedtuple("MetricColumn", "algorithm kind entries")):
+    """One algorithm's per-game values for a single metric kind.
 
-    algorithm: str
-    kind: MetricKind
-    entries: dict[str, MetricValue] = field(default_factory=dict)
+    ``entries`` maps a canonical game to its MetricValue.
+    """
 
-    def __post_init__(self) -> None:
-        for game, value in self.entries.items():
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # ``_replace`` checks too
+
+    def __new__(cls, algorithm: str, kind: MetricKind, entries: dict[str, MetricValue]):
+        for game, value in entries.items():
             if game not in _CANONICAL_SET:
-                raise ValidationError(f"{self.algorithm}: unknown game {game!r}")
-            if value.kind is not self.kind:
+                raise ValidationError(f"{algorithm}: unknown game {game!r}")
+            if value.kind is not kind:
                 raise ValidationError(
-                    f"{self.algorithm}/{game}: {value.kind.value} entry in a "
-                    f"{self.kind.value} column")
-        modes = {v.cap_mode for v in self.entries.values()}
+                    f"{algorithm}/{game}: {value.kind.value} entry in a {kind.value} column")
+        modes = {v.cap_mode for v in entries.values()}
         if len(modes) > 1:
-            raise ValidationError(f"{self.algorithm}: mixed cap modes {modes}")
+            raise ValidationError(f"{algorithm}: mixed cap modes {modes}")
+        return tuple.__new__(cls, (algorithm, kind, entries))
 
     @property
     def values(self) -> list[float]:
         return [self.entries[g].value for g in CANONICAL_GAMES if g in self.entries]
 
 
-@dataclass(frozen=True)
-class AggregateRow:
-    """The summary row printed under a score table column."""
+class AggregateRow(namedtuple(
+        "AggregateRow", "mean median coverage efficiency_mean efficiency_median hwrb_count",
+        defaults=(None,))):
+    """The summary row printed under a score table column.
 
-    mean: float
-    median: float
-    coverage: int
-    efficiency_mean: float
-    efficiency_median: float
-    hwrb_count: int | None = None  # hwrns columns only
+    ``hwrb_count`` is set for hwrns columns only.
+    """
+
+    __slots__ = ()
 
 
 def fmean(values) -> float:

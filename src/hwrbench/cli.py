@@ -6,7 +6,9 @@ the JSON report is ``aggregate --format json``. Results go to stdout,
 diagnostics to stderr; exit status is 0 on success, 1 on data errors,
 2 on usage errors. Most flags take their default from an ``HWRBENCH_``
 variable (``HWRBENCH_K``, ...), which argparse parses like the flag.
-Each verb imports only the modules it runs, so start-up stays short.
+Each verb imports only the modules it runs, and the value types are named
+tuples, so start-up loads none of ``inspect``, ``typing`` or
+``importlib.resources``.
 """
 
 from __future__ import annotations
@@ -299,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p, "table", "json")
     p.add_argument("--game", required=True)
     p.add_argument("--score", type=finite_float, required=True)
-    p.add_argument("--frames", type=parse_frames,
+    p.add_argument("--frames", type=positive_frames,
                    help="training frames, for game time and efficiency")
     p.set_defaults(func=_cmd_score)
 

@@ -11,7 +11,7 @@ row, ``N/A`` or not, needs a positive integral ``frames`` and its label.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 from hwrbench.errors import DatasetError, UnknownGameError, ValidationError
@@ -28,30 +28,27 @@ BUNDLED_DATASETS = (
 DATASET_COLUMNS = ("algorithm", "game", "score", "frames", "scale_label")
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(namedtuple("RunRecord", "algorithm game score frames")):
     """One algorithm's reported result on one game."""
 
-    algorithm: str
-    game: str
-    score: float
-    frames: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # ``_replace`` checks too
 
-    def __post_init__(self) -> None:
-        if self.frames <= 0:
-            raise ValidationError(
-                f"{self.algorithm}/{self.game}: frames must be positive")
-        if not math.isfinite(self.score):
-            raise ValidationError(f"{self.algorithm}/{self.game}: non-finite score")
+    def __new__(cls, algorithm: str, game: str, score: float, frames: int):
+        if frames <= 0:
+            raise ValidationError(f"{algorithm}/{game}: frames must be positive")
+        if not math.isfinite(score):
+            raise ValidationError(f"{algorithm}/{game}: non-finite score")
+        return tuple.__new__(cls, (algorithm, game, score, frames))
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """A labelled collection of run records with unique (algorithm, game) pairs."""
+class Dataset(namedtuple("Dataset", "label records omitted", defaults=((),))):
+    """A labelled collection of run records with unique (algorithm, game) pairs.
 
-    label: str
-    records: tuple[RunRecord, ...]
-    omitted: tuple[tuple[str, str], ...] = ()  # (algorithm, game) N/A cells
+    ``omitted`` holds the (algorithm, game) N/A cells.
+    """
+
+    __slots__ = ()
 
 
 def load_dataset(path: str | Path, label: str | None = None) -> Dataset:

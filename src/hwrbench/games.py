@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
-from importlib.resources import files
+from collections import namedtuple
+from collections.abc import Iterator
 from pathlib import Path
-from typing import Iterator
 
 from hwrbench.errors import BenchmarkError, UnknownGameError, ValidationError
 
@@ -38,7 +37,7 @@ BASELINE_COLUMNS = ("game", "random", "human_average", "human_world_record", "so
 
 def data_path(*parts: str) -> Path:
     """Path to a bundled data file."""
-    return Path(str(files("hwrbench").joinpath("data", *parts)))
+    return Path(__file__).parent.joinpath("data", *parts)
 
 
 def read_csv(
@@ -79,15 +78,12 @@ def canonical_game(name: str) -> str:
     return cleaned
 
 
-@dataclass(frozen=True)
-class BaselineRecord:
+class BaselineRecord(namedtuple(
+        "BaselineRecord", "game random human_average human_world_record source_tag",
+        defaults=("",))):
     """Per-game baseline triple; the denominators of every normalization."""
 
-    game: str
-    random: float
-    human_average: float
-    human_world_record: float
-    source_tag: str = ""
+    __slots__ = ()
 
     def validate(self) -> list[str]:
         """Check invariants; returns soft warnings, raises on hard violations."""

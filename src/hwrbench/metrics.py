@@ -8,7 +8,7 @@ them into percent strings is the presentation layer's job.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from hwrbench.errors import ValidationError
@@ -41,26 +41,25 @@ class CapMode(str, Enum):
     TABLE_COMPAT = "table-compat"
 
 
-@dataclass(frozen=True)
-class MetricValue:
+class MetricValue(namedtuple("MetricValue", "value kind cap_mode")):
     """A normalized score ratio tagged with its kind and cap mode."""
 
-    value: float
-    kind: MetricKind
-    cap_mode: CapMode | None = None
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # ``_replace`` checks too
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise ValidationError(f"non-finite {self.kind.value} value: {self.value}")
-        if self.kind is MetricKind.CHNS and not 0.0 <= self.value <= 1.0:
-            raise ValidationError(f"chns value outside [0, 1]: {self.value}")
-        if self.kind is MetricKind.SABER:
-            if self.cap_mode is None:
+    def __new__(cls, value: float, kind: MetricKind, cap_mode: CapMode | None = None):
+        if not math.isfinite(value):
+            raise ValidationError(f"non-finite {kind.value} value: {value}")
+        if kind is MetricKind.CHNS and not 0.0 <= value <= 1.0:
+            raise ValidationError(f"chns value outside [0, 1]: {value}")
+        if kind is MetricKind.SABER:
+            if cap_mode is None:
                 raise ValidationError("saber value requires a cap_mode")
-            if self.value > 2.0:
-                raise ValidationError(f"saber value above cap: {self.value}")
-            if self.cap_mode is CapMode.SPEC_FLOOR and self.value < 0.0:
-                raise ValidationError(f"spec-floor saber value below 0: {self.value}")
+            if value > 2.0:
+                raise ValidationError(f"saber value above cap: {value}")
+            if cap_mode is CapMode.SPEC_FLOOR and value < 0.0:
+                raise ValidationError(f"spec-floor saber value below 0: {value}")
+        return tuple.__new__(cls, (value, kind, cap_mode))
 
 
 def normalize(raw: float, base: float, reference: float) -> float:

@@ -23,11 +23,11 @@ steps; ``ledger_from_log`` keeps one summary per episode.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
 from math import isfinite
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple
 
 from hwrbench.errors import DatasetError, MalformedLogError, ValidationError
 from hwrbench.games import data_path, read_csv
@@ -40,58 +40,52 @@ RESET_MARKER = "---"
 MEMO_LINES = 1024  # distinct lines (and line tails) parsed once per log
 
 
-@dataclass(frozen=True)
-class StepEvent:
-    reward: float
-    lives: int
-    game_over: bool
-    env_frames: int  # frames consumed by this step (agent step x action repeat)
+class StepEvent(namedtuple("StepEvent", "reward lives game_over env_frames")):
+    """One log step; ``env_frames`` is agent steps x action repeat."""
 
-    def __post_init__(self) -> None:
-        if self.env_frames < 1:
-            raise ValidationError(f"env_frames must be >= 1: {self.env_frames}")
-        if self.lives < 0:
-            raise ValidationError(f"lives must be nonnegative: {self.lives}")
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # ``_replace`` checks too
 
-
-@dataclass(frozen=True, slots=True)  # a ledger holds one per episode
-class EpisodeSummary:
-    episode_return: float
-    env_frames_used: int
-    terminated_by: str  # "game_over" | "frame_cap"
-    anomalies: tuple[str, ...] = ()
+    def __new__(cls, reward: float, lives: int, game_over: bool, env_frames: int):
+        if env_frames < 1:
+            raise ValidationError(f"env_frames must be >= 1: {env_frames}")
+        if lives < 0:
+            raise ValidationError(f"lives must be nonnegative: {lives}")
+        return tuple.__new__(cls, (reward, lives, game_over, env_frames))
 
 
-@dataclass(frozen=True)
-class Violation:
-    code: str
-    detail: str
+class EpisodeSummary(namedtuple(
+        "EpisodeSummary", "episode_return env_frames_used terminated_by anomalies",
+        defaults=((),))):
+    """One folded episode; ``terminated_by`` is "game_over" or "frame_cap"."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ConformanceVerdict:
-    conforming: bool
-    violations: tuple[Violation, ...]
+class Violation(namedtuple("Violation", "code detail")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RunLedger:
+class ConformanceVerdict(namedtuple("ConformanceVerdict", "conforming violations")):
+    __slots__ = ()
+
+
+class RunLedger(namedtuple("RunLedger", "episodes total_env_frames averaging_k")):
     """Accounting for one training run: episodes, frames, the averaging window."""
 
-    episodes: tuple[EpisodeSummary, ...]
-    total_env_frames: int
-    averaging_k: int = 1
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # ``_replace`` checks too
 
-    def __post_init__(self) -> None:
-        if self.averaging_k < 1:
-            raise ValidationError(f"averaging_k must be >= 1: {self.averaging_k}")
-        if self.total_env_frames < 0:
+    def __new__(cls, episodes: tuple[EpisodeSummary, ...], total_env_frames: int,
+                averaging_k: int = 1):
+        if averaging_k < 1:
+            raise ValidationError(f"averaging_k must be >= 1: {averaging_k}")
+        if total_env_frames < 0:
             raise ValidationError("total_env_frames must be nonnegative")
+        return tuple.__new__(cls, (episodes, total_env_frames, averaging_k))
 
 
-class TrainingScore(NamedTuple):
-    series: list[float]
-    final: float
+TrainingScore = namedtuple("TrainingScore", "series final")
 
 
 def accumulate_episode(stream: Iterable[StepEvent]) -> EpisodeSummary:
@@ -105,9 +99,8 @@ def accumulate_episode(stream: Iterable[StepEvent]) -> EpisodeSummary:
     with life-loss termination). A step after the game-over step is an
     error. Errors name a step by its 1-based position in ``stream``.
     """
-    steps = ((s.reward, s.lives, s.game_over, s.env_frames) for s in stream)
-    # The fields of a StepEvent are parsed already; the fold checks them.
-    return next(_fold_log(steps, "<episode>", parse=lambda step, *_: step))
+    # A StepEvent is its own parsed step tuple; the fold checks it.
+    return next(_fold_log(stream, "<episode>", parse=lambda step, *_: step))
 
 
 def check_conformance(total_env_frames: int, action_set: int,
@@ -132,7 +125,10 @@ def final_score(returns: list[float], k: int) -> float:
         raise ValidationError(f"k must be >= 1: {k}")
     if len(returns) < k:
         raise ValidationError(f"need at least k={k} episodes, got {len(returns)}")
-    return sum(returns[-k:]) / k
+    mean = sum(returns[-k:]) / k
+    if not isfinite(mean):
+        raise ValidationError(f"mean of the last {k} returns overflows: {mean}")
+    return mean
 
 
 def training_score(returns: list[float], k: int) -> TrainingScore:
@@ -165,6 +161,8 @@ def _close_episode(episode_return: float, frames_used: int, ended: str | None,
                 f"{where}: episode stream ended after {frames_used} frames without "
                 f"game over or frame cap")
         ended = "frame_cap"
+    if not isfinite(episode_return):
+        raise MalformedLogError(f"{where}: episode return overflows: {episode_return}")
     return EpisodeSummary(episode_return, frames_used, ended, anomalies)
 
 
@@ -330,20 +328,19 @@ def ledger_from_log(source: str | Path | Iterable[str], *, averaging_k: int = 1)
     )
 
 
-@dataclass(frozen=True)
-class AlgorithmSettings:
-    """Published benchmark settings for one algorithm."""
+class AlgorithmSettings(namedtuple("AlgorithmSettings", (
+        "algorithm max_episode_frames action_repeats frame_stacks image_size color "
+        "life_information episode_termination action_space averaging_k"))):
+    """Published benchmark settings for one algorithm.
 
-    algorithm: str
-    max_episode_frames: int
-    action_repeats: int
-    frame_stacks: int
-    image_size: str
-    color: str
-    life_information: bool
-    episode_termination: str
-    action_space: int
-    averaging_k: int
+    The ``INT_COLUMNS`` fields are positive ints, the ``BOOL_COLUMNS``
+    fields bools and the rest text.
+    """
+
+    __slots__ = ()
+    INT_COLUMNS = frozenset({"max_episode_frames", "action_repeats", "frame_stacks",
+                             "action_space", "averaging_k"})
+    BOOL_COLUMNS = frozenset({"life_information"})
 
 
 def load_protocol_settings(path: str | Path | None = None) -> dict[str, AlgorithmSettings]:
@@ -355,23 +352,23 @@ def load_protocol_settings(path: str | Path | None = None) -> dict[str, Algorith
     DatasetError naming file:line.
     """
     src = Path(path) if path is not None else data_path("protocol_settings.csv")
-    columns = fields(AlgorithmSettings)  # types are the annotation strings "int", "bool"
+    columns = AlgorithmSettings._fields
     settings = {}
-    for lineno, row in read_csv(src, tuple(c.name for c in columns), DatasetError):
+    for lineno, row in read_csv(src, columns, DatasetError):
         values: dict = {}
         for column, text in zip(columns, row):
-            if column.type == "int":
+            if column in AlgorithmSettings.INT_COLUMNS:
                 if not (text.isascii() and text.isdigit() and int(text) > 0):
-                    raise DatasetError(f"{src}:{lineno}: {column.name} must be a positive "
+                    raise DatasetError(f"{src}:{lineno}: {column} must be a positive "
                                        f"integer, got {text!r}")
-                values[column.name] = int(text)
-            elif column.type == "bool":
+                values[column] = int(text)
+            elif column in AlgorithmSettings.BOOL_COLUMNS:
                 if text not in ("yes", "no"):
                     raise DatasetError(
-                        f"{src}:{lineno}: {column.name} must be yes or no, got {text!r}")
-                values[column.name] = text == "yes"
+                        f"{src}:{lineno}: {column} must be yes or no, got {text!r}")
+                values[column] = text == "yes"
             else:
-                values[column.name] = text
+                values[column] = text
         key = values["algorithm"].lower()
         if key in settings:
             raise DatasetError(f"{src}:{lineno}: repeated algorithm {values['algorithm']!r}")

@@ -8,11 +8,10 @@ scores are the only stored quantity; every metric cell is recomputed.
 from __future__ import annotations
 
 import json
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from math import isfinite
 
-from hwrbench.aggregate import AggregateRow, leaders, summarize
+from hwrbench.aggregate import leaders, summarize
 from hwrbench.datasets import Dataset
 from hwrbench.errors import DatasetError, ValidationError
 from hwrbench.games import CANONICAL_GAMES, BaselineRegistry
@@ -20,24 +19,27 @@ from hwrbench.metrics import METRIC_KINDS, CapMode, MetricKind, game_time_days, 
 from hwrbench.numfmt import format_efficiency, format_number, format_percent
 
 
-@dataclass(frozen=True)
-class CellMetrics:
-    """Every metric for one (algorithm, game) raw score, as plain ratios."""
+class CellMetrics(namedtuple("CellMetrics", "raw metrics")):
+    """Every metric for one (algorithm, game) raw score, as plain ratios.
 
-    raw: float
-    metrics: dict[MetricKind, float]
+    ``metrics`` maps each MetricKind to its float.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
-    cap_mode: CapMode
-    baseline_source: str
-    dataset_labels: tuple[str, ...]
-    cells: dict[tuple[str, str], CellMetrics]
-    aggregates: dict[str, dict[MetricKind, AggregateRow]]
-    leaders: dict[str, tuple[str, ...]]
-    frames: dict[str, int]
-    missing: dict[str, tuple[str, ...]] = field(default_factory=dict)
+class EvaluationReport(namedtuple(
+        "EvaluationReport",
+        "cap_mode baseline_source dataset_labels cells aggregates leaders frames missing")):
+    """Every cell, aggregate row and leader set of one evaluation.
+
+    ``cells`` maps (algorithm, game) to CellMetrics, ``aggregates`` an
+    algorithm to its AggregateRow per MetricKind, ``leaders`` a game to
+    its leading algorithms, ``frames`` an algorithm to its frame count
+    and ``missing`` an algorithm to its sorted N/A games.
+    """
+
+    __slots__ = ()
 
     def algorithms(self) -> list[str]:
         return list(self.aggregates)
@@ -110,13 +112,10 @@ def evaluate(
 
 # --- rendering ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TableLayout:
+class TableLayout(namedtuple("TableLayout", "metric algorithms title", defaults=("",))):
     """Which metric and algorithm columns a rendered table shows."""
 
-    metric: MetricKind
-    algorithms: tuple[str, ...]
-    title: str = ""
+    __slots__ = ()
 
 
 def _layout_algorithms(report: EvaluationReport, layout: TableLayout) -> list[str]:
@@ -237,19 +236,22 @@ def report_to_json(report: EvaluationReport) -> str:
 FIGURES = ("metric_vs_scale", "hwrb_vs_gametime", "efficiency")
 
 
-@dataclass(frozen=True)
-class PlotSeries:
-    """One figure line: points sorted by x, one per algorithm."""
+class PlotSeries(namedtuple("PlotSeries", "name points labels flagged")):
+    """One figure line: (x, y) points sorted by x, one per algorithm.
 
-    name: str
-    points: tuple[tuple[float, float], ...]
-    labels: tuple[str, ...]  # algorithm per point
-    flagged: tuple[str, ...] = ()  # omit these labels on log-scale plots
+    ``labels`` names the algorithm of each point; ``flagged`` lists the
+    labels to omit on log-scale plots.
+    """
 
-    def __post_init__(self) -> None:
-        xs = [x for x, _ in self.points]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # ``_replace`` checks too
+
+    def __new__(cls, name: str, points: tuple[tuple[float, float], ...],
+                labels: tuple[str, ...], flagged: tuple[str, ...] = ()):
+        xs = [x for x, _ in points]
         if xs != sorted(xs):
-            raise ValidationError(f"{self.name}: points not sorted by x")
+            raise ValidationError(f"{name}: points not sorted by x")
+        return tuple.__new__(cls, (name, points, labels, flagged))
 
 
 def _series(name: str, points: list[tuple[str, float, float]],

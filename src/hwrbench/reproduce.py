@@ -17,7 +17,7 @@ column is self-consistent.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from pathlib import Path
 
 from hwrbench.aggregate import fmean, median
@@ -28,7 +28,6 @@ from hwrbench.metrics import METRIC_KINDS, CapMode, MetricKind
 from hwrbench.numfmt import round_half_up
 from hwrbench.report import (
     FIGURES,
-    EvaluationReport,
     TableLayout,
     emit_plot_series,
     evaluate,
@@ -42,47 +41,39 @@ CELL_COLUMNS = ("table", "metric", "algorithm", "game", "printed_raw", "printed_
 AGGREGATE_COLUMNS = ("table", "metric", "algorithm", "row", "printed")
 
 
-@dataclass(frozen=True)
-class Inconsistency:
-    """One disagreement between a recomputed value and a printed one."""
+class Inconsistency(namedtuple(
+        "Inconsistency", "table algorithm game kind recomputed printed")):
+    """One disagreement between a recomputed value and a printed one.
 
-    table: str
-    algorithm: str
-    game: str  # empty for aggregate rows
-    kind: str  # "value" | "malformed" | "coverage" | "aggregate" | "hwrb"
-    recomputed: str
-    printed: str
+    ``game`` is empty for aggregate rows; ``kind`` is one of "value",
+    "malformed", "coverage", "aggregate" and "hwrb".
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TableStats:
-    table: str
-    cells: int
-    matches: int
+class TableStats(namedtuple("TableStats", "table cells matches")):
+    __slots__ = ()
 
     @property
     def match_rate(self) -> float:
         return self.matches / self.cells if self.cells else 1.0
 
 
-@dataclass(frozen=True)
-class AggregateCheck:
+class AggregateCheck(namedtuple(
+        "AggregateCheck", "table algorithm stat recomputed_pp printed_pp printed_text "
+                          "column_clean printed_self_consistent")):
     """Recomputed vs printed mean/median for one table column.
 
-    ``column_clean`` means no cell of the printed column was logged as
-    inconsistent; ``printed_self_consistent`` means the printed footer
-    agrees with the aggregate of the table's own printed cells. Only
-    checks with both properties are expected to be within tolerance.
+    ``stat`` is "mean" or "median"; ``printed_pp`` is None when the
+    printed text is not a number. ``column_clean`` means no cell of the
+    printed column was logged as inconsistent; ``printed_self_consistent``
+    means the printed footer agrees with the aggregate of the table's own
+    printed cells. Only checks with both properties are expected to be
+    within tolerance.
     """
 
-    table: str
-    algorithm: str
-    stat: str  # "mean" | "median"
-    recomputed_pp: float
-    printed_pp: float | None
-    printed_text: str
-    column_clean: bool
-    printed_self_consistent: bool
+    __slots__ = ()
 
     @property
     def within_tolerance(self) -> bool:
@@ -90,14 +81,17 @@ class AggregateCheck:
                 and abs(self.recomputed_pp - self.printed_pp) <= AGGREGATE_TOLERANCE_PP)
 
 
-@dataclass
-class ReproductionResult:
-    report: EvaluationReport
-    layouts: dict[str, TableLayout]  # table id -> metric and columns in print order
-    table_stats: list[TableStats]
-    inconsistencies: list[Inconsistency]
-    aggregate_checks: list[AggregateCheck]
-    hwrb: dict[str, dict[str, int | None]]  # algorithm -> recomputed/printed counts
+class ReproductionResult(namedtuple(
+        "ReproductionResult",
+        "report layouts table_stats inconsistencies aggregate_checks hwrb")):
+    """The diff of one reproduction against the golden files.
+
+    ``layouts`` maps a table id to its TableLayout (metric and columns in
+    print order); ``hwrb`` maps an algorithm to its recomputed and printed
+    breakthrough counts.
+    """
+
+    __slots__ = ()
 
     @property
     def total_cells(self) -> int:
@@ -286,7 +280,7 @@ def write_artifacts(result: ReproductionResult, out_dir: str | Path) -> list[Pat
 
     log_path = out / "inconsistency_log.json"
     log_path.write_text(json.dumps(
-        [asdict(m) for m in result.inconsistencies], indent=2) + "\n",
+        [m._asdict() for m in result.inconsistencies], indent=2) + "\n",
         encoding="utf-8")
     written.append(log_path)
 

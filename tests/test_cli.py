@@ -132,7 +132,7 @@ class TestSurface:
 
     @pytest.mark.parametrize("flag, value", [
         ("--score", "nan"), ("--score", "inf"), ("--score", "abc"),
-        ("--frames", "2.5"), ("--frames", "inf"),
+        ("--frames", "2.5"), ("--frames", "inf"), ("--frames", "0"), ("--frames", "-5"),
     ])
     def test_bad_score_values_are_usage_errors(self, capsys, flag, value):
         argv = ["score", "--game", "alien", "--score", "1", "--frames", "2e8"]
@@ -144,22 +144,22 @@ class TestSurface:
 
 
 class TestDeferredImports:
-    # Prints the hwrbench modules loaded after running the verb in argv, and
-    # ``decimal`` or ``statistics`` if either is loaded.
+    # Prints the names of every module loaded after running the verb in argv.
     CHILD = ("import sys\n"
              "from hwrbench.cli import main\n"
              "code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
-             "print(*sorted(m for m in sys.modules if m.startswith('hwrbench.') "
-             "or m in ('decimal', 'statistics')), file=sys.stderr)\n"
+             "print(*sorted(sys.modules), file=sys.stderr)\n"
              "sys.exit(code)\n")
     DEFERRED = {"datasets", "protocol", "report", "aggregate", "reproduce"}
     # No verb needs these; importing them costs milliseconds of start-up.
-    SLOW = {"decimal", "statistics"}
+    SLOW = {"decimal", "statistics", "dataclasses", "inspect"}
+    # The same for these, which this environment's ``site`` may preload;
+    # ``python -S`` shows whether a verb imports them itself.
+    SLOW_WITHOUT_SITE = {"typing", "importlib.resources", "dataclasses", "inspect"}
     TABLES = {"datasets", "report", "aggregate"}
     TRACED = {"evaluate": "report", "render_table": "report", "report_to_json": "report",
               "load_all_bundled": "datasets"}
-
-    @pytest.mark.parametrize("argv, loaded", [
+    VERBS = pytest.mark.parametrize("argv, loaded", [
         ([], set()),
         (VERB_ARGV["score"], set()),
         (VERB_ARGV["validate"], {"datasets"}),
@@ -170,16 +170,27 @@ class TestDeferredImports:
         (["reproduce", "--out", "{out}"], TABLES | {"reproduce"}),
     ], ids=["import", "score", "validate", "aggregate", "report", "compare", "protocol-check",
             "reproduce"])
-    def test_verb_loads_only_what_it_runs(self, tmp_path, argv, loaded):
+
+    def loaded_modules(self, tmp_path, argv, *python_flags) -> set[str]:
         log = write_log(tmp_path, TestProtocolCheck.CONFORMING)
         argv = [a.format(log=log, out=tmp_path / "repro") for a in argv]
-        result = subprocess.run([sys.executable, "-c", self.CHILD, *argv],
+        result = subprocess.run([sys.executable, *python_flags, "-c", self.CHILD, *argv],
                                 capture_output=True, text=True,
                                 env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
         assert result.returncode == 0, result.stderr
-        modules = {m.removeprefix("hwrbench.") for m in result.stderr.splitlines()[-1].split()}
-        assert modules & self.DEFERRED == loaded
-        assert not modules & self.SLOW
+        return set(result.stderr.splitlines()[-1].split())
+
+    @VERBS
+    def test_verb_loads_only_what_it_runs(self, tmp_path, argv, loaded):
+        modules = self.loaded_modules(tmp_path, argv)
+        assert {m.removeprefix("hwrbench.") for m in modules} & self.DEFERRED == loaded
+        assert modules & self.SLOW == set()
+
+    @VERBS
+    def test_verb_imports_no_slow_module_without_site(self, tmp_path, argv, loaded):
+        modules = self.loaded_modules(tmp_path, argv, "-S")
+        assert {m.removeprefix("hwrbench.") for m in modules} & self.DEFERRED == loaded
+        assert modules & self.SLOW_WITHOUT_SITE == set()
 
     def test_traced_names_resolve_on_first_use(self):
         import hwrbench.cli as cli
@@ -434,6 +445,21 @@ class TestProtocolCheck:
         error = json.loads(err)
         assert error["error"] == "MalformedLogError"
         assert error["detail"].startswith(f"{log}:{line}: {detail}")
+
+    @pytest.mark.parametrize("text, k, error, detail", [
+        ("1e308 1 0 4\n1e308 1 1 4\n", "1", "MalformedLogError",
+         "{log}:EOF: episode return overflows"),
+        ("1e308 0 1 4\n---\n1e308 0 1 4\n", "2", "ValidationError",
+         "mean of the last 2 returns overflows"),
+    ], ids=["episode", "window"])
+    def test_overflowing_returns_are_data_errors(self, capsys, tmp_path, text, k, error,
+                                                 detail):
+        # Finite rewards whose sum is infinite; JSON has no Infinity.
+        log = write_log(tmp_path, text)
+        code, out, err = run(capsys, "protocol-check", "--log", log, "--k", k)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == error
+        assert json.loads(err)["detail"].startswith(detail.format(log=log))
 
     @pytest.mark.parametrize("flag, value", [
         ("--k", "0"), ("--k", "-1"), ("--budget", "-5"), ("--budget", "0"),

@@ -159,6 +159,12 @@ class TestTrainingScore:
         with pytest.raises(ValidationError):
             final_score(returns, k)
 
+    def test_overflowing_mean_rejected(self):
+        # Each return is finite; their sum is not.
+        for score in (final_score, training_score):
+            with pytest.raises(ValidationError, match="mean of the last 2 returns overflows"):
+                score([0.0, 1e308, 1e308], 2)
+
     @given(st.lists(st.floats(min_value=-1e4, max_value=1e4, allow_nan=False),
                     min_size=1, max_size=60),
            st.integers(min_value=1, max_value=60))
@@ -277,6 +283,17 @@ class TestEpisodeLog:
             ledger_from_log(log[:3] + ["2 3 1 4"] + log[4:])
         with pytest.raises(MalformedLogError, match="^<log>:7: step after the game-over"):
             ledger_from_log(log[:3] + ["2 3 0 4", "1 1 0 4"] + log[5:])
+
+    @pytest.mark.parametrize("text, where", [
+        ("1e308 1 0 4\n1e308 1 1 4\n", "EOF"),
+        ("1e308 1 0 4\n1e308 1 1 4\n---\n0 0 1 4\n", "3"),
+    ], ids=["eof", "reset"])
+    def test_overflowing_return_rejected_where_the_episode_closes(self, text, where):
+        with pytest.raises(MalformedLogError,
+                           match=f"^<log>:{where}: episode return overflows: inf"):
+            ledger_from_log(text.splitlines())
+        with pytest.raises(MalformedLogError, match="^<episode>:EOF: episode return overflows"):
+            accumulate_episode([step(1e308), step(1e308, lives=0, game_over=True)])
 
     def test_step_after_game_over_rejected_by_fold(self):
         with pytest.raises(MalformedLogError, match="^<episode>:2: step after"):

@@ -188,6 +188,6 @@ class TestPlotSeries:
 
         empty = EvaluationReport(
             cap_mode=CapMode.SPEC_FLOOR, baseline_source="", dataset_labels=(),
-            cells={}, aggregates={}, leaders={}, frames={})
+            cells={}, aggregates={}, leaders={}, frames={}, missing={})
         for figure in ("metric_vs_scale", "hwrb_vs_gametime", "efficiency"):
             assert all(s.points == () for s in emit_plot_series(empty, figure))
