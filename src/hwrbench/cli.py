@@ -23,7 +23,7 @@ from collections import deque
 from pathlib import Path
 
 from hwrbench.errors import BenchmarkError
-from hwrbench.games import BaselineRegistry
+from hwrbench.games import CANONICAL_GAMES, BaselineRegistry
 from hwrbench.metrics import (
     METRIC_KINDS,
     CapMode,
@@ -162,7 +162,7 @@ def _cmd_aggregate(args) -> int:
     for algo in report.algorithms():
         rows = report.aggregates[algo]
         lines.append(f"{algo} (frames {format_number(report.frames[algo])}, "
-                     f"coverage {rows[MetricKind.HNS].coverage}/57)")
+                     f"coverage {rows[MetricKind.HNS].coverage}/{len(CANONICAL_GAMES)})")
         for kind in METRIC_KINDS:
             row = rows[kind]
             lines.append(

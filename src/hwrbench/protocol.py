@@ -29,8 +29,7 @@ from contextlib import contextmanager
 from math import isfinite
 from pathlib import Path
 
-from hwrbench.errors import DatasetError, MalformedLogError, ValidationError
-from hwrbench.games import data_path, read_csv
+from hwrbench.errors import MalformedLogError, ValidationError
 
 MAX_EPISODE_FRAMES = 108000  # 30 minutes at 60 fps
 DEFAULT_FRAME_BUDGET = 200_000_000
@@ -136,10 +135,14 @@ def training_score(returns: list[float], k: int) -> TrainingScore:
 
     The final score is the last window's mean (``final_score``). Each
     window is summed on its own: a running sum would carry the rounding
-    error of a large return into the windows after it.
+    error of a large return into the windows after it. A window whose
+    mean is not finite is a ValidationError naming its 1-based returns.
     """
     final = final_score(returns, k)
     series = [sum(returns[i:i + k]) / k for i in range(len(returns) - k + 1)]
+    for i, mean in enumerate(series, start=1):
+        if not isfinite(mean):
+            raise ValidationError(f"mean of returns {i}..{i + k - 1} overflows: {mean}")
     return TrainingScore(series, final)
 
 
@@ -326,51 +329,3 @@ def ledger_from_log(source: str | Path | Iterable[str], *, averaging_k: int = 1)
         total_env_frames=sum(ep.env_frames_used for ep in summaries),
         averaging_k=averaging_k,
     )
-
-
-class AlgorithmSettings(namedtuple("AlgorithmSettings", (
-        "algorithm max_episode_frames action_repeats frame_stacks image_size color "
-        "life_information episode_termination action_space averaging_k"))):
-    """Published benchmark settings for one algorithm.
-
-    The ``INT_COLUMNS`` fields are positive ints, the ``BOOL_COLUMNS``
-    fields bools and the rest text.
-    """
-
-    __slots__ = ()
-    INT_COLUMNS = frozenset({"max_episode_frames", "action_repeats", "frame_stacks",
-                             "action_space", "averaging_k"})
-    BOOL_COLUMNS = frozenset({"life_information"})
-
-
-def load_protocol_settings(path: str | Path | None = None) -> dict[str, AlgorithmSettings]:
-    """Per-algorithm settings table, keyed by lowercase algorithm name.
-
-    The header is the fields of ``AlgorithmSettings``, in order. Its int
-    columns must be positive integers and its bool column ``yes`` or
-    ``no``; an algorithm may appear once, in any case. A violation is a
-    DatasetError naming file:line.
-    """
-    src = Path(path) if path is not None else data_path("protocol_settings.csv")
-    columns = AlgorithmSettings._fields
-    settings = {}
-    for lineno, row in read_csv(src, columns, DatasetError):
-        values: dict = {}
-        for column, text in zip(columns, row):
-            if column in AlgorithmSettings.INT_COLUMNS:
-                if not (text.isascii() and text.isdigit() and int(text) > 0):
-                    raise DatasetError(f"{src}:{lineno}: {column} must be a positive "
-                                       f"integer, got {text!r}")
-                values[column] = int(text)
-            elif column in AlgorithmSettings.BOOL_COLUMNS:
-                if text not in ("yes", "no"):
-                    raise DatasetError(
-                        f"{src}:{lineno}: {column} must be yes or no, got {text!r}")
-                values[column] = text == "yes"
-            else:
-                values[column] = text
-        key = values["algorithm"].lower()
-        if key in settings:
-            raise DatasetError(f"{src}:{lineno}: repeated algorithm {values['algorithm']!r}")
-        settings[key] = AlgorithmSettings(**values)
-    return settings

@@ -167,7 +167,7 @@ def render_table(report: EvaluationReport, layout: TableLayout, fmt: str = "text
              ("learning efficiency", lambda r: format_efficiency(r.efficiency_median))]
     if metric is MetricKind.HWRNS:
         stats.append(("hwrb", lambda r: str(r.hwrb_count)))
-    stats.append(("coverage", lambda r: f"{r.coverage}/57"))
+    stats.append(("coverage", lambda r: f"{r.coverage}/{len(CANONICAL_GAMES)}"))
     footer = [[label] + [text for algo in algos
                          for text in ("", value_of(report.aggregates[algo][metric]))]
               for label, value_of in stats]

@@ -23,7 +23,7 @@ from pathlib import Path
 from hwrbench.aggregate import fmean, median
 from hwrbench.datasets import Dataset, load_all_bundled
 from hwrbench.errors import DatasetError
-from hwrbench.games import BaselineRegistry, data_path, read_csv
+from hwrbench.games import _CANONICAL_SET, BaselineRegistry, data_path, read_csv
 from hwrbench.metrics import METRIC_KINDS, CapMode, MetricKind
 from hwrbench.numfmt import round_half_up
 from hwrbench.report import (
@@ -113,6 +113,7 @@ def load_golden_cells(
 
     The layouts come from the file itself: each table's ``metric`` column,
     and its algorithms in order of first appearance, which is print order.
+    Every game must be a canonical game name.
     """
     src = Path(path) if path is not None else data_path("golden", "printed_cells.csv")
     known = {kind.value: kind for kind in METRIC_KINDS}
@@ -127,6 +128,8 @@ def load_golden_cells(
             raise DatasetError(
                 f"{src}:{lineno}: table {table} mixes metrics "
                 f"{metrics[table].value} and {metric.value}")
+        if game not in _CANONICAL_SET:
+            raise DatasetError(f"{src}:{lineno}: unknown game {game!r}")
         column = printed.setdefault((table, algo), {})
         if game in column:
             raise DatasetError(f"{src}:{lineno}: duplicate cell {table}/{algo}/{game}")
@@ -212,6 +215,11 @@ def run_reproduction(
                 inconsistencies.append(Inconsistency(
                     table_id, algo, game, kind, f"{recomputed_pct:.2f}",
                     printed if printed is not None else "<absent>"))
+            # An omitted game is not counted; a value printed for it is a coverage conflict.
+            for game, printed in golden.items():
+                if (algo, game) not in report.cells and printed.upper() != "N/A":
+                    inconsistencies.append(Inconsistency(
+                        table_id, algo, game, "coverage", "N/A", printed))
         table_stats.append(TableStats(table_id, cells, matches))
 
     # Aggregate rows: compare recomputed mean/median per column against the

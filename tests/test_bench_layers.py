@@ -4,6 +4,8 @@
 ``python -m pytest bench`` never loads it. It calls the library's public
 names directly, so a deleted or renamed name would only show up in a
 traced run. One pass of its table and protocol layers here catches that.
+The benchmark's log generator is the one reader of the bundled
+``protocol_settings.csv``, so its reading of that file is checked here too.
 """
 
 import sys
@@ -14,6 +16,7 @@ from hwrbench.games import data_path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import layers  # noqa: E402
+import loggen  # noqa: E402
 import oracle  # noqa: E402
 
 
@@ -37,3 +40,7 @@ def test_protocol_layers_on_a_small_log(tmp_path):
     assert got["final"] == 3.5
     ledger = got["ledger"]
     assert (len(ledger.episodes), ledger.total_env_frames, ledger.averaging_k) == (2, 20, 2)
+
+
+def test_log_generator_reads_the_bundled_averaging_windows():
+    assert loggen.published_ks(data_path()) == [5, 10, 32, 50, 100, 200, 1000]

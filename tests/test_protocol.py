@@ -10,8 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hwrbench import protocol
-from hwrbench.errors import DatasetError, MalformedLogError, ValidationError
-from hwrbench.games import data_path
+from hwrbench.errors import MalformedLogError, ValidationError
 from hwrbench.metrics import game_time_days
 from hwrbench.numfmt import scale_label_for
 from hwrbench.protocol import (
@@ -27,7 +26,6 @@ from hwrbench.protocol import (
     check_conformance,
     final_score,
     ledger_from_log,
-    load_protocol_settings,
     read_episode_log,
     training_score,
 )
@@ -164,6 +162,16 @@ class TestTrainingScore:
         for score in (final_score, training_score):
             with pytest.raises(ValidationError, match="mean of the last 2 returns overflows"):
                 score([0.0, 1e308, 1e308], 2)
+
+    @pytest.mark.parametrize("returns, window", [
+        ([1e308, 1e308, 0.0], "returns 1..2"),
+        ([0.0, -1e308, -1e308, 0.0, 0.0], "returns 2..3"),
+    ], ids=["first", "second"])
+    def test_overflowing_earlier_window_rejected_by_name(self, returns, window):
+        # The last window is finite, so only the series check can catch it.
+        assert math.isfinite(final_score(returns, 2))
+        with pytest.raises(ValidationError, match=f"^mean of {re.escape(window)} overflows"):
+            training_score(returns, 2)
 
     @given(st.lists(st.floats(min_value=-1e4, max_value=1e4, allow_nan=False),
                     min_size=1, max_size=60),
@@ -348,52 +356,6 @@ class TestScaleLabel:
     ])
     def test_labels(self, frames, label):
         assert scale_label_for(frames) == label
-
-
-def test_bundled_settings_table():
-    settings = load_protocol_settings()
-    assert len(settings) == 13
-    rainbow = settings["rainbow"]
-    assert rainbow.action_space == 4
-    assert rainbow.averaging_k == 200
-    assert rainbow.life_information is True
-    muzero = settings["muzero"]
-    assert muzero.averaging_k == 1000
-    assert muzero.action_space == FULL_ACTION_SET
-    assert all(s.max_episode_frames == MAX_EPISODE_FRAMES for s in settings.values())
-    assert all(s.episode_termination == "all-lives-lost" for s in settings.values())
-
-
-def settings_copy(tmp_path, edit):
-    """The bundled settings table in a temp file, its lines passed through ``edit``."""
-    lines = data_path("protocol_settings.csv").read_text(encoding="utf-8").splitlines()
-    path = tmp_path / "protocol_settings.csv"
-    path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
-    return path
-
-
-MUESLI = "Muesli,108000,4,4,96x96,grayscale,no,all-lives-lost,18,100"
-
-
-@pytest.mark.parametrize("edit, line, message", [
-    (lambda ls: [ls[0].replace("color", "colour")] + ls[1:], "", "expected header"),
-    (lambda ls: ls + [MUESLI.replace(",100", ",0")], ":15", "averaging_k must be a positive"),
-    (lambda ls: ls + [MUESLI.replace(",18,", ",-18,")], ":15", "action_space must be a positive"),
-    (lambda ls: ls + [MUESLI.replace(",4,4,", ",four,4,")], ":15", "action_repeats must be"),
-    (lambda ls: ls + [MUESLI.replace(",no,", ",maybe,")], ":15", "life_information must be yes"),
-    (lambda ls: ls + [MUESLI.replace("Muesli", "MUESLI")], ":15", "repeated algorithm 'MUESLI'"),
-    (lambda ls: ls + [MUESLI.replace(",100", ",0").replace(",no,", ",maybe,")], ":15",
-     "life_information"),  # the first bad cell in column order
-    (lambda ls: ls + ["Extra,108000,4"], ":15", "expected 10 cells, got 3"),
-], ids=["header", "zero", "negative", "word", "life", "repeated", "both", "short"])
-def test_settings_rejections_name_file_and_line(tmp_path, edit, line, message):
-    path = settings_copy(tmp_path, edit)
-    with pytest.raises(DatasetError, match=f"^{re.escape(str(path) + line)}: {message}"):
-        load_protocol_settings(path)
-
-
-def test_settings_copy_loads(tmp_path):
-    assert load_protocol_settings(settings_copy(tmp_path, list)) == load_protocol_settings()
 
 
 # Reference implementation: the read-then-fold parser that ledger_from_log

@@ -1,11 +1,22 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hwrbench.datasets import Dataset, RunRecord, load_all_bundled
 from hwrbench.errors import DatasetError, ValidationError
-from hwrbench.games import BaselineRegistry
-from hwrbench.metrics import CapMode, MetricKind
+from hwrbench.games import CANONICAL_GAMES, BaselineRegistry
+from hwrbench.metrics import (
+    METRIC_KINDS,
+    CapMode,
+    MetricKind,
+    chns,
+    hns,
+    hwrb_indicator,
+    hwrns,
+    saber,
+)
 from hwrbench.report import (
     TableLayout,
     emit_plot_series,
@@ -150,6 +161,23 @@ def test_every_cell_rederivable_from_inputs(registry, bundled_report):
             assert cell.metrics[MetricKind.HNS] == expected_hns
             assert cell.metrics[MetricKind.HWRNS] == expected_hwrns
             assert cell.metrics[MetricKind.SABER] == min(expected_hwrns, 2.0)
+
+
+@given(st.sampled_from(CANONICAL_GAMES), st.sampled_from(list(CapMode)), st.data())
+def test_cells_equal_the_scoring_functions_bit_for_bit(registry, game, cap_mode, data):
+    # evaluate writes the CHNS clamp and the SABER cap inline; score calls
+    # chns() and saber(). The anchors hit HNS and HWRNS exactly 0 and 1.
+    base = registry.lookup(game)
+    raw = data.draw(st.one_of(
+        st.sampled_from([base.random, base.human_average, base.human_world_record]),
+        st.floats(min_value=-1e7, max_value=1e7, allow_nan=False)))
+    report = evaluate([Dataset("d", (RunRecord("A", game, raw, 200_000_000),))],
+                      registry, cap_mode)
+    h, w = hns(raw, base), hwrns(raw, base)
+    expected = (h.value, chns(h).value, w.value, saber(w, cap_mode).value)
+    cell = report.cells[("A", game)].metrics
+    assert [cell[kind].hex() for kind in METRIC_KINDS] == [v.hex() for v in expected]
+    assert report.aggregates["A"][MetricKind.HWRNS].hwrb_count == hwrb_indicator(w)
 
 
 class TestPlotSeries:

@@ -3,11 +3,17 @@ import re
 
 import pytest
 
+from hwrbench import reproduce
 from hwrbench.datasets import load_bundled_dataset
 from hwrbench.errors import DatasetError
 from hwrbench.games import BaselineRegistry, data_path
 from hwrbench.metrics import MetricKind
-from hwrbench.reproduce import load_golden_aggregates, load_golden_cells, run_reproduction
+from hwrbench.reproduce import (
+    Inconsistency,
+    load_golden_aggregates,
+    load_golden_cells,
+    run_reproduction,
+)
 
 GOLDEN_CELLS = data_path("golden", "printed_cells.csv")
 GOLDEN_AGGREGATES = data_path("golden", "printed_aggregates.csv")
@@ -26,14 +32,20 @@ def golden():
     return load_golden_cells()
 
 
-def golden_copy(tmp_path, metric_at=None, duplicate=None):
+def golden_copy(tmp_path, metric_at=None, duplicate=None, game_at=None):
     """The bundled golden cells in a temp file, with file line ``metric_at[0]``
-    given metric ``metric_at[1]``, and file line ``duplicate`` appended again."""
+    given metric ``metric_at[1]``, file line ``game_at[0]`` given game
+    ``game_at[1]``, and file line ``duplicate`` appended again."""
     lines = GOLDEN_CELLS.read_text(encoding="utf-8").splitlines(keepends=True)
     if metric_at is not None:
         lineno, metric = metric_at
         table, _metric, rest = lines[lineno - 1].split(",", 2)
         lines[lineno - 1] = f"{table},{metric},{rest}"
+    if game_at is not None:
+        lineno, game = game_at
+        cells = lines[lineno - 1].split(",")
+        cells[3] = game
+        lines[lineno - 1] = ",".join(cells)
     if duplicate is not None:
         lines.append(lines[duplicate - 1])
     path = tmp_path / "printed_cells.csv"
@@ -93,6 +105,27 @@ def test_duplicate_cell_rejected(tmp_path):
     with pytest.raises(DatasetError, match=f"{where}:3251: duplicate cell "
                                            "hns-sota-200m-model-free/GDI-H3/alien"):
         load_golden_cells(path)
+
+
+def test_unknown_game_rejected(tmp_path):
+    path, where = golden_copy(tmp_path, game_at=(619, "berzrek"))
+    with pytest.raises(DatasetError, match=f"{where}:619: unknown game 'berzrek'"):
+        load_golden_cells(path)
+
+
+def test_number_printed_for_an_omitted_game_is_a_coverage_inconsistency(
+        monkeypatch, golden):
+    layouts, cells = golden
+    column = ("hns-sota-model-based", "SimPLe")
+    assert cells[column]["berzerk"] == "N/A"  # file line 619
+    edited = {**cells, column: {**cells[column], "berzerk": "55.55"}}
+    monkeypatch.setattr(reproduce, "load_golden_cells", lambda: (layouts, edited))
+    result = run_reproduction()
+    # The omitted game adds no compared cell, only one logged inconsistency.
+    assert (result.total_cells, result.total_matches) == (3174, 3134)
+    assert len(result.inconsistencies) == 43
+    assert Inconsistency(*column, "berzerk", "coverage", "N/A", "55.55") in (
+        result.inconsistencies)
 
 
 def aggregates_copy(tmp_path, line=None, field=None, value=None, duplicate=None):

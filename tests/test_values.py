@@ -11,7 +11,6 @@ from hwrbench.errors import ValidationError
 from hwrbench.games import BaselineRecord
 from hwrbench.metrics import CapMode, MetricKind, MetricValue
 from hwrbench.protocol import (
-    AlgorithmSettings,
     ConformanceVerdict,
     EpisodeSummary,
     RunLedger,
@@ -46,7 +45,6 @@ VALUES = [
     ConformanceVerdict(True, ()),
     RunLedger((), 0),
     TrainingScore([1.0], 1.0),
-    AlgorithmSettings("A", 108000, 4, 4, "84x84", "gray", False, "game_over", 18, 100),
 ]
 
 
