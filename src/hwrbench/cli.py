@@ -22,7 +22,7 @@ import sys
 from collections import deque
 from pathlib import Path
 
-from hwrbench.errors import BenchmarkError
+from hwrbench.errors import BenchmarkError, ValidationError
 from hwrbench.games import CANONICAL_GAMES, BaselineRegistry
 from hwrbench.metrics import (
     METRIC_KINDS,
@@ -126,8 +126,11 @@ def _cmd_validate(args) -> int:
 
 def _cmd_score(args) -> int:
     baseline = _load_registry(args).lookup(args.game)
-    h = hns(args.score, baseline)
-    w = hwrns(args.score, baseline)
+    try:
+        h = hns(args.score, baseline)
+        w = hwrns(args.score, baseline)
+    except ValidationError:  # the baselines and score are valid, so the ratio is not finite
+        raise ValidationError(f"{baseline.game}: normalized score overflows") from None
     s = saber(w, args.cap_mode)
     result = {
         "game": baseline.game,

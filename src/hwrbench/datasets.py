@@ -15,7 +15,7 @@ from collections import namedtuple
 from pathlib import Path
 
 from hwrbench.errors import DatasetError, UnknownGameError, ValidationError
-from hwrbench.games import canonical_game, data_path, read_csv
+from hwrbench.games import canonical_game, check_numbers, data_path, read_csv
 from hwrbench.numfmt import parse_frames, scale_label_for
 
 BUNDLED_DATASETS = (
@@ -69,6 +69,7 @@ def load_dataset(path: str | Path, label: str | None = None) -> Dataset:
         if key in seen:
             raise DatasetError(f"{src}:{lineno}: duplicate cell {key}")
         seen.add(key)
+        check_numbers(src, lineno, DatasetError, score, frames)
         try:
             frames = parse_frames(frames)
         except ValueError as exc:

@@ -61,6 +61,13 @@ def read_csv(
             yield reader.line_num, row
 
 
+def check_numbers(src: Path, lineno: int, error: type[BenchmarkError], *cells: str) -> None:
+    """Refuse a number cell holding ``_``: ``float`` drops it, reading 22_7.8 as 227.8."""
+    for cell in cells:
+        if "_" in cell:
+            raise error(f"{src}:{lineno}: '_' in number {cell!r}")
+
+
 def canonical_game(name: str) -> str:
     """Normalize a game identifier to canonical lowercase form.
 
@@ -147,6 +154,7 @@ class BaselineRegistry:
                 game = canonical_game(game)
             except UnknownGameError as exc:
                 raise UnknownGameError(f"{src}:{lineno}: {exc}") from None
+            check_numbers(src, lineno, ValidationError, random, human, record)
             try:
                 records.append(BaselineRecord(
                     game, float(random), float(human), float(record), tag))

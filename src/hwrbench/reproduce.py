@@ -2,28 +2,30 @@
 
 The bundled datasets store raw scores only; this module recomputes every
 metric cell and aggregate row, compares them with the printed values
-shipped in ``data/golden/``, and collects every disagreement into a
-machine-readable inconsistency log. The reference tables are known to
-contain a handful of internal contradictions (malformed cells, values
-that disagree with the same table's raw column, aggregate rows that
-disagree with their own cells); those are reported, never patched.
+shipped in ``data/golden/``, one printed column at a time, and collects
+every disagreement into a machine-readable inconsistency log. The
+reference tables are known to contain a handful of internal
+contradictions (malformed cells, values that disagree with the same
+table's raw column, aggregate rows that disagree with their own cells);
+those are reported, never patched.
 
 Printed percents carry two decimals, so a recomputed cell matches when
 it agrees within 0.02 percentage points. Aggregate rows use a looser
 0.5-point tolerance and are only expected to match when the printed
-column is self-consistent.
+column is self-consistent. A printed ``nan`` or ``inf`` is not a number.
 """
 
 from __future__ import annotations
 
 import json
 from collections import namedtuple
+from math import isfinite
 from pathlib import Path
 
 from hwrbench.aggregate import fmean, median
 from hwrbench.datasets import Dataset, load_all_bundled
 from hwrbench.errors import DatasetError
-from hwrbench.games import _CANONICAL_SET, BaselineRegistry, data_path, read_csv
+from hwrbench.games import _CANONICAL_SET, BaselineRegistry, check_numbers, data_path, read_csv
 from hwrbench.metrics import METRIC_KINDS, CapMode, MetricKind
 from hwrbench.numfmt import round_half_up
 from hwrbench.report import (
@@ -60,35 +62,17 @@ class TableStats(namedtuple("TableStats", "table cells matches")):
         return self.matches / self.cells if self.cells else 1.0
 
 
-class AggregateCheck(namedtuple(
-        "AggregateCheck", "table algorithm stat recomputed_pp printed_pp printed_text "
-                          "column_clean printed_self_consistent")):
-    """Recomputed vs printed mean/median for one table column.
-
-    ``stat`` is "mean" or "median"; ``printed_pp`` is None when the
-    printed text is not a number. ``column_clean`` means no cell of the
-    printed column was logged as inconsistent; ``printed_self_consistent``
-    means the printed footer agrees with the aggregate of the table's own
-    printed cells. Only checks with both properties are expected to be
-    within tolerance.
-    """
-
-    __slots__ = ()
-
-    @property
-    def within_tolerance(self) -> bool:
-        return (self.printed_pp is not None
-                and abs(self.recomputed_pp - self.printed_pp) <= AGGREGATE_TOLERANCE_PP)
-
-
 class ReproductionResult(namedtuple(
         "ReproductionResult",
         "report layouts table_stats inconsistencies aggregate_checks hwrb")):
     """The diff of one reproduction against the golden files.
 
     ``layouts`` maps a table id to its TableLayout (metric and columns in
-    print order); ``hwrb`` maps an algorithm to its recomputed and printed
-    breakthrough counts.
+    print order). ``aggregate_checks`` counts the mean/median footers
+    compared, those expected to match (clean column, footer consistent
+    with its own printed cells) and those that do, under the names
+    ``summary.json`` prints. ``hwrb`` maps an algorithm to its recomputed
+    and printed breakthrough counts.
     """
 
     __slots__ = ()
@@ -119,8 +103,9 @@ def load_golden_cells(
     known = {kind.value: kind for kind in METRIC_KINDS}
     metrics: dict[str, MetricKind] = {}
     printed: dict[tuple[str, str], dict[str, str]] = {}
-    for lineno, (table, metric_text, algo, game, _raw, pct) in read_csv(
+    for lineno, (table, metric_text, algo, game, raw, pct) in read_csv(
             src, CELL_COLUMNS, DatasetError):
+        check_numbers(src, lineno, DatasetError, raw, pct)
         metric = known.get(metric_text)
         if metric is None:
             raise DatasetError(f"{src}:{lineno}: unknown metric {metric_text!r}")
@@ -147,12 +132,15 @@ def load_golden_aggregates(
     """(table, algorithm, row) -> printed text, checked against the cell layouts.
 
     Each row must name a (table, algorithm) column of ``layouts`` and that
-    table's metric, with a ``row`` of ``AGGREGATE_ROWS``, at most once.
+    table's metric, with a ``row`` of ``AGGREGATE_ROWS``, at most once. An
+    ``hwrb`` row that is a number must be a nonnegative integer; one that is
+    not a number (``N/A``, ``inf``...) is recorded as None and not compared.
     """
     src = Path(path) if path is not None else data_path("golden", "printed_aggregates.csv")
     rows = {}
     for lineno, (table, metric, algo, stat, text) in read_csv(
             src, AGGREGATE_COLUMNS, DatasetError):
+        check_numbers(src, lineno, DatasetError, text)
         layout = layouts.get(table)
         if layout is None or algo not in layout.algorithms:
             raise DatasetError(f"{src}:{lineno}: no golden cells for {table}/{algo}")
@@ -163,22 +151,32 @@ def load_golden_aggregates(
             raise DatasetError(f"{src}:{lineno}: unknown row {stat!r}")
         if (table, algo, stat) in rows:
             raise DatasetError(f"{src}:{lineno}: duplicate row {table}/{algo}/{stat}")
+        count = _parse_number(text) if stat == "hwrb" else None
+        if count is not None and not (count >= 0 and count.is_integer()):
+            raise DatasetError(
+                f"{src}:{lineno}: hwrb count {text!r} is not a nonnegative integer")
         rows[(table, algo, stat)] = text
     return rows
 
 
 def _parse_number(text: str | None) -> float | None:
     try:
-        return float(text)
+        value = float(text)
     except (TypeError, ValueError):
         return None
+    return value if isfinite(value) else None
 
 
 def run_reproduction(
     baselines: BaselineRegistry | None = None,
     datasets: list[Dataset] | None = None,
 ) -> ReproductionResult:
-    """Recompute all reference tables (table-compat caps) and diff them."""
+    """Recompute all reference tables (table-compat caps) and diff them.
+
+    Each golden (table, algorithm) column is walked once, in print order:
+    its cells, its mean and median footers, then its HWRB count. The log
+    lists the cell findings, then the aggregate ones, then the hwrb ones.
+    """
     registry = baselines if baselines is not None else BaselineRegistry.load()
     data = datasets if datasets is not None else load_all_bundled()
     report = evaluate(data, registry, CapMode.TABLE_COMPAT)
@@ -189,10 +187,15 @@ def run_reproduction(
     for algo, game in report.cells:
         report_games.setdefault(algo, []).append(game)
 
-    inconsistencies: list[Inconsistency] = []
+    cell_log: list[Inconsistency] = []
+    aggregate_log: list[Inconsistency] = []
+    hwrb_log: list[Inconsistency] = []
     table_stats: list[TableStats] = []
+    n_checks = clean_checks = clean_matches = 0
+    hwrb: dict[str, dict[str, int | None]] = {}
 
     for table_id, layout in layouts.items():
+        metric = layout.metric
         cells = matches = 0
         for algo in layout.algorithms:
             if algo not in report_games:
@@ -200,9 +203,10 @@ def run_reproduction(
                     f"golden table {table_id} has algorithm {algo!r}, "
                     f"absent from the evaluated datasets")
             golden = golden_cells[(table_id, algo)]
+            logged = len(cell_log)
             for game in report_games[algo]:
                 cells += 1
-                value = report.cells[(algo, game)].metrics[layout.metric]
+                value = report.cells[(algo, game)].metrics[metric]
                 recomputed_pct = round_half_up(value * 100.0)
                 printed = golden.get(game)
                 printed_value = _parse_number(printed)
@@ -212,26 +216,20 @@ def run_reproduction(
                     continue
                 kind = ("coverage" if printed is None or printed.upper() == "N/A"
                         else "malformed" if printed_value is None else "value")
-                inconsistencies.append(Inconsistency(
+                cell_log.append(Inconsistency(
                     table_id, algo, game, kind, f"{recomputed_pct:.2f}",
                     printed if printed is not None else "<absent>"))
             # An omitted game is not counted; a value printed for it is a coverage conflict.
             for game, printed in golden.items():
                 if (algo, game) not in report.cells and printed.upper() != "N/A":
-                    inconsistencies.append(Inconsistency(
+                    cell_log.append(Inconsistency(
                         table_id, algo, game, "coverage", "N/A", printed))
-        table_stats.append(TableStats(table_id, cells, matches))
+            column_clean = len(cell_log) == logged
 
-    # Aggregate rows: compare recomputed mean/median per column against the
-    # printed footer. A printed footer that disagrees with its own printed
-    # cells (e.g. a wrong denominator) is itself inconsistent; it is logged
-    # and not expected to match the recomputation.
-    cell_mismatch_keys = {(m.table, m.algorithm) for m in inconsistencies if m.game}
-    aggregate_checks: list[AggregateCheck] = []
-    for table_id, layout in layouts.items():
-        for algo in layout.algorithms:
-            row = report.aggregates[algo][layout.metric]
-            printed_col = [v for text in golden_cells[(table_id, algo)].values()
+            # A footer is expected to match only if its column is clean and it agrees
+            # with its own printed cells (not so with a wrong denominator, say).
+            row = report.aggregates[algo][metric]
+            printed_col = [v for text in golden.values()
                            if (v := _parse_number(text)) is not None]
             for stat, recomputed, of_cells in (("mean", row.mean, fmean),
                                                ("median", row.median, median)):
@@ -239,100 +237,69 @@ def run_reproduction(
                 if printed_text is None:
                     continue
                 printed_value = _parse_number(printed_text)
-                self_consistent = printed_value is not None and bool(printed_col) and (
-                    abs(of_cells(printed_col) - printed_value) <= AGGREGATE_TOLERANCE_PP)
-                check = AggregateCheck(
-                    table=table_id,
-                    algorithm=algo,
-                    stat=stat,
-                    recomputed_pp=recomputed * 100.0,
-                    printed_pp=printed_value,
-                    printed_text=printed_text,
-                    column_clean=(table_id, algo) not in cell_mismatch_keys,
-                    printed_self_consistent=self_consistent,
-                )
-                aggregate_checks.append(check)
-                if not check.within_tolerance:
-                    inconsistencies.append(Inconsistency(
+                within = printed_value is not None and (
+                    abs(recomputed * 100.0 - printed_value) <= AGGREGATE_TOLERANCE_PP)
+                if not within:
+                    aggregate_log.append(Inconsistency(
                         table_id, algo, "", "aggregate",
-                        f"{check.recomputed_pp:.2f}", printed_text))
+                        f"{recomputed * 100.0:.2f}", printed_text))
+                n_checks += 1
+                if column_clean and printed_value is not None and printed_col and (
+                        abs(of_cells(printed_col) - printed_value) <= AGGREGATE_TOLERANCE_PP):
+                    clean_checks += 1
+                    clean_matches += within
 
-    # Breakthrough counts: HWRNS tables print them and SABER tables reprint
-    # them; a disagreement in either is a conflict. Only the HWRNS printings
-    # are recorded per table.
-    hwrb: dict[str, dict[str, int | None]] = {}
-    for table_id, layout in layouts.items():
-        if layout.metric not in (MetricKind.HWRNS, MetricKind.SABER):
-            continue
-        for algo in layout.algorithms:
+            # HWRNS tables print HWRB counts and SABER tables reprint them; a conflict
+            # in either is logged, but only the HWRNS printings are recorded.
+            if metric not in (MetricKind.HWRNS, MetricKind.SABER):
+                continue
             recomputed = report.aggregates[algo][MetricKind.HWRNS].hwrb_count
             printed_text = golden_aggs.get((table_id, algo, "hwrb"))
-            printed_value = _parse_number(printed_text)
-            if layout.metric is MetricKind.HWRNS:
+            printed_value = _parse_number(printed_text)  # integral: checked at load
+            if metric is MetricKind.HWRNS:
                 entry = hwrb.setdefault(algo, {"recomputed": recomputed})
                 entry[f"printed:{table_id}"] = (
                     int(printed_value) if printed_value is not None else None)
-            if printed_value is not None and int(printed_value) != recomputed:
-                inconsistencies.append(Inconsistency(
+            if printed_value is not None and printed_value != recomputed:
+                hwrb_log.append(Inconsistency(
                     table_id, algo, "", "hwrb", str(recomputed), printed_text))
+        table_stats.append(TableStats(table_id, cells, matches))
 
-    return ReproductionResult(report, layouts, table_stats, inconsistencies,
-                              aggregate_checks, hwrb)
+    counts = {"aggregate_checks": n_checks, "clean_aggregate_checks": clean_checks,
+              "clean_aggregate_matches": clean_matches}
+    return ReproductionResult(report, layouts, table_stats,
+                              cell_log + aggregate_log + hwrb_log, counts, hwrb)
 
 
 def write_artifacts(result: ReproductionResult, out_dir: str | Path) -> list[Path]:
-    """Write the inconsistency log, summary, and recomputed tables."""
+    """Write the inconsistency log, summary, recomputed tables and figure series."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
+    written: list[Path] = []
 
-    log_path = out / "inconsistency_log.json"
-    log_path.write_text(json.dumps(
-        [m._asdict() for m in result.inconsistencies], indent=2) + "\n",
-        encoding="utf-8")
-    written.append(log_path)
+    def write(path: Path, text: str) -> None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+        written.append(path)
 
-    summary_path = out / "summary.json"
-    clean = [c for c in result.aggregate_checks
-             if c.column_clean and c.printed_self_consistent]
-    summary_path.write_text(json.dumps({
+    write(out / "inconsistency_log.json",
+          json.dumps([m._asdict() for m in result.inconsistencies], indent=2) + "\n")
+    write(out / "summary.json", json.dumps({
         "cells": result.total_cells,
         "matches": result.total_matches,
         "match_rate": result.match_rate,
         "tables": {t.table: {"cells": t.cells, "matches": t.matches,
                              "match_rate": t.match_rate}
                    for t in result.table_stats},
-        "aggregate_checks": len(result.aggregate_checks),
-        "clean_aggregate_checks": len(clean),
-        "clean_aggregate_matches": sum(1 for c in clean if c.within_tolerance),
+        **result.aggregate_checks,
         "inconsistencies": len(result.inconsistencies),
         "hwrb": result.hwrb,
-    }, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    written.append(summary_path)
-
-    tables_dir = out / "tables"
-    tables_dir.mkdir(exist_ok=True)
+    }, indent=2, sort_keys=True) + "\n")
     for table_id, layout in result.layouts.items():
-        path = tables_dir / f"{table_id}.csv"
-        path.write_text(render_table(result.report, layout, fmt="csv"),
-                        encoding="utf-8")
-        written.append(path)
-
-    figures_dir = out / "figures"
-    figures_dir.mkdir(exist_ok=True)
+        write(out / "tables" / f"{table_id}.csv",
+              render_table(result.report, layout, fmt="csv"))
     for figure in FIGURES:
-        payload = [
-            {
-                "name": s.name,
-                "points": [list(p) for p in s.points],
-                "labels": list(s.labels),
-                "flagged": list(s.flagged),
-            }
-            for s in emit_plot_series(result.report, figure)
-        ]
-        path = figures_dir / f"{figure}.json"
-        path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        written.append(path)
+        series = [s._asdict() for s in emit_plot_series(result.report, figure)]
+        write(out / "figures" / f"{figure}.json", json.dumps(series, indent=2) + "\n")
     return written
 
 

@@ -84,13 +84,11 @@ def test_c1_golden_cell_reproduction(reproduction, tmp_path):
 
 def test_c2_aggregate_rows(reproduction):
     with criterion(2, "aggregate mean/median rows within 0.5pp for clean columns"):
-        clean = [c for c in reproduction.aggregate_checks
-                 if c.column_clean and c.printed_self_consistent]
-        assert len(clean) >= 40  # most columns are clean; the check has teeth
-        for check in clean:
-            assert check.within_tolerance, (
-                f"{check.table} {check.algorithm} {check.stat}: "
-                f"{check.recomputed_pp:.2f} vs printed {check.printed_text}")
+        # Most columns are clean (>= 40 checks: the check has teeth), and every
+        # clean check matches; a failure lists the logged aggregate mismatches.
+        counts = reproduction.aggregate_checks
+        assert counts["clean_aggregate_matches"] == counts["clean_aggregate_checks"] >= 40, (
+            counts, [m for m in reproduction.inconsistencies if m.kind == "aggregate"])
 
         aggregates = reproduction.report.aggregates
         expected = [

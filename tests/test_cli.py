@@ -366,6 +366,22 @@ class TestAggregate:
         assert "Muesli" in out and "Go-Explore" in out and "hwrb" in out
 
 
+@pytest.mark.parametrize("argv, detail", [
+    (["score", "--game", "alien", "--score", "139409"], "alien: normalized score overflows"),
+    (["aggregate", "--dataset", "sota-other"], "Muesli/alien: normalized score overflows"),
+], ids=["score", "aggregate"])
+def test_normalization_overflow_names_the_game(capsys, tmp_path, argv, detail):
+    # Valid baselines whose tiny references make 139409 / 1e-305 overflow.
+    lines = data_path("baselines.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    assert lines[1].startswith("alien,")
+    lines[1] = "alien,0,1e-305,1e-305,x\n"
+    path = tmp_path / "tiny.csv"
+    path.write_text("".join(lines), encoding="utf-8")
+    code, out, err = run(capsys, *argv, "--baselines", str(path))
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ValidationError", "detail": detail}
+
+
 class TestCompare:
     def test_leader_diff(self, capsys):
         code, out, _ = run(capsys, "compare", "Rainbow", "LASER",
@@ -416,6 +432,11 @@ class TestProtocolCheck:
         assert code == 1
         payload = json.loads(out)
         assert [v["code"] for v in payload["violations"]] == ["budget_exceeded"]
+        # Data files refuse ``_`` in numbers; a flag keeps Python's digit grouping.
+        code, _, _ = run(capsys, "protocol-check", "--log", log, "--budget", "1_6")
+        assert code == 1
+        code, _, _ = run(capsys, "protocol-check", "--log", log, "--budget", "2_0")
+        assert code == 0
 
     def test_reduced_action_set_violation(self, capsys, tmp_path):
         log = write_log(tmp_path, self.CONFORMING)

@@ -132,6 +132,10 @@ def test_frames_accept_scientific_notation(tmp_path):
     "A,alien,N/A,-4,-4",
     "A,alien,N/A,inf,x",
     "A,alien,N/A,100,x",
+    # float() would drop the ``_`` and read 10.0 and 200000000
+    "A,alien,1_0,100,100",
+    "A,alien,1,2_00000000,200M",
+    "A,alien,N/A,1_00,100",
 ])
 def test_bad_row_names_file_and_line(tmp_path, row):
     path = write_dataset(tmp_path, ["A,pong,1,100,100", row])

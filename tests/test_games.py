@@ -144,6 +144,16 @@ def test_load_rejects_non_finite_with_location(registry, tmp_path, column, text)
         BaselineRegistry.load(path)
 
 
+@pytest.mark.parametrize("column, text", [
+    ("random", "22_7.8"), ("human_average", "7_127.8"), ("human_world_record", "251_916")])
+def test_load_rejects_underscore_in_numbers(registry, tmp_path, column, text):
+    # float() drops the ``_``: each of these reads as alien's own bundled value
+    path, lineno = baselines_with(registry, tmp_path, "alien", column, text)
+    where = f"{re.escape(str(path))}:{lineno}"
+    with pytest.raises(ValidationError, match=f"^{where}: '_' in number '{text}'$"):
+        BaselineRegistry.load(path)
+
+
 def test_load_ordering_error_names_line(registry, tmp_path):
     path, lineno = baselines_with(registry, tmp_path, "pong", "human_average", "-30")
     with pytest.raises(ValidationError,

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import re
 
 import pytest
@@ -9,10 +10,12 @@ from hwrbench.errors import DatasetError
 from hwrbench.games import BaselineRegistry, data_path
 from hwrbench.metrics import MetricKind
 from hwrbench.reproduce import (
+    CELL_COLUMNS,
     Inconsistency,
     load_golden_aggregates,
     load_golden_cells,
     run_reproduction,
+    write_artifacts,
 )
 
 GOLDEN_CELLS = data_path("golden", "printed_cells.csv")
@@ -32,20 +35,16 @@ def golden():
     return load_golden_cells()
 
 
-def golden_copy(tmp_path, metric_at=None, duplicate=None, game_at=None):
-    """The bundled golden cells in a temp file, with file line ``metric_at[0]``
-    given metric ``metric_at[1]``, file line ``game_at[0]`` given game
-    ``game_at[1]``, and file line ``duplicate`` appended again."""
+def golden_copy(tmp_path, cell_at=None, duplicate=None):
+    """The bundled golden cells in a temp file, with column ``cell_at[1]`` of
+    file line ``cell_at[0]`` set to ``cell_at[2]``, and file line
+    ``duplicate`` appended again."""
     lines = GOLDEN_CELLS.read_text(encoding="utf-8").splitlines(keepends=True)
-    if metric_at is not None:
-        lineno, metric = metric_at
-        table, _metric, rest = lines[lineno - 1].split(",", 2)
-        lines[lineno - 1] = f"{table},{metric},{rest}"
-    if game_at is not None:
-        lineno, game = game_at
-        cells = lines[lineno - 1].split(",")
-        cells[3] = game
-        lines[lineno - 1] = ",".join(cells)
+    if cell_at is not None:
+        lineno, field, value = cell_at
+        cells = lines[lineno - 1].rstrip("\n").split(",")
+        cells[CELL_COLUMNS.index(field)] = value
+        lines[lineno - 1] = ",".join(cells) + "\n"
     if duplicate is not None:
         lines.append(lines[duplicate - 1])
     path = tmp_path / "printed_cells.csv"
@@ -81,20 +80,20 @@ def test_bundled_golden_files_agree(golden):
 
 
 def test_unknown_metric_rejected(tmp_path):
-    path, where = golden_copy(tmp_path, metric_at=(3, "bogus"))
+    path, where = golden_copy(tmp_path, cell_at=(3, "metric", "bogus"))
     with pytest.raises(DatasetError, match=f"{where}:3: unknown metric 'bogus'"):
         load_golden_cells(path)
 
 
 @pytest.mark.parametrize("metric", ["raw", "minmax", ""])
 def test_non_table_metric_rejected(tmp_path, metric):
-    path, where = golden_copy(tmp_path, metric_at=(2, metric))
+    path, where = golden_copy(tmp_path, cell_at=(2, "metric", metric))
     with pytest.raises(DatasetError, match=f"{where}:2: unknown metric"):
         load_golden_cells(path)
 
 
 def test_table_mixing_metrics_rejected(tmp_path):
-    path, where = golden_copy(tmp_path, metric_at=(4, "hwrns"))
+    path, where = golden_copy(tmp_path, cell_at=(4, "metric", "hwrns"))
     with pytest.raises(DatasetError, match=f"{where}:4: table hns-sota-200m-model-free "
                                            "mixes metrics hns and hwrns"):
         load_golden_cells(path)
@@ -108,9 +107,27 @@ def test_duplicate_cell_rejected(tmp_path):
 
 
 def test_unknown_game_rejected(tmp_path):
-    path, where = golden_copy(tmp_path, game_at=(619, "berzrek"))
+    path, where = golden_copy(tmp_path, cell_at=(619, "game", "berzrek"))
     with pytest.raises(DatasetError, match=f"{where}:619: unknown game 'berzrek'"):
         load_golden_cells(path)
+
+
+@pytest.mark.parametrize("field, text", [("printed_pct", "13_4.26"), ("printed_raw", "9_491.7")])
+def test_underscore_in_a_printed_number_rejected(tmp_path, field, text):
+    path, where = golden_copy(tmp_path, cell_at=(2, field, text))
+    with pytest.raises(DatasetError, match=f"^{where}:2: '_' in number '{text}'$"):
+        load_golden_cells(path)
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_printed_cell_is_malformed(monkeypatch, golden, text):
+    layouts, cells = golden
+    column = ("hns-sota-200m-model-free", "Rainbow")
+    edited = {**cells, column: {**cells[column], "alien": text}}
+    monkeypatch.setattr(reproduce, "load_golden_cells", lambda: (layouts, edited))
+    result = run_reproduction()
+    assert Inconsistency(*column, "alien", "malformed", "134.26", text) in (
+        result.inconsistencies)
 
 
 def test_number_printed_for_an_omitted_game_is_a_coverage_inconsistency(
@@ -163,6 +180,39 @@ def test_bad_aggregate_row_rejected(tmp_path, golden, field, value, message):
         load_golden_aggregates(golden[0], path)
 
 
+def test_underscore_in_a_printed_aggregate_rejected(tmp_path, golden):
+    path, where = aggregates_copy(tmp_path, line=2, field="printed", value="87_3.97")
+    with pytest.raises(DatasetError, match=f"^{where}:2: '_' in number '87_3.97'$"):
+        load_golden_aggregates(golden[0], path)
+
+
+HWRB_LINE = 98  # hwrns-sota-200m-model-free,hwrns,Rainbow,hwrb,4
+
+
+@pytest.mark.parametrize("value", ["4.7", "-1", "-0.5", "1e-3"])
+def test_printed_hwrb_count_must_be_a_nonnegative_integer(tmp_path, golden, value):
+    path, where = aggregates_copy(tmp_path, line=HWRB_LINE, field="printed", value=value)
+    with pytest.raises(DatasetError, match=f"^{where}:{HWRB_LINE}: hwrb count '{value}' "
+                                           "is not a nonnegative integer$"):
+        load_golden_aggregates(golden[0], path)
+
+
+@pytest.mark.parametrize("value, recorded", [
+    ("4.0", 4), ("5", 5), ("nan", None), ("inf", None), ("N/A", None)])
+def test_printed_hwrb_count_compared_only_when_a_number(
+        monkeypatch, tmp_path, golden, value, recorded):
+    path, _where = aggregates_copy(tmp_path, line=HWRB_LINE, field="printed", value=value)
+    rows = load_golden_aggregates(golden[0], path)
+    monkeypatch.setattr(reproduce, "load_golden_aggregates", lambda layouts: rows)
+    result = run_reproduction()
+    table = "hwrns-sota-200m-model-free"
+    assert result.hwrb["Rainbow"] == {"recomputed": 4, f"printed:{table}": recorded}
+    conflicts = [(m.table, m.algorithm, m.recomputed, m.printed)
+                 for m in result.inconsistencies if m.kind == "hwrb"]
+    assert conflicts == [(table, "Rainbow", "4", "5")] * (value == "5") + [
+        ("saber-sota-10bplus-model-free", "NGU", "8", "9")]
+
+
 def test_duplicate_aggregate_row_rejected(tmp_path, golden):
     path, where = aggregates_copy(tmp_path, duplicate=2)
     with pytest.raises(DatasetError, match=f"{where}:268: duplicate row "
@@ -193,3 +243,51 @@ def test_hwrb_counts_from_hwrns_and_saber_tables():
     hwrb_conflicts = [(m.table, m.algorithm, m.recomputed, m.printed)
                       for m in result.inconsistencies if m.kind == "hwrb"]
     assert hwrb_conflicts == [("saber-sota-10bplus-model-free", "NGU", "8", "9")]
+
+
+# The sha256 of each file ``reproduce`` writes from the bundled data. Any change
+# to an artifact's bytes, the order of the log or the layout of a figure
+# included, fails here.
+ARTIFACT_SHA256 = {
+    "inconsistency_log.json":
+        "212dba37898552b96932bf6a61b25b9b324bde84810bf4f8b8a39682834a8d14",
+    "summary.json":
+        "7aa77c1ca7b71206c9fdffce459dd5f5f46f272217adeb4071e0d9c11e5d9fee",
+    "tables/hns-sota-10bplus-model-free.csv":
+        "cafd0b6ea5061e13d4ccac4a6b2e08210346723572d671ff6eec9e7599526e55",
+    "tables/hns-sota-200m-model-free.csv":
+        "22bf84446e0918fd3c6976f502eabea8f7219d79bf6adfac52a3ec9961694144",
+    "tables/hns-sota-model-based.csv":
+        "d48601b3d48ad74d35a96ce5bec41ecda8fe18343ab3def565e960e6422650cc",
+    "tables/hns-sota-other.csv":
+        "efefe0da258db893d58f09bedeceb89f982074baf489a1cdcfdfd3d3c368e337",
+    "tables/hwrns-sota-10bplus-model-free.csv":
+        "a6e8ea38bac49fcfee0edcde9de219bdb1bd8dabf6f36a13c5fb40b7d001889d",
+    "tables/hwrns-sota-200m-model-free.csv":
+        "8a78ea5be8080cb63fb15175087571300a4688a9b5bc5efbb3c5118cda3e938b",
+    "tables/hwrns-sota-model-based.csv":
+        "d2922227597b29c3b1c26e5bbb8ffd73b93723fbe5776f55481a584d6ce3c399",
+    "tables/hwrns-sota-other.csv":
+        "36ececaa364d5dc696b176cdf62dabfcc2369b045a822e7e9346e85ca321a3d1",
+    "tables/saber-sota-10bplus-model-free.csv":
+        "755a1cfcf17299c4b0b99e88ecfd89ee54f8542e53c67106c1bb6c3de6d3d2a2",
+    "tables/saber-sota-200m-model-free.csv":
+        "d09bbd6373ccc8948cfaa901a85d5c7027c394999062fabcdf65edaf3aa629e7",
+    "tables/saber-sota-model-based.csv":
+        "9d4f61dc2cf5de8295fd5dc65f9cdf380ef4c026f51ae874a640dc45489412f7",
+    "tables/saber-sota-other.csv":
+        "aa34765b5997791750e2ecfaa1197b2f421a6c52eb586165291d27177a1fa8bd",
+    "figures/efficiency.json":
+        "8785144766635d662bc52ecd3068987c3b576b2cb575418d7ecb686a4f84ec0c",
+    "figures/hwrb_vs_gametime.json":
+        "f57aa094ab4c4cf9eb388d32aa65e5be9b3d9cbfb282789312ab26b300213312",
+    "figures/metric_vs_scale.json":
+        "a40b5abba979b5d3bd4bd5e65d0c6cf639056ffd26db32b20fc8b5da71d1dfe8",
+}
+
+
+def test_artifact_bytes_are_pinned(tmp_path):
+    written = write_artifacts(run_reproduction(), tmp_path)
+    assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == sorted(written)
+    assert {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in written} == ARTIFACT_SHA256

@@ -19,7 +19,7 @@ from hwrbench.protocol import (
     Violation,
 )
 from hwrbench.report import CellMetrics, EvaluationReport, PlotSeries, TableLayout
-from hwrbench.reproduce import AggregateCheck, Inconsistency, ReproductionResult, TableStats
+from hwrbench.reproduce import Inconsistency, ReproductionResult, TableStats
 
 HNS = MetricValue(1.5, MetricKind.HNS)
 
@@ -37,8 +37,7 @@ VALUES = [
     PlotSeries("s", ((1.0, 2.0),), ("A",)),
     Inconsistency("t", "A", "pong", "value", "1.00", "2.00"),
     TableStats("t", 2, 1),
-    AggregateCheck("t", "A", "mean", 1.0, 1.0, "1.00", True, True),
-    ReproductionResult(None, {}, [], [], [], {}),
+    ReproductionResult(None, {}, [], [], {}, {}),
     StepEvent(1.0, 3, False, 4),
     EpisodeSummary(1.0, 4, "game_over"),
     Violation("budget_exceeded", "detail"),
