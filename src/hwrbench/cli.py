@@ -118,7 +118,9 @@ def _emit(text: str, args) -> None:
 def _cmd_validate(args) -> int:
     registry = _load_registry(args)
     print(f"baselines: {len(registry)} games OK ({registry.source})")
-    for ds in _load_datasets(args):
+    datasets = _load_datasets(args)
+    _module.evaluate(datasets, registry)  # the checks that span records and datasets
+    for ds in datasets:
         print(f"dataset {ds.label}: {len(ds.records)} records, "
               f"{len(ds.omitted)} N/A cells OK")
     return 0

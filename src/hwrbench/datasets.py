@@ -14,7 +14,7 @@ import math
 from collections import namedtuple
 from pathlib import Path
 
-from hwrbench.errors import DatasetError, UnknownGameError, ValidationError
+from hwrbench.errors import DatasetError, UnknownGameError
 from hwrbench.games import canonical_game, check_numbers, data_path, read_csv
 from hwrbench.numfmt import parse_frames, scale_label_for
 
@@ -29,17 +29,9 @@ DATASET_COLUMNS = ("algorithm", "game", "score", "frames", "scale_label")
 
 
 class RunRecord(namedtuple("RunRecord", "algorithm game score frames")):
-    """One algorithm's reported result on one game."""
+    """One algorithm's reported result on one game; ``load_dataset`` checks it."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # ``_replace`` checks too
-
-    def __new__(cls, algorithm: str, game: str, score: float, frames: int):
-        if frames <= 0:
-            raise ValidationError(f"{algorithm}/{game}: frames must be positive")
-        if not math.isfinite(score):
-            raise ValidationError(f"{algorithm}/{game}: non-finite score")
-        return tuple.__new__(cls, (algorithm, game, score, frames))
 
 
 class Dataset(namedtuple("Dataset", "label records omitted", defaults=((),))):
@@ -51,10 +43,9 @@ class Dataset(namedtuple("Dataset", "label records omitted", defaults=((),))):
     __slots__ = ()
 
 
-def load_dataset(path: str | Path, label: str | None = None) -> Dataset:
-    """Load and validate one dataset file."""
+def load_dataset(path: str | Path) -> Dataset:
+    """Load and validate one dataset file, labelled by its file stem."""
     src = Path(path)
-    name = label if label is not None else src.stem
     records: list[RunRecord] = []
     omitted: list[tuple[str, str]] = []
     seen: set[tuple[str, str]] = set()
@@ -85,19 +76,22 @@ def load_dataset(path: str | Path, label: str | None = None) -> Dataset:
             omitted.append(key)
             continue
         try:
-            records.append(RunRecord(algorithm, game, float(score), frames))
-        except (ValueError, ValidationError) as exc:
+            value = float(score)
+            if not math.isfinite(value):
+                raise ValueError(f"{algorithm}/{game}: non-finite score")
+        except ValueError as exc:
             raise DatasetError(f"{src}:{lineno}: {exc}") from None
+        records.append(RunRecord(algorithm, game, value, frames))
     if not records:
         raise DatasetError(f"{src}: dataset is empty")
-    return Dataset(name, tuple(records), tuple(omitted))
+    return Dataset(src.stem, tuple(records), tuple(omitted))
 
 
 def load_bundled_dataset(label: str) -> Dataset:
     if label not in BUNDLED_DATASETS:
         raise DatasetError(
             f"unknown bundled dataset {label!r}; available: {', '.join(BUNDLED_DATASETS)}")
-    return load_dataset(data_path("datasets", f"{label}.csv"), label=label)
+    return load_dataset(data_path("datasets", f"{label}.csv"))
 
 
 def load_all_bundled() -> list[Dataset]:

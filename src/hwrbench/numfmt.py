@@ -11,27 +11,25 @@ from __future__ import annotations
 import math
 
 
-def round_half_up(value: float, decimals: int = 2) -> float:
-    """Round the digits ``repr`` prints half away from zero (2.675 -> 2.68).
+def round_half_up(value: float) -> float:
+    """Round the digits ``repr`` prints to two places, half away from zero (2.675 -> 2.68).
 
-    Keeps the sign (-0.001 -> -0.0); ``decimals`` >= 0. Non-finite values,
-    and values of 1e16 or more, which are integral, come back unchanged.
+    Keeps the sign (-0.001 -> -0.0). Non-finite values, and values of 1e16
+    or more, which are integral, come back unchanged.
     """
     text = repr(value)
     if "e" in text or "n" in text:  # exponent form, inf or nan
         if "n" in text or "+" in text:
             return value
-        mantissa, exponent = text.split("e")
-        digits = mantissa.lstrip("-").replace(".", "")
-        text = f"{'-' if value < 0 else ''}0.{'0' * (-int(exponent) - 1)}{digits}"
+        return math.copysign(0.0, value)  # below 1e-4, so it rounds to zero
     point = text.index(".")
-    cut = point + 1 + decimals
+    cut = point + 3
     if len(text) <= cut:
         return value
     if text[cut] < "5":  # the kept digits are the result
         return float(text[:cut])
     negative = text[0] == "-"
-    rounded = (int(text[negative:point] + text[point + 1:cut]) + 1) / 10 ** decimals
+    rounded = (int(text[negative:point] + text[point + 1:cut]) + 1) / 100
     return -rounded if negative else rounded
 
 
@@ -42,9 +40,9 @@ def format_number(value: float) -> str:
     return repr(value)
 
 
-def format_percent(ratio: float, decimals: int = 2) -> str:
+def format_percent(ratio: float) -> str:
     """Render a dimensionless ratio as a percent string (1.3426 -> '134.26')."""
-    return f"{round_half_up(ratio * 100.0, decimals):.{decimals}f}"
+    return f"{round_half_up(ratio * 100.0):.2f}"
 
 
 def format_efficiency(value: float) -> str:

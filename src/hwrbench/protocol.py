@@ -69,19 +69,11 @@ class ConformanceVerdict(namedtuple("ConformanceVerdict", "conforming violations
     __slots__ = ()
 
 
-class RunLedger(namedtuple("RunLedger", "episodes total_env_frames averaging_k")):
+class RunLedger(namedtuple("RunLedger", "episodes total_env_frames averaging_k",
+                           defaults=(1,))):
     """Accounting for one training run: episodes, frames, the averaging window."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # ``_replace`` checks too
-
-    def __new__(cls, episodes: tuple[EpisodeSummary, ...], total_env_frames: int,
-                averaging_k: int = 1):
-        if averaging_k < 1:
-            raise ValidationError(f"averaging_k must be >= 1: {averaging_k}")
-        if total_env_frames < 0:
-            raise ValidationError("total_env_frames must be nonnegative")
-        return tuple.__new__(cls, (episodes, total_env_frames, averaging_k))
 
 
 TrainingScore = namedtuple("TrainingScore", "series final")
@@ -323,6 +315,8 @@ def ledger_from_log(source: str | Path | Iterable[str], *, averaging_k: int = 1)
 
     Reads ``source`` as ``iter_episodes`` does.
     """
+    if averaging_k < 1:
+        raise ValidationError(f"averaging_k must be >= 1: {averaging_k}")
     summaries = tuple(iter_episodes(source))
     return RunLedger(
         episodes=summaries,

@@ -236,22 +236,14 @@ def report_to_json(report: EvaluationReport) -> str:
 FIGURES = ("metric_vs_scale", "hwrb_vs_gametime", "efficiency")
 
 
-class PlotSeries(namedtuple("PlotSeries", "name points labels flagged")):
+class PlotSeries(namedtuple("PlotSeries", "name points labels flagged", defaults=((),))):
     """One figure line: (x, y) points sorted by x, one per algorithm.
 
     ``labels`` names the algorithm of each point; ``flagged`` lists the
-    labels to omit on log-scale plots.
+    labels to omit on log-scale plots. ``_series`` builds and sorts them.
     """
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # ``_replace`` checks too
-
-    def __new__(cls, name: str, points: tuple[tuple[float, float], ...],
-                labels: tuple[str, ...], flagged: tuple[str, ...] = ()):
-        xs = [x for x, _ in points]
-        if xs != sorted(xs):
-            raise ValidationError(f"{name}: points not sorted by x")
-        return tuple.__new__(cls, (name, points, labels, flagged))
 
 
 def _series(name: str, points: list[tuple[str, float, float]],

@@ -162,7 +162,7 @@ class TestDeferredImports:
     VERBS = pytest.mark.parametrize("argv, loaded", [
         ([], set()),
         (VERB_ARGV["score"], set()),
-        (VERB_ARGV["validate"], {"datasets"}),
+        (VERB_ARGV["validate"], TABLES),
         (VERB_ARGV["aggregate"], TABLES),
         (VERB_ARGV["report"], TABLES),
         (VERB_ARGV["compare"], TABLES),
@@ -201,10 +201,11 @@ class TestDeferredImports:
             cli.nope
 
     @pytest.mark.parametrize("argv, calls", [
+        (["validate"], ["load_all_bundled", "evaluate"]),
         (["aggregate", "--format", "json"], ["load_all_bundled", "evaluate", "report_to_json"]),
         (["report"], ["load_all_bundled", "evaluate", "render_table"]),
         (["compare", "Rainbow", "LASER"], ["load_all_bundled", "evaluate"]),
-    ], ids=["aggregate", "report", "compare"])
+    ], ids=["validate", "aggregate", "report", "compare"])
     def test_verbs_call_through_the_module(self, capsys, monkeypatch, argv, calls):
         import hwrbench.cli as cli
         seen = []
@@ -311,6 +312,35 @@ class TestValidate:
         assert error["error"] == "ValidationError"
         assert error["detail"] == f"{path}:2: alien: random must be finite, got nan"
 
+    @pytest.mark.parametrize("case, detail", [
+        ("duplicate", "duplicate cell ('Muesli', 'alien') across datasets "
+                      "(second occurrence in 'sota-other')"),
+        ("frames", "A: inconsistent frame counts 100 vs 200"),
+        ("overflow", "Muesli/alien: normalized score overflows"),
+    ], ids=["duplicate", "frames", "overflow"])
+    def test_rejects_what_aggregate_rejects(self, capsys, tmp_path, case, detail):
+        # Checks that span records and datasets run in evaluate, which validate calls.
+        baselines = data_path("baselines.csv")
+        if case == "duplicate":
+            flags = ["--dataset", "sota-other", "--dataset", "sota-other"]
+        elif case == "frames":
+            flags = []
+            for name, row in (("a", "A,alien,1,100,100"), ("b", "A,pong,1,200,200")):
+                path = tmp_path / f"{name}.csv"
+                path.write_text(f"algorithm,game,score,frames,scale_label\n{row}\n",
+                                encoding="utf-8")
+                flags += ["--dataset", str(path)]
+        else:
+            baselines = tiny_baselines(tmp_path)
+            flags = ["--dataset", "sota-other", "--baselines", baselines]
+        code, _, err = run(capsys, "aggregate", *flags)
+        assert code == 1
+        assert json.loads(err)["detail"] == detail
+        code, out, err = run(capsys, "validate", *flags)
+        assert code == 1
+        assert out == f"baselines: 57 games OK ({baselines})\n"
+        assert json.loads(err)["detail"] == detail
+
 
 class TestReport:
     def test_hns_table_contains_rainbow_alien_cell(self, capsys):
@@ -366,18 +396,22 @@ class TestAggregate:
         assert "Muesli" in out and "Go-Explore" in out and "hwrb" in out
 
 
-@pytest.mark.parametrize("argv, detail", [
-    (["score", "--game", "alien", "--score", "139409"], "alien: normalized score overflows"),
-    (["aggregate", "--dataset", "sota-other"], "Muesli/alien: normalized score overflows"),
-], ids=["score", "aggregate"])
-def test_normalization_overflow_names_the_game(capsys, tmp_path, argv, detail):
-    # Valid baselines whose tiny references make 139409 / 1e-305 overflow.
+def tiny_baselines(tmp_path) -> str:
+    """Valid baselines whose tiny alien references make 139409 / 1e-305 overflow."""
     lines = data_path("baselines.csv").read_text(encoding="utf-8").splitlines(keepends=True)
     assert lines[1].startswith("alien,")
     lines[1] = "alien,0,1e-305,1e-305,x\n"
     path = tmp_path / "tiny.csv"
     path.write_text("".join(lines), encoding="utf-8")
-    code, out, err = run(capsys, *argv, "--baselines", str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, detail", [
+    (["score", "--game", "alien", "--score", "139409"], "alien: normalized score overflows"),
+    (["aggregate", "--dataset", "sota-other"], "Muesli/alien: normalized score overflows"),
+], ids=["score", "aggregate"])
+def test_normalization_overflow_names_the_game(capsys, tmp_path, argv, detail):
+    code, out, err = run(capsys, *argv, "--baselines", tiny_baselines(tmp_path))
     assert code == 1 and out == ""
     assert json.loads(err) == {"error": "ValidationError", "detail": detail}
 

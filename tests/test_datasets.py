@@ -143,6 +143,15 @@ def test_bad_row_names_file_and_line(tmp_path, row):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("score", ["inf", "-inf", "nan", "1e999"])
+def test_non_finite_score_names_file_and_line(tmp_path, score):
+    # The loader is the only place a dataset score is checked for finiteness.
+    path = write_dataset(tmp_path, ["A,pong,1,100,100", f"A,alien,{score},100,100"])
+    with pytest.raises(DatasetError,
+                       match=f"^{re.escape(str(path))}:3: A/alien: non-finite score$"):
+        load_dataset(path)
+
+
 @pytest.mark.parametrize("frames, label", [("abc", "1M"), ("1000000", "x")])
 def test_perturbed_bundled_na_row_rejected(tmp_path, frames, label):
     # sota-model-based.csv with one N/A row's frames or label replaced

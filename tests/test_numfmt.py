@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 from hwrbench.numfmt import format_percent, round_half_up
 
 
-def decimal_round_half_up(value: float, decimals: int = 2) -> float:
-    """The reference: quantize the ``repr`` digits with ``ROUND_HALF_UP``."""
-    quantum = Decimal(1).scaleb(-decimals)
-    return float(Decimal(repr(value)).quantize(quantum, ROUND_HALF_UP))
+def decimal_round_half_up(value: float) -> float:
+    """The reference: quantize the ``repr`` digits to two places with ``ROUND_HALF_UP``."""
+    return float(Decimal(repr(value)).quantize(Decimal("0.01"), ROUND_HALF_UP))
 
 
-decimals = st.integers(0, 6)
 # Decimal's 28-digit context bounds the reference: up to 21 integer digits here.
 plain = st.floats(-1e21, 1e21, allow_nan=False)
 ties = st.builds(lambda n, d: (10 * n + 5) / 10 ** (d + 1), st.integers(-10**9, 10**9),
@@ -24,17 +22,17 @@ ties = st.builds(lambda n, d: (10 * n + 5) / 10 ** (d + 1), st.integers(-10**9, 
 tiny = st.floats(1e-12, 1e-4, exclude_max=True).flatmap(lambda v: st.sampled_from([v, -v]))
 
 
-@given(st.one_of(plain, ties, tiny, st.sampled_from([0.0, -0.0, 1e16, -1e16, 1e20])), decimals)
-@example(0.125, 2)
-@example(2.675, 2)
-@example(-0.005, 2)
-@example(-0.001, 2)
-@example(1.5e-05, 4)
-@example(-9.5e-05, 4)
-@example(9.999999999999999e-05, 2)
-@example(123456789012345.67, 1)
-def test_matches_decimal_quantize(value, places):
-    assert repr(round_half_up(value, places)) == repr(decimal_round_half_up(value, places))
+@given(st.one_of(plain, ties, tiny, st.sampled_from([0.0, -0.0, 1e16, -1e16, 1e20])))
+@example(0.125)
+@example(2.675)
+@example(-0.005)
+@example(-0.001)
+@example(1.5e-05)
+@example(-9.5e-05)
+@example(9.999999999999999e-05)
+@example(123456789012345.67)
+def test_matches_decimal_quantize(value):
+    assert repr(round_half_up(value)) == repr(decimal_round_half_up(value))
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, 1e26, -1e300])

@@ -214,6 +214,13 @@ class TestEpisodeLog:
         assert ledger.averaging_k == 2
         assert check(ledger.total_env_frames).conforming
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_ledger_rejects_averaging_window_below_one(self, tmp_path, k):
+        path = tmp_path / "episodes.log"
+        path.write_text(self.LOG, encoding="utf-8")
+        with pytest.raises(ValidationError, match=f"^averaging_k must be >= 1: {k}$"):
+            ledger_from_log(path, averaging_k=k)
+
     def test_malformed_line_rejected(self):
         with pytest.raises(MalformedLogError, match="line 1"):
             read_episode_log(["1 2 3"])

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given
@@ -18,6 +19,7 @@ from hwrbench.metrics import (
     saber,
 )
 from hwrbench.report import (
+    FIGURES,
     TableLayout,
     emit_plot_series,
     evaluate,
@@ -87,6 +89,21 @@ def test_cross_dataset_duplicate_rejected(registry):
     ds = Dataset("one", (RunRecord("A", "alien", 1000, 100),))
     with pytest.raises(DatasetError, match="duplicate cell"):
         evaluate([ds, ds], registry)
+
+
+@pytest.mark.parametrize("score, frames, match", [
+    (1.0, 0, "frames must be positive: 0"),
+    (1.0, -4, "frames must be positive: -4"),
+    (math.nan, 100, "A/pong: normalized score overflows"),
+    (math.inf, 100, "A/pong: normalized score overflows"),
+    (-math.inf, 100, "A/pong: normalized score overflows"),
+], ids=["frames-0", "frames-neg", "score-nan", "score-inf", "score-neg-inf"])
+def test_hand_built_bad_record_rejected(registry, score, frames, match):
+    # load_dataset refuses these rows; a RunRecord built by hand still fails here.
+    ds = Dataset("hand", (RunRecord("A", "pong", score, frames),))
+    for cap_mode in CapMode:
+        with pytest.raises(ValidationError, match=match):
+            evaluate([ds], registry, cap_mode)
 
 
 def test_determinism(registry):
@@ -206,6 +223,15 @@ class TestPlotSeries:
         mean_eff = next(s for s in series if "hns" in s.name)
         points = dict(zip(mean_eff.labels, mean_eff.points))
         assert points["Rainbow"][1] == pytest.approx(4.37e-8, rel=1e-3)
+
+    @pytest.mark.parametrize("cap_mode", list(CapMode))
+    def test_every_series_is_sorted_by_x_then_label(self, registry, cap_mode):
+        report = evaluate(load_all_bundled(), registry, cap_mode)
+        for figure in FIGURES:
+            for series in emit_plot_series(report, figure):
+                keys = [(x, label) for (x, _), label in zip(series.points, series.labels)]
+                assert len(keys) == len(report.algorithms())
+                assert keys == sorted(keys), series.name
 
     def test_unknown_figure_rejected(self, bundled_report):
         with pytest.raises(ValidationError):

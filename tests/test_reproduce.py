@@ -5,6 +5,7 @@ import re
 import pytest
 
 from hwrbench import reproduce
+from hwrbench.cli import main
 from hwrbench.datasets import load_bundled_dataset
 from hwrbench.errors import DatasetError
 from hwrbench.games import BaselineRegistry, data_path
@@ -291,3 +292,43 @@ def test_artifact_bytes_are_pinned(tmp_path):
     assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == sorted(written)
     assert {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
             for p in written} == ARTIFACT_SHA256
+
+
+# sha256 of the stdout of each read-only verb on the bundled data, with the
+# bundled data directory written as "<data>".
+STDOUT_SHA256 = {
+    ("aggregate",):
+        "12c9ba46ec173e4e3140200a10c7f5a0cc13646f68efa5574cb06658d978d4b1",
+    ("aggregate", "--cap-mode", "table-compat"):
+        "373482737bae9f15dbcd2cac4ab4717fa0b0eaf7688a3f8bc443fd9c133842f5",
+    ("aggregate", "--format", "json"):
+        "7bd0fd1a4c0e799a3ed135b4049f39652bae36eb7517914df1f354aa3c6a2cae",
+    ("aggregate", "--format", "json", "--cap-mode", "table-compat"):
+        "879aa08740683d6cb138891c401fd480f666a29c36bc2e0b7d305239cfc868dc",
+    ("report", "--format", "csv", "--metric", "hns"):
+        "f543bc5312893fc9a4e34a8010129ddc2908fb0f98f020d467bdff9d2b4e6101",
+    ("report", "--format", "csv", "--metric", "chns"):
+        "252af38636885f2c13d65d488a6dbf0233ad679454b119d2a41b3029cf507bb5",
+    ("report", "--format", "csv", "--metric", "hwrns"):
+        "f31cb113d85e2f78b138dd74bbd8be45c157118e97a50dc6e8f9497b2b8af0c0",
+    ("report", "--format", "csv", "--metric", "saber"):
+        "018a57f9a3b1f597d95d6ef8338321f18fca1588c263b78d4203f3a6bd7585a2",
+    ("compare", "GDI-H3", "Agent57"):
+        "152efd950528d31193f6f1ebf675abe295cb4fa2ccc23ce83c28a08e03be2757",
+    ("validate",):
+        "b452ba0c9395fc50a7576545ad65fd576560a604780aa40909c85a7689b0983f",
+    ("score", "--format", "json", "--game", "alien", "--score", "9491.7", "--frames", "2e8"):
+        "393678d349e8fb5e04904c8d27db6590288976b5deb180927fe739cad921d275",
+    ("score", "--format", "json", "--game", "pong", "--score", "-20.7"):
+        "30a567657ddfe9b2a79184dabf5371729ff19408e890efe776e9fc1571bbcd7c",
+    # above the world record of 864
+    ("score", "--format", "json", "--game", "breakout", "--score", "900"):
+        "d140e54bb8902b23600aaf1cb612fa9ed77d59f2551bdcd0ad51871c6cf7481d",
+}
+
+
+@pytest.mark.parametrize("argv", list(STDOUT_SHA256), ids=" ".join)
+def test_verb_stdout_bytes_are_pinned(capsys, argv):
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out.replace(str(data_path()), "<data>")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == STDOUT_SHA256[argv]
