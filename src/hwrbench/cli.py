@@ -262,6 +262,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    from hwrbench.report import FIGURES
     from hwrbench.reproduce import run_reproduction, summary_lines, write_artifacts
 
     # Reference tables apply only the upper cap, so reproduction always
@@ -270,10 +271,8 @@ def _cmd_reproduce(args) -> int:
     written = write_artifacts(result, args.out)
     for line in summary_lines(result):
         print(line)
-    tables = sum(1 for p in written if p.parent.name == "tables")
-    figures = sum(1 for p in written if p.parent.name == "figures")
     print(f"artifacts: {', '.join(str(p) for p in written[:2])}, "
-          f"{tables} tables and {figures} figure series under {args.out}/")
+          f"{len(result.layouts)} tables and {len(FIGURES)} figure series under {args.out}/")
     return 0
 
 

@@ -88,30 +88,12 @@ def canonical_game(name: str) -> str:
 class BaselineRecord(namedtuple(
         "BaselineRecord", "game random human_average human_world_record source_tag",
         defaults=("",))):
-    """Per-game baseline triple; the denominators of every normalization."""
+    """Per-game baseline triple; the denominators of every normalization.
+
+    ``BaselineRegistry`` checks it.
+    """
 
     __slots__ = ()
-
-    def validate(self) -> list[str]:
-        """Check invariants; returns soft warnings, raises on hard violations."""
-        for column in ("random", "human_average", "human_world_record"):
-            if not math.isfinite(getattr(self, column)):
-                raise ValidationError(
-                    f"{self.game}: {column} must be finite, got {getattr(self, column)}")
-        if self.human_average <= self.random:
-            raise ValidationError(
-                f"{self.game}: human_average {self.human_average} must exceed "
-                f"random {self.random}")
-        if self.human_world_record <= self.random:
-            raise ValidationError(
-                f"{self.game}: human_world_record {self.human_world_record} must "
-                f"exceed random {self.random}")
-        warnings = []
-        if self.human_world_record < self.human_average:
-            warnings.append(
-                f"{self.game}: human_world_record {self.human_world_record} below "
-                f"human_average {self.human_average}")
-        return warnings
 
 
 class BaselineRegistry:
@@ -128,13 +110,20 @@ class BaselineRegistry:
         warnings: list[str] = []
         for i, rec in enumerate(records):
             where = f"{source}:{lines[i]}: " if lines else ""
-            if rec.game in seen:
-                raise ValidationError(f"{where}duplicate baseline row for {rec.game!r}")
-            try:
-                warnings.extend(rec.validate())
-            except ValidationError as exc:
-                raise ValidationError(f"{where}{exc}") from None
-            seen[rec.game] = rec
+            game, random, human, record = rec[:4]
+            if game in seen:
+                raise ValidationError(f"{where}duplicate baseline row for {game!r}")
+            for column, value in zip(BASELINE_COLUMNS[1:4], (random, human, record)):
+                if not math.isfinite(value):
+                    raise ValidationError(f"{where}{game}: {column} must be finite, got {value}")
+            for column, value in (("human_average", human), ("human_world_record", record)):
+                if value <= random:
+                    raise ValidationError(
+                        f"{where}{game}: {column} {value} must exceed random {random}")
+            if record < human:
+                warnings.append(
+                    f"{game}: human_world_record {record} below human_average {human}")
+            seen[game] = rec
         missing = [g for g in CANONICAL_GAMES if g not in seen]
         if missing:
             raise ValidationError(f"{source}: missing baseline rows: {', '.join(missing)}")

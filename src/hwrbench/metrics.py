@@ -26,7 +26,7 @@ class MetricKind(str, Enum):
 
 
 # The normalized metrics, in table and report order.
-METRIC_KINDS = (MetricKind.HNS, MetricKind.CHNS, MetricKind.HWRNS, MetricKind.SABER)
+METRIC_KINDS = tuple(MetricKind)
 
 
 class CapMode(str, Enum):

@@ -79,7 +79,8 @@ def evaluate(
             h = normalize(rec.score, base.random, base.human_average)
             w = normalize(rec.score, base.random, base.human_world_record)
             if not (isfinite(h) and isfinite(w)):
-                raise ValidationError(f"{rec.algorithm}/{rec.game}: normalized score overflows")
+                what = "normalized score overflows" if isfinite(rec.score) else "non-finite score"
+                raise ValidationError(f"{rec.algorithm}/{rec.game}: {what}")
             s = min(w, 2.0)
             values = (h, min(max(h, 0.0), 1.0), w, max(s, 0.0) if floor else s)
             cells[key] = CellMetrics(rec.score, dict(zip(METRIC_KINDS, values)))
@@ -112,7 +113,7 @@ def evaluate(
 
 # --- rendering ---------------------------------------------------------------
 
-class TableLayout(namedtuple("TableLayout", "metric algorithms title", defaults=("",))):
+class TableLayout(namedtuple("TableLayout", "metric algorithms")):
     """Which metric and algorithm columns a rendered table shows."""
 
     __slots__ = ()
@@ -184,8 +185,7 @@ def render_table(report: EvaluationReport, layout: TableLayout, fmt: str = "text
         lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
         if i == 0 or i == len(rows):
             lines.append("-" * (sum(widths) + 2 * (len(widths) - 1)))
-    title = layout.title or f"{metric.value} | {', '.join(algos)}"
-    return title + "\n" + "\n".join(lines) + "\n"
+    return f"{metric.value} | {', '.join(algos)}\n" + "\n".join(lines) + "\n"
 
 
 def report_to_dict(report: EvaluationReport) -> dict:

@@ -120,7 +120,7 @@ def load_golden_cells(
             raise DatasetError(f"{src}:{lineno}: duplicate cell {table}/{algo}/{game}")
         column[game] = pct
     layouts = {
-        table: TableLayout(metric, tuple(a for t, a in printed if t == table), title=table)
+        table: TableLayout(metric, tuple(a for t, a in printed if t == table))
         for table, metric in metrics.items()
     }
     return layouts, printed

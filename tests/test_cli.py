@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import importlib
 import json
 import os
@@ -27,6 +28,13 @@ def write_log(tmp_path, text, name="episodes.log"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == hwrbench.__version__
 
 
 class TestScore:
@@ -479,6 +487,18 @@ class TestProtocolCheck:
         assert code == 1
         payload = json.loads(out)
         assert [v["code"] for v in payload["violations"]] == ["reduced_action_set"]
+
+    # sha256 of stdout, and the exit code, on the conforming log.
+    @pytest.mark.parametrize("flags, code, digest", [
+        (("--k", "2"), 0, "20c99bee605ee1d917f0d2cb0a7646814142574cb18eba66844ecc4e83f63192"),
+        (("--budget", "1e2", "--action-set", "4"), 1,
+         "b3790dd0860213eb84462eee42842a653f0014039658cefbbd10b881e7558532"),
+    ], ids=["k-2", "budget-action-set"])
+    def test_stdout_bytes_are_pinned(self, capsys, tmp_path, flags, code, digest):
+        log = write_log(tmp_path, self.CONFORMING)
+        status, out, _ = run(capsys, "protocol-check", "--log", log, *flags)
+        assert status == code
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     def test_malformed_log_is_data_error(self, capsys, tmp_path):
         log = write_log(tmp_path, "1 2 0 4\n")  # truncated episode

@@ -5,7 +5,6 @@ import pytest
 from hwrbench.errors import UnknownGameError, ValidationError
 from hwrbench.games import (
     CANONICAL_GAMES,
-    BaselineRecord,
     BaselineRegistry,
     canonical_game,
     data_path,
@@ -65,23 +64,30 @@ def test_hard_invariants(registry):
         assert rec.human_world_record > rec.random
 
 
-def test_human_average_at_or_below_random_is_hard_error():
-    with pytest.raises(ValidationError):
-        BaselineRecord("pong", random=10.0, human_average=10.0,
-                       human_world_record=21.0).validate()
+def registry_with(registry, game, **fields):
+    """A registry built from the bundled records, ``game``'s with ``fields`` replaced."""
+    return BaselineRegistry(
+        [r._replace(**fields) if r.game == game else r for r in registry])
 
 
-def test_record_below_random_is_hard_error():
-    with pytest.raises(ValidationError):
-        BaselineRecord("pong", random=10.0, human_average=14.0,
-                       human_world_record=9.0).validate()
+def test_human_average_at_or_below_random_is_hard_error(registry):
+    with pytest.raises(ValidationError,
+                       match="^pong: human_average 10.0 must exceed random 10.0$"):
+        registry_with(registry, "pong", random=10.0, human_average=10.0,
+                      human_world_record=21.0)
 
 
-def test_record_below_average_is_soft_warning():
-    rec = BaselineRecord("pong", random=-20.7, human_average=20.0,
-                         human_world_record=14.0)
-    warnings = rec.validate()
-    assert len(warnings) == 1 and "pong" in warnings[0]
+def test_record_below_random_is_hard_error(registry):
+    with pytest.raises(ValidationError,
+                       match="^pong: human_world_record 9.0 must exceed random 10.0$"):
+        registry_with(registry, "pong", random=10.0, human_average=14.0,
+                      human_world_record=9.0)
+
+
+def test_record_below_average_is_soft_warning(registry):
+    edited = registry_with(registry, "pong", random=-20.7, human_average=20.0,
+                           human_world_record=14.0)
+    assert edited.warnings == ("pong: human_world_record 14.0 below human_average 20.0",)
 
 
 def test_registry_requires_every_game(registry):
@@ -116,11 +122,9 @@ def test_unknown_game_row_rejected(tmp_path):
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize("column", ["random", "human_average", "human_world_record"])
-def test_non_finite_baseline_is_hard_error(column, value):
-    fields = {"random": -20.7, "human_average": 14.6, "human_world_record": 21.0}
-    fields[column] = value
-    with pytest.raises(ValidationError, match=f"pong: {column} must be finite"):
-        BaselineRecord("pong", **fields).validate()
+def test_non_finite_baseline_is_hard_error(registry, column, value):
+    with pytest.raises(ValidationError, match=f"^pong: {column} must be finite, got {value}$"):
+        registry_with(registry, "pong", **{column: value})
 
 
 def baselines_with(registry, tmp_path, game, column, text):

@@ -94,9 +94,9 @@ def test_cross_dataset_duplicate_rejected(registry):
 @pytest.mark.parametrize("score, frames, match", [
     (1.0, 0, "frames must be positive: 0"),
     (1.0, -4, "frames must be positive: -4"),
-    (math.nan, 100, "A/pong: normalized score overflows"),
-    (math.inf, 100, "A/pong: normalized score overflows"),
-    (-math.inf, 100, "A/pong: normalized score overflows"),
+    (math.nan, 100, "^A/pong: non-finite score$"),
+    (math.inf, 100, "^A/pong: non-finite score$"),
+    (-math.inf, 100, "^A/pong: non-finite score$"),
 ], ids=["frames-0", "frames-neg", "score-nan", "score-inf", "score-neg-inf"])
 def test_hand_built_bad_record_rejected(registry, score, frames, match):
     # load_dataset refuses these rows; a RunRecord built by hand still fails here.
