@@ -4,11 +4,9 @@ Verbs: validate, score, aggregate, report, protocol-check, compare,
 reproduce. Each verb registers only the flags that change its output;
 the JSON report is ``aggregate --format json``. Results go to stdout,
 diagnostics to stderr; exit status is 0 on success, 1 on data errors,
-2 on usage errors. Most flags take their default from an ``HWRBENCH_``
-variable (``HWRBENCH_K``, ...), which argparse parses like the flag.
-Each verb imports only the modules it runs, and the value types are named
-tuples, so start-up loads none of ``inspect``, ``typing`` or
-``importlib.resources``.
+2 on usage errors. Flags are the only configuration. Each verb imports
+only the modules it runs, and the value types are named tuples, so
+start-up loads none of ``inspect``, ``typing`` or ``importlib.resources``.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ import argparse
 import importlib
 import json
 import math
-import os
 import sys
 from collections import deque
 from pathlib import Path
@@ -57,10 +54,6 @@ def __getattr__(name: str):
 _module = sys.modules[__name__]
 
 
-def _env_default(flag: str, fallback=None):
-    return os.environ.get("HWRBENCH_" + flag.upper(), fallback)
-
-
 def _load_registry(args) -> BaselineRegistry:
     registry = BaselineRegistry.load(args.baselines)
     for warning in registry.warnings:
@@ -71,13 +64,10 @@ def _load_registry(args) -> BaselineRegistry:
 def _load_datasets(args) -> list:
     from hwrbench.datasets import BUNDLED_DATASETS, load_bundled_dataset, load_dataset
 
-    # --dataset appends, so the environment is read only when it is absent.
-    env = _env_default("dataset")
-    paths = args.dataset or (env.split(os.pathsep) if env else None)
-    if not paths:
+    if not args.dataset:
         return _module.load_all_bundled()
     return [load_bundled_dataset(p) if p in BUNDLED_DATASETS else load_dataset(p)
-            for p in paths]
+            for p in args.dataset]
 
 
 def finite_float(text: str) -> float:
@@ -96,16 +86,6 @@ def positive_int(text: str) -> int:
 
 def positive_frames(text: str) -> int:
     return positive_int(parse_frames(text))
-
-
-def _add_format(p: argparse.ArgumentParser, *choices: str) -> None:
-    def check(text: str) -> str:  # argparse checks ``choices`` on argv, not on defaults
-        if text not in choices:
-            raise argparse.ArgumentTypeError(
-                f"invalid choice: {text!r} (choose from {', '.join(choices)})")
-        return text
-    p.add_argument("--format", type=check, choices=choices,
-                   default=_env_default("format", "table"))
 
 
 def _emit(text: str, args) -> None:
@@ -284,25 +264,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     baselines = argparse.ArgumentParser(add_help=False)
-    baselines.add_argument("--baselines", default=_env_default("baselines"),
-                           help="baseline CSV path (default: bundled)")
+    baselines.add_argument("--baselines", help="baseline CSV path (default: bundled)")
     datasets = argparse.ArgumentParser(add_help=False)
     datasets.add_argument("--dataset", action="append",
                           help="dataset CSV path or bundled label; repeatable "
                                "(default: all bundled)")
     cap_mode = argparse.ArgumentParser(add_help=False)
     cap_mode.add_argument("--cap-mode", type=CapMode, choices=[m.value for m in CapMode],
-                          default=_env_default("cap_mode", "spec-floor"))
+                          default="spec-floor")
     out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--out", default=_env_default("out"),
-                     help="write output to this path instead of stdout")
+    out.add_argument("--out", help="write output to this path instead of stdout")
 
     p = sub.add_parser("validate", parents=[baselines, datasets],
                        help="check baseline and dataset integrity")
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("score", parents=[baselines, cap_mode], help="normalize one raw score")
-    _add_format(p, "table", "json")
+    p.add_argument("--format", choices=("table", "json"), default="table")
     p.add_argument("--game", required=True)
     p.add_argument("--score", type=finite_float, required=True)
     p.add_argument("--frames", type=positive_frames,
@@ -311,24 +289,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("aggregate", parents=[baselines, datasets, cap_mode, out],
                        help="aggregate rows per algorithm")
-    _add_format(p, "table", "json")
+    p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(func=_cmd_aggregate)
 
     p = sub.add_parser("report", parents=[baselines, datasets, cap_mode, out],
                        help="render a full score table")
-    _add_format(p, "table", "csv")
+    p.add_argument("--format", choices=("table", "csv"), default="table")
     p.add_argument("--metric", default="hwrns", choices=[k.value for k in METRIC_KINDS])
-    p.add_argument("--algorithms", nargs="*", default=None,
+    p.add_argument("--algorithms", nargs="+",
                    help="columns to include (default: all)")
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("protocol-check", help="check an episode log for conformance")
     p.add_argument("--log", required=True, help="episode log path, or - for stdin")
-    p.add_argument("--k", type=positive_int, default=_env_default("k", "1"),
+    p.add_argument("--k", type=positive_int, default=1,
                    help="training-score averaging window")
-    p.add_argument("--budget", type=positive_frames, default=_env_default("budget"),
+    p.add_argument("--budget", type=positive_frames,
                    help="frame budget (scientific notation accepted)")
-    p.add_argument("--action-set", type=positive_int, default=_env_default("action_set"),
+    p.add_argument("--action-set", type=positive_int,
                    help="declared action-space dimension")
     p.set_defaults(func=_cmd_protocol_check)
 

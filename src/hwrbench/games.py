@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from collections import namedtuple
 from collections.abc import Iterator
 from pathlib import Path
@@ -68,21 +69,31 @@ def check_numbers(src: Path, lineno: int, error: type[BenchmarkError], *cells: s
             raise error(f"{src}:{lineno}: '_' in number {cell!r}")
 
 
-def canonical_game(name: str) -> str:
-    """Normalize a game identifier to canonical lowercase form.
+# A possessive 's and every character but a letter or digit.
+_NOT_IN_KEY = re.compile(r"['’]s\b|[^a-z0-9]")
 
-    Lookup is forgiving about case, surrounding whitespace, and the
-    usual separator spellings ("MsPacman" is not recognized, but
-    "ms_pacman" and "MS PACMAN " are).
+
+def game_key(name: str) -> str:
+    """Lookup key of a game name: lowercased, a possessive 's dropped, then
+    only its letters and digits.
+
+    So "Montezuma's Revenge", "Ms. Pac-Man", "Up'n Down" and "MsPacman"
+    have the keys of their canonical names.
     """
+    return _NOT_IN_KEY.sub("", name.lower())
+
+
+_BY_KEY = {game_key(g): g for g in CANONICAL_GAMES}
+
+
+def canonical_game(name: str) -> str:
+    """Canonical lowercase form of a game identifier, found by its ``game_key``."""
     if name in _CANONICAL_SET:
         return name
-    cleaned = name.strip().lower().replace("_", " ").replace("-", " ")
-    cleaned = cleaned.replace("'", "").replace("’", "").replace(".", "")
-    cleaned = " ".join(cleaned.split())
-    if cleaned not in _CANONICAL_SET:
-        raise UnknownGameError(f"unknown game: {name!r}")
-    return cleaned
+    try:
+        return _BY_KEY[game_key(name)]
+    except KeyError:
+        raise UnknownGameError(f"unknown game: {name!r}") from None
 
 
 class BaselineRecord(namedtuple(

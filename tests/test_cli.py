@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -78,12 +79,6 @@ class TestScore:
                         "--format", "json")
         assert json.loads(out)["saber_pct"] == "0.00"
 
-    def test_cap_mode_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("HWRBENCH_CAP_MODE", "table-compat")
-        _, out, _ = run(capsys, "score", "--game", "skiing", "--score", "-29970.32",
-                        "--format", "json")
-        assert json.loads(out)["saber_pct"] == "-93.10"
-
 
 # Each verb registers exactly the flags that change its output.
 VERB_OPTIONS = {
@@ -113,13 +108,15 @@ def verb_parsers():
     return sub.choices
 
 
+def verb_options():
+    return {verb: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+            for verb, p in verb_parsers().items()}
+
+
 class TestSurface:
     def test_option_sets(self):
-        parsers = verb_parsers()
-        options = {verb: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
-                   for verb, p in parsers.items()}
-        assert options == VERB_OPTIONS
-        formats = {verb: tuple(a.choices) for verb, p in parsers.items()
+        assert verb_options() == VERB_OPTIONS
+        formats = {verb: tuple(a.choices) for verb, p in verb_parsers().items()
                    for a in p._actions if "--format" in a.option_strings}
         assert formats == FORMATS
 
@@ -149,6 +146,13 @@ class TestSurface:
             main(argv)
         assert exc.value.code == 2
         assert f"argument {flag}: invalid" in capsys.readouterr().err
+
+
+def test_readme_lists_each_verbs_flags():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", readme, re.MULTILINE)
+    assert {verb: set(re.findall(r"--[a-z-]+", flags)) for verb, flags in rows} == \
+        verb_options()
 
 
 class TestDeferredImports:
@@ -227,57 +231,33 @@ class TestDeferredImports:
         assert seen == calls
 
 
-class TestEnvironment:
-    @pytest.mark.parametrize("var, value, argv", [
-        ("HWRBENCH_K", "x", ["protocol-check", "--log", "missing.log"]),
-        ("HWRBENCH_BUDGET", "2.5", ["protocol-check", "--log", "missing.log"]),
-        ("HWRBENCH_CAP_MODE", "bogus", VERB_ARGV["score"]),
-        ("HWRBENCH_FORMAT", "csv", VERB_ARGV["score"]),
-        ("HWRBENCH_FORMAT", "json", VERB_ARGV["report"]),
-        ("HWRBENCH_K", "0", ["protocol-check", "--log", "missing.log"]),
-        ("HWRBENCH_BUDGET", "-5", ["protocol-check", "--log", "missing.log"]),
-        ("HWRBENCH_ACTION_SET", "-3", ["protocol-check", "--log", "missing.log"]),
-    ])
-    def test_bad_value_is_usage_error(self, capsys, monkeypatch, var, value, argv):
+# Flags are the only configuration: these variables once set defaults.
+FORMER_VARIABLES = {
+    "HWRBENCH_K": "x", "HWRBENCH_BUDGET": "2.5", "HWRBENCH_CAP_MODE": "bogus",
+    "HWRBENCH_FORMAT": "csv", "HWRBENCH_DATASET": "nope", "HWRBENCH_OUT": "o.txt",
+    "HWRBENCH_BASELINES": "/missing", "HWRBENCH_ACTION_SET": "-3",
+}
+
+
+def exit_code_and_stdout(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    *VERB_ARGV.values(), ["protocol-check", "--log", "episodes.log"],
+], ids=[*VERB_ARGV, "protocol-check"])
+def test_environment_changes_no_verb(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    write_log(tmp_path, TestProtocolCheck.CONFORMING)
+    clean = exit_code_and_stdout(capsys, argv)
+    for var, value in FORMER_VARIABLES.items():
         monkeypatch.setenv(var, value)
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        flag = "--" + var.removeprefix("HWRBENCH_").lower().replace("_", "-")
-        assert f"argument {flag}: invalid" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("verb", ["validate", "score"])
-    def test_other_verbs_ignore_bad_k(self, capsys, monkeypatch, verb):
-        monkeypatch.setenv("HWRBENCH_K", "x")
-        code, out, _ = run(capsys, *VERB_ARGV[verb])
-        assert code == 0 and out
-
-    def test_flag_wins_over_bad_value(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setenv("HWRBENCH_K", "x")
-        log = write_log(tmp_path, TestProtocolCheck.CONFORMING)
-        code, out, _ = run(capsys, "protocol-check", "--log", log, "--k", "2")
-        assert code == 0
-        assert json.loads(out)["training_score"] == 3.5
-
-    def test_dataset_flag_replaces_variable(self, capsys, monkeypatch):
-        monkeypatch.setenv("HWRBENCH_DATASET", "sota-other")
-        _, out, _ = run(capsys, "validate", "--dataset", "sota-model-based")
-        assert [l.split(":")[0] for l in out.splitlines()[1:]] == [
-            "dataset sota-model-based"]
-        _, out, _ = run(capsys, "validate")
-        assert [l.split(":")[0] for l in out.splitlines()[1:]] == ["dataset sota-other"]
-
-    def test_out_variable_names_a_file_not_the_reproduce_directory(
-            self, capsys, monkeypatch, tmp_path):
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("HWRBENCH_OUT", "o.txt")
-        code, out, _ = run(capsys, "reproduce")
-        assert code == 0 and out.endswith("under reproduce-out/\n")
-        assert (tmp_path / "reproduce-out" / "summary.json").is_file()
-        assert not (tmp_path / "o.txt").exists()
-        code, out, _ = run(capsys, "aggregate")
-        assert code == 0 and out == ""
-        assert (tmp_path / "o.txt").is_file()
+    assert exit_code_and_stdout(capsys, argv) == clean
+    assert clean[0] == 0 and not (tmp_path / "o.txt").exists()
 
 
 class TestUsageErrors:
@@ -290,6 +270,12 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_algorithms_without_names_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--algorithms"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestValidate:

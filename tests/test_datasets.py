@@ -136,10 +136,20 @@ def test_frames_accept_scientific_notation(tmp_path):
     "A,alien,1_0,100,100",
     "A,alien,1,2_00000000,200M",
     "A,alien,N/A,1_00,100",
+    # an algorithm name must be nonempty and fit in one CSV cell
+    " ,alien,100,200000000,200M",
+    '"A,B",alien,1,100,100',
 ])
 def test_bad_row_names_file_and_line(tmp_path, row):
     path = write_dataset(tmp_path, ["A,pong,1,100,100", row])
     with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}:3: "):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("name", ["A\nB", "A\rB"])
+def test_line_break_in_algorithm_name_rejected(tmp_path, name):
+    path = write_dataset(tmp_path, ["A,pong,1,100,100", f'"{name}",alien,1,100,100'])
+    with pytest.raises(DatasetError, match="bad algorithm name"):
         load_dataset(path)
 
 

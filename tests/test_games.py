@@ -8,6 +8,7 @@ from hwrbench.games import (
     BaselineRegistry,
     canonical_game,
     data_path,
+    game_key,
 )
 
 
@@ -28,9 +29,18 @@ def test_canonical_list_has_57_unique_games():
     ("  Montezuma Revenge", "montezuma revenge"),
     ("ms_pacman", "ms pacman"),
     ("up-n-down", "up n down"),
+    ("Montezuma's Revenge", "montezuma revenge"),
+    ("Ms. Pac-Man", "ms pacman"),
+    ("Up'n Down", "up n down"),
+    ("MsPacman", "ms pacman"),
+    ("Battlezone", "battle zone"),
 ])
 def test_lookup_canonicalization(raw, expected):
     assert canonical_game(raw) == expected
+
+
+def test_canonical_games_have_distinct_keys():
+    assert len({game_key(g) for g in CANONICAL_GAMES}) == len(CANONICAL_GAMES)
 
 
 def test_unknown_game_rejected():
