@@ -185,7 +185,9 @@ def _cmd_protocol_check(args) -> int:
     episodes = total_env_frames = 0
     anomalies: set[str] = set()
     last_returns: deque[float] = deque(maxlen=args.k)
-    for episode in iter_episodes(sys.stdin if args.log == "-" else args.log):
+    # Raw bytes from stdin, as from a path: a line is decoded only if parsed.
+    log = getattr(sys.stdin, "buffer", sys.stdin) if args.log == "-" else args.log
+    for episode in iter_episodes(log):
         episodes += 1
         total_env_frames += episode.env_frames_used
         anomalies.update(episode.anomalies)

@@ -47,19 +47,22 @@ def read_csv(
     """(line number, cells) of each nonblank row of a CSV file.
 
     The header must be exactly ``columns`` and every row as wide; otherwise
-    ``error`` is raised naming the file and, for a row, the line.
+    ``error`` is raised naming the file and, for a row, the line. A row is
+    numbered by its first line: a quoted cell may hold a line break.
     """
     with open(src, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         if tuple(next(reader, ())) != columns:
             raise error(f"{src}: expected header {','.join(columns)}")
+        end = reader.line_num
         for row in reader:
+            lineno, end = end + 1, reader.line_num
             if len(row) != len(columns):
                 if not row:
                     continue
-                raise error(f"{src}:{reader.line_num}: expected {len(columns)} cells, "
+                raise error(f"{src}:{lineno}: expected {len(columns)} cells, "
                             f"got {len(row)}")
-            yield reader.line_num, row
+            yield lineno, row
 
 
 def check_numbers(src: Path, lineno: int, error: type[BenchmarkError], *cells: str) -> None:

@@ -14,8 +14,11 @@ Log file format, one step per line, whitespace separated::
 
 `game_over` is 0 or 1. Episodes are separated by a line containing only
 `---`. Blank lines and lines starting with `#` are ignored. A log is
-parsed and folded line by line as it is read, and a step line that
-repeats is parsed once. ``iter_episodes`` streams the episode summaries,
+parsed and folded line by line as it is read. A log file is read as raw
+bytes, split at ``\n`` only, and a line is remembered by its raw bytes:
+a step or ``---`` line that repeats is neither decoded nor parsed again,
+and only a line that is parsed is decoded as UTF-8. ``iter_episodes``
+streams the episode summaries,
 so a caller that keeps only what it prints (``protocol-check`` keeps the
 last k returns) needs memory that grows with k, not with episodes or
 steps; ``ledger_from_log`` keeps one summary per episode.
@@ -26,7 +29,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
-from math import isfinite
+from math import inf, isfinite
 from pathlib import Path
 
 from hwrbench.errors import MalformedLogError, ValidationError
@@ -139,10 +142,15 @@ def training_score(returns: list[float], k: int) -> TrainingScore:
 
 
 @contextmanager
-def _open_log(source: str | Path | Iterable[str]) -> Iterator[tuple[Iterable[str], str]]:
-    """``(lines, name)`` of a log path or of an iterable of lines, read lazily."""
+def _open_log(source: str | Path | Iterable[str | bytes]) -> Iterator[tuple[Iterable, str]]:
+    """``(lines, name)`` of a log path or of an iterable of lines, read lazily.
+
+    A path is opened in binary, so its lines are raw bytes ending in
+    ``\n`` (a ``\r`` before it is whitespace to the parser, and a lone
+    ``\r`` breaks no line); ``_parse_step`` decodes the lines it parses.
+    """
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
+        with open(source, "rb") as fh:
             yield fh, str(source)
     else:
         yield source, getattr(source, "name", "<log>")
@@ -161,11 +169,13 @@ def _close_episode(episode_return: float, frames_used: int, ended: str | None,
     return EpisodeSummary(episode_return, frames_used, ended, anomalies)
 
 
-def _parse_step(raw: str, name: str, lineno: int,
+def _parse_step(raw: str | bytes, name: str, lineno: int,
                 tails: dict[str, tuple[int, bool, int]]) -> tuple | None:
     """One log line as ``(reward, lives, game_over, env_frames)``.
 
     Returns ``()`` for a ``---`` line and None for a blank or ``#`` line.
+    A bytes line is decoded as UTF-8 first; one that is not UTF-8 is a
+    MalformedLogError at its line.
     Checks four fields, a numeric reward with no ``_``, lives and
     env_frames in ASCII digits, a ``game_over`` of 0 or 1, lives >= 0 and
     env_frames >= 1; the fold checks that the reward is finite. ``tails``
@@ -173,6 +183,11 @@ def _parse_step(raw: str, name: str, lineno: int,
     ``MEMO_LINES`` distinct tails: in a log whose rewards never repeat,
     the rest of the line still does.
     """
+    if isinstance(raw, bytes):
+        try:
+            raw = raw.decode()
+        except UnicodeDecodeError as exc:
+            raise MalformedLogError(f"{name}:{lineno}: {exc}") from None
     # Step lines take the try path; any other line raises ValueError in it
     # (a blank, comment or reset line has no four numeric fields).
     try:
@@ -218,35 +233,41 @@ def _fold_log(lines: Iterable, name: str,
     ``parse`` turns an item of ``lines`` into a step tuple, ``()`` or None,
     as ``_parse_step`` does for a log line. An episode closes at a ``---``
     line or at the end of ``lines``; only the open episode's running
-    totals are kept. ``memo`` maps up to ``MEMO_LINES`` distinct step
-    lines that passed every per-line check to their parsed fields, so a
-    repeated line is not parsed again; an error is never stored. The fold
-    checks run on every step line, so the first defect in file order is
-    reported, at its ``file:line``.
+    totals are kept. ``memo`` maps up to ``MEMO_LINES`` distinct raw lines
+    (bytes from a file, str from an iterable) that passed every per-line
+    check to their parsed fields, ``()`` for a ``---`` line, so a repeated
+    line is neither decoded nor parsed again; an error is never stored.
+    The fold checks run on every step line, so the first defect in file
+    order is reported, at its ``file:line``.
     """
-    memo: dict[str, tuple[float, int, bool, int]] = {}
+    memo: dict[str | bytes, tuple] = {}
     tails: dict[str, tuple[int, bool, int]] = {}
     memo_get = memo.get
     room = MEMO_LINES
     closed = 0
-    episode_return, frames_used, prev_lives, ended, anomalies = 0.0, 0, None, None, ()
+    # ``left`` counts the frames before the cap; ``prev_lives`` starts above
+    # any lives, so an episode's first step never reads as a rise.
+    episode_return, left, prev_lives, ended, anomalies = (
+        0.0, MAX_EPISODE_FRAMES, inf, None, ())
     for lineno, raw in enumerate(lines, start=1):
         step = memo_get(raw)
         if step is None:
             step = parse(raw, name, lineno, tails)
-            if not step:
-                if step is not None and prev_lives is not None:
-                    yield _close_episode(episode_return, frames_used, ended, anomalies,
-                                         f"{name}:{lineno}")
-                    closed += 1
-                    episode_return, frames_used, prev_lives, ended, anomalies = (
-                        0.0, 0, None, None, ())
-                continue
-            if not isfinite(step[0]):
+            if step is None:
+                continue  # a blank or comment line
+            if step and not isfinite(step[0]):
                 raise MalformedLogError(f"{name}:{lineno}: NaN or infinite reward: {step[0]}")
             if room:
                 memo[raw] = step
                 room -= 1
+        if not step:  # a ``---`` line closes the episode, if it has a step
+            if left < MAX_EPISODE_FRAMES or ended is not None:
+                yield _close_episode(episode_return, MAX_EPISODE_FRAMES - left, ended,
+                                     anomalies, f"{name}:{lineno}")
+                closed += 1
+                episode_return, left, prev_lives, ended, anomalies = (
+                    0.0, MAX_EPISODE_FRAMES, inf, None, ())
+            continue
         reward, lives, game_over, env_frames = step
         if ended is not None:
             if ended == "game_over":
@@ -254,27 +275,28 @@ def _fold_log(lines: Iterable, name: str,
                     f"{name}:{lineno}: step after the game-over step; "
                     f"an episode ends with '{RESET_MARKER}'")
             continue  # past the frame cap: checked, not counted
-        if prev_lives is not None and lives > prev_lives and not game_over:
+        if lives > prev_lives and not game_over:
             raise MalformedLogError(
                 f"{name}:{lineno}: lives increased {prev_lives} -> {lives} "
                 f"without episode reset")
         prev_lives = lives
-        if frames_used + env_frames > MAX_EPISODE_FRAMES:
+        if env_frames > left:
             ended = "frame_cap"
             continue
-        frames_used += env_frames
+        left -= env_frames
         episode_return += reward
         if game_over:
             ended = "game_over"
             if lives > 0:
                 anomalies = ("life_loss_termination",)
-    if prev_lives is not None:
-        yield _close_episode(episode_return, frames_used, ended, anomalies, f"{name}:EOF")
+    if left < MAX_EPISODE_FRAMES or ended is not None:
+        yield _close_episode(episode_return, MAX_EPISODE_FRAMES - left, ended, anomalies,
+                             f"{name}:EOF")
     elif not closed:
         raise MalformedLogError(f"{name}: log contains no step events")
 
 
-def read_episode_log(source: str | Path | Iterable[str]) -> list[list[StepEvent]]:
+def read_episode_log(source: str | Path | Iterable[str | bytes]) -> list[list[StepEvent]]:
     """Parse an episode log into per-episode step lists, with no fold checks.
 
     A non-finite reward passes here; the fold rejects it. Holds every step
@@ -298,11 +320,11 @@ def read_episode_log(source: str | Path | Iterable[str]) -> list[list[StepEvent]
     return episodes
 
 
-def iter_episodes(source: str | Path | Iterable[str]) -> Iterator[EpisodeSummary]:
+def iter_episodes(source: str | Path | Iterable[str | bytes]) -> Iterator[EpisodeSummary]:
     """Fold a log in one pass, yielding each episode's summary as it closes.
 
-    ``source`` is a path or an iterable of lines, such as an open file;
-    errors name ``file:line`` (an iterable is named by its ``name``
+    ``source`` is a path or an iterable of str or bytes lines, such as an
+    open file; errors name ``file:line`` (an iterable is named by its ``name``
     attribute, else ``<log>``). The first defect in file order is reported.
     Memory does not grow with the log.
     """
@@ -310,7 +332,8 @@ def iter_episodes(source: str | Path | Iterable[str]) -> Iterator[EpisodeSummary
         yield from _fold_log(lines, name)
 
 
-def ledger_from_log(source: str | Path | Iterable[str], *, averaging_k: int = 1) -> RunLedger:
+def ledger_from_log(source: str | Path | Iterable[str | bytes], *,
+                    averaging_k: int = 1) -> RunLedger:
     """Fold a log into a RunLedger, keeping one summary per episode.
 
     Reads ``source`` as ``iter_episodes`` does.

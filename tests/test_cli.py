@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import importlib
+import io
 import json
 import os
 import re
@@ -15,6 +16,8 @@ import hwrbench
 from hwrbench.cli import build_parser, main
 from hwrbench.games import data_path
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import loggen  # noqa: E402
 
 SRC = str(Path(hwrbench.__file__).parents[1])
 
@@ -29,6 +32,14 @@ def write_log(tmp_path, text, name="episodes.log"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def check_stdin(data: bytes, *flags):
+    """``protocol-check --log -`` in a fresh interpreter: (exit code, stdout, stderr)."""
+    result = subprocess.run(
+        [sys.executable, "-m", "hwrbench.cli", "protocol-check", "--log", "-", *flags],
+        input=data, capture_output=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+    return result.returncode, result.stdout.decode(), result.stderr.decode()
 
 
 def test_version_matches_pyproject():
@@ -557,19 +568,75 @@ class TestProtocolCheck:
         # A summary and a return kept per episode would add about 250 KB.
         assert abs(large - small) < 64 * 1024, (small, large)
 
-    def test_log_from_stdin(self, capsys, tmp_path):
-        def check(text):
-            return subprocess.run(
-                [sys.executable, "-m", "hwrbench.cli", "protocol-check", "--log", "-",
-                 "--k", "2"], input=text, capture_output=True, text=True,
-                env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+    def test_log_from_stdin(self, capsys, monkeypatch, tmp_path):
         _, expected, _ = run(capsys, "protocol-check", "--k", "2",
                              "--log", write_log(tmp_path, self.CONFORMING))
-        result = check(self.CONFORMING)
-        assert (result.returncode, result.stdout) == (0, expected)
-        result = check(self.CONFORMING + "---\n1 3 0 4\n")
-        assert result.returncode == 1
-        assert json.loads(result.stderr)["detail"].startswith("<stdin>:EOF: ")
+        code, out, _ = check_stdin(self.CONFORMING.encode(), "--k", "2")
+        assert (code, out) == (0, expected)
+        # A stdin with no binary buffer is read as str lines.
+        monkeypatch.setattr(sys, "stdin", io.StringIO(self.CONFORMING))
+        assert run(capsys, "protocol-check", "--k", "2", "--log", "-")[:2] == (0, expected)
+        code, _, err = check_stdin((self.CONFORMING + "---\n1 3 0 4\n").encode(), "--k", "2")
+        assert code == 1
+        assert json.loads(err)["detail"].startswith("<stdin>:EOF: ")
+
+    @pytest.mark.parametrize("data, line, detail", [
+        # Lives rise at line 2, ahead of the byte 0xff on line 5.
+        (b"1 1 0 4\n1 3 0 4\n0 0 1 4\n---\n\xff 3 0 4\n0 0 1 4\n", 2,
+         "lives increased 1 -> 3"),
+        # The byte 0xff on line 2, ahead of lives that rise at line 4.
+        (b"1 3 0 4\n1 \xff 0 4\n1 1 0 4\n1 3 0 4\n", 2,
+         "'utf-8' codec can't decode byte 0xff in position 2: invalid start byte"),
+    ], ids=["rise-first", "not-utf8-first"])
+    @pytest.mark.parametrize("stdin", [False, True], ids=["path", "stdin"])
+    def test_line_not_utf8_is_a_data_error_in_file_order(self, capsys, tmp_path, data, line,
+                                                          detail, stdin):
+        if stdin:
+            name, (code, out, err) = "<stdin>", check_stdin(data)
+        else:
+            name = tmp_path / "episodes.log"
+            name.write_bytes(data)
+            code, out, err = run(capsys, "protocol-check", "--log", str(name))
+        assert code == 1 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "MalformedLogError"
+        assert error["detail"].startswith(f"{name}:{line}: {detail}")
+
+    @pytest.mark.parametrize("text", [CONFORMING, "# c\n1 3 0 4\n1 2 3\n", "1 3 0 4\n---\n"],
+                             ids=["conforming", "three-fields", "truncated"])
+    def test_crlf_log_gives_the_output_of_its_lf_original(self, capsys, tmp_path, text):
+        def check(name, data):
+            path = tmp_path / name
+            path.write_bytes(data)
+            code, out, err = run(capsys, "protocol-check", "--log", str(path), "--k", "1")
+            return code, out, err.replace(str(path), "{log}")
+
+        assert (check("crlf.log", text.replace("\n", "\r\n").encode())
+                == check("lf.log", text.encode()))
+
+    def test_lone_carriage_return_breaks_no_line(self, capsys, tmp_path):
+        # A log is read as bytes and split at "\n" only, so a log whose lines
+        # end in a lone "\r" is one line of too many fields.
+        log = tmp_path / "episodes.log"
+        log.write_bytes(self.CONFORMING.replace("\n", "\r").encode())
+        code, out, err = run(capsys, "protocol-check", "--log", str(log))
+        assert code == 1 and out == ""
+        assert json.loads(err)["detail"].startswith(
+            f"{log}:1: expected 'reward lives game_over env_frames' on line 1, got ")
+
+    def test_generated_log_from_path_crlf_copy_and_stdin(self, capsys, tmp_path):
+        log = tmp_path / "train.log"
+        truth = loggen.generate(log, seed=7, ks=[5, 10], target_steps=2000)
+        crlf = tmp_path / "train-crlf.log"
+        crlf.write_bytes(log.read_bytes().replace(b"\n", b"\r\n"))
+        k = str(truth.k)
+        results = [run(capsys, "protocol-check", "--log", str(path), "--k", k)
+                   for path in (log, crlf)]
+        results.append(check_stdin(log.read_bytes(), "--k", k))
+        assert [code for code, _, _ in results] == [0, 0, 0]
+        outs = {out for _, out, _ in results}
+        assert len(outs) == 1
+        assert loggen.check_protocol(outs.pop(), truth) == []
 
 
 class TestReproduce:

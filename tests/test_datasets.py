@@ -148,8 +148,10 @@ def test_bad_row_names_file_and_line(tmp_path, row):
 
 @pytest.mark.parametrize("name", ["A\nB", "A\rB"])
 def test_line_break_in_algorithm_name_rejected(tmp_path, name):
+    # The record starts on line 3 and ends on line 4; it is named by line 3.
     path = write_dataset(tmp_path, ["A,pong,1,100,100", f'"{name}",alien,1,100,100'])
-    with pytest.raises(DatasetError, match="bad algorithm name"):
+    with pytest.raises(DatasetError,
+                       match=f"^{re.escape(str(path))}:3: bad algorithm name"):
         load_dataset(path)
 
 

@@ -269,6 +269,25 @@ class TestEpisodeLog:
         with pytest.raises(MalformedLogError, match=f"^<log>:2: {match}"):
             read_episode_log(log)
 
+    @pytest.mark.parametrize("data, where, match", [
+        # Lives rise at line 2, ahead of the byte 0xff on line 5.
+        (b"1 1 0 4\n1 3 0 4\n0 0 1 4\n---\n\xff 3 0 4\n0 0 1 4\n", 2, "lives increased"),
+        # The byte 0xff on line 2, ahead of lives that rise at line 4.
+        (b"1 3 0 4\n1 \xff 0 4\n1 1 0 4\n1 3 0 4\n", 2,
+         "'utf-8' codec can't decode byte 0xff in position 2: invalid start byte"),
+    ], ids=["rise-first", "not-utf8-first"])
+    def test_line_not_utf8_is_reported_at_its_line(self, tmp_path, data, where, match):
+        path = tmp_path / "episodes.log"
+        path.write_bytes(data)
+        prefix = re.escape(f"{path}:{where}: ")
+        with pytest.raises(MalformedLogError, match=f"^{prefix}{match}"):
+            ledger_from_log(path)
+        with pytest.raises(MalformedLogError, match=f"^<log>:{where}: {match}"):
+            ledger_from_log(data.splitlines(keepends=True))
+        if "utf-8" in match:
+            with pytest.raises(MalformedLogError, match=f"^{prefix}{match}"):
+                read_episode_log(path)
+
     def test_first_defect_in_file_order_is_reported(self):
         # The truncated episode closes at line 2, before the malformed line 3.
         with pytest.raises(MalformedLogError, match="^<log>:2: .*ended"):
@@ -520,18 +539,39 @@ def episode_logs(draw, defect=None, rewards=REWARDS):
     return [line + "\n" for line in noisy]
 
 
+@pytest.fixture(scope="module")
+def log_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("drawn") / "drawn.log"
+
+
+def fold_file(path, lines):
+    """Write ``lines`` to ``path`` and fold the path, which reads them as bytes.
+
+    Returns the ledger, or the error text after the file's name.
+    """
+    path.write_bytes("".join(lines).encode("utf-8"))
+    try:
+        return ledger_from_log(path)
+    except MalformedLogError as exc:
+        return str(exc).removeprefix(str(path))
+
+
 class TestStreamingMatchesOracle:
     @given(episode_logs())
-    def test_valid_logs_give_equal_ledgers(self, lines):
-        assert ledger_from_log(lines) == _oracle_ledger_from_log(lines)
+    def test_valid_logs_give_equal_ledgers(self, log_file, lines):
+        ledger = ledger_from_log(lines)
+        assert ledger == _oracle_ledger_from_log(lines)
+        assert fold_file(log_file, lines) == ledger
         assert read_episode_log(lines) == _oracle_read_episode_log(lines)
+        assert read_episode_log(log_file) == read_episode_log(lines)  # as just written
 
     @given(st.sampled_from(sorted(DEFECTS)).flatmap(episode_logs))
-    def test_one_defect_is_rejected_by_both(self, lines):
+    def test_one_defect_is_rejected_by_both(self, log_file, lines):
         with pytest.raises(MalformedLogError):
             _oracle_ledger_from_log(lines)
-        with pytest.raises(MalformedLogError):
+        with pytest.raises(MalformedLogError) as exc:
             ledger_from_log(lines)
+        assert fold_file(log_file, lines) == str(exc.value).removeprefix("<log>")
 
 
 # Rewards from a small pool, so most step lines repeat and hit the memo.
@@ -543,19 +583,22 @@ DEFECT_LINES = ["1 2 3", "x 3 0 4", "0 3 0 0", "0 -1 0 4", "nan 3 0 4", "-inf 3 
 
 class TestMemo:
     @given(POOLED_LOGS, st.sampled_from([MEMO_LINES, 2, 1]))
-    def test_repeated_lines_give_the_oracle_ledger(self, lines, cap):
+    def test_repeated_lines_give_the_oracle_ledger(self, log_file, lines, cap):
         # A small cap fills the memo, so later distinct lines are parsed
         # every time they occur.
         with mock.patch.object(protocol, "MEMO_LINES", cap):
-            assert ledger_from_log(lines) == _oracle_ledger_from_log(lines)
+            ledger = ledger_from_log(lines)
+            assert ledger == _oracle_ledger_from_log(lines)
+            assert fold_file(log_file, lines) == ledger
             assert read_episode_log(lines) == _oracle_read_episode_log(lines)
 
-    def test_more_distinct_lines_than_the_memo_holds(self):
+    def test_more_distinct_lines_than_the_memo_holds(self, log_file):
         # Three times the cap in distinct lines, then each of them again.
         first = [f"{i} 1 0 1\n" for i in range(3 * MEMO_LINES)]
         lines = first + first[::-1] + ["0 0 1 1\n"]
         ledger = ledger_from_log(lines)
         assert ledger == _oracle_ledger_from_log(lines)
+        assert fold_file(log_file, lines) == ledger
         assert ledger.episodes == (
             EpisodeSummary(float(sum(range(3 * MEMO_LINES)) * 2), 6 * MEMO_LINES + 1,
                            "game_over"),)
@@ -576,11 +619,13 @@ class TestMemo:
     @given(POOLED_LOGS, st.sampled_from(DEFECT_LINES),
            st.lists(st.integers(min_value=0), min_size=2, max_size=4),
            st.sampled_from([MEMO_LINES, 1]))
-    def test_repeated_defect_is_reported_at_its_first_line(self, lines, defect, cuts, cap):
+    def test_repeated_defect_is_reported_at_its_first_line(self, log_file, lines, defect,
+                                                           cuts, cap):
         lines = list(lines)
         for cut in sorted(cuts, reverse=True):
             lines.insert(cut % (len(lines) + 1), defect + "\n")
         first = lines.index(defect + "\n") + 1
         with mock.patch.object(protocol, "MEMO_LINES", cap):
-            with pytest.raises(MalformedLogError, match=f"^<log>:{first}: "):
+            with pytest.raises(MalformedLogError, match=f"^<log>:{first}: ") as exc:
                 ledger_from_log(lines)
+            assert fold_file(log_file, lines) == str(exc.value).removeprefix("<log>")
