@@ -16,9 +16,9 @@ Log file format, one step per line, whitespace separated::
 `---`. Blank lines and lines starting with `#` are ignored. A log is
 parsed and folded line by line as it is read. A log file is read as raw
 bytes, split at ``\n`` only, and a line is remembered by its raw bytes:
-a step or ``---`` line that repeats is neither decoded nor parsed again,
-and only a line that is parsed is decoded as UTF-8. ``iter_episodes``
-streams the episode summaries,
+a step or ``---`` line that repeats is neither decoded nor parsed again.
+A line the memo misses (a new line, or any line once it is full) costs
+a full decode and parse. ``iter_episodes`` streams the episode summaries,
 so a caller that keeps only what it prints (``protocol-check`` keeps the
 last k returns) needs memory that grows with k, not with episodes or
 steps; ``ledger_from_log`` keeps one summary per episode.
@@ -39,7 +39,7 @@ DEFAULT_FRAME_BUDGET = 200_000_000
 FULL_ACTION_SET = 18
 
 RESET_MARKER = "---"
-MEMO_LINES = 1024  # distinct lines (and line tails) parsed once per log
+MEMO_LINES = 1024  # distinct lines parsed once per log; a miss is a full parse
 
 
 class StepEvent(namedtuple("StepEvent", "reward lives game_over env_frames")):
@@ -169,61 +169,51 @@ def _close_episode(episode_return: float, frames_used: int, ended: str | None,
     return EpisodeSummary(episode_return, frames_used, ended, anomalies)
 
 
-def _parse_step(raw: str | bytes, name: str, lineno: int,
-                tails: dict[str, tuple[int, bool, int]]) -> tuple | None:
-    """One log line as ``(reward, lives, game_over, env_frames)``.
+def _parse_step(raw: str | bytes, name: str, lineno: int) -> tuple | None:
+    """Parse one log line in full; the fold calls this on each memo miss.
 
-    Returns ``()`` for a ``---`` line and None for a blank or ``#`` line.
-    A bytes line is decoded as UTF-8 first; one that is not UTF-8 is a
-    MalformedLogError at its line.
-    Checks four fields, a numeric reward with no ``_``, lives and
-    env_frames in ASCII digits, a ``game_over`` of 0 or 1, lives >= 0 and
-    env_frames >= 1; the fold checks that the reward is finite. ``tails``
-    maps the text after the reward to its parsed fields, for up to
-    ``MEMO_LINES`` distinct tails: in a log whose rewards never repeat,
-    the rest of the line still does.
+    Returns ``(reward, lives, game_over, env_frames)``, ``()`` for a ``---``
+    line, or None for a blank or ``#`` line. A bytes line is decoded first;
+    one that is not UTF-8 is a MalformedLogError at its line. A step line
+    needs four fields, a numeric reward with no ``_``, lives and env_frames
+    in ASCII digits, a ``game_over`` of 0 or 1, lives >= 0, env_frames >= 1
+    and ASCII characters only; the fold checks that the reward is finite.
     """
     if isinstance(raw, bytes):
         try:
             raw = raw.decode()
         except UnicodeDecodeError as exc:
             raise MalformedLogError(f"{name}:{lineno}: {exc}") from None
-    # Step lines take the try path; any other line raises ValueError in it
-    # (a blank, comment or reset line has no four numeric fields).
-    try:
-        text, tail = raw.split(None, 1)
-        reward = float(text)
-        rest = tails.get(tail)
-        if rest is None:
-            lives, game_over, env_frames = tail.split()
-            rest = (int(lives), game_over == "1", int(env_frames))
-            if game_over != "0" and game_over != "1":
-                raise MalformedLogError(
-                    f"{name}:{lineno}: game_over must be 0 or 1: {game_over!r}")
-            if rest[0] < 0:
-                raise MalformedLogError(f"{name}:{lineno}: lives must be nonnegative: {rest[0]}")
-            if rest[2] < 1:
-                raise MalformedLogError(f"{name}:{lineno}: env_frames must be >= 1: {rest[2]}")
-            if not (lives.isdigit() and env_frames.isdigit() and tail.isascii()):
-                raise MalformedLogError(
-                    f"{name}:{lineno}: lives and env_frames must be ASCII digits: "
-                    f"{lives!r}, {env_frames!r}")
-            if len(tails) < MEMO_LINES:
-                tails[tail] = rest
-    except ValueError as exc:
-        fields = raw.split()
-        if not fields or fields[0][0] == "#":
-            return None
+    fields = raw.split()
+    if not fields or fields[0][0] == "#":
+        return None
+    if len(fields) != 4:
         if fields == [RESET_MARKER]:
             return ()
-        if len(fields) == 4:
-            raise MalformedLogError(f"{name}:{lineno}: {exc}") from None
-        raise MalformedLogError(
-            f"{name}:{lineno}: expected 'reward lives game_over env_frames' "
-            f"on line {lineno}, got {raw.strip()!r}") from None
+        line = raw.strip()  # a log may be one huge line: echo 80 characters of it
+        more = f" and {len(line) - 80} more characters" if len(line) > 80 else ""
+        raise MalformedLogError(f"{name}:{lineno}: expected 'reward lives game_over "
+                                f"env_frames' on line {lineno}, got {line[:80]!r}{more}")
+    text, lives, game_over, env_frames = fields
+    try:
+        step = (float(text), int(lives), game_over == "1", int(env_frames))
+    except ValueError as exc:
+        raise MalformedLogError(f"{name}:{lineno}: {exc}") from None
+    if game_over != "0" and game_over != "1":
+        raise MalformedLogError(f"{name}:{lineno}: game_over must be 0 or 1: {game_over!r}")
+    if step[1] < 0:
+        raise MalformedLogError(f"{name}:{lineno}: lives must be nonnegative: {step[1]}")
+    if step[3] < 1:
+        raise MalformedLogError(f"{name}:{lineno}: env_frames must be >= 1: {step[3]}")
+    if not (lives.isdigit() and env_frames.isdigit() and (lives + env_frames).isascii()):
+        raise MalformedLogError(f"{name}:{lineno}: lives and env_frames must be ASCII "
+                                f"digits: {lives!r}, {env_frames!r}")
     if "_" in text:
         raise MalformedLogError(f"{name}:{lineno}: reward must not contain '_': {text!r}")
-    return (reward, *rest)
+    if not raw.isascii():  # float() reads non-ASCII digits, split() non-ASCII spaces
+        raise MalformedLogError(f"{name}:{lineno}: non-ASCII character in step line: "
+                                f"{max(raw)!r}")
+    return step
 
 
 def _fold_log(lines: Iterable, name: str,
@@ -241,9 +231,7 @@ def _fold_log(lines: Iterable, name: str,
     order is reported, at its ``file:line``.
     """
     memo: dict[str | bytes, tuple] = {}
-    tails: dict[str, tuple[int, bool, int]] = {}
     memo_get = memo.get
-    room = MEMO_LINES
     closed = 0
     # ``left`` counts the frames before the cap; ``prev_lives`` starts above
     # any lives, so an episode's first step never reads as a rise.
@@ -252,14 +240,13 @@ def _fold_log(lines: Iterable, name: str,
     for lineno, raw in enumerate(lines, start=1):
         step = memo_get(raw)
         if step is None:
-            step = parse(raw, name, lineno, tails)
+            step = parse(raw, name, lineno)
             if step is None:
                 continue  # a blank or comment line
             if step and not isfinite(step[0]):
                 raise MalformedLogError(f"{name}:{lineno}: NaN or infinite reward: {step[0]}")
-            if room:
+            if len(memo) < MEMO_LINES:
                 memo[raw] = step
-                room -= 1
         if not step:  # a ``---`` line closes the episode, if it has a step
             if left < MAX_EPISODE_FRAMES or ended is not None:
                 yield _close_episode(episode_return, MAX_EPISODE_FRAMES - left, ended,
@@ -304,10 +291,9 @@ def read_episode_log(source: str | Path | Iterable[str | bytes]) -> list[list[St
     """
     episodes: list[list[StepEvent]] = []
     current: list[StepEvent] = []
-    tails: dict[str, tuple[int, bool, int]] = {}
     with _open_log(source) as (lines, name):
         for lineno, raw in enumerate(lines, start=1):
-            step = _parse_step(raw, name, lineno, tails)
+            step = _parse_step(raw, name, lineno)
             if step:
                 current.append(StepEvent(*step))
             elif step is not None and current:

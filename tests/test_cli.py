@@ -1,4 +1,5 @@
 import argparse
+import ast
 import hashlib
 import importlib
 import io
@@ -47,6 +48,27 @@ def test_version_matches_pyproject():
     pyproject = Path(__file__).parents[1] / "pyproject.toml"
     with open(pyproject, "rb") as fh:
         assert tomllib.load(fh)["project"]["version"] == hwrbench.__version__
+
+
+def test_package_imports_only_itself_and_the_standard_library():
+    # ``dependencies = []`` holds only while no module imports a third-party one.
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    root = Path(__file__).parents[1]
+    modules = sorted((root / "src" / "hwrbench").glob("*.py"))
+    assert modules
+    imported = set()
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module)
+    imported.update(hwrbench.cli._DEFERRED.values())  # imported by name on first use
+    outside = {name for name in imported
+               if name.split(".")[0] not in {"hwrbench", *sys.stdlib_module_names}}
+    assert not outside
+    with open(root / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["dependencies"] == []
 
 
 class TestScore:
@@ -623,6 +645,24 @@ class TestProtocolCheck:
         assert code == 1 and out == ""
         assert json.loads(err)["detail"].startswith(
             f"{log}:1: expected 'reward lives game_over env_frames' on line 1, got ")
+
+    @pytest.mark.parametrize("stdin", [False, True], ids=["path", "stdin"])
+    def test_one_huge_malformed_line_is_echoed_in_part(self, capsys, tmp_path, stdin):
+        data = b"1 3 0 4\r" * (1 << 17)  # 1 MiB with no "\n": one line
+        if stdin:
+            name, (code, out, err) = "<stdin>", check_stdin(data)
+        else:
+            name = tmp_path / "episodes.log"
+            name.write_bytes(data)
+            code, out, err = run(capsys, "protocol-check", "--log", str(name))
+        assert code == 1 and out == ""
+        # The first 80 characters, then the count of the rest (the trailing
+        # "\r" is stripped).
+        head = "1 3 0 4\r" * 10
+        assert json.loads(err)["detail"] == (
+            f"{name}:1: expected 'reward lives game_over env_frames' on line 1, "
+            f"got {head!r} and {len(data) - 1 - len(head)} more characters")
+        assert len(err) < 400
 
     def test_generated_log_from_path_crlf_copy_and_stdin(self, capsys, tmp_path):
         log = tmp_path / "train.log"

@@ -241,6 +241,9 @@ class TestEpisodeLog:
         ("# nothing\n\n---\n", ": ", "no step events"),
         ("1 x 0 4\n", ":1: ", "invalid literal"),
         ("1 2 3\n", ":1: ", "line 1"),
+        # a line without four fields is echoed up to 80 characters
+        ("1" * 80 + "\n", ":1: ", "got '1{80}'$"),
+        ("1" * 81 + "\n", ":1: ", "got '1{80}' and 1 more characters$"),
         # rejections: game_over other than 0/1, a non-finite reward on a
         # step past the cap, a step between a game over and its ---
         ("1 3 2 4\n", ":1: ", "game_over must be 0 or 1"),
@@ -261,13 +264,19 @@ class TestEpisodeLog:
         ("0 +3 0 4", "lives and env_frames must be ASCII digits"),  # int() reads 3
         ("0 3 0 0_4", "lives and env_frames must be ASCII digits"),  # int() reads 4
         ("0 \u0663 0 4", "lives and env_frames must be ASCII digits"),  # int() reads 3
+        ("\u0663 3 0 4", "non-ASCII character in step line: '\u0663'"),  # float() reads 3
+        ("\uff11 3 0 4", "non-ASCII character in step line: '\uff11'"),  # float() reads 1
+        ("0\xa03 0 4", r"non-ASCII character in step line: '\xa0'"),  # split() splits there
+        ("0 3\xa00 4", r"non-ASCII character in step line: '\xa0'"),
+        ("0 3 0 4 \u2003", r"non-ASCII character in step line: '\u2003'"),
     ])
     def test_out_of_contract_numerals_rejected(self, line, match):
         log = ["1 3 0 4\n", line + "\n", "0 0 1 4\n"]
-        with pytest.raises(MalformedLogError, match=f"^<log>:2: {match}"):
-            ledger_from_log(log)
-        with pytest.raises(MalformedLogError, match=f"^<log>:2: {match}"):
-            read_episode_log(log)
+        for lines in (log, [text.encode() for text in log]):
+            with pytest.raises(MalformedLogError, match=f"^<log>:2: {re.escape(match)}"):
+                ledger_from_log(lines)
+            with pytest.raises(MalformedLogError, match=f"^<log>:2: {re.escape(match)}"):
+                read_episode_log(lines)
 
     @pytest.mark.parametrize("data, where, match", [
         # Lives rise at line 2, ahead of the byte 0xff on line 5.
@@ -591,6 +600,20 @@ class TestMemo:
             assert ledger == _oracle_ledger_from_log(lines)
             assert fold_file(log_file, lines) == ledger
             assert read_episode_log(lines) == _oracle_read_episode_log(lines)
+
+    @given(POOLED_LOGS)
+    def test_parser_runs_once_per_distinct_line(self, lines):
+        # A blank or comment line is never stored, so it is parsed each time.
+        parsed = []
+
+        def spy(raw, name, lineno):
+            parsed.append(raw)
+            return protocol._parse_step(raw, name, lineno)
+
+        episodes = tuple(protocol._fold_log(lines, "<log>", parse=spy))
+        assert episodes == ledger_from_log(lines).episodes
+        skipped = [line for line in lines if not line.strip() or line.lstrip()[0] == "#"]
+        assert sorted(parsed) == sorted(skipped + list(set(lines) - set(skipped)))
 
     def test_more_distinct_lines_than_the_memo_holds(self, log_file):
         # Three times the cap in distinct lines, then each of them again.
