@@ -169,6 +169,13 @@ def _close_episode(episode_return: float, frames_used: int, ended: str | None,
     return EpisodeSummary(episode_return, frames_used, ended, anomalies)
 
 
+def _echo(text: str) -> str:
+    """``repr(text)`` of at most 80 characters: a log may be one huge line."""
+    if len(text) <= 80:
+        return repr(text)
+    return f"{text[:80]!r} and {len(text) - 80} more characters"
+
+
 def _parse_step(raw: str | bytes, name: str, lineno: int) -> tuple | None:
     """Parse one log line in full; the fold calls this on each memo miss.
 
@@ -190,26 +197,32 @@ def _parse_step(raw: str | bytes, name: str, lineno: int) -> tuple | None:
     if len(fields) != 4:
         if fields == [RESET_MARKER]:
             return ()
-        line = raw.strip()  # a log may be one huge line: echo 80 characters of it
-        more = f" and {len(line) - 80} more characters" if len(line) > 80 else ""
         raise MalformedLogError(f"{name}:{lineno}: expected 'reward lives game_over "
-                                f"env_frames' on line {lineno}, got {line[:80]!r}{more}")
+                                f"env_frames' on line {lineno}, got {_echo(raw.strip())}")
     text, lives, game_over, env_frames = fields
+    field = text  # the field being converted
     try:
-        step = (float(text), int(lives), game_over == "1", int(env_frames))
+        reward = float(text)
+        field = lives
+        n_lives = int(lives)
+        field = env_frames
+        step = (reward, n_lives, game_over == "1", int(env_frames))
     except ValueError as exc:
-        raise MalformedLogError(f"{name}:{lineno}: {exc}") from None
+        # float() quotes the whole field and int() 200 characters of it
+        message = str(exc) if len(field) <= 80 else (
+            f"{str(exc).partition(': ')[0]}: {_echo(field)}")
+        raise MalformedLogError(f"{name}:{lineno}: {message}") from None
     if game_over != "0" and game_over != "1":
-        raise MalformedLogError(f"{name}:{lineno}: game_over must be 0 or 1: {game_over!r}")
+        raise MalformedLogError(f"{name}:{lineno}: game_over must be 0 or 1: {_echo(game_over)}")
     if step[1] < 0:
         raise MalformedLogError(f"{name}:{lineno}: lives must be nonnegative: {step[1]}")
     if step[3] < 1:
         raise MalformedLogError(f"{name}:{lineno}: env_frames must be >= 1: {step[3]}")
     if not (lives.isdigit() and env_frames.isdigit() and (lives + env_frames).isascii()):
         raise MalformedLogError(f"{name}:{lineno}: lives and env_frames must be ASCII "
-                                f"digits: {lives!r}, {env_frames!r}")
+                                f"digits: {_echo(lives)}, {_echo(env_frames)}")
     if "_" in text:
-        raise MalformedLogError(f"{name}:{lineno}: reward must not contain '_': {text!r}")
+        raise MalformedLogError(f"{name}:{lineno}: reward must not contain '_': {_echo(text)}")
     if not raw.isascii():  # float() reads non-ASCII digits, split() non-ASCII spaces
         raise MalformedLogError(f"{name}:{lineno}: non-ASCII character in step line: "
                                 f"{max(raw)!r}")

@@ -27,7 +27,7 @@ from hwrbench.datasets import Dataset, load_all_bundled
 from hwrbench.errors import DatasetError
 from hwrbench.games import _CANONICAL_SET, BaselineRegistry, check_numbers, data_path, read_csv
 from hwrbench.metrics import METRIC_KINDS, CapMode, MetricKind
-from hwrbench.numfmt import round_half_up
+from hwrbench.numfmt import format_percent
 from hwrbench.report import (
     FIGURES,
     TableLayout,
@@ -203,21 +203,22 @@ def run_reproduction(
                     f"golden table {table_id} has algorithm {algo!r}, "
                     f"absent from the evaluated datasets")
             golden = golden_cells[(table_id, algo)]
+            golden_values = {game: _parse_number(text) for game, text in golden.items()}
             logged = len(cell_log)
             for game in report_games[algo]:
                 cells += 1
-                value = report.cells[(algo, game)].metrics[metric]
-                recomputed_pct = round_half_up(value * 100.0)
-                printed = golden.get(game)
-                printed_value = _parse_number(printed)
+                # The text the table prints, so the diff and the tables round alike.
+                pct_text = format_percent(report.cells[(algo, game)].metrics[metric])
+                printed_value = golden_values.get(game)
                 if printed_value is not None and (
-                        abs(recomputed_pct - printed_value) <= CELL_TOLERANCE_PP + 1e-9):
+                        abs(float(pct_text) - printed_value) <= CELL_TOLERANCE_PP + 1e-9):
                     matches += 1
                     continue
+                printed = golden.get(game)
                 kind = ("coverage" if printed is None or printed.upper() == "N/A"
                         else "malformed" if printed_value is None else "value")
                 cell_log.append(Inconsistency(
-                    table_id, algo, game, kind, f"{recomputed_pct:.2f}",
+                    table_id, algo, game, kind, pct_text,
                     printed if printed is not None else "<absent>"))
             # An omitted game is not counted; a value printed for it is a coverage conflict.
             for game, printed in golden.items():
@@ -229,8 +230,7 @@ def run_reproduction(
             # A footer is expected to match only if its column is clean and it agrees
             # with its own printed cells (not so with a wrong denominator, say).
             row = report.aggregates[algo][metric]
-            printed_col = [v for text in golden.values()
-                           if (v := _parse_number(text)) is not None]
+            printed_col = [v for v in golden_values.values() if v is not None]
             for stat, recomputed, of_cells in (("mean", row.mean, fmean),
                                                ("median", row.median, median)):
                 printed_text = golden_aggs.get((table_id, algo, stat))

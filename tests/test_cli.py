@@ -664,6 +664,21 @@ class TestProtocolCheck:
             f"got {head!r} and {len(data) - 1 - len(head)} more characters")
         assert len(err) < 400
 
+    @pytest.mark.parametrize("stdin", [False, True], ids=["path", "stdin"])
+    def test_one_huge_non_numeric_field_is_echoed_in_part(self, capsys, tmp_path, stdin):
+        data = b"x" * 1_000_000 + b" 3 0 4\n"  # a reward float() rejects
+        if stdin:
+            name, (code, out, err) = "<stdin>", check_stdin(data)
+        else:
+            name = tmp_path / "episodes.log"
+            name.write_bytes(data)
+            code, out, err = run(capsys, "protocol-check", "--log", str(name))
+        assert code == 1 and out == ""
+        assert json.loads(err)["detail"] == (
+            f"{name}:1: could not convert string to float: {'x' * 80!r} "
+            f"and {1_000_000 - 80} more characters")
+        assert len(err) < 400
+
     def test_generated_log_from_path_crlf_copy_and_stdin(self, capsys, tmp_path):
         log = tmp_path / "train.log"
         truth = loggen.generate(log, seed=7, ks=[5, 10], target_steps=2000)

@@ -1,13 +1,17 @@
-"""``round_half_up`` against the ``Decimal`` rounding it replaced."""
+"""``round_half_up`` against the ``Decimal`` rounding it replaced, and the
+formatters' memo against the formulas it remembers."""
 
 import math
+from contextlib import contextmanager
 from decimal import ROUND_HALF_UP, Decimal
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from hwrbench.numfmt import format_percent, round_half_up
+from hwrbench import numfmt
+from hwrbench.numfmt import format_number, format_percent, round_half_up
 
 
 def decimal_round_half_up(value: float) -> float:
@@ -50,3 +54,68 @@ def test_nan_is_unchanged():
 ])
 def test_format_percent(ratio, text):
     assert format_percent(ratio) == text
+
+
+def percent_formula(ratio: float) -> str:
+    return f"{round_half_up(ratio * 100.0):.2f}"
+
+
+def number_formula(value: float) -> str:
+    if value == int(value) and abs(value) < 1e15:
+        return str(int(value))
+    return repr(value)
+
+
+def outcome(function, value):
+    """The text ``function`` gives for ``value``, or the type and words it raises."""
+    try:
+        return function(value)
+    except Exception as exc:  # noqa: BLE001 - raised and expected alike are compared
+        return type(exc), str(exc)
+
+
+@contextmanager
+def empty_memos():
+    with patch.dict(numfmt._PERCENTS, clear=True), patch.dict(numfmt._NUMBERS, clear=True):
+        yield
+
+
+EDGES = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+         2.2250738585072014e-308, 1e15, -1e15, 1e16, -1e16, 1e300, 0.02675, -0.00005]
+floats = st.one_of(st.floats(), st.sampled_from(EDGES),
+                   st.floats(min_value=1e16).flatmap(lambda v: st.sampled_from([v, -v])),
+                   st.floats(-1e-300, 1e-300))  # subnormals among them
+# A small pool, drawn from in any order and with repeats.
+streams = st.lists(floats, min_size=1, max_size=8).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=40))
+
+
+@given(streams)
+@example([0.0, -0.0, 0.0])
+@example([-0.0, 0.0, -0.0])
+@example([math.nan, math.nan, 1.0, 1.0])
+@example([1e15, 1e16, 1e15, 1e16])
+def test_memoised_text_equals_the_formula(values):
+    with empty_memos():
+        for value in values:
+            assert outcome(format_percent, value) == outcome(percent_formula, value)
+            assert outcome(format_number, value) == outcome(number_formula, value)
+            text = format_percent(value)
+            assert repr(float(text)) == repr(round_half_up(value * 100.0))
+
+
+def test_only_float_scores_are_memoised():
+    # 10**15 == 1e15 and they hash alike, yet only the float prints '.0'.
+    with empty_memos():
+        assert format_number(1e15) == "1000000000000000.0"
+        assert format_number(10 ** 15) == "1000000000000000"
+        assert format_number(1e15) == "1000000000000000.0"
+
+
+def test_memo_stops_growing_at_its_cap():
+    values = [i / 7 for i in range(1, numfmt.MEMO_VALUES + 100)]
+    with empty_memos():
+        for value in values + values:
+            assert format_percent(value) == percent_formula(value)
+            assert format_number(value) == number_formula(value)
+        assert len(numfmt._PERCENTS) == len(numfmt._NUMBERS) == numfmt.MEMO_VALUES

@@ -244,6 +244,20 @@ class TestEpisodeLog:
         # a line without four fields is echoed up to 80 characters
         ("1" * 80 + "\n", ":1: ", "got '1{80}'$"),
         ("1" * 81 + "\n", ":1: ", "got '1{80}' and 1 more characters$"),
+        # so is a field that is not a number, whichever conversion rejects it
+        ("x" * 80 + " 3 0 4\n", ":1: ", "could not convert string to float: 'x{80}'$"),
+        ("x" * 81 + " 3 0 4\n", ":1: ",
+         "could not convert string to float: 'x{80}' and 1 more characters$"),
+        ("0 " + "x" * 81 + " 0 4\n", ":1: ",
+         r"invalid literal for int\(\) with base 10: 'x{80}' and 1 more characters$"),
+        ("0 3 0 " + "x" * 300 + "\n", ":1: ",
+         r"invalid literal for int\(\) with base 10: 'x{80}' and 220 more characters$"),
+        ("0 3 " + "2" * 81 + " 4\n", ":1: ",
+         "game_over must be 0 or 1: '2{80}' and 1 more characters$"),
+        ("1_" + "0" * 80 + " 3 0 4\n", ":1: ",
+         "reward must not contain '_': '1_0{78}' and 2 more characters$"),
+        ("0 3 0 " + "\u0663" * 81 + "\n", ":1: ",
+         "ASCII digits: '3', '\u0663{80}' and 1 more characters$"),
         # rejections: game_over other than 0/1, a non-finite reward on a
         # step past the cap, a step between a game over and its ---
         ("1 3 2 4\n", ":1: ", "game_over must be 0 or 1"),

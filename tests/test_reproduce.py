@@ -1,10 +1,11 @@
 import csv
 import hashlib
+import json
 import re
 
 import pytest
 
-from hwrbench import reproduce
+from hwrbench import numfmt, report, reproduce
 from hwrbench.cli import main
 from hwrbench.datasets import load_bundled_dataset
 from hwrbench.errors import DatasetError
@@ -291,6 +292,56 @@ def test_artifact_bytes_are_pinned(tmp_path):
     assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == sorted(written)
     assert {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
             for p in written} == ARTIFACT_SHA256
+
+
+def test_each_distinct_value_is_formatted_once(monkeypatch, tmp_path):
+    # The golden diff and the 12 tables share the formatters' memo: a nonzero
+    # ratio is rounded once however often it is printed, a zero every time (it
+    # is never memoised), and a raw score's text is made once. At the parent
+    # of the memo, round_half_up ran 6,462 times here.
+    monkeypatch.setattr(numfmt, "_PERCENTS", {})
+    monkeypatch.setattr(numfmt, "_NUMBERS", {})
+    ratios, scores, rounded, texts = [], [], [], []
+
+    def spy(log, function):
+        def call(value):
+            log.append(value)
+            return function(value)
+        return call
+
+    monkeypatch.setattr(numfmt, "round_half_up", spy(rounded, numfmt.round_half_up))
+    monkeypatch.setattr(numfmt, "_number_text", spy(texts, numfmt._number_text))
+    for module in (report, reproduce):
+        monkeypatch.setattr(module, "format_percent", spy(ratios, numfmt.format_percent))
+    monkeypatch.setattr(report, "format_number", spy(scores, numfmt.format_number))
+
+    write_artifacts(run_reproduction(), tmp_path)
+    assert len(ratios) == 6462 and len(scores) == 3174
+    zeros = [r for r in ratios if not r]
+    assert len(rounded) == len(set(ratios) - {0.0}) + len(zeros) <= 1443
+    assert {type(s) for s in scores} == {float}
+    assert sorted(texts) == sorted(set(scores))
+
+
+def test_logged_cells_agree_with_the_tables(tmp_path):
+    result = run_reproduction()
+    write_artifacts(result, tmp_path)
+    log = json.loads((tmp_path / "inconsistency_log.json").read_text(encoding="utf-8"))
+    checked = 0
+    for entry in log:
+        try:
+            float(entry["recomputed"])
+        except ValueError:  # "N/A": a game the evaluated datasets omit
+            continue
+        if not entry["game"]:  # an aggregate or hwrb row
+            continue
+        table = entry["table"]
+        with open(tmp_path / "tables" / f"{table}.csv", encoding="utf-8", newline="") as fh:
+            row = next(r for r in csv.DictReader(fh) if r["game"] == entry["game"])
+        column = f"{entry['algorithm']} {result.layouts[table].metric.value}%"
+        assert row[column] == entry["recomputed"]
+        checked += 1
+    assert checked == 40
 
 
 # sha256 of the stdout of each read-only verb on the bundled data, with the
