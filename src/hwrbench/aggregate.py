@@ -16,7 +16,7 @@ from collections import namedtuple
 
 from hwrbench.errors import ValidationError
 from hwrbench.games import CANONICAL_GAMES, _CANONICAL_SET
-from hwrbench.metrics import MetricKind, MetricValue, learning_efficiency
+from hwrbench.metrics import MetricKind, MetricValue, hwrb_indicator, learning_efficiency
 
 
 class MetricColumn(namedtuple("MetricColumn", "algorithm kind entries")):
@@ -70,7 +70,7 @@ def median(values) -> float:
 
 def breakthroughs(values) -> int:
     """Number of HWRNS values at or beyond the world record (>= 1, inclusive)."""
-    return sum(1 for v in values if v >= 1.0)
+    return sum(map(hwrb_indicator, values))
 
 
 def leaders(scores: dict[str, float]) -> list[str]:

@@ -19,19 +19,16 @@ import sys
 from collections import deque
 from pathlib import Path
 
-from hwrbench.errors import BenchmarkError, ValidationError
+from hwrbench.errors import BenchmarkError
 from hwrbench.games import CANONICAL_GAMES, BaselineRegistry
 from hwrbench.metrics import (
     METRIC_KINDS,
     CapMode,
     MetricKind,
-    chns,
+    cell_ratios,
     game_time_days,
-    hns,
     hwrb_indicator,
-    hwrns,
     learning_efficiency,
-    saber,
 )
 from hwrbench.numfmt import format_efficiency, format_number, format_percent, parse_frames
 
@@ -108,27 +105,22 @@ def _cmd_validate(args) -> int:
 
 def _cmd_score(args) -> int:
     baseline = _load_registry(args).lookup(args.game)
-    try:
-        h = hns(args.score, baseline)
-        w = hwrns(args.score, baseline)
-    except ValidationError:  # the baselines and score are valid, so the ratio is not finite
-        raise ValidationError(f"{baseline.game}: normalized score overflows") from None
-    s = saber(w, args.cap_mode)
+    h, c, w, s = cell_ratios(args.score, baseline, args.cap_mode, baseline.game)
     result = {
         "game": baseline.game,
         "score": args.score,
-        "hns_pct": format_percent(h.value),
-        "chns_pct": format_percent(chns(h).value),
-        "hwrns_pct": format_percent(w.value),
-        "saber_pct": format_percent(s.value),
-        "cap_mode": s.cap_mode.value,
+        "hns_pct": format_percent(h),
+        "chns_pct": format_percent(c),
+        "hwrns_pct": format_percent(w),
+        "saber_pct": format_percent(s),
+        "cap_mode": args.cap_mode.value,
         "hwrb": hwrb_indicator(w),
     }
     if (frames := args.frames) is not None:
         result["frames"] = frames
         result["game_time_days"] = round(game_time_days(frames), 3)
-        result["hns_efficiency"] = format_efficiency(learning_efficiency(h.value, frames))
-        result["hwrns_efficiency"] = format_efficiency(learning_efficiency(w.value, frames))
+        result["hns_efficiency"] = format_efficiency(learning_efficiency(h, frames))
+        result["hwrns_efficiency"] = format_efficiency(learning_efficiency(w, frames))
     if args.format == "json":
         print(json.dumps(result, indent=2))
     else:

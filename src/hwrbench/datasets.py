@@ -56,7 +56,7 @@ def load_dataset(path: str | Path) -> Dataset:
         except UnknownGameError as exc:
             raise DatasetError(f"{src}:{lineno}: {exc}")
         algorithm = algorithm.strip()
-        if not algorithm or any(c in algorithm for c in ",\r\n"):
+        if not algorithm or any(c in algorithm for c in '",\r\n'):
             raise DatasetError(f"{src}:{lineno}: bad algorithm name {algorithm!r}")
         key = (algorithm, game)
         if key in seen:

@@ -50,7 +50,7 @@ def read_csv(
     ``error`` is raised naming the file and, for a row, the line. A row is
     numbered by its first line: a quoted cell may hold a line break.
     """
-    with open(src, newline="", encoding="utf-8") as fh:
+    with open(src, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         if tuple(next(reader, ())) != columns:
             raise error(f"{src}: expected header {','.join(columns)}")

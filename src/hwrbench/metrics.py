@@ -1,8 +1,10 @@
 """Pure scoring kernel: normalizations, caps, breakthrough test, game time.
 
-Every function here is a deterministic function of its arguments with no
-shared state. Values are dimensionless ratios (1.0 means 100%); turning
-them into percent strings is the presentation layer's job.
+``cell_ratios`` is the float kernel every verb calls. ``hns``, ``hwrns``,
+``chns`` and ``saber`` are the checked library API: the same rules,
+returning ``MetricValue``s. Every function is a pure function of its
+arguments. Values are ratios (1.0 means 100%); percent strings are the
+presentation layer's job.
 """
 
 from __future__ import annotations
@@ -103,12 +105,24 @@ def saber(value: MetricValue, mode: CapMode) -> MetricValue:
     return MetricValue(capped, MetricKind.SABER, cap_mode=mode)
 
 
-def hwrb_indicator(value: MetricValue) -> bool:
+def cell_ratios(raw: float, baseline: BaselineRecord, cap_mode: CapMode,
+                where: str) -> tuple[float, float, float, float]:
+    """HNS, CHNS, HWRNS and SABER of one raw score, in ``METRIC_KINDS`` order.
+
+    A ratio that is not finite raises ValidationError naming ``where``.
+    """
+    h = normalize(raw, baseline.random, baseline.human_average)
+    w = normalize(raw, baseline.random, baseline.human_world_record)
+    if not (math.isfinite(h) and math.isfinite(w)):
+        what = "normalized score overflows" if math.isfinite(raw) else "non-finite score"
+        raise ValidationError(f"{where}: {what}")
+    s = min(w, 2.0)
+    return h, min(max(h, 0.0), 1.0), w, max(s, 0.0) if cap_mode is CapMode.SPEC_FLOOR else s
+
+
+def hwrb_indicator(hwrns_ratio: float) -> bool:
     """True when the world record is matched or beaten (HWRNS >= 1, inclusive)."""
-    if value.kind is not MetricKind.HWRNS:
-        raise ValidationError(
-            f"breakthrough test expects an hwrns value, got {value.kind.value}")
-    return value.value >= 1.0
+    return hwrns_ratio >= 1.0
 
 
 def game_time_days(frames: float) -> float:

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import json
 from collections import Counter, namedtuple
-from math import isfinite
 
 from hwrbench.aggregate import leaders, summarize
 from hwrbench.datasets import Dataset
 from hwrbench.errors import DatasetError, ValidationError
 from hwrbench.games import CANONICAL_GAMES, BaselineRegistry
-from hwrbench.metrics import METRIC_KINDS, CapMode, MetricKind, game_time_days, normalize
+from hwrbench.metrics import METRIC_KINDS, CapMode, MetricKind, cell_ratios, game_time_days
 from hwrbench.numfmt import format_efficiency, format_number, format_percent
 
 
@@ -52,13 +51,12 @@ def evaluate(
 ) -> EvaluationReport:
     """Compute every metric cell, aggregate row, and per-game leader set.
 
-    Cells are plain floats, capped as ``metrics.chns`` and ``metrics.saber``
-    do. Scores, baselines and denominators were checked at load; only the
-    ratios' finiteness is left to check.
+    Cells are the plain floats of ``metrics.cell_ratios``. Scores,
+    baselines and denominators were checked at load; a hand-built record
+    may still hold frames below 1 or a non-finite score.
     """
     if not datasets:
         raise DatasetError("no datasets to evaluate")
-    floor = cap_mode is CapMode.SPEC_FLOOR
     cells: dict[tuple[str, str], CellMetrics] = {}
     frames_by_algo: dict[str, int] = {}  # in order of first appearance
     rows: dict[str, list[tuple[float, ...]]] = {}  # algorithm -> metric values per cell
@@ -70,19 +68,15 @@ def evaluate(
                 raise DatasetError(
                     f"duplicate cell {key} across datasets "
                     f"(second occurrence in {ds.label!r})")
+            if rec.frames < 1:
+                raise ValidationError(f"{rec.algorithm}: frames must be positive: {rec.frames}")
             prior = frames_by_algo.setdefault(rec.algorithm, rec.frames)
             if prior != rec.frames:
                 raise DatasetError(
                     f"{rec.algorithm}: inconsistent frame counts "
                     f"{prior} vs {rec.frames}")
-            base = baselines.lookup(rec.game)
-            h = normalize(rec.score, base.random, base.human_average)
-            w = normalize(rec.score, base.random, base.human_world_record)
-            if not (isfinite(h) and isfinite(w)):
-                what = "normalized score overflows" if isfinite(rec.score) else "non-finite score"
-                raise ValidationError(f"{rec.algorithm}/{rec.game}: {what}")
-            s = min(w, 2.0)
-            values = (h, min(max(h, 0.0), 1.0), w, max(s, 0.0) if floor else s)
+            values = cell_ratios(rec.score, baselines.lookup(rec.game), cap_mode,
+                                 f"{rec.algorithm}/{rec.game}")
             cells[key] = CellMetrics(rec.score, dict(zip(METRIC_KINDS, values)))
             rows.setdefault(rec.algorithm, []).append(values)
         for algorithm, game in ds.omitted:

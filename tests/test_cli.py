@@ -1,5 +1,6 @@
 import argparse
 import ast
+import contextlib
 import hashlib
 import importlib
 import io
@@ -12,10 +13,16 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import hwrbench
 from hwrbench.cli import build_parser, main
-from hwrbench.games import data_path
+from hwrbench.datasets import Dataset, RunRecord
+from hwrbench.games import CANONICAL_GAMES, BaselineRegistry, data_path
+from hwrbench.metrics import METRIC_KINDS, CapMode, MetricKind, MetricValue
+from hwrbench.numfmt import format_percent
+from hwrbench.report import evaluate
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import loggen  # noqa: E402
@@ -111,6 +118,41 @@ class TestScore:
         _, out, _ = run(capsys, "score", "--game", "skiing", "--score", "-29970.32",
                         "--format", "json")
         assert json.loads(out)["saber_pct"] == "0.00"
+
+
+REGISTRY = BaselineRegistry.load()
+
+
+@given(st.sampled_from(CANONICAL_GAMES), st.sampled_from(list(CapMode)), st.data())
+def test_score_prints_the_cell_evaluate_computes(game, cap_mode, data):
+    base = REGISTRY.lookup(game)
+    raw = data.draw(st.one_of(
+        st.sampled_from([base.random, base.human_average, base.human_world_record]),
+        st.floats(min_value=-1e7, max_value=1e7, allow_nan=False)))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["score", "--game", game, f"--score={raw!r}",
+                     "--cap-mode", cap_mode.value, "--format", "json"]) == 0
+    payload = json.loads(out.getvalue())
+    report = evaluate([Dataset("d", (RunRecord("A", game, raw, 200_000_000),))],
+                      REGISTRY, cap_mode)
+    cell = report.cells[("A", game)].metrics
+    assert ([payload[f"{kind.value}_pct"] for kind in METRIC_KINDS]
+            == [format_percent(cell[kind]) for kind in METRIC_KINDS])
+    assert payload["hwrb"] == report.aggregates["A"][MetricKind.HWRNS].hwrb_count
+
+
+def test_no_verb_builds_a_metric_value(capsys, monkeypatch, tmp_path):
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("a verb built a MetricValue")
+
+    monkeypatch.setattr(MetricValue, "__new__", refuse)
+    with pytest.raises(AssertionError):
+        MetricValue(1.0, MetricKind.HNS)
+    for argv in (["score", "--game", "alien", "--score", "9491.7", "--frames", "2e8"],
+                 ["aggregate", "--format", "json"],
+                 ["reproduce", "--out", str(tmp_path / "repro")]):
+        assert run(capsys, *argv)[0] == 0, argv
 
 
 # Each verb registers exactly the flags that change its output.

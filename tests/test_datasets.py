@@ -1,9 +1,12 @@
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import hwrbench
 from hwrbench.datasets import (
     BUNDLED_DATASETS,
     DATASET_COLUMNS,
@@ -136,14 +139,35 @@ def test_frames_accept_scientific_notation(tmp_path):
     "A,alien,1_0,100,100",
     "A,alien,1,2_00000000,200M",
     "A,alien,N/A,1_00,100",
-    # an algorithm name must be nonempty and fit in one CSV cell
+    # an algorithm name must be nonempty and fit in one unquoted CSV cell
     " ,alien,100,200000000,200M",
     '"A,B",alien,1,100,100',
+    '"""Q",alien,100,200000000,200M',
 ])
 def test_bad_row_names_file_and_line(tmp_path, row):
     path = write_dataset(tmp_path, ["A,pong,1,100,100", row])
     with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}:3: "):
         load_dataset(path)
+
+
+def with_bom(path):
+    """A copy of ``path`` saved with a UTF-8 byte-order mark."""
+    marked = path.with_name("bom.csv")
+    marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    return marked
+
+
+def test_byte_order_mark_is_skipped(tmp_path):
+    plain = write_dataset(tmp_path, ["A,pong,1,100,100", "A,alien,N/A,100,100",
+                                     "B,alien,2.5,200000000,200M"])
+    assert load_dataset(with_bom(plain))[1:] == load_dataset(plain)[1:]
+
+
+def test_byte_order_mark_keeps_error_lines(tmp_path):
+    plain = write_dataset(tmp_path, ["A,pong,1,100,100", "A,alien,1,100,x"])
+    for path in (plain, with_bom(plain)):
+        with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}:3: scale_label "):
+            load_dataset(path)
 
 
 @pytest.mark.parametrize("name", ["A\nB", "A\rB"])
@@ -199,4 +223,6 @@ def test_bundled_scale_labels_match_frames():
 def test_datasets_module_does_not_load_protocol():
     code = ("import sys, hwrbench.datasets; "
             "sys.exit('hwrbench.protocol' in sys.modules)")
-    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+    src = str(Path(hwrbench.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -11,6 +11,7 @@ from hwrbench.metrics import (
     CapMode,
     MetricKind,
     MetricValue,
+    cell_ratios,
     chns,
     game_time_days,
     hns,
@@ -123,15 +124,28 @@ class TestHwrb:
         (1.5, True),
     ])
     def test_boundary(self, value, expected):
-        assert hwrb_indicator(MetricValue(value, MetricKind.HWRNS)) is expected
+        assert hwrb_indicator(value) is expected
 
     def test_gdi_boxing_breakthrough(self):
-        assert hwrb_indicator(hwrns(100, BOXING)) is True
+        assert hwrb_indicator(hwrns(100, BOXING).value) is True
 
     @given(finite_scores.map(lambda v: v / 1e4))
     def test_matches_bruteforce_definition(self, ratio):
-        value = MetricValue(ratio, MetricKind.HWRNS)
-        assert hwrb_indicator(value) == (ratio >= 1.0)
+        assert hwrb_indicator(ratio) == (ratio >= 1.0)
+
+
+class TestCellRatios:
+    @pytest.mark.parametrize("raw, detail", [
+        (1e300, "A/tiny: normalized score overflows"),
+        (math.inf, "A/tiny: non-finite score"),
+        (-math.inf, "A/tiny: non-finite score"),
+        (math.nan, "A/tiny: non-finite score"),
+    ])
+    def test_not_finite_names_where(self, raw, detail):
+        tiny = BaselineRecord("alien", 0.0, 1e-305, 1e-305)
+        for mode in CapMode:
+            with pytest.raises(ValidationError, match=f"^{detail}$"):
+                cell_ratios(raw, tiny, mode, "A/tiny")
 
 
 class TestGameTime:

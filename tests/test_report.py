@@ -92,8 +92,8 @@ def test_cross_dataset_duplicate_rejected(registry):
 
 
 @pytest.mark.parametrize("score, frames, match", [
-    (1.0, 0, "frames must be positive: 0"),
-    (1.0, -4, "frames must be positive: -4"),
+    (1.0, 0, "^A: frames must be positive: 0$"),
+    (1.0, -4, "^A: frames must be positive: -4$"),
     (math.nan, 100, "^A/pong: non-finite score$"),
     (math.inf, 100, "^A/pong: non-finite score$"),
     (-math.inf, 100, "^A/pong: non-finite score$"),
@@ -182,8 +182,8 @@ def test_every_cell_rederivable_from_inputs(registry, bundled_report):
 
 @given(st.sampled_from(CANONICAL_GAMES), st.sampled_from(list(CapMode)), st.data())
 def test_cells_equal_the_scoring_functions_bit_for_bit(registry, game, cap_mode, data):
-    # evaluate writes the CHNS clamp and the SABER cap inline; score calls
-    # chns() and saber(). The anchors hit HNS and HWRNS exactly 0 and 1.
+    # evaluate computes each cell with cell_ratios; hns(), chns(), hwrns() and
+    # saber() are the checked reference. The anchors hit HNS and HWRNS exactly 0 and 1.
     base = registry.lookup(game)
     raw = data.draw(st.one_of(
         st.sampled_from([base.random, base.human_average, base.human_world_record]),
@@ -194,7 +194,7 @@ def test_cells_equal_the_scoring_functions_bit_for_bit(registry, game, cap_mode,
     expected = (h.value, chns(h).value, w.value, saber(w, cap_mode).value)
     cell = report.cells[("A", game)].metrics
     assert [cell[kind].hex() for kind in METRIC_KINDS] == [v.hex() for v in expected]
-    assert report.aggregates["A"][MetricKind.HWRNS].hwrb_count == hwrb_indicator(w)
+    assert report.aggregates["A"][MetricKind.HWRNS].hwrb_count == hwrb_indicator(w.value)
 
 
 class TestPlotSeries:
