@@ -7,13 +7,14 @@ diagnostics to stderr; exit status is 0 on success, 1 on data errors,
 2 on usage errors. Flags are the only configuration. Each verb imports
 only the modules it runs, and the value types are named tuples, so
 start-up loads none of ``inspect``, ``typing`` or ``importlib.resources``.
+``json`` is imported only where JSON is printed, and ``main`` builds the
+subparser of the verb it runs, not all seven.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib
-import json
 import math
 import sys
 from collections import deque
@@ -67,21 +68,25 @@ def _load_datasets(args) -> list:
             for p in args.dataset]
 
 
+# A number flag holding ``_`` is refused, as in the data files: float("22_7.8") is 227.8.
+
 def finite_float(text: str) -> float:
     value = float(text)
-    if not math.isfinite(value):
+    if "_" in text or not math.isfinite(value):
         raise ValueError(text)
     return value
 
 
 def positive_int(text: str) -> int:
     value = int(text)
-    if value < 1:
+    if "_" in str(text) or value < 1:  # ``positive_frames`` passes an int
         raise ValueError(f"must be >= 1: {text!r}")
     return value
 
 
 def positive_frames(text: str) -> int:
+    if "_" in text:
+        raise ValueError(text)
     return positive_int(parse_frames(text))
 
 
@@ -122,6 +127,8 @@ def _cmd_score(args) -> int:
         result["hns_efficiency"] = format_efficiency(learning_efficiency(h, frames))
         result["hwrns_efficiency"] = format_efficiency(learning_efficiency(w, frames))
     if args.format == "json":
+        import json
+
         print(json.dumps(result, indent=2))
     else:
         for key, value in result.items():
@@ -164,6 +171,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_protocol_check(args) -> int:
+    import json
+
     from hwrbench.protocol import (
         DEFAULT_FRAME_BUDGET,
         FULL_ACTION_SET,
@@ -203,6 +212,8 @@ def _cmd_protocol_check(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    import json
+
     registry = _load_registry(args)
     report = _module.evaluate(_load_datasets(args), registry)
     a, b = args.algorithm_a, args.algorithm_b
@@ -250,81 +261,92 @@ def _cmd_reproduce(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """Every verb's parser, or ``verb``'s alone; the usage line lists all seven either way."""
     parser = argparse.ArgumentParser(
         prog="hwrbench",
         description="Human-world-record benchmark scoring for Atari results.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+    shared = {
+        "--baselines": {"help": "baseline CSV path (default: bundled)"},
+        "--dataset": {"action": "append", "help": "dataset CSV path or bundled label; "
+                      "repeatable (default: all bundled)"},
+        "--cap-mode": {"type": CapMode, "choices": [m.value for m in CapMode],
+                       "default": "spec-floor"},
+        "--out": {"help": "write output to this path instead of stdout"},
+    }
+    names = []
 
-    baselines = argparse.ArgumentParser(add_help=False)
-    baselines.add_argument("--baselines", help="baseline CSV path (default: bundled)")
-    datasets = argparse.ArgumentParser(add_help=False)
-    datasets.add_argument("--dataset", action="append",
-                          help="dataset CSV path or bundled label; repeatable "
-                               "(default: all bundled)")
-    cap_mode = argparse.ArgumentParser(add_help=False)
-    cap_mode.add_argument("--cap-mode", type=CapMode, choices=[m.value for m in CapMode],
-                          default="spec-floor")
-    out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--out", help="write output to this path instead of stdout")
+    def add(name: str, summary: str, *flags: str) -> argparse.ArgumentParser | None:
+        names.append(name)
+        if verb not in (None, name):
+            return None
+        p = sub.add_parser(name, help=summary)
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
+        return p
 
-    p = sub.add_parser("validate", parents=[baselines, datasets],
-                       help="check baseline and dataset integrity")
-    p.set_defaults(func=_cmd_validate)
+    if p := add("validate", "check baseline and dataset integrity", "--baselines", "--dataset"):
+        p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("score", parents=[baselines, cap_mode], help="normalize one raw score")
-    p.add_argument("--format", choices=("table", "json"), default="table")
-    p.add_argument("--game", required=True)
-    p.add_argument("--score", type=finite_float, required=True)
-    p.add_argument("--frames", type=positive_frames,
-                   help="training frames, for game time and efficiency")
-    p.set_defaults(func=_cmd_score)
+    if p := add("score", "normalize one raw score", "--baselines", "--cap-mode"):
+        p.add_argument("--format", choices=("table", "json"), default="table")
+        p.add_argument("--game", required=True)
+        p.add_argument("--score", type=finite_float, required=True)
+        p.add_argument("--frames", type=positive_frames,
+                       help="training frames, for game time and efficiency")
+        p.set_defaults(func=_cmd_score)
 
-    p = sub.add_parser("aggregate", parents=[baselines, datasets, cap_mode, out],
-                       help="aggregate rows per algorithm")
-    p.add_argument("--format", choices=("table", "json"), default="table")
-    p.set_defaults(func=_cmd_aggregate)
+    if p := add("aggregate", "aggregate rows per algorithm",
+                 "--baselines", "--dataset", "--cap-mode", "--out"):
+        p.add_argument("--format", choices=("table", "json"), default="table")
+        p.set_defaults(func=_cmd_aggregate)
 
-    p = sub.add_parser("report", parents=[baselines, datasets, cap_mode, out],
-                       help="render a full score table")
-    p.add_argument("--format", choices=("table", "csv"), default="table")
-    p.add_argument("--metric", default="hwrns", choices=[k.value for k in METRIC_KINDS])
-    p.add_argument("--algorithms", nargs="+",
-                   help="columns to include (default: all)")
-    p.set_defaults(func=_cmd_report)
+    if p := add("report", "render a full score table",
+                 "--baselines", "--dataset", "--cap-mode", "--out"):
+        p.add_argument("--format", choices=("table", "csv"), default="table")
+        p.add_argument("--metric", default="hwrns", choices=[k.value for k in METRIC_KINDS])
+        p.add_argument("--algorithms", nargs="+",
+                       help="columns to include (default: all)")
+        p.set_defaults(func=_cmd_report)
 
-    p = sub.add_parser("protocol-check", help="check an episode log for conformance")
-    p.add_argument("--log", required=True, help="episode log path, or - for stdin")
-    p.add_argument("--k", type=positive_int, default=1,
-                   help="training-score averaging window")
-    p.add_argument("--budget", type=positive_frames,
-                   help="frame budget (scientific notation accepted)")
-    p.add_argument("--action-set", type=positive_int,
-                   help="declared action-space dimension")
-    p.set_defaults(func=_cmd_protocol_check)
+    if p := add("protocol-check", "check an episode log for conformance"):
+        p.add_argument("--log", required=True, help="episode log path, or - for stdin")
+        p.add_argument("--k", type=positive_int, default=1,
+                       help="training-score averaging window")
+        p.add_argument("--budget", type=positive_frames,
+                       help="frame budget (scientific notation accepted)")
+        p.add_argument("--action-set", type=positive_int,
+                       help="declared action-space dimension")
+        p.set_defaults(func=_cmd_protocol_check)
 
-    p = sub.add_parser("compare", parents=[baselines, datasets],
-                       help="per-game HWRNS leader diff between two algorithms")
-    p.add_argument("algorithm_a")
-    p.add_argument("algorithm_b")
-    p.set_defaults(func=_cmd_compare)
+    if p := add("compare", "per-game HWRNS leader diff between two algorithms",
+                 "--baselines", "--dataset"):
+        p.add_argument("algorithm_a")
+        p.add_argument("algorithm_b")
+        p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("reproduce", parents=[baselines],
-                       help="recompute the bundled reference tables and diff them")
-    p.add_argument("--out", default="reproduce-out",
-                   help="output directory (default: reproduce-out)")
-    p.set_defaults(func=_cmd_reproduce)
+    if p := add("reproduce", "recompute the bundled reference tables and diff them",
+                 "--baselines"):
+        p.add_argument("--out", default="reproduce-out",
+                       help="output directory (default: reproduce-out)")
+        p.set_defaults(func=_cmd_reproduce)
 
+    if verb not in (None, *sub.choices):  # ``-h`` or an unknown verb: build them all
+        return build_parser()
+    sub.metavar = verb and "{" + ",".join(names) + "}"  # the usage line of all seven
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (BenchmarkError, ValueError, OSError) as exc:
+        import json
+
         print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}),
               file=sys.stderr)
         return 1

@@ -49,30 +49,40 @@ def load_dataset(path: str | Path) -> Dataset:
     records: list[RunRecord] = []
     omitted: list[tuple[str, str]] = []
     seen: set[tuple[str, str]] = set()
-    for lineno, (algorithm, game, score, frames, label) in read_csv(
+    # Each distinct raw name cell, and raw (frames, label) pair, is checked once.
+    names: dict[str, str] = {}
+    scales: dict[tuple[str, str], int] = {}
+    for lineno, (raw_name, game, score, raw_frames, label) in read_csv(
             src, DATASET_COLUMNS, DatasetError):
         try:
             game = canonical_game(game)
         except UnknownGameError as exc:
             raise DatasetError(f"{src}:{lineno}: {exc}")
-        algorithm = algorithm.strip()
-        if not algorithm or any(c in algorithm for c in '",\r\n'):
-            raise DatasetError(f"{src}:{lineno}: bad algorithm name {algorithm!r}")
+        algorithm = names.get(raw_name)
+        if algorithm is None:
+            algorithm = raw_name.strip()
+            if not algorithm or any(c in algorithm for c in '",\r\n'):
+                raise DatasetError(f"{src}:{lineno}: bad algorithm name {algorithm!r}")
+            names[raw_name] = algorithm
         key = (algorithm, game)
         if key in seen:
             raise DatasetError(f"{src}:{lineno}: duplicate cell {key}")
         seen.add(key)
-        check_numbers(src, lineno, DatasetError, score, frames)
-        try:
-            frames = parse_frames(frames)
-        except ValueError as exc:
-            raise DatasetError(f"{src}:{lineno}: {exc}") from None
-        if frames <= 0:
-            raise DatasetError(f"{src}:{lineno}: frames must be positive: {frames}")
-        expected = scale_label_for(frames)
-        if label.strip() != expected:
-            raise DatasetError(f"{src}:{lineno}: scale_label {label!r} does not match "
-                               f"{frames} frames ({expected})")
+        check_numbers(src, lineno, DatasetError, score)
+        frames = scales.get((raw_frames, label))
+        if frames is None:
+            check_numbers(src, lineno, DatasetError, raw_frames)
+            try:
+                frames = parse_frames(raw_frames)
+            except ValueError as exc:
+                raise DatasetError(f"{src}:{lineno}: {exc}") from None
+            if frames <= 0:
+                raise DatasetError(f"{src}:{lineno}: frames must be positive: {frames}")
+            expected = scale_label_for(frames)
+            if label.strip() != expected:
+                raise DatasetError(f"{src}:{lineno}: scale_label {label!r} does not match "
+                                   f"{frames} frames ({expected})")
+            scales[(raw_frames, label)] = frames
         score = score.strip()
         if score.upper() == "N/A":
             omitted.append(key)

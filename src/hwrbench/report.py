@@ -7,8 +7,8 @@ scores are the only stored quantity; every metric cell is recomputed.
 
 from __future__ import annotations
 
-import json
 from collections import Counter, namedtuple
+from math import isfinite
 
 from hwrbench.aggregate import leaders, summarize
 from hwrbench.datasets import Dataset
@@ -182,47 +182,63 @@ def render_table(report: EvaluationReport, layout: TableLayout, fmt: str = "text
     return f"{metric.value} | {', '.join(algos)}\n" + "\n".join(lines) + "\n"
 
 
-def report_to_dict(report: EvaluationReport) -> dict:
-    """Machine-readable report; floats keep full precision through JSON."""
-    per_game: dict[str, dict[str, dict]] = {}
-    for (algo, game), cell in report.cells.items():
-        per_game.setdefault(algo, {})[game] = {
-            "raw": cell.raw,
-            "frames": report.frames[algo],
-            **{kind.value: cell.metrics[kind] for kind in METRIC_KINDS},
-        }
-    aggregates = {}
-    for algo, rows in report.aggregates.items():
-        aggregates[algo] = {"frames": report.frames[algo]}
-        for kind, row in rows.items():
-            aggregates[algo][kind.value] = {
-                "mean": row.mean,
-                "median": row.median,
-                "coverage": row.coverage,
-                "efficiency_mean": row.efficiency_mean,
-                "efficiency_median": row.efficiency_median,
-            }
-            if row.hwrb_count is not None:
-                aggregates[algo][kind.value]["hwrb"] = row.hwrb_count
-    return {
-        "cap_mode": report.cap_mode.value,
-        "baselines": report.baseline_source,
-        "datasets": list(report.dataset_labels),
-        "per_game": per_game,
-        "aggregates": aggregates,
-        "leaders": {g: list(v) for g, v in report.leaders.items()},
-        "coverage": {
-            algo: {
-                "present": report.aggregates[algo][MetricKind.HNS].coverage,
-                "missing": list(report.missing.get(algo, ())),
-            }
-            for algo in report.aggregates
-        },
-    }
-
-
 def report_to_json(report: EvaluationReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2, sort_keys=True)
+    """The report's fields as ``json.dumps(fields, indent=2, sort_keys=True)`` writes them.
+
+    The text is written straight from the report, keys sorted at each level;
+    floats keep full precision.
+    """
+    from json.encoder import encode_basestring_ascii as quote
+
+    floats: dict[float, str] = {}  # a ratio often repeats across its cell's metrics
+
+    def number(value) -> str:
+        if isinstance(value, int):
+            return ("true" if value else "false") if type(value) is bool else int.__repr__(value)
+        text = floats.get(value) if value else None  # 0.0 == -0.0, yet they print apart
+        if text is None:
+            text = floats[value] = float.__repr__(value) if isfinite(value) else (
+                "NaN" if value != value else "Infinity" if value > 0 else "-Infinity")
+        return text
+
+    def block(items: list[str], depth: int, brackets: str) -> str:
+        if not items:
+            return brackets
+        pad = "\n" + "  " * (depth + 1)
+        return brackets[0] + pad + ("," + pad).join(items) + pad[:-2] + brackets[1]
+
+    def obj(pairs, depth: int) -> str:  # (key, JSON text) pairs, keys unique
+        return block([quote(key) + ": " + text for key, text in sorted(pairs)], depth, "{}")
+
+    names = {kind: kind.value for kind in METRIC_KINDS}  # ``Enum.value`` is a slow property
+    frames = {algo: number(count) for algo, count in report.frames.items()}
+    per_game: dict[str, list[tuple[str, str]]] = {}
+    for (algo, game), cell in report.cells.items():
+        fields = [(name, number(cell.metrics[kind])) for kind, name in names.items()]
+        fields += [("raw", number(cell.raw)), ("frames", frames[algo])]
+        per_game.setdefault(algo, []).append((game, obj(fields, 3)))
+    aggregates, coverage = [], []
+    for algo, rows in report.aggregates.items():
+        entries = [("frames", frames[algo])]
+        for kind, row in rows.items():
+            # The row's fields, ``hwrb_count`` as "hwrb" and only when set (HWRNS).
+            fields = [(field.removesuffix("_count"), number(value))
+                      for field, value in zip(row._fields, row) if value is not None]
+            entries.append((names[kind], obj(fields, 3)))
+        aggregates.append((algo, obj(entries, 2)))
+        missing = [quote(game) for game in report.missing.get(algo, ())]
+        coverage.append((algo, obj([("present", number(rows[MetricKind.HNS].coverage)),
+                                    ("missing", block(missing, 3, "[]"))], 2)))
+    return obj([
+        ("cap_mode", quote(report.cap_mode.value)),
+        ("baselines", quote(report.baseline_source)),
+        ("datasets", block([quote(label) for label in report.dataset_labels], 1, "[]")),
+        ("per_game", obj([(algo, obj(games, 2)) for algo, games in per_game.items()], 1)),
+        ("aggregates", obj(aggregates, 1)),
+        ("leaders", obj([(game, block([quote(a) for a in algos], 2, "[]"))
+                         for game, algos in report.leaders.items()], 1)),
+        ("coverage", obj(coverage, 1)),
+    ], 0)
 
 
 # --- figure data -------------------------------------------------------------

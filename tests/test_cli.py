@@ -213,6 +213,8 @@ class TestSurface:
     @pytest.mark.parametrize("flag, value", [
         ("--score", "nan"), ("--score", "inf"), ("--score", "abc"),
         ("--frames", "2.5"), ("--frames", "inf"), ("--frames", "0"), ("--frames", "-5"),
+        # float("22_7.8") is 227.8 and float("2_0e8") is 2e9.
+        ("--score", "22_7.8"), ("--frames", "2_0e8"), ("--frames", "200_000_000"),
     ])
     def test_bad_score_values_are_usage_errors(self, capsys, flag, value):
         argv = ["score", "--game", "alien", "--score", "1", "--frames", "2e8"]
@@ -221,6 +223,53 @@ class TestSurface:
             main(argv)
         assert exc.value.code == 2
         assert f"argument {flag}: invalid" in capsys.readouterr().err
+
+
+# One usage error per verb that the verb's own parser reports, besides an
+# unknown flag, which the top-level parser reports.
+VERB_USAGE_ERROR = {
+    "validate": ["--dataset"], "score": ["--game", "alien"], "aggregate": ["--format", "csv"],
+    "report": ["--metric", "zz"], "protocol-check": ["--k", "1"], "compare": ["A"],
+    "reproduce": ["--out"],
+}
+
+
+def parse_outcome(parse, argv):
+    """(exit code, stdout, stderr) of a parse that exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+class TestOneVerbParser:
+    @pytest.mark.parametrize("verb", list(VERB_OPTIONS))
+    def test_main_builds_only_the_verbs_parser(self, monkeypatch, verb):
+        import hwrbench.cli as cli
+        built = []
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda *args: built.append(build_parser(*args)) or built[-1])
+        assert parse_outcome(main, [verb, "-h"])[0] == 0
+        (parser,) = built
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == [verb]
+
+    @pytest.mark.parametrize("tail", [["-h"], ["--nope"], "usage error"],
+                             ids=["help", "unknown-flag", "usage-error"])
+    @pytest.mark.parametrize("verb", list(VERB_OPTIONS))
+    def test_help_and_usage_errors_match_the_full_parser(self, verb, tail):
+        argv = [verb, *(VERB_USAGE_ERROR[verb] if tail == "usage error" else tail)]
+        expected = parse_outcome(build_parser().parse_args, argv)
+        assert expected[0] == (0 if tail == ["-h"] else 2)
+        assert parse_outcome(main, argv) == expected
+
+    @pytest.mark.parametrize("argv", [["-h"], [], ["scor"], ["--nope"]],
+                             ids=["help", "no-verb", "unknown-verb", "unknown-flag"])
+    def test_top_level_lists_every_verb(self, argv):
+        code, out, err = parse_outcome(main, argv)
+        assert (code, out, err) == parse_outcome(build_parser().parse_args, argv)
+        assert "{" + ",".join(VERB_OPTIONS) + "}" in out + err
 
 
 def test_readme_lists_each_verbs_flags():
@@ -237,7 +286,8 @@ class TestDeferredImports:
              "code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
              "print(*sorted(sys.modules), file=sys.stderr)\n"
              "sys.exit(code)\n")
-    DEFERRED = {"datasets", "protocol", "report", "aggregate", "reproduce"}
+    # ``json`` too: only the verbs that print JSON load it.
+    DEFERRED = {"datasets", "protocol", "report", "aggregate", "reproduce", "json"}
     # No verb needs these; importing them costs milliseconds of start-up.
     SLOW = {"decimal", "statistics", "dataclasses", "inspect"}
     # The same for these, which this environment's ``site`` may preload;
@@ -249,14 +299,16 @@ class TestDeferredImports:
     VERBS = pytest.mark.parametrize("argv, loaded", [
         ([], set()),
         (VERB_ARGV["score"], set()),
+        ([*VERB_ARGV["score"], "--format", "json"], {"json"}),
         (VERB_ARGV["validate"], TABLES),
         (VERB_ARGV["aggregate"], TABLES),
+        (["aggregate", "--format", "json"], TABLES | {"json"}),
         (VERB_ARGV["report"], TABLES),
-        (VERB_ARGV["compare"], TABLES),
-        (["protocol-check", "--log", "{log}"], {"protocol"}),
-        (["reproduce", "--out", "{out}"], TABLES | {"reproduce"}),
-    ], ids=["import", "score", "validate", "aggregate", "report", "compare", "protocol-check",
-            "reproduce"])
+        (VERB_ARGV["compare"], TABLES | {"json"}),
+        (["protocol-check", "--log", "{log}"], {"protocol", "json"}),
+        (["reproduce", "--out", "{out}"], TABLES | {"reproduce", "json"}),
+    ], ids=["import", "score", "score-json", "validate", "aggregate", "aggregate-json", "report",
+            "compare", "protocol-check", "reproduce"])
 
     def loaded_modules(self, tmp_path, argv, *python_flags) -> set[str]:
         log = write_log(tmp_path, TestProtocolCheck.CONFORMING)
@@ -535,11 +587,6 @@ class TestProtocolCheck:
         assert code == 1
         payload = json.loads(out)
         assert [v["code"] for v in payload["violations"]] == ["budget_exceeded"]
-        # Data files refuse ``_`` in numbers; a flag keeps Python's digit grouping.
-        code, _, _ = run(capsys, "protocol-check", "--log", log, "--budget", "1_6")
-        assert code == 1
-        code, _, _ = run(capsys, "protocol-check", "--log", log, "--budget", "2_0")
-        assert code == 0
 
     def test_reduced_action_set_violation(self, capsys, tmp_path):
         log = write_log(tmp_path, self.CONFORMING)
@@ -600,6 +647,8 @@ class TestProtocolCheck:
     @pytest.mark.parametrize("flag, value", [
         ("--k", "0"), ("--k", "-1"), ("--budget", "-5"), ("--budget", "0"),
         ("--action-set", "-3"), ("--action-set", "0"),
+        # Like the data files, a number flag refuses ``_``: int("1_0") is 10.
+        ("--k", "1_0"), ("--budget", "1_000"), ("--budget", "1_6"), ("--action-set", "1_8"),
     ])
     def test_nonpositive_flags_are_usage_errors(self, capsys, tmp_path, flag, value):
         log = write_log(tmp_path, self.CONFORMING)

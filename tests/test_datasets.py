@@ -150,6 +150,31 @@ def test_bad_row_names_file_and_line(tmp_path, row):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("row, message", [
+    ("A,alien,1,200000000,100M", "scale_label '100M' does not match 200000000 frames (200M)"),
+    ("A,alien,1,100,200M", "scale_label '200M' does not match 100 frames (100)"),
+    ("A,alien,1,2_00000000,200M", "'_' in number '2_00000000'"),
+    ("A,alien,1_0,2_00000000,200M", "'_' in number '1_0'"),
+    ("A,alien,1_0,200000000,200M", "'_' in number '1_0'"),
+    ("A,alien,1,200000000.5,200M", "frame count must be integral: '200000000.5'"),
+    ("A,alien,1,2.5,200M", "frame count must be integral: '2.5'"),
+])
+def test_a_later_row_of_a_checked_algorithm_is_checked_in_full(tmp_path, row, message):
+    # The earlier rows hold each of the bad row's other cells, and are valid.
+    path = write_dataset(tmp_path, ["A,pong,1,200000000,200M", "A,boxing,N/A,100,100", row])
+    with pytest.raises(DatasetError, match=f"^{re.escape(f'{path}:4: {message}')}$"):
+        load_dataset(path)
+
+
+def test_padded_algorithm_cell_names_the_same_algorithm(tmp_path):
+    path = write_dataset(tmp_path, ["Rainbow,pong,1,100,100", " Rainbow,alien,2,100,100 "])
+    assert {r.algorithm for r in load_dataset(path).records} == {"Rainbow"}
+    path = write_dataset(tmp_path, ["Rainbow,alien,1,100,100", " Rainbow ,alien,2,100,100"])
+    with pytest.raises(DatasetError, match=re.escape(
+            f"{path}:3: duplicate cell ('Rainbow', 'alien')")):
+        load_dataset(path)
+
+
 def with_bom(path):
     """A copy of ``path`` saved with a UTF-8 byte-order mark."""
     marked = path.with_name("bom.csv")

@@ -24,7 +24,6 @@ from hwrbench.report import (
     emit_plot_series,
     evaluate,
     render_table,
-    report_to_dict,
     report_to_json,
 )
 
@@ -160,10 +159,95 @@ def test_machine_report_round_trips_full_precision(bundled_report):
 
 
 def test_report_dict_coverage_section(bundled_report):
-    payload = report_to_dict(bundled_report)
+    payload = json.loads(report_to_json(bundled_report))
     assert payload["coverage"]["SimPLe"]["present"] == 36
     assert "berzerk" in payload["coverage"]["SimPLe"]["missing"]
     assert payload["coverage"]["Rainbow"] == {"present": 57, "missing": []}
+
+
+def reference_fields(report):
+    """The fields ``report_to_json`` writes, as a dict for ``json.dumps``."""
+    per_game = {}
+    for (algo, game), cell in report.cells.items():
+        per_game.setdefault(algo, {})[game] = {
+            "raw": cell.raw, "frames": report.frames[algo],
+            **{kind.value: cell.metrics[kind] for kind in METRIC_KINDS}}
+    aggregates = {}
+    for algo, rows in report.aggregates.items():
+        aggregates[algo] = {"frames": report.frames[algo]}
+        for kind, row in rows.items():
+            aggregates[algo][kind.value] = {
+                "mean": row.mean, "median": row.median, "coverage": row.coverage,
+                "efficiency_mean": row.efficiency_mean,
+                "efficiency_median": row.efficiency_median}
+            if row.hwrb_count is not None:
+                aggregates[algo][kind.value]["hwrb"] = row.hwrb_count
+    return {
+        "cap_mode": report.cap_mode.value,
+        "baselines": report.baseline_source,
+        "datasets": list(report.dataset_labels),
+        "per_game": per_game,
+        "aggregates": aggregates,
+        "leaders": {g: list(v) for g, v in report.leaders.items()},
+        "coverage": {algo: {"present": report.aggregates[algo][MetricKind.HNS].coverage,
+                            "missing": list(report.missing.get(algo, ()))}
+                     for algo in report.aggregates},
+    }
+
+
+def assert_written_as_json_dumps(report):
+    out = report_to_json(report)
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True)
+    assert out == json.dumps(reference_fields(report), indent=2, sort_keys=True)
+    return out
+
+
+# Names with non-ASCII, a quote, a backslash, a tab, DEL and a space: with
+# "a" and "a b" as keys, sorting the written lines rather than the keys
+# would put "a b" first, since '"' sorts after ' '.
+NAMES = st.text(st.sampled_from('ab é€"\\\t\x7f'), min_size=1, max_size=4)
+RAW = st.one_of(st.integers(-10**6, 10**7), st.just(-0.0), st.just(0.0),
+                st.floats(-1e6, 1e7, allow_nan=False))
+
+
+@given(st.lists(NAMES, min_size=1, max_size=3, unique=True),
+       st.lists(NAMES, min_size=1, max_size=3, unique=True),
+       st.sampled_from(list(CapMode)), st.data())
+def test_json_is_written_as_json_dumps_would(registry, algos, labels, cap_mode, data):
+    records = [[] for _ in labels]
+    omitted = [[] for _ in labels]
+    for algo in algos:
+        frames = data.draw(st.integers(1, 10**11))
+        games = data.draw(st.lists(st.sampled_from(CANONICAL_GAMES[:6]), min_size=1,
+                                   max_size=4, unique=True))
+        for i, game in enumerate(games):
+            ds = data.draw(st.integers(0, len(labels) - 1))
+            if i and data.draw(st.booleans()):
+                omitted[ds].append((algo, game))
+            else:
+                records[ds].append(RunRecord(algo, game, data.draw(RAW), frames))
+    datasets = [Dataset(label, tuple(recs), tuple(gone))
+                for label, recs, gone in zip(labels, records, omitted)]
+    report = evaluate(datasets, registry, cap_mode)
+    report = report._replace(baseline_source=data.draw(NAMES))
+    assert json.loads(assert_written_as_json_dumps(report)) == reference_fields(report)
+
+
+def test_json_sorts_keys_not_lines(registry):
+    report = evaluate([Dataset("d", (RunRecord("a b", "alien", 1.0, 100),
+                                     RunRecord("a", "alien", 2.0, 100)))], registry)
+    out = assert_written_as_json_dumps(report)
+    assert out.index('"a": {') < out.index('"a b": {')
+
+
+def test_json_writes_non_finite_floats_as_json_does(bundled_report):
+    # evaluate never yields these; the writer still prints them as json does.
+    key = ("Rainbow", "alien")
+    cell = bundled_report.cells[key]
+    odd = dict(zip(METRIC_KINDS, (math.nan, math.inf, -math.inf, -0.0)))
+    cells = {**bundled_report.cells, key: cell._replace(raw=True, metrics=odd)}
+    out = assert_written_as_json_dumps(bundled_report._replace(cells=cells))
+    assert '"hns": NaN' in out and '"raw": true' in out
 
 
 def test_every_cell_rederivable_from_inputs(registry, bundled_report):
