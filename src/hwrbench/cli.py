@@ -7,18 +7,20 @@ diagnostics to stderr; exit status is 0 on success, 1 on data errors,
 2 on usage errors. Flags are the only configuration. Each verb imports
 only the modules it runs, and the value types are named tuples, so
 start-up loads none of ``inspect``, ``typing`` or ``importlib.resources``.
-``json`` is imported only where JSON is printed, and ``main`` builds the
-subparser of the verb it runs, not all seven.
+``json`` is imported only where JSON is printed. Each verb's flags are
+stated once, in ``VERBS``: ``main`` reads a valid command line from that
+table itself, and imports argparse only to print help or a usage error,
+building then the subparser of the verb it runs, not all seven.
 """
 
 from __future__ import annotations
 
-import argparse
 import importlib
 import math
 import sys
 from collections import deque
 from pathlib import Path
+from types import SimpleNamespace
 
 from hwrbench.errors import BenchmarkError
 from hwrbench.games import CANONICAL_GAMES, BaselineRegistry
@@ -68,26 +70,34 @@ def _load_datasets(args) -> list:
             for p in args.dataset]
 
 
-# A number flag holding ``_`` is refused, as in the data files: float("22_7.8") is 227.8.
+# A number flag holding ``_`` or a non-ASCII character is refused, as in the
+# data files: float("22_7.8") is 227.8 and float("١٠") is 10.0.
+
+def _number_text(text: str) -> str:
+    if "_" in text or not text.isascii():
+        raise ValueError(text)
+    return text
+
 
 def finite_float(text: str) -> float:
-    value = float(text)
-    if "_" in text or not math.isfinite(value):
+    value = float(_number_text(text))
+    if not math.isfinite(value):
         raise ValueError(text)
     return value
 
 
 def positive_int(text: str) -> int:
-    value = int(text)
-    if "_" in str(text) or value < 1:  # ``positive_frames`` passes an int
+    value = int(_number_text(text))
+    if value < 1:
         raise ValueError(f"must be >= 1: {text!r}")
     return value
 
 
 def positive_frames(text: str) -> int:
-    if "_" in text:
-        raise ValueError(text)
-    return positive_int(parse_frames(text))
+    value = parse_frames(_number_text(text))
+    if value < 1:
+        raise ValueError(f"must be >= 1: {text!r}")
+    return value
 
 
 def _emit(text: str, args) -> None:
@@ -261,87 +271,138 @@ def _cmd_reproduce(args) -> int:
     return 0
 
 
+_BASELINES = {"help": "baseline CSV path (default: bundled)"}
+_DATASET = {"action": "append",
+            "help": "dataset CSV path or bundled label; repeatable (default: all bundled)"}
+_CAP_MODE = {"type": CapMode, "choices": [m.value for m in CapMode], "default": "spec-floor"}
+_OUT = {"help": "write output to this path instead of stdout"}
+
+# Each verb's summary, command and arguments in help order: an option string,
+# or a positional's name, maps to the keywords of argparse's ``add_argument``.
+# ``build_parser`` and ``_parse_flags`` both read this table.
+VERBS = {
+    "validate": ("check baseline and dataset integrity", _cmd_validate,
+                 {"--baselines": _BASELINES, "--dataset": _DATASET}),
+    "score": ("normalize one raw score", _cmd_score, {
+        "--baselines": _BASELINES, "--cap-mode": _CAP_MODE,
+        "--format": {"choices": ("table", "json"), "default": "table"},
+        "--game": {"required": True},
+        "--score": {"type": finite_float, "required": True},
+        "--frames": {"type": positive_frames,
+                     "help": "training frames, for game time and efficiency"}}),
+    "aggregate": ("aggregate rows per algorithm", _cmd_aggregate, {
+        "--baselines": _BASELINES, "--dataset": _DATASET, "--cap-mode": _CAP_MODE,
+        "--out": _OUT, "--format": {"choices": ("table", "json"), "default": "table"}}),
+    "report": ("render a full score table", _cmd_report, {
+        "--baselines": _BASELINES, "--dataset": _DATASET, "--cap-mode": _CAP_MODE,
+        "--out": _OUT, "--format": {"choices": ("table", "csv"), "default": "table"},
+        "--metric": {"default": "hwrns", "choices": [k.value for k in METRIC_KINDS]},
+        "--algorithms": {"nargs": "+", "help": "columns to include (default: all)"}}),
+    "protocol-check": ("check an episode log for conformance", _cmd_protocol_check, {
+        "--log": {"required": True, "help": "episode log path, or - for stdin"},
+        "--k": {"type": positive_int, "default": 1, "help": "training-score averaging window"},
+        "--budget": {"type": positive_frames,
+                     "help": "frame budget (scientific notation accepted)"},
+        "--action-set": {"type": positive_int, "help": "declared action-space dimension"}}),
+    "compare": ("per-game HWRNS leader diff between two algorithms", _cmd_compare, {
+        "--baselines": _BASELINES, "--dataset": _DATASET, "algorithm_a": {}, "algorithm_b": {}}),
+    "reproduce": ("recompute the bundled reference tables and diff them", _cmd_reproduce, {
+        "--baselines": _BASELINES,
+        "--out": {"default": "reproduce-out",
+                  "help": "output directory (default: reproduce-out)"}}),
+}
+
+
 def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     """Every verb's parser, or ``verb``'s alone; the usage line lists all seven either way."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="hwrbench",
         description="Human-world-record benchmark scoring for Atari results.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    shared = {
-        "--baselines": {"help": "baseline CSV path (default: bundled)"},
-        "--dataset": {"action": "append", "help": "dataset CSV path or bundled label; "
-                      "repeatable (default: all bundled)"},
-        "--cap-mode": {"type": CapMode, "choices": [m.value for m in CapMode],
-                       "default": "spec-floor"},
-        "--out": {"help": "write output to this path instead of stdout"},
-    }
-    names = []
-
-    def add(name: str, summary: str, *flags: str) -> argparse.ArgumentParser | None:
-        names.append(name)
-        if verb not in (None, name):
-            return None
-        p = sub.add_parser(name, help=summary)
-        for flag in flags:
-            p.add_argument(flag, **shared[flag])
-        return p
-
-    if p := add("validate", "check baseline and dataset integrity", "--baselines", "--dataset"):
-        p.set_defaults(func=_cmd_validate)
-
-    if p := add("score", "normalize one raw score", "--baselines", "--cap-mode"):
-        p.add_argument("--format", choices=("table", "json"), default="table")
-        p.add_argument("--game", required=True)
-        p.add_argument("--score", type=finite_float, required=True)
-        p.add_argument("--frames", type=positive_frames,
-                       help="training frames, for game time and efficiency")
-        p.set_defaults(func=_cmd_score)
-
-    if p := add("aggregate", "aggregate rows per algorithm",
-                 "--baselines", "--dataset", "--cap-mode", "--out"):
-        p.add_argument("--format", choices=("table", "json"), default="table")
-        p.set_defaults(func=_cmd_aggregate)
-
-    if p := add("report", "render a full score table",
-                 "--baselines", "--dataset", "--cap-mode", "--out"):
-        p.add_argument("--format", choices=("table", "csv"), default="table")
-        p.add_argument("--metric", default="hwrns", choices=[k.value for k in METRIC_KINDS])
-        p.add_argument("--algorithms", nargs="+",
-                       help="columns to include (default: all)")
-        p.set_defaults(func=_cmd_report)
-
-    if p := add("protocol-check", "check an episode log for conformance"):
-        p.add_argument("--log", required=True, help="episode log path, or - for stdin")
-        p.add_argument("--k", type=positive_int, default=1,
-                       help="training-score averaging window")
-        p.add_argument("--budget", type=positive_frames,
-                       help="frame budget (scientific notation accepted)")
-        p.add_argument("--action-set", type=positive_int,
-                       help="declared action-space dimension")
-        p.set_defaults(func=_cmd_protocol_check)
-
-    if p := add("compare", "per-game HWRNS leader diff between two algorithms",
-                 "--baselines", "--dataset"):
-        p.add_argument("algorithm_a")
-        p.add_argument("algorithm_b")
-        p.set_defaults(func=_cmd_compare)
-
-    if p := add("reproduce", "recompute the bundled reference tables and diff them",
-                 "--baselines"):
-        p.add_argument("--out", default="reproduce-out",
-                       help="output directory (default: reproduce-out)")
-        p.set_defaults(func=_cmd_reproduce)
-
-    if verb not in (None, *sub.choices):  # ``-h`` or an unknown verb: build them all
-        return build_parser()
-    sub.metavar = verb and "{" + ",".join(names) + "}"  # the usage line of all seven
+    if verb not in VERBS:  # ``-h`` or an unknown verb: build them all
+        verb = None
+    for name, (summary, func, arguments) in VERBS.items():
+        if verb in (None, name):
+            p = sub.add_parser(name, help=summary)
+            for arg, options in arguments.items():
+                p.add_argument(arg, **options)
+            p.set_defaults(func=func)
+    if verb:
+        sub.metavar = "{" + ",".join(VERBS) + "}"  # the usage line of all seven
     return parser
+
+
+def _parse_flags(argv: list[str]) -> SimpleNamespace | None:
+    """What ``build_parser().parse_args(argv)`` returns for a plain, valid ``argv``.
+
+    It reads an exact verb, exact flags as ``--flag value`` or ``--flag=value``,
+    and the verb's positionals, and converts and defaults each value as
+    argparse does. On anything else (``-h``, ``--``, an abbreviation, a value
+    that starts with ``-``, a repeated flag, ``=`` on a ``nargs`` flag, a bad
+    or missing value) it returns None, and argparse prints the help or the
+    usage error.
+    """
+    if not argv or argv[0] not in VERBS:
+        return None
+    _summary, func, arguments = VERBS[argv[0]]
+    given: dict[str, list[str]] = {}  # an argument's name in the table -> its texts
+    free = []
+    i = 1
+    while i < len(argv):
+        arg = argv[i]
+        i += 1
+        if not arg.startswith("-"):
+            free.append(arg)
+            continue
+        flag, eq, text = arg.partition("=")
+        options = arguments.get(flag) if flag.startswith("--") else None
+        if options is None or (flag in given and options.get("action") != "append"):
+            return None
+        if eq:
+            texts = [text]
+        else:  # the value, or for ``nargs`` the values, up to the next flag
+            end = i
+            while (end < len(argv) and not argv[end].startswith("-")
+                   and (end == i or "nargs" in options)):
+                end += 1
+            texts, i = argv[i:end], end
+        if not texts or (eq and ("nargs" in options or text == "--")):
+            return None  # argparse drops the ``--`` of ``--flag=--``
+        given.setdefault(flag, []).extend(texts)
+    positionals = [name for name in arguments if not name.startswith("-")]
+    if len(free) != len(positionals):
+        return None
+    given.update((name, [text]) for name, text in zip(positionals, free))
+    values = {}
+    for name, options in arguments.items():
+        convert = options.get("type", str)
+        if name in given:
+            try:
+                value = [convert(text) for text in given[name]]
+            except (TypeError, ValueError):
+                return None
+            if "choices" in options and any(v not in options["choices"] for v in value):
+                return None
+            if "nargs" not in options and "action" not in options:
+                value = value[0]
+        elif options.get("required"):
+            return None
+        else:
+            value = options.get("default")
+            if isinstance(value, str):  # argparse converts a string default too
+                value = convert(value)
+        values[name.lstrip("-").replace("-", "_")] = value
+    return SimpleNamespace(verb=argv[0], func=func, **values)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _parse_flags(argv)
+    if args is None:  # help, or a usage error for argparse to print
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (BenchmarkError, ValueError, OSError) as exc:

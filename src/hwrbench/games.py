@@ -66,10 +66,16 @@ def read_csv(
 
 
 def check_numbers(src: Path, lineno: int, error: type[BenchmarkError], *cells: str) -> None:
-    """Refuse a number cell holding ``_``: ``float`` drops it, reading 22_7.8 as 227.8."""
+    """Refuse a number cell holding ``_`` or a non-ASCII character.
+
+    ``float`` drops a ``_``, reading 22_7.8 as 227.8, and reads any Unicode
+    digit, ١٠ as 10.0; the episode-log parser refuses both too.
+    """
     for cell in cells:
         if "_" in cell:
             raise error(f"{src}:{lineno}: '_' in number {cell!r}")
+        if not cell.isascii():
+            raise error(f"{src}:{lineno}: non-ASCII character in number {cell!r}")
 
 
 # A possessive 's and every character but a letter or digit.

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import importlib
 import io
+import itertools
 import json
 import os
 import re
@@ -13,11 +14,11 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hwrbench
-from hwrbench.cli import build_parser, main
+from hwrbench.cli import VERBS, _parse_flags, build_parser, main
 from hwrbench.datasets import Dataset, RunRecord
 from hwrbench.games import CANONICAL_GAMES, BaselineRegistry, data_path
 from hwrbench.metrics import METRIC_KINDS, CapMode, MetricKind, MetricValue
@@ -188,12 +189,36 @@ def verb_options():
             for verb, p in verb_parsers().items()}
 
 
+def table_options():
+    return {verb: {name for name in arguments if name.startswith("--")}
+            for verb, (_summary, _func, arguments) in VERBS.items()}
+
+
 class TestSurface:
     def test_option_sets(self):
-        assert verb_options() == VERB_OPTIONS
+        assert verb_options() == table_options() == VERB_OPTIONS
         formats = {verb: tuple(a.choices) for verb, p in verb_parsers().items()
                    for a in p._actions if "--format" in a.option_strings}
         assert formats == FORMATS
+
+    @pytest.mark.parametrize("verb", list(VERB_OPTIONS))
+    def test_parser_states_the_table(self, verb):
+        # The fast path reads the table, argparse the parser built from it.
+        parser = verb_parsers()[verb]
+        _summary, func, arguments = VERBS[verb]
+        actions = {(a.option_strings or [a.dest])[0]: a for a in parser._actions
+                   if a.dest != "help"}
+        assert list(actions) == list(arguments)
+        for name, options in arguments.items():
+            action = actions[name]
+            assert action.dest == name.lstrip("-").replace("-", "_")
+            assert isinstance(action, argparse._AppendAction) == ("action" in options), name
+            # argparse's value for each keyword the table leaves out
+            unset = {"type": None, "choices": None, "default": None, "nargs": None,
+                     "required": not name.startswith("--"), "help": None}
+            for key, value in unset.items():
+                assert getattr(action, key) == options.get(key, value), (name, key)
+        assert parser.get_default("func") is func
 
     @pytest.mark.parametrize("verb, flag, value", [
         ("validate", "--cap-mode", "table-compat"), ("validate", "--format", "json"),
@@ -215,6 +240,8 @@ class TestSurface:
         ("--frames", "2.5"), ("--frames", "inf"), ("--frames", "0"), ("--frames", "-5"),
         # float("22_7.8") is 227.8 and float("2_0e8") is 2e9.
         ("--score", "22_7.8"), ("--frames", "2_0e8"), ("--frames", "200_000_000"),
+        # float() reads any Unicode digit: Arabic-Indic 10 and fullwidth 100.
+        ("--score", "\u0661\u0660"), ("--frames", "\uff11\uff10\uff10"),
     ])
     def test_bad_score_values_are_usage_errors(self, capsys, flag, value):
         argv = ["score", "--game", "alien", "--score", "1", "--frames", "2e8"]
@@ -272,19 +299,87 @@ class TestOneVerbParser:
         assert "{" + ",".join(VERB_OPTIONS) + "}" in out + err
 
 
+# Command lines that ``main`` must parse without argparse: the ones above,
+# and those of each verb in the benchmark's workloads.
+FAST_ARGV = [
+    *VERB_ARGV.values(),
+    ["score", "--game", "alien", "--score=-20.7", "--frames", "2e8"],
+    ["aggregate", "--format", "json"],
+    ["report", "--metric", "hwrns", "--format", "csv"],
+    ["reproduce", "--out", "out"],
+    ["protocol-check", "--log", "train.log", "--k", "100"],
+]
+REQUIRED = {"score": [["--game", "alien"], ["--score", "1"]], "compare": [["A"], ["B"]],
+            "protocol-check": [["--log", "train.log"]]}
+FLAGS = sorted({flag for flags in VERB_OPTIONS.values() for flag in flags})
+VALUES = ["alien", "pong", "Rainbow", "LASER", "1", "9491.7", "-20.7", "2e8", "2.5", "0", "-5",
+          "nan", "inf", "1_0", "\u0661\u0660", "\uff11\uff10\uff10", "table", "json", "csv",
+          "hns", "hwrns", "spec-floor", "table-compat", "-", "", "-h", "--help", "--", "a=b"]
+
+
+@st.composite
+def command_lines(draw):
+    """A verb, then flags (exact or abbreviated, ``=`` or space form) and loose values.
+
+    The verb's own flags, its required arguments and one value a flag are the
+    likelier draws, so that about one line in twenty is one the fast path reads.
+    """
+    verb = draw(st.sampled_from([*VERB_OPTIONS] * 3 + ["scor", "-h"]))
+    own = sorted(VERB_OPTIONS.get(verb, FLAGS))
+    value = st.sampled_from(VALUES) | st.text(max_size=3)
+    pieces = list(draw(st.sampled_from([[], REQUIRED.get(verb, [])])))
+    for flag in draw(st.lists(st.sampled_from(own * 4 + FLAGS), max_size=6)):
+        if len(flag) > 3 and draw(st.integers(0, 9)) == 0:
+            flag = flag[:draw(st.integers(3, len(flag) - 1))]  # an abbreviation
+        values = draw(st.lists(value, min_size=1, max_size=draw(st.sampled_from([1, 1, 1, 3]))))
+        pieces.append([f"{flag}={values[0]}"] if draw(st.booleans()) else [flag, *values])
+    pieces += [[text] for text in draw(st.lists(value, max_size=draw(st.sampled_from([0, 2, 3]))))]
+    return [verb, *itertools.chain.from_iterable(draw(st.permutations(pieces)))]
+
+
+@settings(max_examples=1000)
+@given(command_lines())
+def test_fast_parse_agrees_with_argparse(argv):
+    args = _parse_flags(argv)
+    if args is not None:  # then argparse must accept argv, with the same values
+        assert vars(args) == vars(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", FAST_ARGV, ids=" ".join)
+def test_plain_command_lines_take_the_fast_path(argv):
+    args = _parse_flags(argv)
+    assert args is not None
+    assert vars(args) == vars(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ["score", "--game", "alien", "--score", "-20.7"],  # a value that starts with ``-``
+    ["score", "--game", "alien", "--sc", "1"], ["score", "--game", "alien", "--score", "1", "-h"],
+    ["compare", "--", "A", "B"], ["compare", "A"], ["protocol-check", "--log", "-"],
+    ["aggregate", "--format", "json", "--format", "table"], ["report", "--algorithms=A"],
+    ["score", "--game", "alien", "--score", "\u0661"], ["validate", "--dataset"],
+], ids=["negative", "abbreviation", "help", "double-dash", "positional-missing", "stdin",
+        "repeated", "nargs-equals", "non-ascii", "value-missing"])
+def test_other_command_lines_are_left_to_argparse(argv):
+    assert _parse_flags(argv) is None
+
+
 def test_readme_lists_each_verbs_flags():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     rows = re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", readme, re.MULTILINE)
-    assert {verb: set(re.findall(r"--[a-z-]+", flags)) for verb, flags in rows} == \
-        verb_options()
+    listed = {verb: set(re.findall(r"--[a-z-]+", flags)) for verb, flags in rows}
+    assert listed == verb_options() == table_options()
 
 
 class TestDeferredImports:
-    # Prints the names of every module loaded after running the verb in argv.
+    # Prints the names of every module loaded after running the verb in argv,
+    # or after ``main`` exits on help or a usage error.
     CHILD = ("import sys\n"
              "from hwrbench.cli import main\n"
-             "code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
-             "print(*sorted(sys.modules), file=sys.stderr)\n"
+             "try:\n"
+             "    code = main(sys.argv[2:]) if sys.argv[1] == 'main' else 0\n"
+             "finally:\n"
+             "    print(*sorted(sys.modules), file=sys.stderr)\n"
              "sys.exit(code)\n")
     # ``json`` too: only the verbs that print JSON load it.
     DEFERRED = {"datasets", "protocol", "report", "aggregate", "reproduce", "json"}
@@ -293,6 +388,8 @@ class TestDeferredImports:
     # The same for these, which this environment's ``site`` may preload;
     # ``python -S`` shows whether a verb imports them itself.
     SLOW_WITHOUT_SITE = {"typing", "importlib.resources", "dataclasses", "inspect"}
+    # A valid command line is read without argparse, which would load these.
+    ARGPARSE = {"argparse", "gettext", "locale"}
     TABLES = {"datasets", "report", "aggregate"}
     TRACED = {"evaluate": "report", "render_table": "report", "report_to_json": "report",
               "load_all_bundled": "datasets"}
@@ -311,12 +408,17 @@ class TestDeferredImports:
             "compare", "protocol-check", "reproduce"])
 
     def loaded_modules(self, tmp_path, argv, *python_flags) -> set[str]:
+        # ``[]`` only imports the module.
+        return self.child_modules(tmp_path, ["main", *argv] if argv else ["import"],
+                                  python_flags, 0)
+
+    def child_modules(self, tmp_path, child_argv, python_flags, code) -> set[str]:
         log = write_log(tmp_path, TestProtocolCheck.CONFORMING)
-        argv = [a.format(log=log, out=tmp_path / "repro") for a in argv]
-        result = subprocess.run([sys.executable, *python_flags, "-c", self.CHILD, *argv],
+        child_argv = [a.format(log=log, out=tmp_path / "repro") for a in child_argv]
+        result = subprocess.run([sys.executable, *python_flags, "-c", self.CHILD, *child_argv],
                                 capture_output=True, text=True,
                                 env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
-        assert result.returncode == 0, result.stderr
+        assert result.returncode == code, result.stderr
         return set(result.stderr.splitlines()[-1].split())
 
     @VERBS
@@ -324,12 +426,24 @@ class TestDeferredImports:
         modules = self.loaded_modules(tmp_path, argv)
         assert {m.removeprefix("hwrbench.") for m in modules} & self.DEFERRED == loaded
         assert modules & self.SLOW == set()
+        assert modules & self.ARGPARSE == set()
 
     @VERBS
     def test_verb_imports_no_slow_module_without_site(self, tmp_path, argv, loaded):
         modules = self.loaded_modules(tmp_path, argv, "-S")
         assert {m.removeprefix("hwrbench.") for m in modules} & self.DEFERRED == loaded
         assert modules & self.SLOW_WITHOUT_SITE == set()
+        assert modules & self.ARGPARSE == set()
+
+    @pytest.mark.parametrize("python_flags", [(), ("-S",)], ids=["site", "no-site"])
+    @pytest.mark.parametrize("argv, code", [
+        ([], 2), (["-h"], 0), (["score", "-h"], 0),
+        (["score", "--game", "alien"], 2), (["report", "--metric", "zz"], 2),
+    ], ids=["no-verb", "help", "verb-help", "missing-flag", "bad-choice"])
+    def test_help_and_usage_errors_go_through_argparse(self, tmp_path, argv, code,
+                                                        python_flags):
+        modules = self.child_modules(tmp_path, ["main", *argv], python_flags, code)
+        assert self.ARGPARSE <= modules
 
     def test_traced_names_resolve_on_first_use(self):
         import hwrbench.cli as cli
@@ -649,6 +763,8 @@ class TestProtocolCheck:
         ("--action-set", "-3"), ("--action-set", "0"),
         # Like the data files, a number flag refuses ``_``: int("1_0") is 10.
         ("--k", "1_0"), ("--budget", "1_000"), ("--budget", "1_6"), ("--action-set", "1_8"),
+        # and non-ASCII digits: int("\u0661") is 1.
+        ("--k", "\u0661"), ("--budget", "\uff11\uff10\uff10"), ("--action-set", "\uff11\uff18"),
     ])
     def test_nonpositive_flags_are_usage_errors(self, capsys, tmp_path, flag, value):
         log = write_log(tmp_path, self.CONFORMING)

@@ -166,6 +166,19 @@ def test_a_later_row_of_a_checked_algorithm_is_checked_in_full(tmp_path, row, me
         load_dataset(path)
 
 
+@pytest.mark.parametrize("row, cell", [
+    ("A,alien,\u0661\u0660,200000000,200M", "\u0661\u0660"),  # Arabic-Indic 10
+    ("A,alien,1,\uff11\uff10\uff10,100", "\uff11\uff10\uff10"),  # fullwidth 100
+    ("A,alien,N/A,\uff11\uff10\uff10,100", "\uff11\uff10\uff10"),
+], ids=["arabic-indic-score", "fullwidth-frames", "fullwidth-frames-na"])
+def test_non_ascii_number_rejected_at_its_line(tmp_path, row, cell):
+    # float() and int() read any Unicode digit: these would load as 10.0 and 100
+    path = write_dataset(tmp_path, ["A,pong,1,100,100", row])
+    message = f"{path}:3: non-ASCII character in number {cell!r}"
+    with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+        load_dataset(path)
+
+
 def test_padded_algorithm_cell_names_the_same_algorithm(tmp_path):
     path = write_dataset(tmp_path, ["Rainbow,pong,1,100,100", " Rainbow,alien,2,100,100 "])
     assert {r.algorithm for r in load_dataset(path).records} == {"Rainbow"}

@@ -168,6 +168,17 @@ def test_load_rejects_underscore_in_numbers(registry, tmp_path, column, text):
         BaselineRegistry.load(path)
 
 
+@pytest.mark.parametrize("column", ["random", "human_average", "human_world_record"])
+def test_load_rejects_non_ascii_numbers(registry, tmp_path, column):
+    # float() reads the fullwidth digits of alien's bundled random score, 227.8
+    text = "\uff12\uff12\uff17.\uff18"
+    path, lineno = baselines_with(registry, tmp_path, "alien", column, text)
+    where = f"{re.escape(str(path))}:{lineno}"
+    with pytest.raises(ValidationError,
+                       match=f"^{where}: non-ASCII character in number '{text}'$"):
+        BaselineRegistry.load(path)
+
+
 def test_load_ordering_error_names_line(registry, tmp_path):
     path, lineno = baselines_with(registry, tmp_path, "pong", "human_average", "-30")
     with pytest.raises(ValidationError,

@@ -120,6 +120,14 @@ def test_underscore_in_a_printed_number_rejected(tmp_path, field, text):
         load_golden_cells(path)
 
 
+def test_non_ascii_printed_number_rejected(tmp_path):
+    text = "\u0661\u0663\u0664.\u0662\u0666"  # Arabic-Indic 134.26, which float() reads
+    path, where = golden_copy(tmp_path, cell_at=(2, "printed_pct", text))
+    with pytest.raises(DatasetError,
+                       match=f"^{where}:2: non-ASCII character in number '{text}'$"):
+        load_golden_cells(path)
+
+
 @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400"])
 def test_non_finite_printed_cell_is_malformed(monkeypatch, golden, text):
     layouts, cells = golden
