@@ -8,9 +8,9 @@ diagnostics to stderr; exit status is 0 on success, 1 on data errors,
 only the modules it runs, and the value types are named tuples, so
 start-up loads none of ``inspect``, ``typing`` or ``importlib.resources``.
 ``json`` is imported only where JSON is printed. Each verb's flags are
-stated once, in ``VERBS``: ``main`` reads a valid command line from that
-table itself, and imports argparse only to print help or a usage error,
-building then the subparser of the verb it runs, not all seven.
+stated once, in ``VERBS``: ``main`` reads a plain, valid command line
+from that table itself, and argparse, built from the same table, reads the
+rest: help, usage errors, ``--log -``, ``--score -20.7``, abbreviations.
 """
 
 from __future__ import annotations
@@ -274,7 +274,8 @@ def _cmd_reproduce(args) -> int:
 _BASELINES = {"help": "baseline CSV path (default: bundled)"}
 _DATASET = {"action": "append",
             "help": "dataset CSV path or bundled label; repeatable (default: all bundled)"}
-_CAP_MODE = {"type": CapMode, "choices": [m.value for m in CapMode], "default": "spec-floor"}
+_CAP_MODE = {"type": CapMode, "choices": [m.value for m in CapMode],
+             "default": CapMode.SPEC_FLOOR}
 _OUT = {"help": "write output to this path instead of stdout"}
 
 # Each verb's summary, command and arguments in help order: an option string,
@@ -313,25 +314,24 @@ VERBS = {
 }
 
 
-def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
-    """Every verb's parser, or ``verb``'s alone; the usage line lists all seven either way."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of all seven verbs, built from ``VERBS``."""
     import argparse
 
+    class VerbParser(argparse.ArgumentParser):
+        def _get_values(self, action, arg_strings):
+            if arg_strings == ["--"]:  # ``--flag=--`` or a second ``--``: argparse would store []
+                raise argparse.ArgumentError(action, "expected one argument")
+            return super()._get_values(action, arg_strings)
+
     parser = argparse.ArgumentParser(
-        prog="hwrbench",
-        description="Human-world-record benchmark scoring for Atari results.",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
-    if verb not in VERBS:  # ``-h`` or an unknown verb: build them all
-        verb = None
+        prog="hwrbench", description="Human-world-record benchmark scoring for Atari results.")
+    sub = parser.add_subparsers(dest="verb", required=True, parser_class=VerbParser)
     for name, (summary, func, arguments) in VERBS.items():
-        if verb in (None, name):
-            p = sub.add_parser(name, help=summary)
-            for arg, options in arguments.items():
-                p.add_argument(arg, **options)
-            p.set_defaults(func=func)
-    if verb:
-        sub.metavar = "{" + ",".join(VERBS) + "}"  # the usage line of all seven
+        p = sub.add_parser(name, help=summary)
+        for arg, options in arguments.items():
+            p.add_argument(arg, **options)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -342,8 +342,7 @@ def _parse_flags(argv: list[str]) -> SimpleNamespace | None:
     and the verb's positionals, and converts and defaults each value as
     argparse does. On anything else (``-h``, ``--``, an abbreviation, a value
     that starts with ``-``, a repeated flag, ``=`` on a ``nargs`` flag, a bad
-    or missing value) it returns None, and argparse prints the help or the
-    usage error.
+    or missing value) it returns None, and ``main`` hands ``argv`` to argparse.
     """
     if not argv or argv[0] not in VERBS:
         return None
@@ -370,7 +369,7 @@ def _parse_flags(argv: list[str]) -> SimpleNamespace | None:
                 end += 1
             texts, i = argv[i:end], end
         if not texts or (eq and ("nargs" in options or text == "--")):
-            return None  # argparse drops the ``--`` of ``--flag=--``
+            return None  # ``--flag=--`` is a usage error for argparse to print
         given.setdefault(flag, []).extend(texts)
     positionals = [name for name in arguments if not name.startswith("-")]
     if len(free) != len(positionals):
@@ -378,8 +377,9 @@ def _parse_flags(argv: list[str]) -> SimpleNamespace | None:
     given.update((name, [text]) for name, text in zip(positionals, free))
     values = {}
     for name, options in arguments.items():
-        convert = options.get("type", str)
+        value = options.get("default")
         if name in given:
+            convert = options.get("type", str)
             try:
                 value = [convert(text) for text in given[name]]
             except (TypeError, ValueError):
@@ -390,10 +390,6 @@ def _parse_flags(argv: list[str]) -> SimpleNamespace | None:
                 value = value[0]
         elif options.get("required"):
             return None
-        else:
-            value = options.get("default")
-            if isinstance(value, str):  # argparse converts a string default too
-                value = convert(value)
         values[name.lstrip("-").replace("-", "_")] = value
     return SimpleNamespace(verb=argv[0], func=func, **values)
 
@@ -401,8 +397,8 @@ def _parse_flags(argv: list[str]) -> SimpleNamespace | None:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _parse_flags(argv)
-    if args is None:  # help, or a usage error for argparse to print
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
+    if args is None:  # help, a usage error, or a line the table reader declines
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (BenchmarkError, ValueError, OSError) as exc:

@@ -11,11 +11,12 @@ row, ``N/A`` or not, needs a positive integral ``frames`` and its label.
 from __future__ import annotations
 
 import math
+import re
 from collections import namedtuple
 from pathlib import Path
 
 from hwrbench.errors import DatasetError, UnknownGameError
-from hwrbench.games import canonical_game, check_numbers, data_path, read_csv
+from hwrbench.games import canonical_game, data_path, read_csv
 from hwrbench.numfmt import parse_frames, scale_label_for
 
 BUNDLED_DATASETS = (
@@ -49,29 +50,24 @@ def load_dataset(path: str | Path) -> Dataset:
     records: list[RunRecord] = []
     omitted: list[tuple[str, str]] = []
     seen: set[tuple[str, str]] = set()
-    # Each distinct raw name cell, and raw (frames, label) pair, is checked once.
-    names: dict[str, str] = {}
+    # An algorithm's rows repeat its frames and label: each raw pair is checked once.
     scales: dict[tuple[str, str], int] = {}
-    for lineno, (raw_name, game, score, raw_frames, label) in read_csv(
-            src, DATASET_COLUMNS, DatasetError):
+    bad_name = re.compile('[",\r\n]').search  # a CSV table prints a name unquoted
+    for lineno, (algorithm, game, score, raw_frames, label) in read_csv(
+            src, DATASET_COLUMNS, DatasetError, ("score", "frames")):
         try:
             game = canonical_game(game)
         except UnknownGameError as exc:
             raise DatasetError(f"{src}:{lineno}: {exc}")
-        algorithm = names.get(raw_name)
-        if algorithm is None:
-            algorithm = raw_name.strip()
-            if not algorithm or any(c in algorithm for c in '",\r\n'):
-                raise DatasetError(f"{src}:{lineno}: bad algorithm name {algorithm!r}")
-            names[raw_name] = algorithm
+        algorithm = algorithm.strip()
+        if not algorithm or bad_name(algorithm):
+            raise DatasetError(f"{src}:{lineno}: bad algorithm name {algorithm!r}")
         key = (algorithm, game)
         if key in seen:
             raise DatasetError(f"{src}:{lineno}: duplicate cell {key}")
         seen.add(key)
-        check_numbers(src, lineno, DatasetError, score)
         frames = scales.get((raw_frames, label))
         if frames is None:
-            check_numbers(src, lineno, DatasetError, raw_frames)
             try:
                 frames = parse_frames(raw_frames)
             except ValueError as exc:

@@ -8,6 +8,7 @@ across threads.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import math
 import re
@@ -42,40 +43,47 @@ def data_path(*parts: str) -> Path:
 
 
 def read_csv(
-    src: Path, columns: tuple[str, ...], error: type[BenchmarkError],
+    src: Path, columns: tuple[str, ...], error: type[BenchmarkError], numbers: tuple[str, ...] = (),
 ) -> Iterator[tuple[int, list[str]]]:
     """(line number, cells) of each nonblank row of a CSV file.
 
-    The header must be exactly ``columns`` and every row as wide; otherwise
-    ``error`` is raised naming the file and, for a row, the line. A row is
-    numbered by its first line: a quoted cell may hold a line break.
+    The header must be exactly ``columns``, every row as wide, every byte UTF-8
+    and every cell within csv's field limit; a ``numbers`` cell may hold no ``_``
+    (``float`` reads 22_7.8 as 227.8) and no non-ASCII character (it reads ١٠
+    as 10.0). Otherwise ``error`` names the file and, for a row, the line: the
+    row's first line, as a quoted cell may hold a line break.
     """
-    with open(src, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        if tuple(next(reader, ())) != columns:
-            raise error(f"{src}: expected header {','.join(columns)}")
-        end = reader.line_num
-        for row in reader:
-            lineno, end = end + 1, reader.line_num
-            if len(row) != len(columns):
-                if not row:
-                    continue
-                raise error(f"{src}:{lineno}: expected {len(columns)} cells, "
-                            f"got {len(row)}")
-            yield lineno, row
-
-
-def check_numbers(src: Path, lineno: int, error: type[BenchmarkError], *cells: str) -> None:
-    """Refuse a number cell holding ``_`` or a non-ASCII character.
-
-    ``float`` drops a ``_``, reading 22_7.8 as 227.8, and reads any Unicode
-    digit, ١٠ as 10.0; the episode-log parser refuses both too.
-    """
-    for cell in cells:
-        if "_" in cell:
-            raise error(f"{src}:{lineno}: '_' in number {cell!r}")
-        if not cell.isascii():
-            raise error(f"{src}:{lineno}: non-ASCII character in number {cell!r}")
+    at = [columns.index(name) for name in numbers]
+    end = 0
+    try:
+        with open(src, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            if tuple(next(reader, ())) != columns:
+                raise error(f"{src}: expected header {','.join(columns)}")
+            end = reader.line_num
+            for row in reader:
+                lineno, end = end + 1, reader.line_num
+                if len(row) != len(columns):
+                    if not row:
+                        continue
+                    raise error(f"{src}:{lineno}: expected {len(columns)} cells, got {len(row)}")
+                for i in at:
+                    cell = row[i]
+                    if "_" in cell or not cell.isascii():
+                        what = "'_'" if "_" in cell else "non-ASCII character"
+                        raise error(f"{src}:{lineno}: {what} in number {cell!r}")
+                yield lineno, row
+    except csv.Error as exc:
+        raise error(f"{src}:{end + 1}: {exc}") from None
+    except UnicodeDecodeError:
+        # Raised for a chunk decoded ahead of the rows: find the line in the bytes.
+        lines = src.read_bytes().removeprefix(codecs.BOM_UTF8).splitlines()
+        for lineno, line in enumerate(lines, 1):
+            try:
+                line.decode()
+            except UnicodeDecodeError as exc:
+                raise error(f"{src}:{lineno}: {exc}") from None
+        raise
 
 
 # A possessive 's and every character but a letter or digit.
@@ -158,12 +166,11 @@ class BaselineRegistry:
         records = []
         lines = []
         for lineno, (game, random, human, record, tag) in read_csv(
-                src, BASELINE_COLUMNS, ValidationError):
+                src, BASELINE_COLUMNS, ValidationError, BASELINE_COLUMNS[1:4]):
             try:
                 game = canonical_game(game)
             except UnknownGameError as exc:
                 raise UnknownGameError(f"{src}:{lineno}: {exc}") from None
-            check_numbers(src, lineno, ValidationError, random, human, record)
             try:
                 records.append(BaselineRecord(
                     game, float(random), float(human), float(record), tag))

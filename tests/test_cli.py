@@ -14,7 +14,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hwrbench
@@ -271,17 +271,6 @@ def parse_outcome(parse, argv):
 
 
 class TestOneVerbParser:
-    @pytest.mark.parametrize("verb", list(VERB_OPTIONS))
-    def test_main_builds_only_the_verbs_parser(self, monkeypatch, verb):
-        import hwrbench.cli as cli
-        built = []
-        monkeypatch.setattr(cli, "build_parser",
-                            lambda *args: built.append(build_parser(*args)) or built[-1])
-        assert parse_outcome(main, [verb, "-h"])[0] == 0
-        (parser,) = built
-        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        assert list(sub.choices) == [verb]
-
     @pytest.mark.parametrize("tail", [["-h"], ["--nope"], "usage error"],
                              ids=["help", "unknown-flag", "usage-error"])
     @pytest.mark.parametrize("verb", list(VERB_OPTIONS))
@@ -337,7 +326,9 @@ def command_lines(draw):
     return [verb, *itertools.chain.from_iterable(draw(st.permutations(pieces)))]
 
 
-@settings(max_examples=1000)
+# Drawing a line takes many steps, and on a busy machine the first draws can
+# trip the too_slow health check; they are not what the test times.
+@settings(max_examples=1000, suppress_health_check=[HealthCheck.too_slow])
 @given(command_lines())
 def test_fast_parse_agrees_with_argparse(argv):
     args = _parse_flags(argv)
@@ -364,11 +355,79 @@ def test_other_command_lines_are_left_to_argparse(argv):
     assert _parse_flags(argv) is None
 
 
+# A command line with each verb's required arguments, so that only the flag
+# under test can fail.
+BASE_ARGV = {**VERB_ARGV, "protocol-check": ["protocol-check", "--log", "train.log"],
+             "reproduce": ["reproduce"]}
+
+
+@pytest.mark.parametrize("argv, argument", [
+    *(([*BASE_ARGV[verb], f"{name}=--"], name)
+      for verb, (_summary, _func, arguments) in VERBS.items()
+      for name in arguments if name.startswith("--")),
+    (["compare", "A", "--", "--"], "algorithm_b"),
+], ids=" ".join)
+def test_double_dash_value_is_a_usage_error(capsys, argv, argument):
+    # argparse drops the ``--`` and stored an empty list, on which the verb
+    # crashed (``Path([])``, an unhashable game) or, for ``--algorithms``,
+    # printed every column.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"hwrbench {argv[0]}: error: argument {argument}: "
+                        "expected one argument\n")
+
+
 def test_readme_lists_each_verbs_flags():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     rows = re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", readme, re.MULTILINE)
     listed = {verb: set(re.findall(r"--[a-z-]+", flags)) for verb, flags in rows}
     assert listed == verb_options() == table_options()
+
+
+# Values a user might type by mistake: separators, the stdin name, the empty
+# string, a missing file and a directory, besides valid ones.
+FUZZ_VALUES = ["--", "-", "=", "", "missing.csv", "missing/", ".", "sota-other", "alien", "Rainbow",
+               "LASER", "1", "-20.7", "2e8", "json", "csv", "hns", "table-compat"]
+
+
+@st.composite
+def fuzzed_command_lines(draw):
+    """A verb, each of its arguments or not, a flag's value in either form,
+    and perhaps a loose value."""
+    verb = draw(st.sampled_from(list(VERBS)))
+    value = st.sampled_from(FUZZ_VALUES)
+    argv = [verb]
+    for name in VERBS[verb][2]:
+        if not name.startswith("--"):
+            argv.append(draw(value))
+        elif draw(st.booleans()):
+            text = draw(value)
+            argv += [f"{name}={text}"] if draw(st.booleans()) else [name, text]
+    return argv + draw(st.lists(value, max_size=1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(fuzzed_command_lines())
+def test_no_command_line_crashes_main(tmp_path_factory, argv):
+    # In an empty directory, with stdin closed: a verb succeeds or fails
+    # (0 or 1), or the line is a usage error (exit 2); nothing else escapes.
+    stdin = io.TextIOWrapper(io.BytesIO())
+    stdin.close()
+    cwd = os.getcwd()
+    os.chdir(tmp_path_factory.mktemp("fuzz"))
+    try:
+        with (contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()),
+              pytest.MonkeyPatch.context() as patch):
+            patch.setattr(sys, "stdin", stdin)
+            try:
+                assert main(argv) in (0, 1)
+            except SystemExit as exc:
+                assert exc.code == 2
+    finally:
+        os.chdir(cwd)
 
 
 class TestDeferredImports:
@@ -546,6 +605,19 @@ class TestValidate:
         error = json.loads(err)
         assert error["error"] == "ValidationError"
         assert error["detail"] == f"{path}:2: alien: random must be finite, got nan"
+
+    @pytest.mark.parametrize("cell, detail", [
+        (b"\xff", "'utf-8' codec can't decode byte 0xff in position 6: invalid start byte"),
+        (b"9" * 131_073, "field larger than field limit (131072)"),
+    ], ids=["not-utf8", "over-field-limit"])
+    def test_unreadable_baselines_exit_1(self, capsys, tmp_path, cell, detail):
+        # Once a decode error with no file or line, and a csv traceback.
+        data = data_path("baselines.csv").read_bytes()
+        path = tmp_path / "baselines.csv"
+        path.write_bytes(data.replace(b"alien,227.8,", b"alien," + cell + b",", 1))
+        code, out, err = run(capsys, "validate", "--baselines", str(path))
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "ValidationError", "detail": f"{path}:2: {detail}"}
 
     @pytest.mark.parametrize("case, detail", [
         ("duplicate", "duplicate cell ('Muesli', 'alien') across datasets "

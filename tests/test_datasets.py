@@ -179,6 +179,20 @@ def test_non_ascii_number_rejected_at_its_line(tmp_path, row, cell):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("row, detail", [
+    (b"A,alien,1\xc3,100,100",
+     "'utf-8' codec can't decode byte 0xc3 in position 9: invalid continuation byte"),
+    (b"\xff,alien,1,100,100",
+     "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    (b"A,alien," + b"9" * 131_073 + b",100,100", "field larger than field limit (131072)"),
+], ids=["not-utf8", "not-utf8-at-line-start", "over-field-limit"])
+def test_unreadable_row_raises_at_its_line(tmp_path, row, detail):
+    path = write_dataset(tmp_path, ["A,pong,1,100,100", "ROW"])
+    path.write_bytes(path.read_bytes().replace(b"ROW", row).replace(b"\n", b"\r\n"))
+    with pytest.raises(DatasetError, match=f"^{re.escape(f'{path}:3: {detail}')}$"):
+        load_dataset(path)
+
+
 def test_padded_algorithm_cell_names_the_same_algorithm(tmp_path):
     path = write_dataset(tmp_path, ["Rainbow,pong,1,100,100", " Rainbow,alien,2,100,100 "])
     assert {r.algorithm for r in load_dataset(path).records} == {"Rainbow"}

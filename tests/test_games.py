@@ -1,8 +1,11 @@
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hwrbench.errors import UnknownGameError, ValidationError
+from hwrbench.datasets import BUNDLED_DATASETS, load_dataset
+from hwrbench.errors import BenchmarkError, UnknownGameError, ValidationError
 from hwrbench.games import (
     CANONICAL_GAMES,
     BaselineRegistry,
@@ -10,6 +13,7 @@ from hwrbench.games import (
     data_path,
     game_key,
 )
+from hwrbench.reproduce import load_golden_aggregates, load_golden_cells
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +183,22 @@ def test_load_rejects_non_ascii_numbers(registry, tmp_path, column):
         BaselineRegistry.load(path)
 
 
+@pytest.mark.parametrize("cell, detail", [
+    (b"22\xff7.8", "'utf-8' codec can't decode byte 0xff in position 8: invalid start byte"),
+    (b"9" * 131_073, "field larger than field limit (131072)"),
+], ids=["not-utf8", "over-field-limit"])
+def test_unreadable_cell_raises_at_its_line(tmp_path, cell, detail):
+    # Once a bare UnicodeDecodeError with a byte offset and no line, and an
+    # uncaught csv.Error.
+    lines = data_path("baselines.csv").read_bytes().splitlines(keepends=True)
+    assert lines[1].startswith(b"alien,227.8,")
+    lines[1] = lines[1].replace(b"227.8", cell, 1)
+    path = tmp_path / "baselines.csv"
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}:2: {detail}')}$"):
+        BaselineRegistry.load(path)
+
+
 def test_load_ordering_error_names_line(registry, tmp_path):
     path, lineno = baselines_with(registry, tmp_path, "pong", "human_average", "-30")
     with pytest.raises(ValidationError,
@@ -195,3 +215,41 @@ def test_load_duplicate_row_names_line(tmp_path):
     where = f"{re.escape(str(path))}:3"
     with pytest.raises(ValidationError, match=f"{where}: duplicate baseline row"):
         BaselineRegistry.load(path)
+
+
+# Each bundled data file the package reads, and its loader.
+LOADERS = {
+    "baselines.csv": BaselineRegistry.load,
+    **{f"datasets/{label}.csv": load_dataset for label in BUNDLED_DATASETS},
+    "golden/printed_cells.csv": load_golden_cells,
+    "golden/printed_aggregates.csv":
+        lambda path: load_golden_aggregates(load_golden_cells()[0], path),
+}
+# Digits, CSV syntax, the refused ``_``, line breaks, a byte-order mark, an
+# Arabic-Indic digit and bytes that are not UTF-8.
+MUTATION_BYTES = [b"0", b"7", b".", b",", b'"', b"_", b"\r", b"\n", b"\xef\xbb\xbf",
+                  "\u0661".encode(), b"\xff", b"\xc3", b"\x80"]
+# What a file, not one of its rows, can fail on.
+FILE_ERRORS = ("expected header", "missing baseline rows", "dataset is empty")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(LOADERS)), st.data())
+def test_mutated_bundled_file_loads_or_names_file_and_line(tmp_path_factory, name, data):
+    mutated = data_path(*name.split("/")).read_bytes()
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(mutated)))
+        edit = data.draw(st.sampled_from(["replace", "insert", "delete"]))
+        piece = b"" if edit == "delete" else data.draw(st.sampled_from(MUTATION_BYTES))
+        mutated = mutated[:at] + piece + mutated[at + (edit != "insert"):]
+    path = tmp_path_factory.mktemp("mutated") / name.split("/")[-1]
+    path.write_bytes(mutated)
+    try:
+        LOADERS[name](path)
+    except BenchmarkError as exc:
+        where, _, rest = str(exc).partition(": ")
+        assert where == str(path) or where.startswith(f"{path}:"), str(exc)
+        if where == str(path):
+            assert rest.startswith(FILE_ERRORS), str(exc)
+        else:
+            assert 1 <= int(where.removeprefix(f"{path}:")) <= len(mutated.splitlines())

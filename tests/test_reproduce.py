@@ -128,6 +128,23 @@ def test_non_ascii_printed_number_rejected(tmp_path):
         load_golden_cells(path)
 
 
+UNREADABLE = pytest.mark.parametrize("text, detail", [
+    (b"1\x80", "'utf-8' codec can't decode byte 0x80 in position {}: invalid start byte"),
+    (b"9" * 131_073, "field larger than field limit (131072)"),
+], ids=["not-utf8", "over-field-limit"])
+
+
+@UNREADABLE
+def test_unreadable_printed_cell_raises_at_its_line(tmp_path, text, detail):
+    # Line 3000 is far past the first chunk a text file decodes.
+    path, _where = golden_copy(tmp_path, cell_at=(3000, "printed_pct", "PCT"))
+    data = path.read_bytes()
+    detail = detail.format(data.splitlines()[2999].index(b"PCT") + 1)
+    path.write_bytes(data.replace(b"PCT", text))
+    with pytest.raises(DatasetError, match=f"^{re.escape(f'{path}:3000: {detail}')}$"):
+        load_golden_cells(path)
+
+
 @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400"])
 def test_non_finite_printed_cell_is_malformed(monkeypatch, golden, text):
     layouts, cells = golden
@@ -192,6 +209,16 @@ def test_bad_aggregate_row_rejected(tmp_path, golden, field, value, message):
 def test_underscore_in_a_printed_aggregate_rejected(tmp_path, golden):
     path, where = aggregates_copy(tmp_path, line=2, field="printed", value="87_3.97")
     with pytest.raises(DatasetError, match=f"^{where}:2: '_' in number '87_3.97'$"):
+        load_golden_aggregates(golden[0], path)
+
+
+@UNREADABLE
+def test_unreadable_printed_aggregate_raises_at_its_line(tmp_path, golden, text, detail):
+    path, _where = aggregates_copy(tmp_path, line=200, field="printed", value="TEXT")
+    data = path.read_bytes()
+    detail = detail.format(data.splitlines()[199].index(b"TEXT") + 1)
+    path.write_bytes(data.replace(b"TEXT", text))
+    with pytest.raises(DatasetError, match=f"^{re.escape(f'{path}:200: {detail}')}$"):
         load_golden_aggregates(golden[0], path)
 
 
