@@ -3,14 +3,16 @@
 Verbs: validate, score, aggregate, report, protocol-check, compare,
 reproduce. Each verb registers only the flags that change its output;
 the JSON report is ``aggregate --format json``. Results go to stdout,
-diagnostics to stderr; exit status is 0 on success, 1 on data errors,
-2 on usage errors. Flags are the only configuration. Each verb imports
-only the modules it runs, and the value types are named tuples, so
-start-up loads none of ``inspect``, ``typing`` or ``importlib.resources``.
+diagnostics to stderr; exit status is 0 on success, 1 on data errors
+(or, with nothing on stderr, when stdout's reader has left), 2 on usage
+errors. Flags are the only configuration. Each verb imports only the
+modules it runs, and the value types are named tuples, so start-up
+loads none of ``inspect``, ``typing`` or ``importlib.resources``.
 ``json`` is imported only where JSON is printed. Each verb's flags are
-stated once, in ``VERBS``: ``main`` reads a plain, valid command line
-from that table itself, and argparse, built from the same table, reads the
-rest: help, usage errors, ``--log -``, ``--score -20.7``, abbreviations.
+stated once, in ``VERBS``: ``main`` reads a plain, valid command line of
+one-value flags from that table itself, and argparse, built from the same
+table, reads the rest: help, usage errors, ``--dataset``, ``--algorithms``,
+``--log -``, ``--score -20.7``, abbreviations.
 """
 
 from __future__ import annotations
@@ -73,28 +75,28 @@ def _load_datasets(args) -> list:
 # A number flag holding ``_`` or a non-ASCII character is refused, as in the
 # data files: float("22_7.8") is 227.8 and float("١٠") is 10.0.
 
-def _number_text(text: str) -> str:
+def _plain_number(text: str) -> str:
     if "_" in text or not text.isascii():
         raise ValueError(text)
     return text
 
 
 def finite_float(text: str) -> float:
-    value = float(_number_text(text))
+    value = float(_plain_number(text))
     if not math.isfinite(value):
         raise ValueError(text)
     return value
 
 
 def positive_int(text: str) -> int:
-    value = int(_number_text(text))
+    value = int(_plain_number(text))
     if value < 1:
         raise ValueError(f"must be >= 1: {text!r}")
     return value
 
 
 def positive_frames(text: str) -> int:
-    value = parse_frames(_number_text(text))
+    value = parse_frames(_plain_number(text))
     if value < 1:
         raise ValueError(f"must be >= 1: {text!r}")
     return value
@@ -338,16 +340,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse_flags(argv: list[str]) -> SimpleNamespace | None:
     """What ``build_parser().parse_args(argv)`` returns for a plain, valid ``argv``.
 
-    It reads an exact verb, exact flags as ``--flag value`` or ``--flag=value``,
-    and the verb's positionals, and converts and defaults each value as
-    argparse does. On anything else (``-h``, ``--``, an abbreviation, a value
-    that starts with ``-``, a repeated flag, ``=`` on a ``nargs`` flag, a bad
-    or missing value) it returns None, and ``main`` hands ``argv`` to argparse.
+    It reads an exact verb, exact one-value flags as ``--flag value`` or
+    ``--flag=value``, and the verb's positionals, and converts and defaults each
+    value as argparse does. On anything else (``-h``, ``--``, an abbreviation, a
+    value that starts with ``-``, a repeated flag, a flag with ``nargs`` or an
+    ``action``, a bad or missing value) it returns None for argparse to read.
     """
     if not argv or argv[0] not in VERBS:
         return None
     _summary, func, arguments = VERBS[argv[0]]
-    given: dict[str, list[str]] = {}  # an argument's name in the table -> its texts
+    given: dict[str, str] = {}  # an argument's name in the table -> its text
     free = []
     i = 1
     while i < len(argv):
@@ -358,36 +360,27 @@ def _parse_flags(argv: list[str]) -> SimpleNamespace | None:
             continue
         flag, eq, text = arg.partition("=")
         options = arguments.get(flag) if flag.startswith("--") else None
-        if options is None or (flag in given and options.get("action") != "append"):
+        if options is None or flag in given or "nargs" in options or "action" in options:
             return None
-        if eq:
-            texts = [text]
-        else:  # the value, or for ``nargs`` the values, up to the next flag
-            end = i
-            while (end < len(argv) and not argv[end].startswith("-")
-                   and (end == i or "nargs" in options)):
-                end += 1
-            texts, i = argv[i:end], end
-        if not texts or (eq and ("nargs" in options or text == "--")):
-            return None  # ``--flag=--`` is a usage error for argparse to print
-        given.setdefault(flag, []).extend(texts)
+        if not eq and i < len(argv) and not argv[i].startswith("-"):
+            text, i = argv[i], i + 1
+        elif not eq or text == "--":
+            return None  # no value, or ``--flag=--``: a usage error for argparse to print
+        given[flag] = text
     positionals = [name for name in arguments if not name.startswith("-")]
     if len(free) != len(positionals):
         return None
-    given.update((name, [text]) for name, text in zip(positionals, free))
+    given.update(zip(positionals, free))
     values = {}
     for name, options in arguments.items():
         value = options.get("default")
         if name in given:
-            convert = options.get("type", str)
             try:
-                value = [convert(text) for text in given[name]]
+                value = options.get("type", str)(given[name])
             except (TypeError, ValueError):
                 return None
-            if "choices" in options and any(v not in options["choices"] for v in value):
+            if "choices" in options and value not in options["choices"]:
                 return None
-            if "nargs" not in options and "action" not in options:
-                value = value[0]
         elif options.get("required"):
             return None
         values[name.lstrip("-").replace("-", "_")] = value
@@ -400,7 +393,14 @@ def main(argv: list[str] | None = None) -> int:
     if args is None:  # help, a usage error, or a line the table reader declines
         args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that left fails here, not at exit
+        return code
+    except BrokenPipeError:  # devnull takes the flush at exit, as in the ``signal`` docs
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (BenchmarkError, ValueError, OSError) as exc:
         import json
 

@@ -50,8 +50,6 @@ def load_dataset(path: str | Path) -> Dataset:
     records: list[RunRecord] = []
     omitted: list[tuple[str, str]] = []
     seen: set[tuple[str, str]] = set()
-    # An algorithm's rows repeat its frames and label: each raw pair is checked once.
-    scales: dict[tuple[str, str], int] = {}
     bad_name = re.compile('[",\r\n]').search  # a CSV table prints a name unquoted
     for lineno, (algorithm, game, score, raw_frames, label) in read_csv(
             src, DATASET_COLUMNS, DatasetError, ("score", "frames")):
@@ -66,19 +64,16 @@ def load_dataset(path: str | Path) -> Dataset:
         if key in seen:
             raise DatasetError(f"{src}:{lineno}: duplicate cell {key}")
         seen.add(key)
-        frames = scales.get((raw_frames, label))
-        if frames is None:
-            try:
-                frames = parse_frames(raw_frames)
-            except ValueError as exc:
-                raise DatasetError(f"{src}:{lineno}: {exc}") from None
-            if frames <= 0:
-                raise DatasetError(f"{src}:{lineno}: frames must be positive: {frames}")
-            expected = scale_label_for(frames)
-            if label.strip() != expected:
-                raise DatasetError(f"{src}:{lineno}: scale_label {label!r} does not match "
-                                   f"{frames} frames ({expected})")
-            scales[(raw_frames, label)] = frames
+        try:
+            frames = parse_frames(raw_frames)
+        except ValueError as exc:
+            raise DatasetError(f"{src}:{lineno}: {exc}") from None
+        if frames <= 0:
+            raise DatasetError(f"{src}:{lineno}: frames must be positive: {frames}")
+        expected = scale_label_for(frames)
+        if label.strip() != expected:
+            raise DatasetError(f"{src}:{lineno}: scale_label {label!r} does not match "
+                               f"{frames} frames ({expected})")
         score = score.strip()
         if score.upper() == "N/A":
             omitted.append(key)

@@ -109,11 +109,12 @@ def cell_ratios(raw: float, baseline: BaselineRecord, cap_mode: CapMode,
                 where: str) -> tuple[float, float, float, float]:
     """HNS, CHNS, HWRNS and SABER of one raw score, in ``METRIC_KINDS`` order.
 
-    A ratio that is not finite raises ValidationError naming ``where``.
+    A ratio whose percent (what a table prints) is not finite raises
+    ValidationError naming ``where``; below that, a column of 57 cells sums finitely.
     """
     h = normalize(raw, baseline.random, baseline.human_average)
     w = normalize(raw, baseline.random, baseline.human_world_record)
-    if not (math.isfinite(h) and math.isfinite(w)):
+    if not (math.isfinite(h * 100.0) and math.isfinite(w * 100.0)):
         what = "normalized score overflows" if math.isfinite(raw) else "non-finite score"
         raise ValidationError(f"{where}: {what}")
     s = min(w, 2.0)

@@ -5,21 +5,18 @@ canonical serializations (integral values print without a decimal point,
 percents print with two half-up-rounded decimals, efficiencies in
 two-digit scientific notation).
 
-``format_number`` and ``format_percent`` remember the text of each
-distinct value, up to ``MEMO_VALUES`` values each per process, so a
-table that prints the same score or ratio many times formats it once.
-A zero ratio is never remembered: ``0.0 == -0.0``, yet they print as
-``0.00`` and ``-0.00``. Nor is a score that is not a float: the int
-``10**15`` equals ``1e15``, yet prints without the ``.0``.
+``format_percent`` remembers the text of each distinct ratio, up to
+``MEMO_VALUES`` values per process, so a table that prints the same
+ratio many times rounds it once. A zero ratio is never remembered:
+``0.0 == -0.0``, yet they print as ``0.00`` and ``-0.00``.
 """
 
 from __future__ import annotations
 
 import math
 
-MEMO_VALUES = 4096  # distinct values formatted once per process; a miss formats in full
+MEMO_VALUES = 4096  # distinct ratios formatted once per process; a miss formats in full
 
-_NUMBERS: dict[float, str] = {}
 _PERCENTS: dict[float, str] = {}
 
 
@@ -45,22 +42,11 @@ def round_half_up(value: float) -> float:
     return -rounded if negative else rounded
 
 
-def _number_text(value: float) -> str:
+def format_number(value: float) -> str:
+    """Shortest faithful text for a score: no trailing '.0' on integers."""
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return repr(value)
-
-
-def format_number(value: float) -> str:
-    """Shortest faithful text for a score: no trailing '.0' on integers."""
-    if type(value) is not float:
-        return _number_text(value)
-    text = _NUMBERS.get(value)
-    if text is None:
-        text = _number_text(value)
-        if len(_NUMBERS) < MEMO_VALUES:
-            _NUMBERS[value] = text
-    return text
 
 
 def format_percent(ratio: float) -> str:

@@ -270,21 +270,28 @@ def parse_outcome(parse, argv):
     return exc.value.code, out.getvalue(), err.getvalue()
 
 
+# Help and usage errors of each verb, which ``main`` leaves to argparse.
+HELP_AND_USAGE_ERRORS = {
+    f"{verb}-{tail}": [verb, *{"help": ["-h"], "unknown-flag": ["--nope"],
+                               "usage-error": VERB_USAGE_ERROR[verb]}[tail]]
+    for verb in VERB_OPTIONS for tail in ("help", "unknown-flag", "usage-error")}
+
+
 class TestOneVerbParser:
-    @pytest.mark.parametrize("tail", [["-h"], ["--nope"], "usage error"],
-                             ids=["help", "unknown-flag", "usage-error"])
+    @pytest.mark.parametrize("tail", ["help", "unknown-flag", "usage-error"])
     @pytest.mark.parametrize("verb", list(VERB_OPTIONS))
     def test_help_and_usage_errors_match_the_full_parser(self, verb, tail):
-        argv = [verb, *(VERB_USAGE_ERROR[verb] if tail == "usage error" else tail)]
-        expected = parse_outcome(build_parser().parse_args, argv)
-        assert expected[0] == (0 if tail == ["-h"] else 2)
-        assert parse_outcome(main, argv) == expected
+        code, out, err = parse_outcome(main, HELP_AND_USAGE_ERRORS[f"{verb}-{tail}"])
+        if tail == "help":
+            assert (code, err) == (0, "") and out.startswith(f"usage: hwrbench {verb} ")
+        else:
+            assert (code, out) == (2, "") and "error: " in err
 
     @pytest.mark.parametrize("argv", [["-h"], [], ["scor"], ["--nope"]],
                              ids=["help", "no-verb", "unknown-verb", "unknown-flag"])
     def test_top_level_lists_every_verb(self, argv):
         code, out, err = parse_outcome(main, argv)
-        assert (code, out, err) == parse_outcome(build_parser().parse_args, argv)
+        assert code == (0 if argv == ["-h"] else 2)
         assert "{" + ",".join(VERB_OPTIONS) + "}" in out + err
 
 
@@ -349,8 +356,12 @@ def test_plain_command_lines_take_the_fast_path(argv):
     ["compare", "--", "A", "B"], ["compare", "A"], ["protocol-check", "--log", "-"],
     ["aggregate", "--format", "json", "--format", "table"], ["report", "--algorithms=A"],
     ["score", "--game", "alien", "--score", "\u0661"], ["validate", "--dataset"],
+    # the flags that take a list: the table reader reads one-value flags only
+    ["validate", "--dataset", "sota-other"], ["validate", "--dataset=sota-other"],
+    ["report", "--algorithms", "Rainbow", "LASER"], *HELP_AND_USAGE_ERRORS.values(),
 ], ids=["negative", "abbreviation", "help", "double-dash", "positional-missing", "stdin",
-        "repeated", "nargs-equals", "non-ascii", "value-missing"])
+        "repeated", "nargs-equals", "non-ascii", "value-missing", "append", "append-equals",
+        "nargs", *HELP_AND_USAGE_ERRORS])
 def test_other_command_lines_are_left_to_argparse(argv):
     assert _parse_flags(argv) is None
 
@@ -703,24 +714,64 @@ class TestAggregate:
         assert "Muesli" in out and "Go-Explore" in out and "hwrb" in out
 
 
-def tiny_baselines(tmp_path) -> str:
-    """Valid baselines whose tiny alien references make 139409 / 1e-305 overflow."""
+def crafted_baselines(tmp_path, rows: dict[str, str]) -> str:
+    """The bundled baselines with each game in ``rows`` given that row."""
     lines = data_path("baselines.csv").read_text(encoding="utf-8").splitlines(keepends=True)
-    assert lines[1].startswith("alien,")
-    lines[1] = "alien,0,1e-305,1e-305,x\n"
-    path = tmp_path / "tiny.csv"
+    lines = [rows.get(line.split(",", 1)[0], line) for line in lines]
+    path = tmp_path / "crafted.csv"
     path.write_text("".join(lines), encoding="utf-8")
     return str(path)
 
 
-@pytest.mark.parametrize("argv, detail", [
-    (["score", "--game", "alien", "--score", "139409"], "alien: normalized score overflows"),
-    (["aggregate", "--dataset", "sota-other"], "Muesli/alien: normalized score overflows"),
-], ids=["score", "aggregate"])
-def test_normalization_overflow_names_the_game(capsys, tmp_path, argv, detail):
-    code, out, err = run(capsys, *argv, "--baselines", tiny_baselines(tmp_path))
-    assert code == 1 and out == ""
-    assert json.loads(err) == {"error": "ValidationError", "detail": detail}
+# Valid references: 139409 / 1e-305 overflows. A human average one point
+# above random normalizes 1.7e308 to 1.7e308, finite, yet its percent is
+# not, and two such cells overflowed fsum.
+TINY = {"alien": "alien,0,1e-305,1e-305,x\n"}
+NEAR = {"boxing": "boxing,0.1,1.1,100,x\n", "pong": "pong,-20.7,-19.7,21,x\n"}
+HUGE = "huge.csv"  # three 1.7e308 cells, written by the test
+
+
+def tiny_baselines(tmp_path) -> str:
+    return crafted_baselines(tmp_path, TINY)
+
+
+@pytest.mark.parametrize("argv, rows, detail", [
+    (["score", "--game", "alien", "--score", "139409"], TINY, "alien"),
+    (["aggregate", "--dataset", "sota-other"], TINY, "Muesli/alien"),
+    (["score", "--game", "boxing", "--score", "1e308"], {}, "boxing"),
+    (["aggregate", "--dataset", HUGE], {}, "Big/boxing"),
+    *(([*verb, "--dataset", HUGE], NEAR, "Big/boxing") for verb in (
+        ["validate"], ["aggregate"], ["report"],
+        ["compare", "Big", "Rainbow", "--dataset", "sota-200m-model-free"])),
+], ids=["score", "aggregate", "score-percent", "aggregate-percent", "validate-fsum",
+        "aggregate-fsum", "report-fsum", "compare-fsum"])
+def test_normalization_overflow_names_the_game(capsys, tmp_path, argv, rows, detail):
+    (tmp_path / HUGE).write_text("algorithm,game,score,frames,scale_label\n" + "".join(
+        f"Big,{game},1.7e308,200000000,200M\n" for game in ("boxing", "pong", "alien")),
+        encoding="utf-8")
+    baselines = crafted_baselines(tmp_path, rows)
+    argv = [str(tmp_path / a) if a == HUGE else a for a in argv]
+    code, out, err = run(capsys, *argv, "--baselines", baselines)
+    assert code == 1
+    assert out == (f"baselines: 57 games OK ({baselines})\n" if argv[0] == "validate" else "")
+    assert json.loads(err) == {"error": "ValidationError",
+                               "detail": f"{detail}: normalized score overflows"}
+
+
+@pytest.mark.parametrize("argv", [
+    VERB_ARGV["score"], VERB_ARGV["validate"], ["aggregate", "--format", "json"],
+    ["reproduce", "--out", "repro"],
+], ids=["score", "validate", "aggregate-json", "reproduce"])
+def test_closed_stdout_exits_1_with_nothing_on_stderr(tmp_path, argv):
+    # The reader has left before the verb writes: stdout is a pipe whose read
+    # end is closed, so the outcome does not depend on timing as ``| head`` does.
+    read, write = os.pipe()
+    os.close(read)
+    with os.fdopen(write, "wb") as stdout:
+        result = subprocess.run([sys.executable, "-m", "hwrbench.cli", *argv], stdout=stdout,
+                                stderr=subprocess.PIPE, cwd=tmp_path,
+                                env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+    assert (result.returncode, result.stderr) == (1, b"")
 
 
 class TestCompare:
