@@ -1,13 +1,13 @@
 """Command-line interface.
 
 Verbs: validate, score, aggregate, report, protocol-check, compare,
-reproduce. Each verb registers only the flags that change its output;
-the JSON report is ``aggregate --format json``. Results go to stdout,
-diagnostics to stderr; exit status is 0 on success, 1 on data errors
-(or, with nothing on stderr, when stdout's reader has left), 2 on usage
-errors. Flags are the only configuration. Each verb imports only the
-modules it runs, and the value types are named tuples, so start-up
-loads none of ``inspect``, ``typing`` or ``importlib.resources``.
+reproduce. Each verb registers only the flags that change its output; the
+JSON report is ``aggregate --format json``. Results go to stdout,
+diagnostics to stderr; exit status is 0 on success, 1 on data errors (or,
+with nothing on stderr, when stdout's reader has left or fd 1 is closed),
+2 on usage errors. Flags are the only configuration. Each verb imports
+only the modules it runs, and the value types are named tuples, so
+start-up loads none of ``inspect``, ``typing`` or ``importlib.resources``.
 ``json`` is imported only where JSON is printed. Each verb's flags are
 stated once, in ``VERBS``: ``main`` reads a plain, valid command line of
 one-value flags from that table itself, and argparse, built from the same
@@ -106,7 +106,7 @@ def _emit(text: str, args) -> None:
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
-        sys.stdout.write(text)
+        print(text, end="")  # a no-op when fd 1 is closed; ``main`` then returns 1
 
 
 def _cmd_validate(args) -> int:
@@ -197,9 +197,11 @@ def _cmd_protocol_check(args) -> int:
     # printed is kept, so memory grows with k, not with the log.
     episodes = total_env_frames = 0
     anomalies: set[str] = set()
-    last_returns: deque[float] = deque(maxlen=args.k)
+    last_returns: deque[float] = deque(maxlen=min(args.k, sys.maxsize))  # a C ssize_t
     # Raw bytes from stdin, as from a path: a line is decoded only if parsed.
     log = getattr(sys.stdin, "buffer", sys.stdin) if args.log == "-" else args.log
+    if log is None:  # fd 0 is closed, so Python set ``sys.stdin`` to None
+        raise BenchmarkError("<stdin>: standard input is closed")
     for episode in iter_episodes(log):
         episodes += 1
         total_env_frames += episode.env_frames_used
@@ -237,10 +239,10 @@ def _cmd_compare(args) -> int:
     wins_a: list[str] = []
     wins_b: list[str] = []
     ties: list[str] = []
-    cells = report.cells
-    for game in sorted(g for algo, g in cells if algo == a and (b, g) in cells):
-        value_a = cells[(a, game)].metrics[MetricKind.HWRNS]
-        value_b = cells[(b, game)].metrics[MetricKind.HWRNS]
+    cells_a, cells_b = report.cells[a], report.cells[b]
+    for game in sorted(cells_a.keys() & cells_b.keys()):
+        value_a = cells_a[game].metrics[MetricKind.HWRNS]
+        value_b = cells_b[game].metrics[MetricKind.HWRNS]
         if value_a == value_b:
             ties.append(game)
         elif value_a > value_b:
@@ -394,6 +396,8 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
+        if sys.stdout is None:  # fd 1 is closed: no reader was ever there
+            return 1
         sys.stdout.flush()  # a reader that left fails here, not at exit
         return code
     except BrokenPipeError:  # devnull takes the flush at exit, as in the ``signal`` docs

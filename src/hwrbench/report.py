@@ -32,8 +32,8 @@ class EvaluationReport(namedtuple(
         "cap_mode baseline_source dataset_labels cells aggregates leaders frames missing")):
     """Every cell, aggregate row and leader set of one evaluation.
 
-    ``cells`` maps (algorithm, game) to CellMetrics, ``aggregates`` an
-    algorithm to its AggregateRow per MetricKind, ``leaders`` a game to
+    ``cells`` maps an algorithm, then a game, to CellMetrics, ``aggregates``
+    an algorithm to its AggregateRow per MetricKind, ``leaders`` a game to
     its leading algorithms, ``frames`` an algorithm to its frame count
     and ``missing`` an algorithm to its sorted N/A games.
     """
@@ -57,16 +57,15 @@ def evaluate(
     """
     if not datasets:
         raise DatasetError("no datasets to evaluate")
-    cells: dict[tuple[str, str], CellMetrics] = {}
-    frames_by_algo: dict[str, int] = {}  # in order of first appearance
-    rows: dict[str, list[tuple[float, ...]]] = {}  # algorithm -> metric values per cell
+    cells: dict[str, dict[str, CellMetrics]] = {}  # algorithms in order of first appearance
+    frames_by_algo: dict[str, int] = {}
     omitted: dict[str, list[str]] = {}
     for ds in datasets:
         for rec in ds.records:
-            key = (rec.algorithm, rec.game)
-            if key in cells:
+            column = cells.setdefault(rec.algorithm, {})
+            if rec.game in column:
                 raise DatasetError(
-                    f"duplicate cell {key} across datasets "
+                    f"duplicate cell {(rec.algorithm, rec.game)} across datasets "
                     f"(second occurrence in {ds.label!r})")
             if rec.frames < 1:
                 raise ValidationError(f"{rec.algorithm}: frames must be positive: {rec.frames}")
@@ -77,20 +76,17 @@ def evaluate(
                     f"{prior} vs {rec.frames}")
             values = cell_ratios(rec.score, baselines.lookup(rec.game), cap_mode,
                                  f"{rec.algorithm}/{rec.game}")
-            cells[key] = CellMetrics(rec.score, dict(zip(METRIC_KINDS, values)))
-            rows.setdefault(rec.algorithm, []).append(values)
+            column[rec.game] = CellMetrics(rec.score, dict(zip(METRIC_KINDS, values)))
         for algorithm, game in ds.omitted:
             omitted.setdefault(algorithm, []).append(game)
 
     # Mean and median do not depend on the order of a column's values.
-    aggregates = {
-        algo: {kind: summarize(column, frames_by_algo[algo], kind)
-               for kind, column in zip(METRIC_KINDS, zip(*rows[algo]))}
-        for algo in frames_by_algo
-    }
+    aggregates = {algo: {kind: summarize([c.metrics[kind] for c in column.values()],
+                                         frames_by_algo[algo], kind) for kind in METRIC_KINDS}
+                  for algo, column in cells.items()}
     best: dict[str, tuple[str, ...]] = {}
     for game in CANONICAL_GAMES:
-        raw = {a: cells[(a, game)].raw for a in frames_by_algo if (a, game) in cells}
+        raw = {a: column[game].raw for a, column in cells.items() if game in column}
         if raw:
             best[game] = tuple(leaders(raw))
     return EvaluationReport(
@@ -142,12 +138,12 @@ def render_table(report: EvaluationReport, layout: TableLayout, fmt: str = "text
 
     rows: list[list[str]] = []
     for game in CANONICAL_GAMES:
-        if not any((a, game) in report.cells for a in algos):
+        if not any(game in report.cells[a] for a in algos):
             continue
         row = [game]
         game_leaders = report.leaders.get(game, ())
         for algo in algos:
-            cell = report.cells.get((algo, game))
+            cell = report.cells[algo].get(game)
             if cell is None:
                 row += ["N/A", "N/A"]
                 continue
@@ -212,11 +208,12 @@ def report_to_json(report: EvaluationReport) -> str:
 
     names = {kind: kind.value for kind in METRIC_KINDS}  # ``Enum.value`` is a slow property
     frames = {algo: number(count) for algo, count in report.frames.items()}
-    per_game: dict[str, list[tuple[str, str]]] = {}
-    for (algo, game), cell in report.cells.items():
-        fields = [(name, number(cell.metrics[kind])) for kind, name in names.items()]
-        fields += [("raw", number(cell.raw)), ("frames", frames[algo])]
-        per_game.setdefault(algo, []).append((game, obj(fields, 3)))
+    per_game = []
+    for algo, column in report.cells.items():
+        games = [(game, obj([*((name, number(cell.metrics[kind])) for kind, name in names.items()),
+                             ("raw", number(cell.raw)), ("frames", frames[algo])], 3))
+                 for game, cell in column.items()]
+        per_game.append((algo, obj(games, 2)))
     aggregates, coverage = [], []
     for algo, rows in report.aggregates.items():
         entries = [("frames", frames[algo])]
@@ -233,7 +230,7 @@ def report_to_json(report: EvaluationReport) -> str:
         ("cap_mode", quote(report.cap_mode.value)),
         ("baselines", quote(report.baseline_source)),
         ("datasets", block([quote(label) for label in report.dataset_labels], 1, "[]")),
-        ("per_game", obj([(algo, obj(games, 2)) for algo, games in per_game.items()], 1)),
+        ("per_game", obj(per_game, 1)),
         ("aggregates", obj(aggregates, 1)),
         ("leaders", obj([(game, block([quote(a) for a in algos], 2, "[]"))
                          for game, algos in report.leaders.items()], 1)),

@@ -181,10 +181,6 @@ def run_reproduction(
     layouts, golden_cells = load_golden_cells()
     golden_aggs = load_golden_aggregates(layouts)
 
-    report_games: dict[str, list[str]] = {}  # algorithm -> games, in report order
-    for algo, game in report.cells:
-        report_games.setdefault(algo, []).append(game)
-
     cell_log: list[Inconsistency] = []
     aggregate_log: list[Inconsistency] = []
     hwrb_log: list[Inconsistency] = []
@@ -196,17 +192,18 @@ def run_reproduction(
         metric = layout.metric
         cells = matches = 0
         for algo in layout.algorithms:
-            if algo not in report_games:
+            if algo not in report.cells:
                 raise DatasetError(
                     f"golden table {table_id} has algorithm {algo!r}, "
                     f"absent from the evaluated datasets")
             golden = golden_cells[(table_id, algo)]
             golden_values = {game: _parse_number(text) for game, text in golden.items()}
             logged = len(cell_log)
-            for game in report_games[algo]:
+            column = report.cells[algo]
+            for game, cell in column.items():
                 cells += 1
                 # The text the table prints, so the diff and the tables round alike.
-                pct_text = format_percent(report.cells[(algo, game)].metrics[metric])
+                pct_text = format_percent(cell.metrics[metric])
                 printed_value = golden_values.get(game)
                 if printed_value is not None and (
                         abs(float(pct_text) - printed_value) <= CELL_TOLERANCE_PP + 1e-9):
@@ -220,7 +217,7 @@ def run_reproduction(
                     printed if printed is not None else "<absent>"))
             # An omitted game is not counted; a value printed for it is a coverage conflict.
             for game, printed in golden.items():
-                if (algo, game) not in report.cells and printed.upper() != "N/A":
+                if game not in column and printed.upper() != "N/A":
                     cell_log.append(Inconsistency(
                         table_id, algo, game, "coverage", "N/A", printed))
             column_clean = len(cell_log) == logged

@@ -137,7 +137,7 @@ def test_score_prints_the_cell_evaluate_computes(game, cap_mode, data):
     payload = json.loads(out.getvalue())
     report = evaluate([Dataset("d", (RunRecord("A", game, raw, 200_000_000),))],
                       REGISTRY, cap_mode)
-    cell = report.cells[("A", game)].metrics
+    cell = report.cells["A"][game].metrics
     assert ([payload[f"{kind.value}_pct"] for kind in METRIC_KINDS]
             == [format_percent(cell[kind]) for kind in METRIC_KINDS])
     assert payload["hwrb"] == report.aggregates["A"][MetricKind.HWRNS].hwrb_count
@@ -401,7 +401,8 @@ def test_readme_lists_each_verbs_flags():
 # Values a user might type by mistake: separators, the stdin name, the empty
 # string, a missing file and a directory, besides valid ones.
 FUZZ_VALUES = ["--", "-", "=", "", "missing.csv", "missing/", ".", "sota-other", "alien", "Rainbow",
-               "LASER", "1", "-20.7", "2e8", "json", "csv", "hns", "table-compat"]
+               "LASER", "1", "-20.7", "2e8", "json", "csv", "hns", "table-compat",
+               "99999999999999999999999"]  # above sys.maxsize
 
 
 @st.composite
@@ -763,14 +764,20 @@ def test_normalization_overflow_names_the_game(capsys, tmp_path, argv, rows, det
     ["reproduce", "--out", "repro"],
 ], ids=["score", "validate", "aggregate-json", "reproduce"])
 def test_closed_stdout_exits_1_with_nothing_on_stderr(tmp_path, argv):
+    def child(**stdout):
+        return subprocess.run([sys.executable, "-m", "hwrbench.cli", *argv], **stdout,
+                              stderr=subprocess.PIPE, cwd=tmp_path,
+                              env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+
     # The reader has left before the verb writes: stdout is a pipe whose read
     # end is closed, so the outcome does not depend on timing as ``| head`` does.
     read, write = os.pipe()
     os.close(read)
     with os.fdopen(write, "wb") as stdout:
-        result = subprocess.run([sys.executable, "-m", "hwrbench.cli", *argv], stdout=stdout,
-                                stderr=subprocess.PIPE, cwd=tmp_path,
-                                env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+        result = child(stdout=stdout)
+    assert (result.returncode, result.stderr) == (1, b"")
+    # No reader was ever there: fd 1 is closed (``>&-``), so ``sys.stdout`` is None.
+    result = child(preexec_fn=lambda: os.close(1))
     assert (result.returncode, result.stderr) == (1, b"")
 
 
@@ -919,6 +926,24 @@ class TestProtocolCheck:
         small, large = peak(300), peak(3000)
         # A summary and a return kept per episode would add about 250 KB.
         assert abs(large - small) < 64 * 1024, (small, large)
+
+    def test_k_above_sys_maxsize_is_a_k_above_the_episode_count(self, capsys, tmp_path):
+        log = write_log(tmp_path, self.CONFORMING)
+        _, expected, _ = run(capsys, "protocol-check", "--log", log, "--k", "3")
+        code, out, err = run(capsys, "protocol-check", "--log", log,
+                             "--k", str(sys.maxsize * 10**4))
+        assert (code, out, err) == (0, expected, "")
+        assert "training_score" not in json.loads(out)
+
+    def test_closed_stdin_is_a_data_error(self):
+        # fd 0 is closed (``<&-``), so ``sys.stdin`` is None in the child.
+        result = subprocess.run(
+            [sys.executable, "-m", "hwrbench.cli", "protocol-check", "--log", "-"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            preexec_fn=lambda: os.close(0), env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+        assert (result.returncode, result.stdout) == (1, b"")
+        assert json.loads(result.stderr) == {"error": "BenchmarkError",
+                                             "detail": "<stdin>: standard input is closed"}
 
     def test_log_from_stdin(self, capsys, monkeypatch, tmp_path):
         _, expected, _ = run(capsys, "protocol-check", "--k", "2",

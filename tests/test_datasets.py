@@ -193,6 +193,17 @@ def test_unreadable_row_raises_at_its_line(tmp_path, row, detail):
         load_dataset(path)
 
 
+def test_blank_row_is_skipped_and_later_rows_keep_their_line(tmp_path):
+    rows = ["A,pong,1,100,100", "A,alien,2,100,100"]
+    expected = load_dataset(write_dataset(tmp_path, rows))
+    path = write_dataset(tmp_path, [rows[0], "", rows[1]])
+    assert load_dataset(path) == expected
+    path = write_dataset(tmp_path, [rows[0], "", "A,alien,2,100,200M"])
+    message = f"{path}:4: scale_label '200M' does not match 100 frames (100)"
+    with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+        load_dataset(path)
+
+
 def test_padded_algorithm_cell_names_the_same_algorithm(tmp_path):
     path = write_dataset(tmp_path, ["Rainbow,pong,1,100,100", " Rainbow,alien,2,100,100 "])
     assert {r.algorithm for r in load_dataset(path).records} == {"Rainbow"}

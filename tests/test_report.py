@@ -47,7 +47,7 @@ def small_dataset():
 
 
 def test_rainbow_alien_cell(bundled_report):
-    cell = bundled_report.cells[("Rainbow", "alien")]
+    cell = bundled_report.cells["Rainbow"]["alien"]
     assert cell.metrics[MetricKind.HNS] == pytest.approx(1.3426, abs=5e-5)
     assert cell.metrics[MetricKind.HWRNS] == pytest.approx(0.0368, abs=5e-5)
     assert cell.metrics[MetricKind.CHNS] == 1.0
@@ -145,16 +145,19 @@ def test_render_rejects_unknown_layout(registry):
         render_table(report, TableLayout(MetricKind.HNS, ("Rainbow",)), fmt="html")
     with pytest.raises(ValidationError, match="repeated in the layout: Rainbow$"):
         render_table(report, TableLayout(MetricKind.HNS, ("Rainbow", "LASER", "Rainbow")))
+    with pytest.raises(ValidationError, match="^layout selects no algorithm$"):
+        render_table(report, TableLayout(MetricKind.HNS, ()))
 
 
 def test_machine_report_round_trips_full_precision(bundled_report):
     payload = json.loads(report_to_json(bundled_report))
-    for (algo, game), cell in bundled_report.cells.items():
-        stored = payload["per_game"][algo][game]
-        assert stored["raw"] == cell.raw
-        assert stored["hns"] == cell.metrics[MetricKind.HNS]
-        assert stored["hwrns"] == cell.metrics[MetricKind.HWRNS]
-        assert stored["saber"] == cell.metrics[MetricKind.SABER]
+    for algo, column in bundled_report.cells.items():
+        for game, cell in column.items():
+            stored = payload["per_game"][algo][game]
+            assert stored["raw"] == cell.raw
+            assert stored["hns"] == cell.metrics[MetricKind.HNS]
+            assert stored["hwrns"] == cell.metrics[MetricKind.HWRNS]
+            assert stored["saber"] == cell.metrics[MetricKind.SABER]
     assert payload["cap_mode"] == "table-compat"
 
 
@@ -168,10 +171,11 @@ def test_report_dict_coverage_section(bundled_report):
 def reference_fields(report):
     """The fields ``report_to_json`` writes, as a dict for ``json.dumps``."""
     per_game = {}
-    for (algo, game), cell in report.cells.items():
-        per_game.setdefault(algo, {})[game] = {
-            "raw": cell.raw, "frames": report.frames[algo],
-            **{kind.value: cell.metrics[kind] for kind in METRIC_KINDS}}
+    for algo, column in report.cells.items():
+        for game, cell in column.items():
+            per_game.setdefault(algo, {})[game] = {
+                "raw": cell.raw, "frames": report.frames[algo],
+                **{kind.value: cell.metrics[kind] for kind in METRIC_KINDS}}
     aggregates = {}
     for algo, rows in report.aggregates.items():
         aggregates[algo] = {"frames": report.frames[algo]}
@@ -242,10 +246,10 @@ def test_json_sorts_keys_not_lines(registry):
 
 def test_json_writes_non_finite_floats_as_json_does(bundled_report):
     # evaluate never yields these; the writer still prints them as json does.
-    key = ("Rainbow", "alien")
-    cell = bundled_report.cells[key]
+    rainbow = bundled_report.cells["Rainbow"]
     odd = dict(zip(METRIC_KINDS, (math.nan, math.inf, -math.inf, -0.0)))
-    cells = {**bundled_report.cells, key: cell._replace(raw=True, metrics=odd)}
+    cells = {**bundled_report.cells,
+             "Rainbow": {**rainbow, "alien": rainbow["alien"]._replace(raw=True, metrics=odd)}}
     out = assert_written_as_json_dumps(bundled_report._replace(cells=cells))
     assert '"hns": NaN' in out and '"raw": true' in out
 
@@ -255,7 +259,7 @@ def test_every_cell_rederivable_from_inputs(registry, bundled_report):
     for ds in load_all_bundled():
         for rec in ds.records:
             base = registry.lookup(rec.game)
-            cell = bundled_report.cells[(rec.algorithm, rec.game)]
+            cell = bundled_report.cells[rec.algorithm][rec.game]
             expected_hns = (rec.score - base.random) / (base.human_average - base.random)
             expected_hwrns = (rec.score - base.random) / (
                 base.human_world_record - base.random)
@@ -276,7 +280,7 @@ def test_cells_equal_the_scoring_functions_bit_for_bit(registry, game, cap_mode,
                       registry, cap_mode)
     h, w = hns(raw, base), hwrns(raw, base)
     expected = (h.value, chns(h).value, w.value, saber(w, cap_mode).value)
-    cell = report.cells[("A", game)].metrics
+    cell = report.cells["A"][game].metrics
     assert [cell[kind].hex() for kind in METRIC_KINDS] == [v.hex() for v in expected]
     assert report.aggregates["A"][MetricKind.HWRNS].hwrb_count == hwrb_indicator(w.value)
 

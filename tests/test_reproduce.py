@@ -249,6 +249,25 @@ def test_printed_hwrb_count_compared_only_when_a_number(
         ("saber-sota-10bplus-model-free", "NGU", "8", "9")]
 
 
+def test_a_footer_the_golden_file_omits_is_not_compared(monkeypatch, tmp_path, golden):
+    # SimPLe's HNS mean (line 44) is the one footer off its recomputed value;
+    # without it the column's cells and median are still compared, and its mean is not.
+    expected = run_reproduction()
+    path, _where = aggregates_copy(tmp_path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    removed = lines.pop(43)
+    assert removed == "hns-sota-model-based,hns,SimPLe,mean,25.3\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    rows = load_golden_aggregates(golden[0], path)
+    monkeypatch.setattr(reproduce, "load_golden_aggregates", lambda layouts: rows)
+    result = run_reproduction()
+    assert result.aggregate_checks == {"aggregate_checks": 113, "clean_aggregate_checks": 59,
+                                       "clean_aggregate_matches": 59}
+    assert result.inconsistencies == [m for m in expected.inconsistencies if m.kind != "aggregate"]
+    assert len(expected.inconsistencies) - len(result.inconsistencies) == 1
+    assert result.table_stats == expected.table_stats
+
+
 def test_duplicate_aggregate_row_rejected(tmp_path, golden):
     path, where = aggregates_copy(tmp_path, duplicate=2)
     with pytest.raises(DatasetError, match=f"{where}:268: duplicate row "
