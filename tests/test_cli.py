@@ -1,6 +1,8 @@
 import argparse
 import ast
+import atexit
 import contextlib
+import gc
 import hashlib
 import importlib
 import io
@@ -779,6 +781,53 @@ def test_closed_stdout_exits_1_with_nothing_on_stderr(tmp_path, argv):
     # No reader was ever there: fd 1 is closed (``>&-``), so ``sys.stdout`` is None.
     result = child(preexec_fn=lambda: os.close(1))
     assert (result.returncode, result.stderr) == (1, b"")
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--format", "csv"], ["aggregate", "--format", "json"],
+], ids=["report-csv", "aggregate-json"])
+def test_closed_stdout_with_out_file_exits_0(capsys, tmp_path, argv):
+    # With fd 1 closed nothing meant for stdout is lost when the output goes
+    # to ``--out``: the file holds what the verb prints in-process.
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    result = subprocess.run([sys.executable, "-m", "hwrbench.cli", *argv, "--out", "out.txt"],
+                            preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE,
+                            cwd=tmp_path, env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert (tmp_path / "out.txt").read_bytes() == printed.encode("utf-8")
+
+
+class TestExitPath:
+    # ``main`` has ``atexit`` freeze the collector, so the interpreter's
+    # exit-time collections skip every object still alive. This child
+    # registers its own callback first, which therefore runs after that one,
+    # and writes the freeze count it sees to stderr.
+    CHILD = ("import atexit, gc, os, sys\n"
+             "atexit.register(lambda: os.write(2, b'%d' % gc.get_freeze_count()))\n"
+             "from hwrbench.cli import main\n"
+             "sys.exit(main(sys.argv[2:]) if sys.argv[1] == 'main' else 0)\n")
+
+    @pytest.mark.parametrize("call_main", [False, True], ids=["import", "main"])
+    def test_objects_alive_at_exit_are_frozen_only_after_main(self, call_main):
+        child_argv = ["main", *VERB_ARGV["score"]] if call_main else ["import"]
+        result = subprocess.run([sys.executable, "-c", self.CHILD, *child_argv],
+                                capture_output=True, env={**os.environ, "PYTHONPATH": SRC},
+                                timeout=60)
+        assert result.returncode == 0
+        assert (int(result.stderr) > 0) == call_main
+
+    def test_main_neither_freezes_nor_disables_the_collector(self, capsys):
+        before = gc.get_freeze_count(), gc.isenabled()
+        assert main(VERB_ARGV["score"]) == 0
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+    def test_repeated_calls_register_one_callback(self, capsys):
+        assert main(VERB_ARGV["score"]) == 0
+        callbacks = atexit._ncallbacks()
+        for argv in VERB_ARGV.values():
+            assert main(argv) == 0
+        assert atexit._ncallbacks() == callbacks
 
 
 class TestCompare:

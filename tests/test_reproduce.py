@@ -1,10 +1,15 @@
 import csv
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hwrbench
 from hwrbench import numfmt, report, reproduce
 from hwrbench.cli import main
 from hwrbench.datasets import load_bundled_dataset
@@ -20,6 +25,7 @@ from hwrbench.reproduce import (
     write_artifacts,
 )
 
+SRC = str(Path(hwrbench.__file__).parents[1])
 GOLDEN_CELLS = data_path("golden", "printed_cells.csv")
 GOLDEN_AGGREGATES = data_path("golden", "printed_aggregates.csv")
 
@@ -30,6 +36,12 @@ PRINT_ORDER = {
     "sota-model-based": ("MuZero", "DreamerV2", "SimPLe", "GDI-I3", "GDI-H3"),
     "sota-other": ("Muesli", "Go-Explore", "GDI-I3", "GDI-H3"),
 }
+
+
+def run_cli(*argv) -> subprocess.CompletedProcess:
+    """``python -m hwrbench.cli *argv`` in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-m", "hwrbench.cli", *argv], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
 
 
 @pytest.fixture(scope="module")
@@ -341,8 +353,14 @@ ARTIFACT_SHA256 = {
 }
 
 
-def test_artifact_bytes_are_pinned(tmp_path):
-    written = write_artifacts(run_reproduction(), tmp_path)
+@pytest.mark.parametrize("fresh", [False, True], ids=["in-process", "fresh-interpreter"])
+def test_artifact_bytes_are_pinned(tmp_path, fresh):
+    if fresh:  # the whole ``reproduce`` process, its exit included
+        result = run_cli("reproduce", "--out", str(tmp_path))
+        assert (result.returncode, result.stderr) == (0, b"")
+        written = [p for p in tmp_path.rglob("*") if p.is_file()]
+    else:
+        written = write_artifacts(run_reproduction(), tmp_path)
     assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == sorted(written)
     assert {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
             for p in written} == ARTIFACT_SHA256
@@ -445,8 +463,18 @@ STDOUT_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("argv", list(STDOUT_SHA256), ids=" ".join)
-def test_verb_stdout_bytes_are_pinned(capsys, argv):
-    assert main(list(argv)) == 0
-    out = capsys.readouterr().out.replace(str(data_path()), "<data>")
+@pytest.mark.parametrize("argv, fresh", [
+    *(pytest.param(argv, False, id=" ".join(argv)) for argv in STDOUT_SHA256),
+    *(pytest.param(argv, True, id=" ".join(argv) + " in a fresh interpreter")
+      for argv in STDOUT_SHA256),
+])
+def test_verb_stdout_bytes_are_pinned(capsys, argv, fresh):
+    if fresh:  # the whole process, its exit included
+        result = run_cli(*argv)
+        assert (result.returncode, result.stderr) == (0, b"")
+        out = result.stdout.decode("utf-8")
+    else:
+        assert main(list(argv)) == 0
+        out = capsys.readouterr().out
+    out = out.replace(str(data_path()), "<data>")
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == STDOUT_SHA256[argv]
