@@ -102,10 +102,7 @@ def positive_int(text: str) -> int:
 
 
 def positive_frames(text: str) -> int:
-    value = parse_frames(_plain_number(text))
-    if value < 1:
-        raise ValueError(f"must be >= 1: {text!r}")
-    return value
+    return parse_frames(_plain_number(text))
 
 
 def _emit(text: str, args) -> None:
@@ -183,8 +180,7 @@ def _cmd_report(args) -> int:
     report = _module.evaluate(_load_datasets(args), registry, args.cap_mode)
     algos = tuple(args.algorithms) if args.algorithms else tuple(report.algorithms())
     layout = TableLayout(metric=MetricKind(args.metric), algorithms=algos)
-    fmt = "text" if args.format == "table" else "csv"
-    _emit(_module.render_table(report, layout, fmt=fmt), args)
+    _emit(_module.render_table(report, layout, fmt=args.format), args)
     return 0
 
 
@@ -240,6 +236,8 @@ def _cmd_compare(args) -> int:
     for name in (a, b):
         if name not in report.aggregates:
             raise BenchmarkError(f"algorithm {name!r} not present in the datasets")
+        if name in ("algorithms", "games_compared", "ties"):
+            raise BenchmarkError(f"algorithm {name!r} is a key of compare's output")
     if a == b:
         raise BenchmarkError(f"algorithm {a!r} compared with itself")
     wins_a: list[str] = []
@@ -409,13 +407,13 @@ def main(argv: list[str] | None = None) -> int:
         atexit.register(gc.freeze)
         _freeze_registered = True
     argv = sys.argv[1:] if argv is None else argv
-    args = _parse_flags(argv)
-    if args is None:  # help, a usage error, or a line the table reader declines
-        args = build_parser().parse_args(argv)
     held = None
-    if sys.stdout is None:  # fd 1 is closed: hold what the verb prints, to see if any was lost
+    if sys.stdout is None:  # fd 1 is closed: hold all that is printed, help too, to see if any was lost
         sys.stdout = held = io.StringIO()
     try:
+        args = _parse_flags(argv)
+        if args is None:  # help, a usage error, or a line the table reader declines
+            args = build_parser().parse_args(argv)
         code = args.func(args)
         if held is not None:
             return 1 if held.getvalue() else code

@@ -4,8 +4,8 @@ A dataset file is comma-separated with header
 ``algorithm,game,score,frames,scale_label``; the literal ``N/A`` in the
 score column marks a game the source never reported, which is omitted
 from the records and kept as a coverage note. ``scale_label`` is derived
-data: it must equal ``scale_label_for(frames)`` and is not kept. Every
-row, ``N/A`` or not, needs a positive integral ``frames`` and its label.
+data: it must equal ``scale_label_for(frames)`` and is not kept. Every row,
+``N/A`` or not, needs its label and one positive integral ``frames`` per algorithm.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ def load_dataset(path: str | Path) -> Dataset:
     records: list[RunRecord] = []
     omitted: list[tuple[str, str]] = []
     seen: set[tuple[str, str]] = set()
+    frames_by_algo: dict[str, int] = {}  # each algorithm's first frame count
     bad_name = re.compile('[",\r\n]').search  # a CSV table prints a name unquoted
     for lineno, (algorithm, game, score, raw_frames, label) in read_csv(
             src, DATASET_COLUMNS, DatasetError, ("score", "frames")):
@@ -68,12 +69,14 @@ def load_dataset(path: str | Path) -> Dataset:
             frames = parse_frames(raw_frames)
         except ValueError as exc:
             raise DatasetError(f"{src}:{lineno}: {exc}") from None
-        if frames <= 0:
-            raise DatasetError(f"{src}:{lineno}: frames must be positive: {frames}")
         expected = scale_label_for(frames)
         if label.strip() != expected:
             raise DatasetError(f"{src}:{lineno}: scale_label {label!r} does not match "
                                f"{frames} frames ({expected})")
+        prior = frames_by_algo.setdefault(algorithm, frames)
+        if prior != frames:
+            raise DatasetError(f"{src}:{lineno}: {algorithm}: inconsistent frame counts "
+                               f"{prior} vs {frames}")
         score = score.strip()
         if score.upper() == "N/A":
             omitted.append(key)

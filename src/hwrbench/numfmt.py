@@ -75,8 +75,10 @@ def scale_label_for(frames: int) -> str:
 
 
 def parse_frames(text: str) -> int:
-    """Parse a frame count; accepts scientific notation but requires an integral value."""
+    """Parse a frame count; accepts scientific notation but requires a positive integral value."""
     value = float(text)
     if not math.isfinite(value) or value != int(value):
         raise ValueError(f"frame count must be integral: {text!r}")
+    if value < 1:
+        raise ValueError(f"frames must be positive: {int(value)}")
     return int(value)

@@ -121,14 +121,14 @@ def _layout_algorithms(report: EvaluationReport, layout: TableLayout) -> list[st
     return list(layout.algorithms)
 
 
-def render_table(report: EvaluationReport, layout: TableLayout, fmt: str = "text") -> str:
-    """Render one metric table; deterministic bytes for fixed inputs.
+def render_table(report: EvaluationReport, layout: TableLayout, fmt: str = "table") -> str:
+    """Render one metric table as ``table`` or ``csv``; deterministic bytes for fixed inputs.
 
     Each algorithm contributes a raw column and a percent column; the
     per-game leader's cells are marked with ``*``. The footer carries
     the aggregate rows.
     """
-    if fmt not in ("text", "csv"):
+    if fmt not in ("table", "csv"):
         raise ValidationError(f"unknown table format {fmt!r}")
     algos = _layout_algorithms(report, layout)
     metric = layout.metric

@@ -400,6 +400,15 @@ def test_readme_lists_each_verbs_flags():
     assert listed == verb_options() == table_options()
 
 
+def test_readme_lists_each_verbs_format_choices():
+    # The table is kept by hand; the test above pins its flags, this one its ``--format`` choices.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", readme, re.MULTILINE)
+    listed = {verb: re.findall(r"`--format \{([a-z,]+)\}`", flags) for verb, flags in rows}
+    assert listed == {verb: [",".join(arguments["--format"]["choices"])] if "--format" in arguments
+                      else [] for verb, (_summary, _func, arguments) in VERBS.items()}
+
+
 # Values a user might type by mistake: separators, the stdin name, the empty
 # string, a missing file and a directory, besides valid ones.
 FUZZ_VALUES = ["--", "-", "=", "", "missing.csv", "missing/", ".", "sota-other", "alien", "Rainbow",
@@ -798,6 +807,25 @@ def test_closed_stdout_with_out_file_exits_0(capsys, tmp_path, argv):
     assert (tmp_path / "out.txt").read_bytes() == printed.encode("utf-8")
 
 
+@pytest.mark.parametrize("argv", [["-h"], ["score", "-h"], ["score"]],
+                         ids=["help", "verb-help", "usage-error"])
+def test_help_with_closed_stdout_prints_nothing(tmp_path, argv):
+    # Help meant for stdout is dropped whether its reader has left or fd 1 is
+    # closed, where argparse would write it to stderr; a usage error goes to stderr.
+    read, write = os.pipe()
+    os.close(read)
+    with os.fdopen(write, "wb") as reader_gone:
+        for stdout in ({"stdout": reader_gone}, {"preexec_fn": lambda: os.close(1)}):
+            result = subprocess.run([sys.executable, "-m", "hwrbench.cli", *argv], **stdout,
+                                    stderr=subprocess.PIPE, cwd=tmp_path,
+                                    env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+            if argv[-1] == "-h":
+                assert (result.returncode, result.stderr) == (0, b"")
+            else:
+                assert result.returncode == 2
+                assert result.stderr.startswith(b"usage: hwrbench score ")
+
+
 class TestExitPath:
     # ``main`` has ``atexit`` freeze the collector, so the interpreter's
     # exit-time collections skip every object still alive. This child
@@ -859,6 +887,19 @@ class TestCompare:
         error = json.loads(err)
         assert error["error"] == "BenchmarkError"
         assert error["detail"] == "algorithm 'Rainbow' compared with itself"
+
+    @pytest.mark.parametrize("name", ["algorithms", "games_compared", "ties"])
+    def test_name_of_an_output_key_is_data_error(self, capsys, tmp_path, name):
+        # ``name`` leads alien; as a key of the JSON its entry would be lost.
+        path = tmp_path / "keys.csv"
+        path.write_text("algorithm,game,score,frames,scale_label\n"
+                        f"{name},alien,9000,200000000,200M\nB,alien,1000,200000000,200M\n",
+                        encoding="utf-8")
+        for argv in ([name, "B"], ["B", name]):
+            code, out, err = run(capsys, "compare", *argv, "--dataset", str(path))
+            assert (code, out) == (1, "")
+            assert json.loads(err) == {"error": "BenchmarkError",
+                                       "detail": f"algorithm {name!r} is a key of compare's output"}
 
 
 class TestProtocolCheck:

@@ -143,6 +143,9 @@ def test_frames_accept_scientific_notation(tmp_path):
     " ,alien,100,200000000,200M",
     '"A,B",alien,1,100,100',
     '"""Q",alien,100,200000000,200M',
+    # one frame count per algorithm within a file, an N/A row's included
+    "A,alien,1,200,200",
+    "A,alien,N/A,200,200",
 ])
 def test_bad_row_names_file_and_line(tmp_path, row):
     path = write_dataset(tmp_path, ["A,pong,1,100,100", row])
@@ -158,10 +161,12 @@ def test_bad_row_names_file_and_line(tmp_path, row):
     ("A,alien,1_0,200000000,200M", "'_' in number '1_0'"),
     ("A,alien,1,200000000.5,200M", "frame count must be integral: '200000000.5'"),
     ("A,alien,1,2.5,200M", "frame count must be integral: '2.5'"),
+    ("A,alien,1,100,100", "A: inconsistent frame counts 200000000 vs 100"),
+    ("A,alien,N/A,100,100", "A: inconsistent frame counts 200000000 vs 100"),
 ])
 def test_a_later_row_of_a_checked_algorithm_is_checked_in_full(tmp_path, row, message):
     # The earlier rows hold each of the bad row's other cells, and are valid.
-    path = write_dataset(tmp_path, ["A,pong,1,200000000,200M", "A,boxing,N/A,100,100", row])
+    path = write_dataset(tmp_path, ["A,pong,1,200000000,200M", "B,boxing,N/A,100,100", row])
     with pytest.raises(DatasetError, match=f"^{re.escape(f'{path}:4: {message}')}$"):
         load_dataset(path)
 

@@ -2,6 +2,7 @@
 percent memo against the formula it remembers."""
 
 import math
+import re
 from contextlib import contextmanager
 from decimal import ROUND_HALF_UP, Decimal
 from unittest.mock import patch
@@ -11,7 +12,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hwrbench import numfmt
-from hwrbench.numfmt import format_number, format_percent, round_half_up
+from hwrbench.numfmt import format_number, format_percent, parse_frames, round_half_up
 
 
 def decimal_round_half_up(value: float) -> float:
@@ -111,3 +112,13 @@ def test_memo_stops_growing_at_its_cap():
         for value in values + values:
             assert format_percent(value) == percent_formula(value)
         assert len(numfmt._PERCENTS) == numfmt.MEMO_VALUES
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0", "frames must be positive: 0"), ("-0", "frames must be positive: 0"),
+    ("-5", "frames must be positive: -5"), ("0e3", "frames must be positive: 0"),
+    ("0.5", "frame count must be integral: '0.5'"),  # integrality is checked first
+])
+def test_parse_frames_rejects_a_count_below_1(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_frames(text)

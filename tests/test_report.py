@@ -137,6 +137,14 @@ def test_render_table_cells(registry):
     assert line == "boxing,99.6,829.17,100*,832.50,100*,832.50"
 
 
+def test_render_table_takes_the_report_verbs_format_names(registry):
+    report = evaluate([small_dataset()], registry)
+    layout = TableLayout(MetricKind.HNS, ("Rainbow",))
+    assert render_table(report, layout, fmt="table") == render_table(report, layout)
+    with pytest.raises(ValidationError, match="^unknown table format 'text'$"):
+        render_table(report, layout, fmt="text")
+
+
 def test_render_rejects_unknown_layout(registry):
     report = evaluate([small_dataset()], registry)
     with pytest.raises(ValidationError):
