@@ -25,6 +25,7 @@ import gc
 import importlib
 import io
 import math
+import os
 import sys
 from collections import deque
 from pathlib import Path
@@ -233,16 +234,17 @@ def _cmd_compare(args) -> int:
     registry = _load_registry(args)
     report = _module.evaluate(_load_datasets(args), registry)
     a, b = args.algorithm_a, args.algorithm_b
-    for name in (a, b):
-        if name not in report.aggregates:
-            raise BenchmarkError(f"algorithm {name!r} not present in the datasets")
-        if name in ("algorithms", "games_compared", "ties"):
-            raise BenchmarkError(f"algorithm {name!r} is a key of compare's output")
-    if a == b:
-        raise BenchmarkError(f"algorithm {a!r} compared with itself")
     wins_a: list[str] = []
     wins_b: list[str] = []
     ties: list[str] = []
+    result = {"algorithms": [a, b], "games_compared": 0, "ties": ties}  # the output's fixed keys
+    for name in (a, b):
+        if name not in report.aggregates:
+            raise BenchmarkError(f"algorithm {name!r} not present in the datasets")
+        if name in result:
+            raise BenchmarkError(f"algorithm {name!r} is a key of compare's output")
+    if a == b:
+        raise BenchmarkError(f"algorithm {a!r} compared with itself")
     cells_a, cells_b = report.cells[a], report.cells[b]
     for game in sorted(cells_a.keys() & cells_b.keys()):
         value_a = cells_a[game].metrics[MetricKind.HWRNS]
@@ -253,13 +255,10 @@ def _cmd_compare(args) -> int:
             wins_a.append(game)
         else:
             wins_b.append(game)
-    result = {
-        "algorithms": [a, b],
-        "games_compared": len(wins_a) + len(wins_b) + len(ties),
-        a: {"wins": len(wins_a), "games": wins_a},
-        b: {"wins": len(wins_b), "games": wins_b},
-        "ties": ties,
-    }
+    result["games_compared"] = len(wins_a) + len(wins_b) + len(ties)
+    result[a] = {"wins": len(wins_a), "games": wins_a}
+    result[b] = {"wins": len(wins_b), "games": wins_b}
+    result["ties"] = result.pop("ties")  # last, after the two algorithms
     print(json.dumps(result, indent=2))
     return 0
 
@@ -411,18 +410,17 @@ def main(argv: list[str] | None = None) -> int:
     if sys.stdout is None:  # fd 1 is closed: hold all that is printed, help too, to see if any was lost
         sys.stdout = held = io.StringIO()
     try:
-        args = _parse_flags(argv)
-        if args is None:  # help, a usage error, or a line the table reader declines
-            args = build_parser().parse_args(argv)
+        try:  # argparse reads help, a usage error, or a line the table reader declines
+            args = _parse_flags(argv) or build_parser().parse_args(argv)
+        finally:  # help waits in stdout's buffer: flush it here, as a verb's output below
+            sys.stdout.flush()
         code = args.func(args)
-        if held is not None:
-            return 1 if held.getvalue() else code
         sys.stdout.flush()  # a reader that left fails here, not at exit
-        return code
-    except BrokenPipeError:  # devnull takes the flush at exit, as in the ``signal`` docs
-        import os
-
+        return 1 if held is not None and held.getvalue() else code
+    except BrokenPipeError as exc:  # devnull takes the flush at exit, as in the ``signal`` docs
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc.__context__, SystemExit):  # help keeps its exit status, as argparse
+            raise exc.__context__                     # does when its own write of help fails
         return 1
     except (BenchmarkError, ValueError, OSError) as exc:
         import json

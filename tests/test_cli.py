@@ -398,15 +398,9 @@ def test_readme_lists_each_verbs_flags():
     rows = re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", readme, re.MULTILINE)
     listed = {verb: set(re.findall(r"--[a-z-]+", flags)) for verb, flags in rows}
     assert listed == verb_options() == table_options()
-
-
-def test_readme_lists_each_verbs_format_choices():
-    # The table is kept by hand; the test above pins its flags, this one its ``--format`` choices.
-    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    rows = re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", readme, re.MULTILINE)
-    listed = {verb: re.findall(r"`--format \{([a-z,]+)\}`", flags) for verb, flags in rows}
-    assert listed == {verb: [",".join(arguments["--format"]["choices"])] if "--format" in arguments
-                      else [] for verb, (_summary, _func, arguments) in VERBS.items()}
+    formats = {verb: re.findall(r"`--format \{([a-z,]+)\}`", flags) for verb, flags in rows}
+    assert formats == {verb: [",".join(arguments["--format"]["choices"])] if "--format" in arguments
+                       else [] for verb, (_summary, _func, arguments) in VERBS.items()}
 
 
 # Values a user might type by mistake: separators, the stdin name, the empty
@@ -812,13 +806,18 @@ def test_closed_stdout_with_out_file_exits_0(capsys, tmp_path, argv):
 def test_help_with_closed_stdout_prints_nothing(tmp_path, argv):
     # Help meant for stdout is dropped whether its reader has left or fd 1 is
     # closed, where argparse would write it to stderr; a usage error goes to stderr.
+    # Buffered, help fails to reach a reader that left at the flush; unbuffered,
+    # in argparse's own write.
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
     read, write = os.pipe()
     os.close(read)
     with os.fdopen(write, "wb") as reader_gone:
-        for stdout in ({"stdout": reader_gone}, {"preexec_fn": lambda: os.close(1)}):
+        for stdout, unbuffered in itertools.product(
+                ({"stdout": reader_gone}, {"preexec_fn": lambda: os.close(1)}),
+                ({}, {"PYTHONUNBUFFERED": "1"})):
             result = subprocess.run([sys.executable, "-m", "hwrbench.cli", *argv], **stdout,
                                     stderr=subprocess.PIPE, cwd=tmp_path,
-                                    env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+                                    env={**env, **unbuffered, "PYTHONPATH": SRC}, timeout=60)
             if argv[-1] == "-h":
                 assert (result.returncode, result.stderr) == (0, b"")
             else:
