@@ -3,19 +3,21 @@
 Verbs: validate, score, aggregate, report, protocol-check, compare,
 reproduce. Each verb registers only the flags that change its output; the
 JSON report is ``aggregate --format json``. Results go to stdout,
-diagnostics to stderr; exit status is 0 on success, 1 on data errors (or,
-with nothing on stderr, when output meant for stdout is lost: its reader
-has left or fd 1 is closed), 2 on usage errors. Flags are the only
-configuration. Each verb imports only the modules it runs, and the value
-types are named tuples, so start-up loads none of ``inspect``, ``typing``
-or ``importlib.resources``. ``json`` is imported only where JSON is
-printed. Each verb's flags are stated once, in ``VERBS``: ``main`` reads a
-plain, valid command line of one-value flags from that table itself, and
-argparse, built from the same table, reads the rest: help, usage errors,
-``--dataset``, ``--algorithms``, ``--log -``, ``--score -20.7``,
-abbreviations. Exit is part of a verb's wall time too: the first ``main``
-call registers ``gc.freeze`` with ``atexit``, so the interpreter's
-exit-time collections skip every object still alive.
+diagnostics to stderr; exit status is 0 on success, 1 on data errors, 2 on
+usage errors. Output meant for stdout that is lost exits 1 with nothing on
+stderr, whether its reader has left or fd 1 is closed (``main`` then
+prints into a pipe with no reader, so both take one path); ``--out`` with
+fd 1 closed loses nothing and exits 0, and help exits 0 silently. Flags
+are the only configuration. Each verb imports only the modules it runs,
+and the value types are named tuples, so start-up loads none of
+``inspect``, ``typing`` or ``importlib.resources``. ``json`` is imported
+only where JSON is printed. Each verb's flags are stated once, in
+``VERBS``: ``main`` reads a plain, valid command line of one-value flags
+from that table itself, and argparse, built from the same table, reads the
+rest: help, usage errors, ``--dataset``, ``--algorithms``, ``--log -``,
+``--score -20.7``, abbreviations. Exit is part of a verb's wall time too:
+the first ``main`` call registers ``gc.freeze`` with ``atexit``, so the
+interpreter's exit-time collections skip every object still alive.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from __future__ import annotations
 import atexit
 import gc
 import importlib
-import io
 import math
 import os
 import sys
@@ -406,31 +407,29 @@ def main(argv: list[str] | None = None) -> int:
         atexit.register(gc.freeze)
         _freeze_registered = True
     argv = sys.argv[1:] if argv is None else argv
-    held = None
-    if sys.stdout is None:  # fd 1 is closed: hold all that is printed, help too, to see if any was lost
-        sys.stdout = held = io.StringIO()
+    if sys.stdout is None:  # fd 1 is closed: print into a pipe with no reader, as when one has left
+        read, write = os.pipe()
+        os.close(read)
+        sys.stdout = open(write, "w", encoding="utf-8")
     try:
         try:  # argparse reads help, a usage error, or a line the table reader declines
             args = _parse_flags(argv) or build_parser().parse_args(argv)
-        finally:  # help waits in stdout's buffer: flush it here, as a verb's output below
+            return args.func(args)
+        except BrokenPipeError:
+            raise
+        except (BenchmarkError, ValueError, OSError) as exc:
+            import json
+
+            print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}),
+                  file=sys.stderr)
+            return 1
+        finally:  # what was printed, help too, waits in stdout's buffer: lost, it fails here
             sys.stdout.flush()
-        code = args.func(args)
-        sys.stdout.flush()  # a reader that left fails here, not at exit
-        return 1 if held is not None and held.getvalue() else code
     except BrokenPipeError as exc:  # devnull takes the flush at exit, as in the ``signal`` docs
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if isinstance(exc.__context__, SystemExit):  # help keeps its exit status, as argparse
             raise exc.__context__                     # does when its own write of help fails
         return 1
-    except (BenchmarkError, ValueError, OSError) as exc:
-        import json
-
-        print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}),
-              file=sys.stderr)
-        return 1
-    finally:
-        if held is not None:
-            sys.stdout = None
 
 
 if __name__ == "__main__":

@@ -280,6 +280,8 @@ HELP_AND_USAGE_ERRORS = {
 
 
 class TestOneVerbParser:
+    """Help and usage errors, of each verb and of the top level, go through argparse."""
+
     @pytest.mark.parametrize("tail", ["help", "unknown-flag", "usage-error"])
     @pytest.mark.parametrize("verb", list(VERB_OPTIONS))
     def test_help_and_usage_errors_match_the_full_parser(self, verb, tail):
@@ -764,26 +766,45 @@ def test_normalization_overflow_names_the_game(capsys, tmp_path, argv, rows, det
                                "detail": f"{detail}: normalized score overflows"}
 
 
-@pytest.mark.parametrize("argv", [
-    VERB_ARGV["score"], VERB_ARGV["validate"], ["aggregate", "--format", "json"],
-    ["reproduce", "--out", "repro"],
-], ids=["score", "validate", "aggregate-json", "reproduce"])
-def test_closed_stdout_exits_1_with_nothing_on_stderr(tmp_path, argv):
+def lost_stdout_outcomes(tmp_path, argv, env=os.environ):
+    """(exit code, stderr) of ``argv`` in a child whose stdout is lost, three ways."""
     def child(**stdout):
-        return subprocess.run([sys.executable, "-m", "hwrbench.cli", *argv], **stdout,
-                              stderr=subprocess.PIPE, cwd=tmp_path,
-                              env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+        result = subprocess.run([sys.executable, "-m", "hwrbench.cli", *argv], **stdout,
+                                stderr=subprocess.PIPE, cwd=tmp_path,
+                                env={**env, "PYTHONPATH": SRC}, timeout=60)
+        return result.returncode, result.stderr
 
     # The reader has left before the verb writes: stdout is a pipe whose read
     # end is closed, so the outcome does not depend on timing as ``| head`` does.
     read, write = os.pipe()
     os.close(read)
     with os.fdopen(write, "wb") as stdout:
-        result = child(stdout=stdout)
-    assert (result.returncode, result.stderr) == (1, b"")
-    # No reader was ever there: fd 1 is closed (``>&-``), so ``sys.stdout`` is None.
-    result = child(preexec_fn=lambda: os.close(1))
-    assert (result.returncode, result.stderr) == (1, b"")
+        reader_gone = child(stdout=stdout)
+    # No reader was ever there: fd 1 is closed (``>&-``), so ``sys.stdout`` is
+    # None; with fd 0 closed too, ``os.pipe()`` in the child returns (0, 1).
+    return [reader_gone, child(preexec_fn=lambda: os.close(1)),
+            child(preexec_fn=lambda: (os.close(0), os.close(1)))]
+
+
+@pytest.mark.parametrize("argv", [
+    VERB_ARGV["score"], VERB_ARGV["validate"], ["aggregate", "--format", "json"],
+    ["reproduce", "--out", "repro"], ["report", "--format", "csv"], VERB_ARGV["compare"],
+    ["protocol-check", "--log", "episodes.log"],
+], ids=["score", "validate", "aggregate-json", "reproduce", "report-csv", "compare",
+        "protocol-check"])
+def test_closed_stdout_exits_1_with_nothing_on_stderr(tmp_path, argv):
+    write_log(tmp_path, TestProtocolCheck.CONFORMING)
+    assert lost_stdout_outcomes(tmp_path, argv) == [(1, b"")] * 3
+
+
+def test_data_error_with_lost_stdout_is_reported(tmp_path):
+    # ``validate`` prints its baselines line, then fails on the dataset. With
+    # stdout buffered, that line is lost only at the flush, after the error.
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    error = {"error": "FileNotFoundError",
+             "detail": "[Errno 2] No such file or directory: 'missing.csv'"}
+    outcomes = lost_stdout_outcomes(tmp_path, ["validate", "--dataset", "missing.csv"], env)
+    assert [(code, json.loads(err)) for code, err in outcomes] == [(1, error)] * 3
 
 
 @pytest.mark.parametrize("argv", [
@@ -829,9 +850,11 @@ class TestExitPath:
     # ``main`` has ``atexit`` freeze the collector, so the interpreter's
     # exit-time collections skip every object still alive. This child
     # registers its own callback first, which therefore runs after that one,
-    # and writes the freeze count it sees to stderr.
+    # and writes to stderr the freeze count at its start and the one it sees
+    # at exit: some interpreters start with objects frozen (3.12.1 does).
     CHILD = ("import atexit, gc, os, sys\n"
-             "atexit.register(lambda: os.write(2, b'%d' % gc.get_freeze_count()))\n"
+             "start = gc.get_freeze_count()\n"
+             "atexit.register(lambda: os.write(2, b'%d %d' % (start, gc.get_freeze_count())))\n"
              "from hwrbench.cli import main\n"
              "sys.exit(main(sys.argv[2:]) if sys.argv[1] == 'main' else 0)\n")
 
@@ -842,7 +865,8 @@ class TestExitPath:
                                 capture_output=True, env={**os.environ, "PYTHONPATH": SRC},
                                 timeout=60)
         assert result.returncode == 0
-        assert (int(result.stderr) > 0) == call_main
+        start, at_exit = map(int, result.stderr.split())
+        assert at_exit > start if call_main else at_exit == start
 
     def test_main_neither_freezes_nor_disables_the_collector(self, capsys):
         before = gc.get_freeze_count(), gc.isenabled()
