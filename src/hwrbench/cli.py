@@ -1,22 +1,22 @@
 """Command-line interface.
 
-Verbs: validate, score, aggregate, report, protocol-check, compare,
-reproduce. Each verb registers only the flags that change its output; the
-JSON report is ``aggregate --format json``. Results go to stdout,
-diagnostics to stderr; exit status is 0 on success, 1 on data errors, 2 on
-usage errors. Output meant for stdout that is lost exits 1 with nothing on
-stderr, whether its reader has left or fd 1 is closed (``main`` then
-prints into a pipe with no reader, so both take one path); ``--out`` with
-fd 1 closed loses nothing and exits 0, and help exits 0 silently. Flags
-are the only configuration. Each verb imports only the modules it runs,
-and the value types are named tuples, so start-up loads none of
-``inspect``, ``typing`` or ``importlib.resources``. ``json`` is imported
-only where JSON is printed. Each verb's flags are stated once, in
-``VERBS``: ``main`` reads a plain, valid command line of one-value flags
-from that table itself, and argparse, built from the same table, reads the
-rest: help, usage errors, ``--dataset``, ``--algorithms``, ``--log -``,
-``--score -20.7``, abbreviations. Exit is part of a verb's wall time too:
-the first ``main`` call registers ``gc.freeze`` with ``atexit``, so the
+Verbs: validate, score, aggregate, report, protocol-check, compare, reproduce.
+Each verb registers only the flags that change its output; the JSON report is
+``aggregate --format json``. Results go to stdout, diagnostics to stderr; exit
+status is 0 on success, 1 on data errors, 2 on usage errors. A verb prints
+only after its last check, so a data error leaves stdout empty. Output meant
+for stdout that is lost exits 1 with nothing on stderr, buffered or not,
+whether its reader has left or fd 1 is closed (``main`` then prints into a
+pipe with no reader); ``--out`` with fd 1 closed loses nothing and exits 0,
+and help exits 0 silently. Flags are the only configuration. Each verb imports
+only the modules it runs, and the value types are named tuples, so start-up
+loads none of ``inspect``, ``typing`` or ``importlib.resources``. ``json`` is
+imported only where JSON is printed. Each verb's flags are stated once, in
+``VERBS``: ``main`` reads a plain, valid command line of one-value flags from
+that table itself, and argparse, built from the same table, reads the rest:
+help, usage errors, ``--dataset``, ``--algorithms``, ``--log -``,
+``--score -20.7``, abbreviations. Exit is part of a verb's wall time too: the
+first ``main`` call registers ``gc.freeze`` with ``atexit``, so the
 interpreter's exit-time collections skip every object still alive.
 """
 
@@ -107,6 +107,12 @@ def positive_frames(text: str) -> int:
     return parse_frames(_plain_number(text))
 
 
+def out_path(text: str) -> str:  # ``--out ""`` names no file: refused, not read as stdout or "."
+    if not text:
+        raise ValueError(text)
+    return text
+
+
 def _emit(text: str, args) -> None:
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -116,9 +122,9 @@ def _emit(text: str, args) -> None:
 
 def _cmd_validate(args) -> int:
     registry = _load_registry(args)
-    print(f"baselines: {len(registry)} games OK ({registry.source})")
     datasets = _load_datasets(args)
     _module.evaluate(datasets, registry)  # the checks that span records and datasets
+    print(f"baselines: {len(registry)} games OK ({registry.source})")
     for ds in datasets:
         print(f"dataset {ds.label}: {len(ds.records)} records, "
               f"{len(ds.omitted)} N/A cells OK")
@@ -284,7 +290,7 @@ _DATASET = {"action": "append",
             "help": "dataset CSV path or bundled label; repeatable (default: all bundled)"}
 _CAP_MODE = {"type": CapMode, "choices": [m.value for m in CapMode],
              "default": CapMode.SPEC_FLOOR}
-_OUT = {"help": "write output to this path instead of stdout"}
+_OUT = {"type": out_path, "help": "write output to this path instead of stdout"}
 
 # Each verb's summary, command and arguments in help order: an option string,
 # or a positional's name, maps to the keywords of argparse's ``add_argument``.
@@ -317,7 +323,7 @@ VERBS = {
         "--baselines": _BASELINES, "--dataset": _DATASET, "algorithm_a": {}, "algorithm_b": {}}),
     "reproduce": ("recompute the bundled reference tables and diff them", _cmd_reproduce, {
         "--baselines": _BASELINES,
-        "--out": {"default": "reproduce-out",
+        "--out": {"type": out_path, "default": "reproduce-out",
                   "help": "output directory (default: reproduce-out)"}}),
 }
 
@@ -415,20 +421,17 @@ def main(argv: list[str] | None = None) -> int:
         try:  # argparse reads help, a usage error, or a line the table reader declines
             args = _parse_flags(argv) or build_parser().parse_args(argv)
             return args.func(args)
-        except BrokenPipeError:
-            raise
-        except (BenchmarkError, ValueError, OSError) as exc:
-            import json
-
-            print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}),
-                  file=sys.stderr)
-            return 1
         finally:  # what was printed, help too, waits in stdout's buffer: lost, it fails here
             sys.stdout.flush()
     except BrokenPipeError as exc:  # devnull takes the flush at exit, as in the ``signal`` docs
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if isinstance(exc.__context__, SystemExit):  # help keeps its exit status, as argparse
             raise exc.__context__                     # does when its own write of help fails
+        return 1
+    except (BenchmarkError, ValueError, OSError) as exc:  # a verb prints after its last check
+        import json
+
+        print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}), file=sys.stderr)
         return 1
 
 
