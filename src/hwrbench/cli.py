@@ -7,8 +7,9 @@ status is 0 on success, 1 on data errors, 2 on usage errors. A verb prints
 only after its last check, so a data error leaves stdout empty. Output meant
 for stdout that is lost exits 1 with nothing on stderr, buffered or not,
 whether its reader has left or fd 1 is closed (``main`` then prints into a
-pipe with no reader); ``--out`` with fd 1 closed loses nothing and exits 0,
-and help exits 0 silently. Flags are the only configuration. Each verb imports
+pipe with no reader); ``--out`` with fd 1 closed loses nothing and exits 0.
+Any other write error is a data error (exit 1, JSON on stderr), buffered or
+not; help exits 0 silently. Flags are the only configuration. Each verb imports
 only the modules it runs, and the value types are named tuples, so start-up
 loads none of ``inspect``, ``typing`` or ``importlib.resources``. ``json`` is
 imported only where JSON is printed. Each verb's flags are stated once, in
@@ -422,11 +423,14 @@ def main(argv: list[str] | None = None) -> int:
             args = _parse_flags(argv) or build_parser().parse_args(argv)
             return args.func(args)
         finally:  # what was printed, help too, waits in stdout's buffer: lost, it fails here
-            sys.stdout.flush()
-    except BrokenPipeError as exc:  # devnull takes the flush at exit, as in the ``signal`` docs
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        if isinstance(exc.__context__, SystemExit):  # help keeps its exit status, as argparse
-            raise exc.__context__                     # does when its own write of help fails
+            try:
+                sys.stdout.flush()
+            except OSError as exc:  # devnull takes the flush at exit, as in the ``signal`` docs
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                if isinstance(exc.__context__, SystemExit):  # help keeps its exit status, as
+                    raise exc.__context__                     # argparse does when its write fails
+                raise
+    except BrokenPipeError:
         return 1
     except (BenchmarkError, ValueError, OSError) as exc:  # a verb prints after its last check
         import json

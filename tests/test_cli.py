@@ -2,6 +2,7 @@ import argparse
 import ast
 import atexit
 import contextlib
+import errno
 import gc
 import hashlib
 import importlib
@@ -410,6 +411,16 @@ def test_readme_lists_each_verbs_flags():
                        else [] for verb, (_summary, _func, arguments) in VERBS.items()}
 
 
+def test_readme_library_example_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"^## Library\n\n```python\n(.*?)^```$", readme,
+                        re.MULTILINE | re.DOTALL).group(1)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        exec(compile(example, "README.md", "exec"), {})
+    hns, cell, _aggregates = out.getvalue().splitlines()
+    assert hns.startswith("1.34259") and float(cell) > 0
+
+
 # Values a user might type by mistake: separators, the stdin name, the empty
 # string, a missing file and a directory, besides valid ones.
 FUZZ_VALUES = ["--", "-", "=", "", "missing.csv", "missing/", ".", "sota-other", "alien", "Rainbow",
@@ -527,6 +538,25 @@ class TestDeferredImports:
                                                         python_flags):
         modules = self.child_modules(tmp_path, ["main", *argv], python_flags, code)
         assert self.ARGPARSE <= modules
+
+    # The package re-exports nothing, so importing a module loads only that
+    # module and what it imports itself.
+    @pytest.mark.parametrize("module, loaded", [
+        ("hwrbench", {"hwrbench"}),
+        ("hwrbench.protocol", {"hwrbench", "hwrbench.errors", "hwrbench.protocol"}),
+        ("hwrbench.cli", {"hwrbench", "hwrbench.cli", "hwrbench.errors", "hwrbench.games",
+                          "hwrbench.metrics", "hwrbench.numfmt", "csv"}),
+    ])
+    def test_import_loads_only_what_the_module_imports(self, module, loaded):
+        child = ("import sys\n"
+                 "before = set(sys.modules)\n"
+                 "__import__(sys.argv[1])\n"
+                 "print(*sorted(set(sys.modules) - before))\n")
+        result = subprocess.run([sys.executable, "-c", child, module], capture_output=True,
+                                text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert {m for m in result.stdout.split()
+                if m.split(".")[0] in ("hwrbench", "csv")} == loaded
 
     def test_traced_names_resolve_on_first_use(self):
         import hwrbench.cli as cli
@@ -769,15 +799,18 @@ def test_normalization_overflow_names_the_game(capsys, tmp_path, argv, rows, det
                                "detail": f"{detail}: normalized score overflows"}
 
 
+def child_outcome(tmp_path, argv, unbuffered, **stdout):
+    """(exit code, stderr) of ``argv`` in a child with ``PYTHONUNBUFFERED`` set to
+    ``unbuffered``: ``"1"``, or ``""``, which Python reads as unset."""
+    env = {**os.environ, "PYTHONPATH": SRC, "PYTHONUNBUFFERED": unbuffered}
+    result = subprocess.run([sys.executable, "-m", "hwrbench.cli", *argv], **stdout,
+                            stderr=subprocess.PIPE, cwd=tmp_path, env=env, timeout=60)
+    return result.returncode, result.stderr
+
+
 def lost_stdout_outcomes(tmp_path, argv):
     """(exit code, stderr) of ``argv`` in a child whose stdout is lost three ways,
     each with stdout buffered and with ``PYTHONUNBUFFERED=1``."""
-    def child(unbuffered, **stdout):  # an empty ``PYTHONUNBUFFERED`` is an unset one
-        env = {**os.environ, "PYTHONPATH": SRC, "PYTHONUNBUFFERED": unbuffered}
-        result = subprocess.run([sys.executable, "-m", "hwrbench.cli", *argv], **stdout,
-                                stderr=subprocess.PIPE, cwd=tmp_path, env=env, timeout=60)
-        return result.returncode, result.stderr
-
     # The reader has left before the verb writes: stdout is a pipe whose read
     # end is closed, so the outcome does not depend on timing as ``| head`` does.
     # No reader was ever there: fd 1 is closed (``>&-``), so ``sys.stdout`` is
@@ -785,7 +818,7 @@ def lost_stdout_outcomes(tmp_path, argv):
     read, write = os.pipe()
     os.close(read)
     with os.fdopen(write, "wb") as reader_gone:
-        return [child(unbuffered, **stdout) for stdout in (
+        return [child_outcome(tmp_path, argv, unbuffered, **stdout) for stdout in (
             {"stdout": reader_gone}, {"preexec_fn": lambda: os.close(1)},
             {"preexec_fn": lambda: (os.close(0), os.close(1))}) for unbuffered in ("", "1")]
 
@@ -833,6 +866,24 @@ def test_help_with_closed_stdout_prints_nothing(tmp_path, argv):
         assert outcomes == [(0, b"")] * 6
     else:
         assert [(code, err[:22]) for code, err in outcomes] == [(2, b"usage: hwrbench score ")] * 6
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("argv", [
+    VERB_ARGV["score"], ["reproduce", "--out", "repro"], ["-h"], ["score", "-h"],
+], ids=["score", "reproduce", "help", "verb-help"])
+def test_full_stdout_is_a_data_error(tmp_path, argv):
+    # A write error other than a broken pipe is a data error, buffered or not,
+    # and help still exits 0 with nothing on stderr.
+    with open("/dev/full", "wb") as full:
+        outcomes = [child_outcome(tmp_path, argv, unbuffered, stdout=full)
+                    for unbuffered in ("", "1")]
+    if argv[-1] == "-h":
+        assert outcomes == [(0, b"")] * 2
+    else:
+        error = {"error": "OSError",
+                 "detail": f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"}
+        assert [(code, json.loads(err)) for code, err in outcomes] == [(1, error)] * 2
 
 
 class TestExitPath:

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -478,3 +479,56 @@ def test_verb_stdout_bytes_are_pinned(capsys, argv, fresh):
         out = capsys.readouterr().out
     out = out.replace(str(data_path()), "<data>")
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == STDOUT_SHA256[argv]
+
+
+# Runs every pinned argv through ``main`` in-process, then ``reproduce`` into a
+# temp dir, and prints the outcomes as JSON. It needs only the standard
+# library, so it runs under a Python that has no pytest.
+PINS_CHILD = """\
+import contextlib, hashlib, io, json, sys, tempfile
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from hwrbench.cli import main
+from hwrbench.games import data_path
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+    text = out.getvalue().replace(str(data_path()), "<data>")
+    return [code, err.getvalue(), hashlib.sha256(text.encode("utf-8")).hexdigest()]
+
+stdout = {" ".join(argv): run(argv) for argv in json.loads(sys.argv[2])}
+with tempfile.TemporaryDirectory() as out:
+    code, err, _ = run(["reproduce", "--out", out])
+    artifacts = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+                 for p in Path(out).rglob("*") if p.is_file()}
+print(json.dumps({"stdout": stdout, "reproduce": [code, err], "artifacts": artifacts}))
+"""
+
+
+def other_python(version):
+    """A ``python<version>`` that runs: the one on PATH, else one installed beside
+    this interpreter, as pyenv lays versions out; None if there is none."""
+    found = [shutil.which(f"python{version}"),
+             *sorted(Path(sys.base_prefix).parent.glob(f"{version}.*/bin/python{version}"))]
+    for python in filter(None, found):
+        if subprocess.run([python, "-c", "pass"], capture_output=True, timeout=60).returncode == 0:
+            return str(python)
+    return None
+
+
+@pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
+def test_pins_hold_under_other_pythons(version):
+    python = other_python(version)
+    if python is None:
+        pytest.skip(f"python{version} is absent or does not run")
+    argvs = json.dumps(list(STDOUT_SHA256))
+    result = subprocess.run([python, "-I", "-B", "-c", PINS_CHILD, SRC, argvs],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {
+        "stdout": {" ".join(argv): [0, "", sha] for argv, sha in STDOUT_SHA256.items()},
+        "reproduce": [0, ""],
+        "artifacts": ARTIFACT_SHA256,
+    }
