@@ -14,14 +14,16 @@ Log file format, one step per line, whitespace separated::
 
 `game_over` is 0 or 1. Episodes are separated by a line containing only
 `---`. Blank lines and lines starting with `#` are ignored. A log is
-parsed and folded line by line as it is read. A log file is read as raw
-bytes, split at ``\n`` only, and a line is remembered by its raw bytes:
-a step or ``---`` line that repeats is neither decoded nor parsed again.
-A line the memo misses (a new line, or any line once it is full) costs
-a full decode and parse. ``iter_episodes`` streams the episode summaries,
-so a caller that keeps only what it prints (``protocol-check`` keeps the
-last k returns) needs memory that grows with k, not with episodes or
-steps; ``ledger_from_log`` keeps one summary per episode.
+read ``CHUNK_LINES`` lines at a time, and each chunk is parsed and
+folded before the next is read. A log file is read as raw bytes, split
+at ``\n`` only, and a line is remembered by its raw bytes: a step or
+``---`` line that repeats is neither decoded nor parsed again. A line
+the memo misses (a new line, or any line once it is full) costs a full
+decode and parse. ``iter_episodes`` streams the episode summaries, so a
+caller that keeps only what it prints (``protocol-check`` keeps the last
+k returns) needs the last k returns, the memo and one chunk of lines:
+memory that grows with k, not with episodes or steps. ``ledger_from_log``
+keeps one summary per episode.
 """
 
 from __future__ import annotations
@@ -29,7 +31,10 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
+from functools import reduce
+from itertools import islice
 from math import inf, isfinite
+from operator import add, length_hint
 from pathlib import Path
 
 from hwrbench.errors import MalformedLogError, ValidationError
@@ -40,6 +45,7 @@ FULL_ACTION_SET = 18
 
 RESET_MARKER = "---"
 MEMO_LINES = 1024  # distinct lines parsed once per log; a miss is a full parse
+CHUNK_LINES = 1024  # lines read, then folded, at a time
 
 
 class StepEvent(namedtuple("StepEvent", "reward lives game_over env_frames")):
@@ -113,13 +119,19 @@ def check_conformance(total_env_frames: int, action_set: int,
     return ConformanceVerdict(not violations, tuple(violations))
 
 
+def _sum_left_to_right(values: list[float]) -> float:
+    """``values`` added in order, as the fold adds rewards: from Python 3.12
+    ``sum()`` compensates float rounding, so its total depends on the version."""
+    return reduce(add, values, 0)
+
+
 def final_score(returns: list[float], k: int) -> float:
     """The reported training score: the mean of the last k episode returns."""
     if k < 1:
         raise ValidationError(f"k must be >= 1: {k}")
     if len(returns) < k:
         raise ValidationError(f"need at least k={k} episodes, got {len(returns)}")
-    mean = sum(returns[-k:]) / k
+    mean = _sum_left_to_right(returns[-k:]) / k
     if not isfinite(mean):
         raise ValidationError(f"mean of the last {k} returns overflows: {mean}")
     return mean
@@ -129,12 +141,14 @@ def training_score(returns: list[float], k: int) -> TrainingScore:
     """Sliding mean over k consecutive episode returns (stride 1).
 
     The final score is the last window's mean (``final_score``). Each
-    window is summed on its own: a running sum would carry the rounding
-    error of a large return into the windows after it. A window whose
-    mean is not finite is a ValidationError naming its 1-based returns.
+    window is summed on its own, left to right: a running sum would carry
+    the rounding error of a large return into the windows after it. A
+    window whose mean is not finite is a ValidationError naming its
+    1-based returns.
     """
     final = final_score(returns, k)
-    series = [sum(returns[i:i + k]) / k for i in range(len(returns) - k + 1)]
+    series = [_sum_left_to_right(returns[i:i + k]) / k
+              for i in range(len(returns) - k + 1)]
     for i, mean in enumerate(series, start=1):
         if not isfinite(mean):
             raise ValidationError(f"mean of returns {i}..{i + k - 1} overflows: {mean}")
@@ -234,7 +248,10 @@ def _fold_log(lines: Iterable, name: str,
     """Parse and fold log lines in one pass, yielding each episode as it closes.
 
     ``parse`` turns an item of ``lines`` into a step tuple, ``()`` or None,
-    as ``_parse_step`` does for a log line. An episode closes at a ``---``
+    as ``_parse_step`` does for a log line. ``lines`` is read
+    ``CHUNK_LINES`` at a time, and a chunk is folded in full, and dropped,
+    before the next is read; so an error that reading raises comes before
+    any defect in the lines of its chunk. An episode closes at a ``---``
     line or at the end of ``lines``; only the open episode's running
     totals are kept. ``memo`` maps up to ``MEMO_LINES`` distinct raw lines
     (bytes from a file, str from an iterable) that passed every per-line
@@ -245,50 +262,59 @@ def _fold_log(lines: Iterable, name: str,
     """
     memo: dict[str | bytes, tuple] = {}
     memo_get = memo.get
-    closed = 0
+    source = iter(lines)
+    # ``end`` numbers the chunk's last line; a line's number, worked out only
+    # where it is used, is ``end`` less the chunk's lines not yet looked up.
+    closed = end = 0
     # ``left`` counts the frames before the cap; ``prev_lives`` starts above
     # any lives, so an episode's first step never reads as a rise.
     episode_return, left, prev_lives, ended, anomalies = (
         0.0, MAX_EPISODE_FRAMES, inf, None, ())
-    for lineno, raw in enumerate(lines, start=1):
-        step = memo_get(raw)
-        if step is None:
-            step = parse(raw, name, lineno)
+    while chunk := list(islice(source, CHUNK_LINES)):
+        end += len(chunk)
+        rest = iter(chunk)
+        for step in map(memo_get, rest):
             if step is None:
-                continue  # a blank or comment line
-            if step and not isfinite(step[0]):
-                raise MalformedLogError(f"{name}:{lineno}: NaN or infinite reward: {step[0]}")
-            if len(memo) < MEMO_LINES:
-                memo[raw] = step
-        if not step:  # a ``---`` line closes the episode, if it has a step
-            if left < MAX_EPISODE_FRAMES or ended is not None:
-                yield _close_episode(episode_return, MAX_EPISODE_FRAMES - left, ended,
-                                     anomalies, f"{name}:{lineno}")
-                closed += 1
-                episode_return, left, prev_lives, ended, anomalies = (
-                    0.0, MAX_EPISODE_FRAMES, inf, None, ())
-            continue
-        reward, lives, game_over, env_frames = step
-        if ended is not None:
-            if ended == "game_over":
+                lineno = end - length_hint(rest)
+                raw = chunk[lineno - end - 1]  # the line just looked up
+                step = parse(raw, name, lineno)
+                if step is None:
+                    continue  # a blank or comment line
+                if step and not isfinite(step[0]):
+                    raise MalformedLogError(
+                        f"{name}:{lineno}: NaN or infinite reward: {step[0]}")
+                if len(memo) < MEMO_LINES:
+                    memo[raw] = step
+            if not step:  # a ``---`` line closes the episode, if it has a step
+                if left < MAX_EPISODE_FRAMES or ended is not None:
+                    yield _close_episode(episode_return, MAX_EPISODE_FRAMES - left, ended,
+                                         anomalies, f"{name}:{end - length_hint(rest)}")
+                    closed += 1
+                    episode_return, left, prev_lives, ended, anomalies = (
+                        0.0, MAX_EPISODE_FRAMES, inf, None, ())
+                continue
+            reward, lives, game_over, env_frames = step
+            if ended is not None:
+                if ended == "game_over":
+                    raise MalformedLogError(
+                        f"{name}:{end - length_hint(rest)}: step after the game-over "
+                        f"step; an episode ends with '{RESET_MARKER}'")
+                continue  # past the frame cap: checked, not counted
+            if lives > prev_lives and not game_over:
                 raise MalformedLogError(
-                    f"{name}:{lineno}: step after the game-over step; "
-                    f"an episode ends with '{RESET_MARKER}'")
-            continue  # past the frame cap: checked, not counted
-        if lives > prev_lives and not game_over:
-            raise MalformedLogError(
-                f"{name}:{lineno}: lives increased {prev_lives} -> {lives} "
-                f"without episode reset")
-        prev_lives = lives
-        if env_frames > left:
-            ended = "frame_cap"
-            continue
-        left -= env_frames
-        episode_return += reward
-        if game_over:
-            ended = "game_over"
-            if lives > 0:
-                anomalies = ("life_loss_termination",)
+                    f"{name}:{end - length_hint(rest)}: lives increased {prev_lives} "
+                    f"-> {lives} without episode reset")
+            prev_lives = lives
+            if env_frames > left:
+                ended = "frame_cap"
+                continue
+            left -= env_frames
+            episode_return += reward
+            if game_over:
+                ended = "game_over"
+                if lives > 0:
+                    anomalies = ("life_loss_termination",)
+        del chunk, rest  # else the next chunk is read while this one is held
     if left < MAX_EPISODE_FRAMES or ended is not None:
         yield _close_episode(episode_return, MAX_EPISODE_FRAMES - left, ended, anomalies,
                              f"{name}:EOF")
@@ -325,6 +351,9 @@ def iter_episodes(source: str | Path | Iterable[str | bytes]) -> Iterator[Episod
     ``source`` is a path or an iterable of str or bytes lines, such as an
     open file; errors name ``file:line`` (an iterable is named by its ``name``
     attribute, else ``<log>``). The first defect in file order is reported.
+    The log is read ``CHUNK_LINES`` lines at a time, and a summary is
+    yielded as soon as the chunk holding its closing line is read: a first
+    episode that closes within the first chunk arrives after one chunk.
     Memory does not grow with the log.
     """
     with _open_log(source) as (lines, name):

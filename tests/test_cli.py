@@ -1201,6 +1201,22 @@ class TestProtocolCheck:
         assert len(outs) == 1
         assert loggen.check_protocol(outs.pop(), truth) == []
 
+    def test_long_log_from_path_and_stdin_prints_the_same_bytes(self, tmp_path):
+        # 15,000 lines: chunk edges fall inside episodes and on their ``---``.
+        lines = []
+        for e in range(1000):
+            lines += [f"{(e * 7 + i) % 11 - 5} 3 0 4" for i in range(13)] + ["0 0 1 4", "---"]
+        data = ("\n".join(lines) + "\n").encode()
+        log = tmp_path / "long.log"
+        log.write_bytes(data)
+        results = [subprocess.run(
+            [sys.executable, "-m", "hwrbench.cli", "protocol-check", "--log", name, "--k", "100"],
+            input=data, capture_output=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+            for name in (str(log), "-")]
+        assert [(r.returncode, r.stderr) for r in results] == [(0, b"")] * 2
+        assert results[0].stdout == results[1].stdout
+        assert json.loads(results[0].stdout)["episodes"] == 1000
+
 
 class TestReproduce:
     def test_writes_artifacts_and_is_idempotent(self, capsys, tmp_path):

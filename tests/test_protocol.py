@@ -1,4 +1,7 @@
+import functools
+import itertools
 import math
+import operator
 import random
 import re
 import sys
@@ -14,6 +17,7 @@ from hwrbench.errors import MalformedLogError, ValidationError
 from hwrbench.metrics import game_time_days
 from hwrbench.numfmt import scale_label_for
 from hwrbench.protocol import (
+    CHUNK_LINES,
     DEFAULT_FRAME_BUDGET,
     FULL_ACTION_SET,
     MAX_EPISODE_FRAMES,
@@ -25,6 +29,7 @@ from hwrbench.protocol import (
     accumulate_episode,
     check_conformance,
     final_score,
+    iter_episodes,
     ledger_from_log,
     read_episode_log,
     training_score,
@@ -182,10 +187,19 @@ class TestTrainingScore:
                 training_score(returns, k)
             return
         result = training_score(returns, k)
-        expected = [sum(returns[i:i + k]) / k for i in range(len(returns) - k + 1)]
+        # Added left to right: from Python 3.12 ``sum()`` compensates rounding.
+        expected = [functools.reduce(operator.add, returns[i:i + k]) / k
+                    for i in range(len(returns) - k + 1)]
         assert len(result.series) == max(0, len(returns) - k + 1)
         assert result.series == pytest.approx(expected)
         assert result.final == expected[-1] == final_score(returns, k)
+
+    def test_windows_are_added_left_to_right(self):
+        # Added in order, ten 0.1 returns make 0.9999999999999999, as the fold
+        # adds rewards; sum() makes 1.0 from Python 3.12.
+        score = 0.09999999999999999
+        assert final_score([0.1] * 10, 10) == score
+        assert training_score([0.1] * 11, 10) == ([score, score], score)
 
 
 class TestEpisodeLog:
@@ -666,3 +680,88 @@ class TestMemo:
             with pytest.raises(MalformedLogError, match=f"^<log>:{first}: ") as exc:
                 ledger_from_log(lines)
             assert fold_file(log_file, lines) == str(exc.value).removeprefix("<log>")
+
+
+CHUNK_SIZES = [CHUNK_LINES, 1, 2, 3]
+# A step that no drawn log holds, so the line that closes its episode is known.
+CUT_SHORT = "7777 1 0 4\n"
+
+
+class TestChunks:
+    # Chunks of 1, 2 and 3 lines put a chunk edge before every line of a
+    # drawn log; the default size reads a drawn log as one chunk.
+    @given(st.one_of(episode_logs(), POOLED_LOGS), st.sampled_from(CHUNK_SIZES))
+    def test_valid_logs_give_the_oracle_ledger(self, log_file, lines, size):
+        with mock.patch.object(protocol, "CHUNK_LINES", size):
+            ledger = ledger_from_log(lines)
+            assert ledger == _oracle_ledger_from_log(lines)
+            assert fold_file(log_file, lines) == ledger
+
+    @given(st.sampled_from(sorted(DEFECTS)).flatmap(episode_logs),
+           st.sampled_from(CHUNK_SIZES))
+    def test_one_defect_is_named_at_the_same_line(self, log_file, lines, size):
+        with pytest.raises(MalformedLogError) as want:
+            _oracle_ledger_from_log(lines)
+        assert len(lines) <= CHUNK_LINES
+        with pytest.raises(MalformedLogError) as whole:
+            ledger_from_log(lines)
+        # The oracle names the line of a step it cannot parse.
+        if parsed := re.match(r"line (\d+): ", str(want.value)):
+            assert str(whole.value).startswith(f"<log>:{parsed[1]}: ")
+        with mock.patch.object(protocol, "CHUNK_LINES", size):
+            with pytest.raises(MalformedLogError) as exc:
+                ledger_from_log(lines)
+            assert fold_file(log_file, lines) == str(exc.value).removeprefix("<log>")
+        assert str(exc.value) == str(whole.value)
+
+    @given(POOLED_LOGS, st.integers(min_value=0), st.booleans(),
+           st.sampled_from(CHUNK_SIZES))
+    def test_cut_short_episode_is_named_at_its_end(self, log_file, lines, pick, at_eof,
+                                                   size):
+        if at_eof:
+            lines = lines + [RESET_MARKER + "\n", CUT_SHORT]
+            where = "EOF"
+        else:
+            starts = [i for i in range(len(lines) + 1)
+                      if i == 0 or lines[i - 1].strip() == RESET_MARKER]
+            i = starts[pick % len(starts)]
+            lines = lines[:i] + [CUT_SHORT, RESET_MARKER + "\n"] + lines[i:]
+            where = i + 2  # the closing ``---``
+        with pytest.raises(MalformedLogError):
+            _oracle_ledger_from_log(lines)
+        with mock.patch.object(protocol, "CHUNK_LINES", size):
+            with pytest.raises(MalformedLogError,
+                               match=f"^<log>:{where}: episode stream ended after 4 ") as exc:
+                ledger_from_log(lines)
+            assert fold_file(log_file, lines) == str(exc.value).removeprefix("<log>")
+
+    @pytest.mark.parametrize("size", CHUNK_SIZES)
+    @pytest.mark.parametrize("offset", [0, 1], ids=["last", "next-first"])
+    @pytest.mark.parametrize("before, defect, match", [
+        ("0 2 0 4", "x 2 0 4", "could not convert string to float: 'x'"),
+        ("0 2 0 4", "0 3 0 4", "lives increased 2 -> 3"),  # a remembered line
+        ("0 2 1 4", "0 3 0 4", "step after the game-over step"),
+        ("0 2 0 4", RESET_MARKER, "episode stream ended after"),
+    ], ids=["parse", "lives", "after-game-over", "cut-short"])
+    def test_defect_at_a_chunk_edge(self, log_file, size, offset, before, defect, match):
+        # The defect is the third chunk's last line, or the fourth chunk's first.
+        where = 3 * size + offset
+        lines = ["0 3 0 4\n"] * (where - 2) + [before + "\n", defect + "\n", "0 0 1 4\n"]
+        with mock.patch.object(protocol, "CHUNK_LINES", size):
+            with pytest.raises(MalformedLogError, match=f"^<log>:{where}: {match}") as exc:
+                ledger_from_log(lines)
+            assert fold_file(log_file, lines) == str(exc.value).removeprefix("<log>")
+
+    def test_first_summary_arrives_after_one_chunk(self):
+        # The first episode closes at line 3; the fold reads one chunk, no more.
+        pulled = []
+
+        def endless():
+            for line in itertools.cycle(["1 3 0 4\n", "0 0 1 4\n", RESET_MARKER + "\n"]):
+                if len(pulled) == CHUNK_LINES:
+                    pytest.fail("the fold read past its first chunk")
+                pulled.append(line)
+                yield line
+
+        assert next(iter_episodes(endless())) == EpisodeSummary(1.0, 8, "game_over")
+        assert len(pulled) == CHUNK_LINES

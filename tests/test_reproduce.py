@@ -532,3 +532,25 @@ def test_pins_hold_under_other_pythons(version):
         "reproduce": [0, ""],
         "artifacts": ARTIFACT_SHA256,
     }
+
+
+CLI_CHILD = "import sys; sys.path.insert(0, sys.argv[1]); from hwrbench.cli import main; " \
+            "sys.exit(main(sys.argv[2:]))"
+
+
+@pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
+def test_protocol_check_matches_under_other_pythons(version, tmp_path):
+    # Ten one-step episodes of reward 0.1: the training score added in order
+    # is 0.09999999999999999, where sum() makes 0.1 from Python 3.12.
+    python = other_python(version)
+    if python is None:
+        pytest.skip(f"python{version} is absent or does not run")
+    log = tmp_path / "tenths.log"
+    log.write_text("0.1 0 1 4\n---\n" * 10)
+    here, there = (
+        subprocess.run([exe, "-I", "-B", "-c", CLI_CHILD, SRC, "protocol-check",
+                        "--log", str(log), "--k", "10"], capture_output=True, timeout=60)
+        for exe in (sys.executable, python))
+    assert (here.returncode, here.stderr) == (0, b"")
+    assert b'"training_score": 0.09999999999999999\n' in here.stdout
+    assert (there.returncode, there.stdout, there.stderr) == (0, here.stdout, b"")
