@@ -11,8 +11,9 @@ pipe with no reader); ``--out`` with fd 1 closed loses nothing and exits 0.
 Any other write error is a data error (exit 1, JSON on stderr), buffered or
 not; help exits 0 silently. Flags are the only configuration. Each verb imports
 only the modules it runs, and the value types are named tuples, so start-up
-loads none of ``inspect``, ``typing`` or ``importlib.resources``. ``json`` is
-imported only where JSON is printed. Each verb's flags are stated once, in
+loads none of ``inspect``, ``typing`` or ``importlib.resources``. JSON is
+written by ``numfmt.json_text``, so no verb imports ``json``; only the error
+line of a failed verb does. Each verb's flags are stated once, in
 ``VERBS``: ``main`` reads a plain, valid command line of one-value flags from
 that table itself, and argparse, built from the same table, reads the rest:
 help, usage errors, ``--dataset``, ``--algorithms``, ``--log -``,
@@ -44,7 +45,13 @@ from hwrbench.metrics import (
     hwrb_indicator,
     learning_efficiency,
 )
-from hwrbench.numfmt import format_efficiency, format_number, format_percent, parse_frames
+from hwrbench.numfmt import (
+    format_efficiency,
+    format_number,
+    format_percent,
+    json_text,
+    parse_frames,
+)
 
 # Imported on first use. Verbs call these through ``_module``, so a caller
 # that replaces the attribute (a tracer, say) sees the calls.
@@ -151,9 +158,7 @@ def _cmd_score(args) -> int:
         result["hns_efficiency"] = format_efficiency(learning_efficiency(h, frames))
         result["hwrns_efficiency"] = format_efficiency(learning_efficiency(w, frames))
     if args.format == "json":
-        import json
-
-        print(json.dumps(result, indent=2))
+        print(json_text(result))
     else:
         for key, value in result.items():
             print(f"{key}: {value}")
@@ -194,8 +199,6 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_protocol_check(args) -> int:
-    import json
-
     from hwrbench.protocol import (
         DEFAULT_FRAME_BUDGET,
         FULL_ACTION_SET,
@@ -232,13 +235,11 @@ def _cmd_protocol_check(args) -> int:
     }
     if episodes >= args.k:
         result["training_score"] = final_score(list(last_returns), args.k)
-    print(json.dumps(result, indent=2))
+    print(json_text(result))
     return 0 if verdict.conforming else 1
 
 
 def _cmd_compare(args) -> int:
-    import json
-
     registry = _load_registry(args)
     report = _module.evaluate(_load_datasets(args), registry)
     a, b = args.algorithm_a, args.algorithm_b
@@ -267,7 +268,7 @@ def _cmd_compare(args) -> int:
     result[a] = {"wins": len(wins_a), "games": wins_a}
     result[b] = {"wins": len(wins_b), "games": wins_b}
     result["ties"] = result.pop("ties")  # last, after the two algorithms
-    print(json.dumps(result, indent=2))
+    print(json_text(result))
     return 0
 
 

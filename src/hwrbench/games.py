@@ -9,7 +9,6 @@ across threads.
 from __future__ import annotations
 
 import codecs
-import csv
 import math
 import re
 from collections import namedtuple
@@ -53,6 +52,8 @@ def read_csv(
     as 10.0). Otherwise ``error`` names the file and, for a row, the line: the
     row's first line, as a quoted cell may hold a line break.
     """
+    import csv  # here, not at the top: ``protocol-check`` reads no CSV
+
     at = [columns.index(name) for name in numbers]
     end = 0
     try:

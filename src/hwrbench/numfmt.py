@@ -9,15 +9,21 @@ two-digit scientific notation).
 ``MEMO_VALUES`` values per process, so a table that prints the same
 ratio many times rounds it once. A zero ratio is never remembered:
 ``0.0 == -0.0``, yet they print as ``0.00`` and ``-0.00``.
+
+``json_text`` writes every JSON document the package prints or saves,
+as ``json.dumps(value, indent=2)`` writes it, without importing ``json``
+unless a string needs escaping. It remembers the text of up to
+``MEMO_VALUES`` floats, as ``format_percent`` does.
 """
 
 from __future__ import annotations
 
 import math
 
-MEMO_VALUES = 4096  # distinct ratios formatted once per process; a miss formats in full
+MEMO_VALUES = 4096  # distinct values formatted once per process; a miss formats in full
 
 _PERCENTS: dict[float, str] = {}
+_FLOATS: dict[float, str] = {}  # ``json_text``'s text of finite nonzero floats
 
 
 def round_half_up(value: float) -> float:
@@ -82,3 +88,53 @@ def parse_frames(text: str) -> int:
     if value < 1:
         raise ValueError(f"frames must be positive: {int(value)}")
     return int(value)
+
+
+def _quote(text: str) -> str:
+    """``text`` as a JSON string, escaped as ``json.dumps`` escapes it."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return '"' + text + '"'
+    from json.encoder import encode_basestring_ascii
+
+    return encode_basestring_ascii(text)
+
+
+def json_text(value, sort_keys: bool = False) -> str:
+    """What ``json.dumps(value, indent=2, sort_keys=sort_keys)`` writes.
+
+    Dict keys must be str. A value of any type but dict, list, tuple, str,
+    int, float and None is a TypeError.
+    """
+    return _json(value, sort_keys, "\n")
+
+
+def _json(value, sort_keys: bool, pad: str) -> str:
+    """``value`` as JSON; ``pad`` starts each line of its closing bracket."""
+    if isinstance(value, float):
+        text = _FLOATS.get(value)
+        if text is None:
+            if not math.isfinite(value):
+                return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+            text = float.__repr__(value)
+            if value and len(_FLOATS) < MEMO_VALUES:  # 0.0 == -0.0, yet they print apart
+                _FLOATS[value] = text
+        return text
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, int):
+        return "true" if value is True else "false" if value is False else int.__repr__(value)
+    if value is None:
+        return "null"
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        items = [_json(item, sort_keys, inner) for item in value]
+        brackets = "[]"
+    elif isinstance(value, dict):
+        items = [_quote(key) + ": " + _json(item, sort_keys, inner)
+                 for key, item in (sorted(value.items()) if sort_keys else value.items())]
+        brackets = "{}"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]

@@ -13,17 +13,19 @@ Log file format, one step per line, whitespace separated::
     reward lives game_over env_frames
 
 `game_over` is 0 or 1. Episodes are separated by a line containing only
-`---`. Blank lines and lines starting with `#` are ignored. A log is
-read ``CHUNK_LINES`` lines at a time, and each chunk is parsed and
-folded before the next is read. A log file is read as raw bytes, split
-at ``\n`` only, and a line is remembered by its raw bytes: a step or
-``---`` line that repeats is neither decoded nor parsed again. A line
-the memo misses (a new line, or any line once it is full) costs a full
-decode and parse. ``iter_episodes`` streams the episode summaries, so a
-caller that keeps only what it prints (``protocol-check`` keeps the last
-k returns) needs the last k returns, the memo and one chunk of lines:
-memory that grows with k, not with episodes or steps. ``ledger_from_log``
-keeps one summary per episode.
+`---`. Blank lines and lines starting with `#` are ignored. A log file
+is read as raw bytes in blocks of ``CHUNK_BYTES`` (16 KiB), each
+finished at the end of its last line and split at ``\n`` only; any
+other iterable of lines, stdin too, is read ``CHUNK_LINES`` lines at a
+time. Each chunk of lines is parsed and folded before the next is read.
+A line is remembered by its raw bytes: a step or ``---`` line that
+repeats is neither decoded nor parsed again. A line the memo misses (a
+new line, or any line once it is full) costs a full decode and parse.
+``iter_episodes`` streams the episode summaries, so a caller that keeps
+only what it prints (``protocol-check`` keeps the last k returns) needs
+the last k returns, the memo and one block of lines: memory that grows
+with k, not with episodes or steps. ``ledger_from_log`` keeps one
+summary per episode.
 """
 
 from __future__ import annotations
@@ -31,8 +33,9 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
-from functools import reduce
-from itertools import islice
+from functools import partial, reduce
+from io import BytesIO
+from itertools import chain, islice
 from math import inf, isfinite
 from operator import add, length_hint
 from pathlib import Path
@@ -45,7 +48,8 @@ FULL_ACTION_SET = 18
 
 RESET_MARKER = "---"
 MEMO_LINES = 1024  # distinct lines parsed once per log; a miss is a full parse
-CHUNK_LINES = 1024  # lines read, then folded, at a time
+CHUNK_LINES = 1024  # lines of an iterable read, then folded, at a time
+CHUNK_BYTES = 16384  # bytes of a log file read, then folded, at a time
 
 
 class StepEvent(namedtuple("StepEvent", "reward lives game_over env_frames")):
@@ -100,7 +104,7 @@ def accumulate_episode(stream: Iterable[StepEvent]) -> EpisodeSummary:
     error. Errors name a step by its 1-based position in ``stream``.
     """
     # A StepEvent is its own parsed step tuple; the fold checks it.
-    return next(_fold_log(stream, "<episode>", parse=lambda step, *_: step))
+    return next(_fold_log(_line_chunks(stream), "<episode>", parse=lambda step, *_: step))
 
 
 def check_conformance(total_env_frames: int, action_set: int,
@@ -155,19 +159,36 @@ def training_score(returns: list[float], k: int) -> TrainingScore:
     return TrainingScore(series, final)
 
 
-@contextmanager
-def _open_log(source: str | Path | Iterable[str | bytes]) -> Iterator[tuple[Iterable, str]]:
-    """``(lines, name)`` of a log path or of an iterable of lines, read lazily.
+def _line_chunks(lines: Iterable) -> Iterator[list]:
+    """``lines`` in lists of ``CHUNK_LINES``; none is held once the next is read."""
+    source = iter(lines)
+    return iter(lambda: list(islice(source, CHUNK_LINES)), [])
 
-    A path is opened in binary, so its lines are raw bytes ending in
-    ``\n`` (a ``\r`` before it is whitespace to the parser, and a lone
-    ``\r`` breaks no line); ``_parse_step`` decodes the lines it parses.
+
+def _read_block(fh) -> list[bytes]:
+    """The lines of the file's next ``CHUNK_BYTES``, the last read to its end; [] at EOF."""
+    block = fh.read(CHUNK_BYTES)
+    if block[-1:] != b"\n":  # a line longer than a block is read whole here
+        block += fh.readline()
+    # Each line keeps its "\n", as iterating the file gives it: a character cut
+    # short before "\n" is a decode error of its own ("invalid continuation byte").
+    return BytesIO(block).readlines()
+
+
+@contextmanager
+def _open_log(source: str | Path | Iterable[str | bytes]) -> Iterator[tuple[Iterator, str]]:
+    """``(chunks, name)``: the lines of a log path or iterable, in lists, read lazily.
+
+    A path is opened in binary and read in blocks, so its lines are raw
+    bytes ending in ``\n`` (a ``\r`` before it is whitespace to the parser,
+    and a lone ``\r`` breaks no line), as iterating the file gives them;
+    ``_parse_step`` decodes the lines it parses.
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
-            yield fh, str(source)
+            yield iter(partial(_read_block, fh), []), str(source)
     else:
-        yield source, getattr(source, "name", "<log>")
+        yield _line_chunks(source), getattr(source, "name", "<log>")
 
 
 def _close_episode(episode_return: float, frames_used: int, ended: str | None,
@@ -243,26 +264,25 @@ def _parse_step(raw: str | bytes, name: str, lineno: int) -> tuple | None:
     return step
 
 
-def _fold_log(lines: Iterable, name: str,
+def _fold_log(chunks: Iterable[list], name: str,
               parse: Callable = _parse_step) -> Iterator[EpisodeSummary]:
     """Parse and fold log lines in one pass, yielding each episode as it closes.
 
-    ``parse`` turns an item of ``lines`` into a step tuple, ``()`` or None,
-    as ``_parse_step`` does for a log line. ``lines`` is read
-    ``CHUNK_LINES`` at a time, and a chunk is folded in full, and dropped,
-    before the next is read; so an error that reading raises comes before
-    any defect in the lines of its chunk. An episode closes at a ``---``
-    line or at the end of ``lines``; only the open episode's running
-    totals are kept. ``memo`` maps up to ``MEMO_LINES`` distinct raw lines
-    (bytes from a file, str from an iterable) that passed every per-line
-    check to their parsed fields, ``()`` for a ``---`` line, so a repeated
-    line is neither decoded nor parsed again; an error is never stored.
-    The fold checks run on every step line, so the first defect in file
-    order is reported, at its ``file:line``.
+    ``chunks`` yields lists of lines, as ``_open_log`` reads them, and
+    ``parse`` turns a line into a step tuple, ``()`` or None, as
+    ``_parse_step`` does for a log line. A chunk is folded in full, and
+    dropped, before the next is read; so an error that reading raises
+    comes before any defect in the lines of its chunk. An episode closes
+    at a ``---`` line or at the end of the lines; only the open episode's
+    running totals are kept. ``memo`` maps up to ``MEMO_LINES`` distinct
+    raw lines (bytes from a file, str from an iterable) that passed every
+    per-line check to their parsed fields, ``()`` for a ``---`` line, so a
+    repeated line is neither decoded nor parsed again; an error is never
+    stored. The fold checks run on every step line, so the first defect in
+    file order is reported, at its ``file:line``.
     """
     memo: dict[str | bytes, tuple] = {}
     memo_get = memo.get
-    source = iter(lines)
     # ``end`` numbers the chunk's last line; a line's number, worked out only
     # where it is used, is ``end`` less the chunk's lines not yet looked up.
     closed = end = 0
@@ -270,29 +290,30 @@ def _fold_log(lines: Iterable, name: str,
     # any lives, so an episode's first step never reads as a rise.
     episode_return, left, prev_lives, ended, anomalies = (
         0.0, MAX_EPISODE_FRAMES, inf, None, ())
-    while chunk := list(islice(source, CHUNK_LINES)):
+    for chunk in chunks:
         end += len(chunk)
         rest = iter(chunk)
         for step in map(memo_get, rest):
-            if step is None:
+            if not step:  # a memo miss (None) or a ``---`` line (())
                 lineno = end - length_hint(rest)
-                raw = chunk[lineno - end - 1]  # the line just looked up
-                step = parse(raw, name, lineno)
                 if step is None:
-                    continue  # a blank or comment line
-                if step and not isfinite(step[0]):
-                    raise MalformedLogError(
-                        f"{name}:{lineno}: NaN or infinite reward: {step[0]}")
-                if len(memo) < MEMO_LINES:
-                    memo[raw] = step
-            if not step:  # a ``---`` line closes the episode, if it has a step
-                if left < MAX_EPISODE_FRAMES or ended is not None:
-                    yield _close_episode(episode_return, MAX_EPISODE_FRAMES - left, ended,
-                                         anomalies, f"{name}:{end - length_hint(rest)}")
-                    closed += 1
-                    episode_return, left, prev_lives, ended, anomalies = (
-                        0.0, MAX_EPISODE_FRAMES, inf, None, ())
-                continue
+                    raw = chunk[lineno - end - 1]  # the line just looked up
+                    step = parse(raw, name, lineno)
+                    if step is None:
+                        continue  # a blank or comment line
+                    if step and not isfinite(step[0]):
+                        raise MalformedLogError(
+                            f"{name}:{lineno}: NaN or infinite reward: {step[0]}")
+                    if len(memo) < MEMO_LINES:
+                        memo[raw] = step
+                if not step:  # a ``---`` line closes the episode, if it has a step
+                    if left < MAX_EPISODE_FRAMES or ended is not None:
+                        yield _close_episode(episode_return, MAX_EPISODE_FRAMES - left,
+                                             ended, anomalies, f"{name}:{lineno}")
+                        closed += 1
+                        episode_return, left, prev_lives, ended, anomalies = (
+                            0.0, MAX_EPISODE_FRAMES, inf, None, ())
+                    continue
             reward, lives, game_over, env_frames = step
             if ended is not None:
                 if ended == "game_over":
@@ -330,8 +351,8 @@ def read_episode_log(source: str | Path | Iterable[str | bytes]) -> list[list[St
     """
     episodes: list[list[StepEvent]] = []
     current: list[StepEvent] = []
-    with _open_log(source) as (lines, name):
-        for lineno, raw in enumerate(lines, start=1):
+    with _open_log(source) as (chunks, name):
+        for lineno, raw in enumerate(chain.from_iterable(chunks), start=1):
             step = _parse_step(raw, name, lineno)
             if step:
                 current.append(StepEvent(*step))
@@ -351,13 +372,13 @@ def iter_episodes(source: str | Path | Iterable[str | bytes]) -> Iterator[Episod
     ``source`` is a path or an iterable of str or bytes lines, such as an
     open file; errors name ``file:line`` (an iterable is named by its ``name``
     attribute, else ``<log>``). The first defect in file order is reported.
-    The log is read ``CHUNK_LINES`` lines at a time, and a summary is
-    yielded as soon as the chunk holding its closing line is read: a first
-    episode that closes within the first chunk arrives after one chunk.
-    Memory does not grow with the log.
+    A path is read ``CHUNK_BYTES`` at a time and an iterable ``CHUNK_LINES``
+    lines at a time, and a summary is yielded as soon as the chunk holding
+    its closing line is read: a first episode that closes within the first
+    chunk arrives after one chunk. Memory does not grow with the log.
     """
-    with _open_log(source) as (lines, name):
-        yield from _fold_log(lines, name)
+    with _open_log(source) as (chunks, name):
+        yield from _fold_log(chunks, name)
 
 
 def ledger_from_log(source: str | Path | Iterable[str | bytes], *,

@@ -8,14 +8,13 @@ scores are the only stored quantity; every metric cell is recomputed.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from math import isfinite
 
 from hwrbench.aggregate import leaders, summarize
 from hwrbench.datasets import Dataset
 from hwrbench.errors import DatasetError, ValidationError
 from hwrbench.games import CANONICAL_GAMES, BaselineRegistry
 from hwrbench.metrics import METRIC_KINDS, CapMode, MetricKind, cell_ratios, game_time_days
-from hwrbench.numfmt import format_efficiency, format_number, format_percent
+from hwrbench.numfmt import format_efficiency, format_number, format_percent, json_text
 
 
 class CellMetrics(namedtuple("CellMetrics", "raw metrics")):
@@ -181,61 +180,31 @@ def render_table(report: EvaluationReport, layout: TableLayout, fmt: str = "tabl
 def report_to_json(report: EvaluationReport) -> str:
     """The report's fields as ``json.dumps(fields, indent=2, sort_keys=True)`` writes them.
 
-    The text is written straight from the report, keys sorted at each level;
-    floats keep full precision.
+    Floats keep full precision.
     """
-    from json.encoder import encode_basestring_ascii as quote
-
-    floats: dict[float, str] = {}  # a ratio often repeats across its cell's metrics
-
-    def number(value) -> str:
-        if isinstance(value, int):
-            return ("true" if value else "false") if type(value) is bool else int.__repr__(value)
-        text = floats.get(value) if value else None  # 0.0 == -0.0, yet they print apart
-        if text is None:
-            text = floats[value] = float.__repr__(value) if isfinite(value) else (
-                "NaN" if value != value else "Infinity" if value > 0 else "-Infinity")
-        return text
-
-    def block(items: list[str], depth: int, brackets: str) -> str:
-        if not items:
-            return brackets
-        pad = "\n" + "  " * (depth + 1)
-        return brackets[0] + pad + ("," + pad).join(items) + pad[:-2] + brackets[1]
-
-    def obj(pairs, depth: int) -> str:  # (key, JSON text) pairs, keys unique
-        return block([quote(key) + ": " + text for key, text in sorted(pairs)], depth, "{}")
-
     names = {kind: kind.value for kind in METRIC_KINDS}  # ``Enum.value`` is a slow property
-    frames = {algo: number(count) for algo, count in report.frames.items()}
-    per_game = []
-    for algo, column in report.cells.items():
-        games = [(game, obj([*((name, number(cell.metrics[kind])) for kind, name in names.items()),
-                             ("raw", number(cell.raw)), ("frames", frames[algo])], 3))
-                 for game, cell in column.items()]
-        per_game.append((algo, obj(games, 2)))
-    aggregates, coverage = [], []
+    per_game = {algo: {game: {**{name: cell.metrics[kind] for kind, name in names.items()},
+                              "raw": cell.raw, "frames": report.frames[algo]}
+                       for game, cell in column.items()}
+                for algo, column in report.cells.items()}
+    aggregates, coverage = {}, {}
     for algo, rows in report.aggregates.items():
-        entries = [("frames", frames[algo])]
-        for kind, row in rows.items():
-            # The row's fields, ``hwrb_count`` as "hwrb" and only when set (HWRNS).
-            fields = [(field.removesuffix("_count"), number(value))
-                      for field, value in zip(row._fields, row) if value is not None]
-            entries.append((names[kind], obj(fields, 3)))
-        aggregates.append((algo, obj(entries, 2)))
-        missing = [quote(game) for game in report.missing.get(algo, ())]
-        coverage.append((algo, obj([("present", number(rows[MetricKind.HNS].coverage)),
-                                    ("missing", block(missing, 3, "[]"))], 2)))
-    return obj([
-        ("cap_mode", quote(report.cap_mode.value)),
-        ("baselines", quote(report.baseline_source)),
-        ("datasets", block([quote(label) for label in report.dataset_labels], 1, "[]")),
-        ("per_game", obj(per_game, 1)),
-        ("aggregates", obj(aggregates, 1)),
-        ("leaders", obj([(game, block([quote(a) for a in algos], 2, "[]"))
-                         for game, algos in report.leaders.items()], 1)),
-        ("coverage", obj(coverage, 1)),
-    ], 0)
+        # Each row's fields, ``hwrb_count`` as "hwrb" and only when set (HWRNS).
+        aggregates[algo] = {"frames": report.frames[algo], **{
+            names[kind]: {field.removesuffix("_count"): value
+                          for field, value in zip(row._fields, row) if value is not None}
+            for kind, row in rows.items()}}
+        coverage[algo] = {"present": rows[MetricKind.HNS].coverage,
+                          "missing": report.missing.get(algo, ())}
+    return json_text({
+        "cap_mode": report.cap_mode.value,
+        "baselines": report.baseline_source,
+        "datasets": report.dataset_labels,
+        "per_game": per_game,
+        "aggregates": aggregates,
+        "leaders": report.leaders,
+        "coverage": coverage,
+    }, sort_keys=True)
 
 
 # --- figure data -------------------------------------------------------------

@@ -17,7 +17,6 @@ column is self-consistent. A printed ``nan`` or ``inf`` is not a number.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from math import isfinite
 from pathlib import Path
@@ -27,7 +26,7 @@ from hwrbench.datasets import Dataset, load_all_bundled
 from hwrbench.errors import DatasetError
 from hwrbench.games import _CANONICAL_SET, BaselineRegistry, data_path, read_csv
 from hwrbench.metrics import METRIC_KINDS, CapMode, MetricKind
-from hwrbench.numfmt import format_percent
+from hwrbench.numfmt import format_percent, json_text
 from hwrbench.report import (
     FIGURES,
     TableLayout,
@@ -277,8 +276,8 @@ def write_artifacts(result: ReproductionResult, out_dir: str | Path) -> list[Pat
         written.append(path)
 
     write(out / "inconsistency_log.json",
-          json.dumps([m._asdict() for m in result.inconsistencies], indent=2) + "\n")
-    write(out / "summary.json", json.dumps({
+          json_text([m._asdict() for m in result.inconsistencies]) + "\n")
+    write(out / "summary.json", json_text({
         "cells": result.total_cells,
         "matches": result.total_matches,
         "match_rate": result.match_rate,
@@ -288,13 +287,13 @@ def write_artifacts(result: ReproductionResult, out_dir: str | Path) -> list[Pat
         **result.aggregate_checks,
         "inconsistencies": len(result.inconsistencies),
         "hwrb": result.hwrb,
-    }, indent=2, sort_keys=True) + "\n")
+    }, sort_keys=True) + "\n")
     for table_id, layout in result.layouts.items():
         write(out / "tables" / f"{table_id}.csv",
               render_table(result.report, layout, fmt="csv"))
     for figure in FIGURES:
         series = [s._asdict() for s in emit_plot_series(result.report, figure)]
-        write(out / "figures" / f"{figure}.json", json.dumps(series, indent=2) + "\n")
+        write(out / "figures" / f"{figure}.json", json_text(series) + "\n")
     return written
 
 

@@ -475,7 +475,7 @@ class TestDeferredImports:
              "finally:\n"
              "    print(*sorted(sys.modules), file=sys.stderr)\n"
              "sys.exit(code)\n")
-    # ``json`` too: only the verbs that print JSON load it.
+    # ``json`` too, which no verb loads: ``numfmt.json_text`` writes their JSON.
     DEFERRED = {"datasets", "protocol", "report", "aggregate", "reproduce", "json"}
     # No verb needs these; importing them costs milliseconds of start-up.
     SLOW = {"decimal", "statistics", "dataclasses", "inspect"}
@@ -490,14 +490,14 @@ class TestDeferredImports:
     VERBS = pytest.mark.parametrize("argv, loaded", [
         ([], set()),
         (VERB_ARGV["score"], set()),
-        ([*VERB_ARGV["score"], "--format", "json"], {"json"}),
+        ([*VERB_ARGV["score"], "--format", "json"], set()),
         (VERB_ARGV["validate"], TABLES),
         (VERB_ARGV["aggregate"], TABLES),
-        (["aggregate", "--format", "json"], TABLES | {"json"}),
+        (["aggregate", "--format", "json"], TABLES),
         (VERB_ARGV["report"], TABLES),
-        (VERB_ARGV["compare"], TABLES | {"json"}),
-        (["protocol-check", "--log", "{log}"], {"protocol", "json"}),
-        (["reproduce", "--out", "{out}"], TABLES | {"reproduce", "json"}),
+        (VERB_ARGV["compare"], TABLES),
+        (["protocol-check", "--log", "{log}"], {"protocol"}),
+        (["reproduce", "--out", "{out}"], TABLES | {"reproduce"}),
     ], ids=["import", "score", "score-json", "validate", "aggregate", "aggregate-json", "report",
             "compare", "protocol-check", "reproduce"])
 
@@ -545,7 +545,7 @@ class TestDeferredImports:
         ("hwrbench", {"hwrbench"}),
         ("hwrbench.protocol", {"hwrbench", "hwrbench.errors", "hwrbench.protocol"}),
         ("hwrbench.cli", {"hwrbench", "hwrbench.cli", "hwrbench.errors", "hwrbench.games",
-                          "hwrbench.metrics", "hwrbench.numfmt", "csv"}),
+                          "hwrbench.metrics", "hwrbench.numfmt"}),
     ])
     def test_import_loads_only_what_the_module_imports(self, module, loaded):
         child = ("import sys\n"
@@ -557,6 +557,12 @@ class TestDeferredImports:
         assert result.returncode == 0, result.stderr
         assert {m for m in result.stdout.split()
                 if m.split(".")[0] in ("hwrbench", "csv")} == loaded
+
+    @pytest.mark.parametrize("python_flags", [(), ("-S",)], ids=["site", "no-site"])
+    def test_protocol_check_loads_neither_json_nor_csv(self, tmp_path, python_flags):
+        modules = self.loaded_modules(tmp_path, ["protocol-check", "--log", "{log}"],
+                                      *python_flags)
+        assert modules & {"json", "csv", "_csv"} == set()
 
     def test_traced_names_resolve_on_first_use(self):
         import hwrbench.cli as cli

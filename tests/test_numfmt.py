@@ -1,6 +1,8 @@
-"""``round_half_up`` against the ``Decimal`` rounding it replaced, and the
-percent memo against the formula it remembers."""
+"""``round_half_up`` against the ``Decimal`` rounding it replaced, the
+percent memo against the formula it remembers, and ``json_text`` against
+``json.dumps``."""
 
+import json
 import math
 import re
 from contextlib import contextmanager
@@ -12,7 +14,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hwrbench import numfmt
-from hwrbench.numfmt import format_number, format_percent, parse_frames, round_half_up
+from hwrbench.numfmt import (
+    format_number,
+    format_percent,
+    json_text,
+    parse_frames,
+    round_half_up,
+)
 
 
 def decimal_round_half_up(value: float) -> float:
@@ -122,3 +130,53 @@ def test_memo_stops_growing_at_its_cap():
 def test_parse_frames_rejects_a_count_below_1(text, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         parse_frames(text)
+
+
+# Leaves of every kind ``json.dumps`` writes: strings of any code point
+# (surrogates, control characters, '"', '\\' and DEL among them), and
+# floats that print apart from ``repr``.
+json_leaves = st.one_of(
+    st.text(st.characters(codec=None, exclude_categories=())),
+    st.text(st.characters(min_codepoint=0, max_codepoint=0x7F)),
+    st.sampled_from(['"', "\\", "\x7f", "\ud800", "\udfff", "\x00", "\u2028", "é"]),
+    st.integers(), st.booleans(), st.none(),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308]),
+)
+json_values = st.recursive(json_leaves, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.text(max_size=6), inner, max_size=4),
+), max_leaves=30)
+
+
+@contextmanager
+def empty_json_memo():
+    with patch.dict(numfmt._FLOATS, clear=True):
+        yield
+
+
+@given(json_values, st.booleans())
+@example([0.0, -0.0, 0.0, {"-0.0": -0.0}], False)
+@example([1e15, 10 ** 15, True, 1.0, 1], True)  # equal and hashed alike, yet printed apart
+def test_json_text_writes_what_json_dumps_writes(value, sort_keys):
+    want = json.dumps(value, indent=2, sort_keys=sort_keys)
+    with empty_json_memo():
+        assert json_text(value, sort_keys) == want
+        assert json_text(value, sort_keys) == want  # now from the memo
+
+
+def test_json_memo_stops_growing_at_its_cap():
+    values = [i / 7 for i in range(1, numfmt.MEMO_VALUES + 100)] * 2
+    with empty_json_memo():
+        assert json_text(values) == json.dumps(values, indent=2)
+        assert len(numfmt._FLOATS) == numfmt.MEMO_VALUES
+
+
+@pytest.mark.parametrize("value", [{1, 2}, b"bytes", [{"a": frozenset()}], {"a": bytearray()}],
+                         ids=["set", "bytes", "nested-set", "nested-bytearray"])
+def test_json_text_refuses_what_json_dumps_refuses(value):
+    with pytest.raises(TypeError) as want:
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError, match=f"^{re.escape(str(want.value))}$"):
+        json_text(value)

@@ -1,4 +1,5 @@
 import functools
+import io
 import itertools
 import math
 import operator
@@ -17,6 +18,7 @@ from hwrbench.errors import MalformedLogError, ValidationError
 from hwrbench.metrics import game_time_days
 from hwrbench.numfmt import scale_label_for
 from hwrbench.protocol import (
+    CHUNK_BYTES,
     CHUNK_LINES,
     DEFAULT_FRAME_BUDGET,
     FULL_ACTION_SET,
@@ -638,7 +640,7 @@ class TestMemo:
             parsed.append(raw)
             return protocol._parse_step(raw, name, lineno)
 
-        episodes = tuple(protocol._fold_log(lines, "<log>", parse=spy))
+        episodes = tuple(protocol._fold_log(protocol._line_chunks(lines), "<log>", parse=spy))
         assert episodes == ledger_from_log(lines).episodes
         skipped = [line for line in lines if not line.strip() or line.lstrip()[0] == "#"]
         assert sorted(parsed) == sorted(skipped + list(set(lines) - set(skipped)))
@@ -765,3 +767,160 @@ class TestChunks:
 
         assert next(iter_episodes(endless())) == EpisodeSummary(1.0, 8, "game_over")
         assert len(pulled) == CHUNK_LINES
+
+
+BLOCK_SIZES = [1, 2, 3, 7, CHUNK_BYTES]
+
+
+def fold_bytes(path, data, size=CHUNK_BYTES):
+    """Fold ``data`` from ``path`` read ``size`` bytes at a time; as ``fold_file``."""
+    path.write_bytes(data)
+    with mock.patch.object(protocol, "CHUNK_BYTES", size):
+        try:
+            return ledger_from_log(path)
+        except MalformedLogError as exc:
+            return str(exc).removeprefix(str(path))
+
+
+def fold_iterable(data):
+    """Fold ``data`` as an iterable of lines split at ``\\n``, as stdin gives them."""
+    try:
+        return ledger_from_log(io.BytesIO(data))
+    except MalformedLogError as exc:
+        return str(exc).removeprefix("<log>")
+
+
+def oracle_fold(data):
+    return _oracle_ledger_from_log(data.decode().split("\n"))
+
+
+def block_starts(data, size):
+    """The byte offset of each block the path route reads from ``data``."""
+    starts, fh = [], io.BytesIO(data)
+    with mock.patch.object(protocol, "CHUNK_BYTES", size):
+        while lines := (starts.append(fh.tell()) or protocol._read_block(fh)):
+            assert b"".join(lines) == data[starts[-1]:fh.tell()]
+    return starts[:-1]
+
+
+def at_block_edge(before, line, size, where):
+    """``before``, a padding comment or blank lines, ``line`` and a closing step.
+
+    The padding puts ``line`` first in a block, last in a block, or across
+    the end of a block's first ``size`` bytes (``where`` is "first", "last"
+    or "cut"). Returns the log and ``line``'s number.
+    """
+    pads = [b"#" * m + b"\n" for m in (size - len(before) - 1, size - len(before) - 1 - len(line),
+                                       size - len(before) - 1 - len(line) // 2) if m >= 0]
+    pads += [b""] + [b"\n" * j for j in range(1, 9)] + [b"#" * m + b"\n" for m in range(9)]
+    for pad in pads:
+        data = before + pad + line + b"0 0 1 4\n"
+        start = len(before + pad)
+        end = start + len(line)
+        starts = block_starts(data, size)
+        if (where == "first" and start in starts[1:]
+                or where == "last" and end in starts
+                or where == "cut" and any(start < s + size < end for s in starts)):
+            return data, before.count(b"\n") + pad.count(b"\n") + 1
+    raise AssertionError(f"no padding puts {line!r} {where} in a {size}-byte block")
+
+
+# Logs that the path route reads differently from a line iterator: as
+# whole lines across blocks, with or without a final "\n", "\r\n" ends.
+BLOCK_CASES = {
+    "long-line": b"1 3 0 4\n# " + b"x" * (2 * CHUNK_BYTES) + b"\n0." + b"5" * 40
+                 + b" 3 0 4\n0 0 1 4\n---\n2 1 1 4\n",
+    "unterminated": b"1 3 0 4\n0 0 1 4\n---\n2 1 1 4",
+    "crlf": b"1 3 0 4\r\n\r\n0 0 1 4\r\n---\r\n2 1 1 4\r\n",
+    "blank-and-reset": b"\n1 3 0 4\n0 0 1 4\n\n---\n\n---\n2 1 1 4\n---\n",
+    "lone-cr": b"1 3 0 4\r0 3 0 4\n0 0 1 4\n",
+}
+# Lines that are not UTF-8, and the start of the message that names them.
+UNDECODABLE = {
+    "bad-byte": (b"0 2 0 4 \xff\n", "'utf-8' codec can't decode byte 0xff in position 8: "
+                                    "invalid start byte"),
+    # A truncated character before "\n" reads as a bad continuation byte...
+    "cut-char": (b"0 2 0 4\xe2\x82\n", "'utf-8' codec can't decode bytes in position 7-8: "
+                                      "invalid continuation byte"),
+    # ... and at the end of the file as the end of the data.
+    "cut-char-eof": (b"0 2 0 4\xe2\x82", "'utf-8' codec can't decode bytes in position 7-8: "
+                                        "unexpected end of data"),
+}
+
+
+class TestBlocks:
+    # Blocks of 1 to 7 bytes end within nearly every line, so each line is
+    # read to its end by ``readline``; the default size reads a drawn log
+    # as one block.
+    @given(st.one_of(episode_logs(), POOLED_LOGS), st.sampled_from(BLOCK_SIZES))
+    def test_drawn_logs_give_the_oracle_ledger(self, log_file, lines, size):
+        data = "".join(lines).encode()
+        assert fold_bytes(log_file, data, size) == _oracle_ledger_from_log(lines)
+
+    @given(st.sampled_from(sorted(DEFECTS)).flatmap(episode_logs), st.sampled_from(BLOCK_SIZES))
+    def test_one_defect_is_named_at_the_same_line(self, log_file, lines, size):
+        data = "".join(lines).encode()
+        assert fold_bytes(log_file, data, size) == fold_iterable(data)
+
+    @pytest.mark.parametrize("size", BLOCK_SIZES)
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    def test_case_gives_the_oracle_ledger(self, tmp_path, case, size):
+        data = BLOCK_CASES[case]
+        ledger = fold_bytes(tmp_path / "case.log", data, size)
+        assert ledger == fold_iterable(data)
+        if case != "lone-cr":  # the oracle's ``strip`` would not see a lone "\r" as space
+            assert ledger == oracle_fold(data)
+
+    @pytest.mark.parametrize("size", BLOCK_SIZES)
+    @pytest.mark.parametrize("case", sorted(UNDECODABLE))
+    def test_undecodable_line_is_named_as_a_line_iterator_names_it(self, tmp_path, case, size):
+        line, message = UNDECODABLE[case]
+        data = b"1 3 0 4\n" + line + (b"" if case.endswith("eof") else b"0 0 1 4\n")
+        assert fold_bytes(tmp_path / "case.log", data, size) == f":2: {message}"
+        assert fold_iterable(data) == f":2: {message}"
+
+    @pytest.mark.parametrize("size", BLOCK_SIZES)
+    @pytest.mark.parametrize("before, line, where", [  # a blank line holds no block's end
+        (b"1 3 0 4\n", b"\n", "first"), (b"1 3 0 4\n", b"\n", "last"),
+        *((b"1 3 0 4\n", b"#" * 10 + b"\n", where) for where in ("first", "last", "cut")),
+        *((b"1 0 1 4\n", b"---\n", where) for where in ("first", "last", "cut")),
+    ], ids=["blank-first", "blank-last", "comment-first", "comment-last", "comment-cut",
+            "reset-first", "reset-last", "reset-cut"])
+    def test_line_between_steps_at_a_block_edge(self, tmp_path, before, line, where, size):
+        data, _ = at_block_edge(before, line, size, where)
+        ledger = fold_bytes(tmp_path / "edge.log", data, size)
+        assert ledger == oracle_fold(data) == fold_iterable(data)
+
+    @pytest.mark.parametrize("size", BLOCK_SIZES)
+    @pytest.mark.parametrize("where", ["first", "last", "cut"])
+    @pytest.mark.parametrize("before, defect, match", [
+        (b"0 2 0 4\n", b"x 2 0 4\n", "could not convert string to float: 'x'"),
+        (b"0 2 0 4\n", b"0 2 0 4 \xff\n", "'utf-8' codec can't decode byte 0xff"),
+        (b"0 2 0 4\n", b"0 2 0 4\xe2\x82\n", "'utf-8' codec .* invalid continuation byte"),
+        (b"0 3 0 4\n0 2 0 4\n", b"0 3 0 4\n", "lives increased 2 -> 3"),  # a remembered line
+        (b"0 2 1 4\n", b"0 3 0 4\n", "step after the game-over step"),
+        (b"0 2 0 4\n", b"---\n", "episode stream ended after"),
+    ], ids=["parse", "bad-byte", "cut-char", "lives", "after-game-over", "cut-short"])
+    def test_defect_at_a_block_edge(self, tmp_path, before, defect, match, where, size):
+        data, where_line = at_block_edge(before, defect, size, where)
+        got = fold_bytes(tmp_path / "edge.log", data, size)
+        assert re.match(f":{where_line}: {match}", got), got
+        assert got == fold_iterable(data)
+
+    def test_first_summary_arrives_after_one_block(self, tmp_path):
+        # The first episode closes at line 3 of a log of many blocks; the
+        # fold reads one block, to the end of its last line, no more.
+        path = tmp_path / "long.log"
+        path.write_bytes(b"1 3 0 4\n0 0 1 4\n---\n" * (4 * CHUNK_BYTES // 20))
+        opened = []
+
+        def spy_open(*args):
+            opened.append(open(*args))
+            return opened[-1]
+
+        with mock.patch.object(protocol, "open", spy_open, create=True):
+            episodes = iter_episodes(path)
+            assert next(episodes) == EpisodeSummary(1.0, 8, "game_over")
+            assert opened[0].tell() == path.read_bytes().index(b"\n", CHUNK_BYTES - 1) + 1
+            episodes.close()
+        assert opened[0].closed

@@ -507,31 +507,37 @@ print(json.dumps({"stdout": stdout, "reproduce": [code, err], "artifacts": artif
 """
 
 
-def other_python(version):
-    """A ``python<version>`` that runs: the one on PATH, else one installed beside
-    this interpreter, as pyenv lays versions out; None if there is none."""
-    found = [shutil.which(f"python{version}"),
-             *sorted(Path(sys.base_prefix).parent.glob(f"{version}.*/bin/python{version}"))]
-    for python in filter(None, found):
-        if subprocess.run([python, "-c", "pass"], capture_output=True, timeout=60).returncode == 0:
-            return str(python)
-    return None
+def other_pythons(version):
+    """Every distinct ``python<version>`` that runs, one per ``sys.version``: each
+    on PATH, then each installed beside this interpreter, as pyenv lays versions out."""
+    found = [Path(folder, f"python{version}") for folder in os.get_exec_path()]
+    found += sorted(Path(sys.base_prefix).parent.glob(f"{version}.*/bin/python{version}"))
+    pythons = {}
+    for python in found:
+        if not (python.is_file() and os.access(python, os.X_OK)):
+            continue
+        result = subprocess.run([python, "-I", "-c", "import sys; print(sys.version)"],
+                                capture_output=True, text=True, timeout=60)
+        if result.returncode == 0:
+            pythons.setdefault(result.stdout, str(python))
+    return list(pythons.values())
 
 
 @pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
 def test_pins_hold_under_other_pythons(version):
-    python = other_python(version)
-    if python is None:
+    pythons = other_pythons(version)
+    if not pythons:
         pytest.skip(f"python{version} is absent or does not run")
     argvs = json.dumps(list(STDOUT_SHA256))
-    result = subprocess.run([python, "-I", "-B", "-c", PINS_CHILD, SRC, argvs],
-                            capture_output=True, text=True, timeout=120)
-    assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout) == {
-        "stdout": {" ".join(argv): [0, "", sha] for argv, sha in STDOUT_SHA256.items()},
-        "reproduce": [0, ""],
-        "artifacts": ARTIFACT_SHA256,
-    }
+    for python in pythons:
+        result = subprocess.run([python, "-I", "-B", "-c", PINS_CHILD, SRC, argvs],
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, (python, result.stderr)
+        assert json.loads(result.stdout) == {
+            "stdout": {" ".join(argv): [0, "", sha] for argv, sha in STDOUT_SHA256.items()},
+            "reproduce": [0, ""],
+            "artifacts": ARTIFACT_SHA256,
+        }, python
 
 
 CLI_CHILD = "import sys; sys.path.insert(0, sys.argv[1]); from hwrbench.cli import main; " \
@@ -542,15 +548,16 @@ CLI_CHILD = "import sys; sys.path.insert(0, sys.argv[1]); from hwrbench.cli impo
 def test_protocol_check_matches_under_other_pythons(version, tmp_path):
     # Ten one-step episodes of reward 0.1: the training score added in order
     # is 0.09999999999999999, where sum() makes 0.1 from Python 3.12.
-    python = other_python(version)
-    if python is None:
+    pythons = other_pythons(version)
+    if not pythons:
         pytest.skip(f"python{version} is absent or does not run")
     log = tmp_path / "tenths.log"
     log.write_text("0.1 0 1 4\n---\n" * 10)
-    here, there = (
+    here, *there = (
         subprocess.run([exe, "-I", "-B", "-c", CLI_CHILD, SRC, "protocol-check",
                         "--log", str(log), "--k", "10"], capture_output=True, timeout=60)
-        for exe in (sys.executable, python))
+        for exe in (sys.executable, *pythons))
     assert (here.returncode, here.stderr) == (0, b"")
     assert b'"training_score": 0.09999999999999999\n' in here.stdout
-    assert (there.returncode, there.stdout, there.stderr) == (0, here.stdout, b"")
+    for python, result in zip(pythons, there):
+        assert (result.returncode, result.stdout, result.stderr) == (0, here.stdout, b""), python
