@@ -285,7 +285,7 @@ HELP_AND_USAGE_ERRORS = {
     for verb in VERB_OPTIONS for tail in ("help", "unknown-flag", "usage-error")}
 
 
-class TestOneVerbParser:
+class TestHelpAndUsageErrorsGoThroughArgparse:
     """Help and usage errors, of each verb and of the top level, go through argparse."""
 
     @pytest.mark.parametrize("tail", ["help", "unknown-flag", "usage-error"])

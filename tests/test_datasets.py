@@ -164,7 +164,7 @@ def test_bad_row_names_file_and_line(tmp_path, row):
     ("A,alien,1,100,100", "A: inconsistent frame counts 200000000 vs 100"),
     ("A,alien,N/A,100,100", "A: inconsistent frame counts 200000000 vs 100"),
 ])
-def test_a_later_row_of_a_checked_algorithm_is_checked_in_full(tmp_path, row, message):
+def test_every_row_of_an_algorithm_is_checked_in_full(tmp_path, row, message):
     # A later row of an algorithm already seen has its frames and label checked in full.
     # The earlier rows hold each of the bad row's other cells, and are valid.
     path = write_dataset(tmp_path, ["A,pong,1,200000000,200M", "B,boxing,N/A,100,100", row])

@@ -1,6 +1,6 @@
+import contextlib
 import functools
 import io
-import itertools
 import math
 import operator
 import random
@@ -249,46 +249,6 @@ class TestEpisodeLog:
         with pytest.raises(MalformedLogError, match="env_frames"):
             read_episode_log(["1 2 0 0\n", "0 0 1 4\n"])
 
-    @pytest.mark.parametrize("text, where, match", [
-        ("1 3 0 4\nnan 3 0 4\n0 0 1 4\n", ":2: ", "NaN"),
-        ("1 1 0 4\n1 3 0 4\n0 0 1 4\n", ":2: ", "lives increased"),
-        ("1 3 0 4\n---\n", ":2: ", "ended after 4 frames"),
-        ("# a\n1 3 0 4\n\n", ":EOF: ", "ended after 4 frames"),
-        ("# nothing\n\n---\n", ": ", "no step events"),
-        ("1 x 0 4\n", ":1: ", "invalid literal"),
-        ("1 2 3\n", ":1: ", "line 1"),
-        # a line without four fields is echoed up to 80 characters
-        ("1" * 80 + "\n", ":1: ", "got '1{80}'$"),
-        ("1" * 81 + "\n", ":1: ", "got '1{80}' and 1 more characters$"),
-        # so is a field that is not a number, whichever conversion rejects it
-        ("x" * 80 + " 3 0 4\n", ":1: ", "could not convert string to float: 'x{80}'$"),
-        ("x" * 81 + " 3 0 4\n", ":1: ",
-         "could not convert string to float: 'x{80}' and 1 more characters$"),
-        ("0 " + "x" * 81 + " 0 4\n", ":1: ",
-         r"invalid literal for int\(\) with base 10: 'x{80}' and 1 more characters$"),
-        ("0 3 0 " + "x" * 300 + "\n", ":1: ",
-         r"invalid literal for int\(\) with base 10: 'x{80}' and 220 more characters$"),
-        ("0 3 " + "2" * 81 + " 4\n", ":1: ",
-         "game_over must be 0 or 1: '2{80}' and 1 more characters$"),
-        ("1_" + "0" * 80 + " 3 0 4\n", ":1: ",
-         "reward must not contain '_': '1_0{78}' and 2 more characters$"),
-        ("0 3 0 " + "\u0663" * 81 + "\n", ":1: ",
-         "ASCII digits: '3', '\u0663{80}' and 1 more characters$"),
-        # rejections: game_over other than 0/1, a non-finite reward on a
-        # step past the cap, a step between a game over and its ---
-        ("1 3 2 4\n", ":1: ", "game_over must be 0 or 1"),
-        ("1 3 00 4\n", ":1: ", "game_over must be 0 or 1"),
-        (f"1 1 0 {MAX_EPISODE_FRAMES}\n2 1 0 4\ninf 1 0 4\n", ":3: ", "NaN or infinite"),
-        ("-inf 1 0 4\n", ":1: ", "NaN or infinite"),
-        ("1 3 0 4\n0 0 1 4\n1 0 0 4\n---\n", ":3: ", "after the game-over step"),
-    ])
-    def test_errors_name_file_and_line(self, tmp_path, text, where, match):
-        path = tmp_path / "episodes.log"
-        path.write_text(text, encoding="utf-8")
-        prefix = re.escape(f"{path}{where}")
-        with pytest.raises(MalformedLogError, match=f"^{prefix}.*{match}"):
-            ledger_from_log(path)
-
     @pytest.mark.parametrize("line, match", [
         ("1_0 3 0 4", "reward must not contain '_'"),  # float() reads 10
         ("0 +3 0 4", "lives and env_frames must be ASCII digits"),  # int() reads 3
@@ -300,37 +260,11 @@ class TestEpisodeLog:
         ("0 3\xa00 4", r"non-ASCII character in step line: '\xa0'"),
         ("0 3 0 4 \u2003", r"non-ASCII character in step line: '\u2003'"),
     ])
-    def test_out_of_contract_numerals_rejected(self, line, match):
+    def test_out_of_contract_numerals_rejected(self, log_file, line, match):
         log = ["1 3 0 4\n", line + "\n", "0 0 1 4\n"]
-        for lines in (log, [text.encode() for text in log]):
-            with pytest.raises(MalformedLogError, match=f"^<log>:2: {re.escape(match)}"):
-                ledger_from_log(lines)
-            with pytest.raises(MalformedLogError, match=f"^<log>:2: {re.escape(match)}"):
-                read_episode_log(lines)
-
-    @pytest.mark.parametrize("data, where, match", [
-        # Lives rise at line 2, ahead of the byte 0xff on line 5.
-        (b"1 1 0 4\n1 3 0 4\n0 0 1 4\n---\n\xff 3 0 4\n0 0 1 4\n", 2, "lives increased"),
-        # The byte 0xff on line 2, ahead of lives that rise at line 4.
-        (b"1 3 0 4\n1 \xff 0 4\n1 1 0 4\n1 3 0 4\n", 2,
-         "'utf-8' codec can't decode byte 0xff in position 2: invalid start byte"),
-    ], ids=["rise-first", "not-utf8-first"])
-    def test_line_not_utf8_is_reported_at_its_line(self, tmp_path, data, where, match):
-        path = tmp_path / "episodes.log"
-        path.write_bytes(data)
-        prefix = re.escape(f"{path}:{where}: ")
-        with pytest.raises(MalformedLogError, match=f"^{prefix}{match}"):
-            ledger_from_log(path)
-        with pytest.raises(MalformedLogError, match=f"^<log>:{where}: {match}"):
-            ledger_from_log(data.splitlines(keepends=True))
-        if "utf-8" in match:
-            with pytest.raises(MalformedLogError, match=f"^{prefix}{match}"):
-                read_episode_log(path)
-
-    def test_first_defect_in_file_order_is_reported(self):
-        # The truncated episode closes at line 2, before the malformed line 3.
-        with pytest.raises(MalformedLogError, match="^<log>:2: .*ended"):
-            ledger_from_log(["1 3 0 4\n", "---\n", "1 2 3\n"])
+        assert fold_everywhere(log, log_file, oracle=False).startswith(f":2: {match}")
+        with pytest.raises(MalformedLogError, match=f"^<log>:2: {re.escape(match)}"):
+            read_episode_log(log)  # as every route reads it
 
     def test_open_file_is_named_by_its_name(self, tmp_path):
         path = tmp_path / "episodes.log"
@@ -347,24 +281,7 @@ class TestEpisodeLog:
             EpisodeSummary(1.0, MAX_EPISODE_FRAMES, "frame_cap"),
             EpisodeSummary(2.0, 4, "game_over"))
 
-    def test_example_with_three_holes_rejects_the_first(self):
-        log = ["1 3 0 4", "0 0 1 4", RESET_MARKER, "2 3 2 4", "inf 1 0 4", "0 0 1 4",
-               "5 0 0 4"]
-        with pytest.raises(MalformedLogError, match="^<log>:4: game_over"):
-            ledger_from_log(log)
-        with pytest.raises(MalformedLogError, match="^<log>:5: NaN or infinite"):
-            ledger_from_log(log[:3] + ["2 3 1 4"] + log[4:])
-        with pytest.raises(MalformedLogError, match="^<log>:7: step after the game-over"):
-            ledger_from_log(log[:3] + ["2 3 0 4", "1 1 0 4"] + log[5:])
-
-    @pytest.mark.parametrize("text, where", [
-        ("1e308 1 0 4\n1e308 1 1 4\n", "EOF"),
-        ("1e308 1 0 4\n1e308 1 1 4\n---\n0 0 1 4\n", "3"),
-    ], ids=["eof", "reset"])
-    def test_overflowing_return_rejected_where_the_episode_closes(self, text, where):
-        with pytest.raises(MalformedLogError,
-                           match=f"^<log>:{where}: episode return overflows: inf"):
-            ledger_from_log(text.splitlines())
+    def test_overflowing_return_rejected_where_the_episode_closes(self):
         with pytest.raises(MalformedLogError, match="^<episode>:EOF: episode return overflows"):
             accumulate_episode([step(1e308), step(1e308, lives=0, game_over=True)])
 
@@ -391,6 +308,21 @@ class TestEpisodeLog:
         assert ledger.episodes == (
             EpisodeSummary(float(MAX_EPISODE_FRAMES), MAX_EPISODE_FRAMES, "frame_cap"),)
         assert peak < n * sys.getsizeof(step()) / 100
+
+    @pytest.mark.parametrize("route", ["lines", "path"])
+    def test_first_summary_arrives_after_one_chunk(self, tmp_path, route):
+        # The first episode closes at line 3: the fold reads one chunk, or one block.
+        path = tmp_path / "long.log"
+        data = b"1 3 0 4\n0 0 1 4\n---\n" * (4 * CHUNK_BYTES // 20)
+        path.write_bytes(data)
+        with open(path, "rb") as fh, mock.patch.object(protocol, "open", lambda *_: fh,
+                                                       create=True):
+            episodes = iter_episodes(fh if route == "lines" else path)
+            assert next(episodes) == EpisodeSummary(1.0, 8, "game_over")
+            assert fh.tell() == (len(b"".join(data.splitlines(keepends=True)[:CHUNK_LINES]))
+                                 if route == "lines" else data.index(b"\n", CHUNK_BYTES - 1) + 1)
+            episodes.close()
+            assert fh.closed == (route == "path")
 
 
 class TestInvariants:
@@ -425,8 +357,7 @@ class TestScaleLabel:
 
 # Reference implementation: the read-then-fold parser that ledger_from_log
 # replaced. It reads every line, builds a StepEvent per step line and keeps
-# every episode's steps before folding any; it is kept only as the oracle of
-# the differential tests below.
+# every episode's steps before folding any; it is the oracle of ``fold_everywhere``.
 
 def _oracle_accumulate_episode(stream):
     episode_return = 0.0
@@ -583,344 +514,259 @@ def log_file(tmp_path_factory):
     return tmp_path_factory.mktemp("drawn") / "drawn.log"
 
 
-def fold_file(path, lines):
-    """Write ``lines`` to ``path`` and fold the path, which reads them as bytes.
+# Each knob value, with the routes it changes; the first is every default. Small
+# chunks and blocks put an edge at nearly every line, and a small memo is full at once.
+SETTINGS = [*(("MEMO_LINES", n, ("str", "bytes", "path")) for n in (MEMO_LINES, 1, 2, 3)),
+            *(("CHUNK_LINES", n, ("str", "bytes")) for n in (1, 2, 3)),
+            *(("CHUNK_BYTES", n, ("path",)) for n in (1, 2, 3, 7))]
 
-    Returns the ledger, or the error text after the file's name.
-    """
-    path.write_bytes("".join(lines).encode("utf-8"))
+
+def outcome(read, source, name):
+    """``read(source())``, or the text of its MalformedLogError after ``name``."""
     try:
-        return ledger_from_log(path)
+        return read(source())
     except MalformedLogError as exc:
-        return str(exc).removeprefix(str(path))
+        assert str(exc).startswith(name), exc
+        return str(exc)[len(name):]
 
 
-class TestStreamingMatchesOracle:
-    @given(episode_logs())
-    def test_valid_logs_give_equal_ledgers(self, log_file, lines):
-        ledger = ledger_from_log(lines)
-        assert ledger == _oracle_ledger_from_log(lines)
-        assert fold_file(log_file, lines) == ledger
-        assert read_episode_log(lines) == _oracle_read_episode_log(lines)
-        assert read_episode_log(log_file) == read_episode_log(lines)  # as just written
+def fold_everywhere(data, path, oracle=True):
+    """Fold a log (bytes, or str lines) on every route under every setting: one outcome.
 
-    @given(st.sampled_from(sorted(DEFECTS)).flatmap(episode_logs))
-    def test_one_defect_is_rejected_by_both(self, log_file, lines):
-        with pytest.raises(MalformedLogError):
-            _oracle_ledger_from_log(lines)
-        with pytest.raises(MalformedLogError) as exc:
-            ledger_from_log(lines)
-        assert fold_file(log_file, lines) == str(exc.value).removeprefix("<log>")
+    The routes are str lines, bytes lines as stdin gives them, and ``path``. All give
+    one ledger, or one error text after the log's name, and ``read_episode_log`` one
+    outcome. With ``oracle`` the ``_oracle_*`` fold runs once: the ledger is its ledger,
+    and a log it rejects (one not UTF-8, too) is rejected, at any line it names."""
+    data = data if isinstance(data, bytes) else "".join(data).encode()
+    path.write_bytes(data)
+    sources = {"bytes": (lambda: io.BytesIO(data), "<log>"), "path": (lambda: path, str(path))}
+    with contextlib.suppress(UnicodeDecodeError):  # else there is no str route
+        text = data.decode()
+        sources["str"] = (lambda: io.StringIO(text, newline="\n"), "<log>")  # split at "\n" only
+    folds = {}
+    for knob, value, routes in SETTINGS:
+        with mock.patch.object(protocol, knob, value):
+            folds.update((f"{route} {knob}={value}", outcome(ledger_from_log, *sources[route]))
+                         for route in routes if route in sources)
+    reads = {route: outcome(read_episode_log, *source) for route, source in sources.items()}
+    ledger, episodes = folds[f"path MEMO_LINES={MEMO_LINES}"], reads["path"]
+    for setting, got in [*folds.items(), *reads.items()]:  # a read reward may be NaN
+        assert repr(got) == repr(episodes if setting in reads else ledger), setting
+    if isinstance(ledger, str) and "codec can't decode" in ledger:  # the read decodes every line
+        assert episodes == ledger
+    if oracle:
+        try:
+            lines = data.decode().split("\n")
+            want = _oracle_ledger_from_log(lines), _oracle_read_episode_log(lines)
+        except (MalformedLogError, UnicodeDecodeError) as exc:
+            assert isinstance(ledger, str), exc
+            if named := re.match(r"line (\d+): ", str(exc)):
+                assert ledger.startswith(f":{named[1]}: "), (ledger, exc)
+        else:
+            assert (ledger, episodes) == want
+    return ledger
+
+
+def at_block_edge(before, line, size, where):
+    """``before``, padding, ``line`` and a closing step, with ``line`` "first" in a block,
+    "last" in one, or "cut" by a block's first ``size`` bytes; and ``line``'s number."""
+    room = size - len(before) - 1
+    for pad in [b"#" * m + b"\n" for m in (room, room - len(line), room - len(line) // 2,
+                                          *range(9)) if m >= 0] + [b"\n" * j for j in range(9)]:
+        start, end = len(before + pad), len(before + pad + line)
+        data = before + pad + line + b"0 0 1 4\n"
+        starts, fh = [], io.BytesIO(data)  # where each block read from ``data`` starts
+        with mock.patch.object(protocol, "CHUNK_BYTES", size):
+            while lines := (starts.append(fh.tell()) or protocol._read_block(fh)):
+                assert b"".join(lines) == data[starts[-1]:fh.tell()]
+        if {"first": start in starts[1:-1], "last": end in starts,
+                "cut": any(start < s + size < end for s in starts)}[where]:
+            return data, (before + pad).count(b"\n") + 1
+    raise AssertionError(f"no padding puts {line!r} {where} in a {size}-byte block")
+
+
+def at_chunk_edge(before, line, size, where):
+    """As ``at_block_edge``, padded with steps: last in the third chunk, or first in the next."""
+    lineno = 3 * size + (where == "next-first")
+    return b"0 3 0 4\n" * (lineno - 1 - before.count(b"\n")) + before + line + b"0 0 1 4\n", lineno
+
+
+# A line, what comes before it, and the error at its line; the "lives" line is remembered.
+EDGE_LINES = {
+    "parse": (b"0 2 0 4\n", b"x 2 0 4\n", "could not convert string to float: 'x'"),
+    "bad-byte": (b"0 2 0 4\n", b"0 2 0 4 \xff\n",
+                 "'utf-8' codec can't decode byte 0xff in position 8: invalid start byte"),
+    # A character cut short before "\n" reads as a bad continuation byte.
+    "cut-char": (b"0 2 0 4\n", b"0 2 0 4\xe2\x82\n", "'utf-8' codec can't decode bytes in "
+                 "position 7-8: invalid continuation byte"),
+    "lives": (b"0 3 0 4\n0 2 0 4\n", b"0 3 0 4\n", "lives increased 2 -> 3"),
+    "after-game-over": (b"0 2 1 4\n", b"0 3 0 4\n", "step after the game-over step"),
+    "cut-short": (b"0 2 0 4\n", b"---\n", "episode stream ended after"),
+    "blank": (b"1 3 0 4\n", b"\n", None),
+    "comment": (b"1 3 0 4\n", b"#" * 10 + b"\n", None),
+    "reset": (b"1 0 1 4\n", b"---\n", None),
+}
+EDGES = {"chunk": (at_chunk_edge, (CHUNK_LINES, 1, 2, 3), ("last", "next-first")),
+         "block": (at_block_edge, (1, 2, 3, 7, CHUNK_BYTES), ("first", "last", "cut"))}
+# Logs, each with the error at its first defect (a regex), or None when it is valid:
+PLACED_LOGS = {
+    # ... some that the path route reads differently from a line iterator (whole
+    # lines across blocks, with or without a final "\n", "\r\n" ends, a lone "\r");
+    b"1 3 0 4\n# " + b"x" * (2 * CHUNK_BYTES) + b"\n0." + b"5" * 40 + b" 3 0 4\n0 0 1 4\n"
+    b"---\n2 1 1 4\n": None,
+    b"1 3 0 4\n0 0 1 4\n---\n2 1 1 4": None,
+    b"1 3 0 4\r\n\r\n0 0 1 4\r\n---\r\n2 1 1 4\r\n": None,
+    b"\n1 3 0 4\n0 0 1 4\n\n---\n\n---\n2 1 1 4\n---\n": None,
+    b"1 3 0 4\r0 3 0 4\n0 0 1 4\n": ":1: expected 'reward lives game_over",
+    # ... a character cut short at the end of the file, read as the end of the data;
+    b"1 3 0 4\n0 2 0 4\xe2\x82":
+        ":2: 'utf-8' codec can't decode bytes in position 7-8: unexpected end of data",
+    # ... a line held from line 2 or 3 that at line 4 raises lives or follows a game over;
+    b"0 1 0 4\n0 1 0 4\n0 0 0 4\n0 1 0 4\n": ":4: lives increased 0 -> 1",
+    b"0 0 1 4\n---\n0 0 1 4\n0 0 1 4\n": ":4: step after the game-over",
+    # ... more defects than one (lives rise ahead of a byte 0xff and after one, a cut-short
+    # episode before a bad line, holes at lines 4, 5 and 7), the first reported;
+    b"1 1 0 4\n1 3 0 4\n0 0 1 4\n---\n\xff 3 0 4\n0 0 1 4\n": ":2: lives increased",
+    b"1 3 0 4\n1 \xff 0 4\n1 1 0 4\n1 3 0 4\n":
+        ":2: 'utf-8' codec can't decode byte 0xff in position 2: invalid start byte",
+    "1 3 0 4\n---\n1 2 3\n": ":2: .*ended",
+    "1 3 0 4\n0 0 1 4\n---\n2 3 2 4\ninf 1 0 4\n0 0 1 4\n5 0 0 4": ":4: game_over",
+    "1 3 0 4\n0 0 1 4\n---\n2 3 1 4\ninf 1 0 4\n0 0 1 4\n5 0 0 4": ":5: NaN or infinite",
+    "1 3 0 4\n0 0 1 4\n---\n2 3 0 4\n1 1 0 4\n0 0 1 4\n5 0 0 4": ":7: step after the game-over",
+    # ... and one defect, as an error names it.
+    "1 3 0 4\nnan 3 0 4\n0 0 1 4\n": ":2: .*NaN",
+    "1 1 0 4\n1 3 0 4\n0 0 1 4\n": ":2: .*lives increased",
+    "1 3 0 4\n---\n": ":2: .*ended after 4 frames",
+    "# a\n1 3 0 4\n\n": ":EOF: .*ended after 4 frames",
+    "# nothing\n\n---\n": ": .*no step events",
+    "1 x 0 4\n": ":1: .*invalid literal",
+    "1 2 3\n": ":1: .*line 1",
+    # A line without four fields is echoed up to 80 characters...
+    "1" * 80 + "\n": ":1: .*got '1{80}'$",
+    "1" * 81 + "\n": ":1: .*got '1{80}' and 1 more characters$",
+    # ... and so is a field that is not a number, whichever conversion rejects it.
+    "x" * 80 + " 3 0 4\n": ":1: .*could not convert string to float: 'x{80}'$",
+    "x" * 81 + " 3 0 4\n":
+        ":1: .*could not convert string to float: 'x{80}' and 1 more characters$",
+    "0 " + "x" * 81 + " 0 4\n":
+        r":1: .*invalid literal for int\(\) with base 10: 'x{80}' and 1 more characters$",
+    "0 3 0 " + "x" * 300 + "\n":
+        r":1: .*invalid literal for int\(\) with base 10: 'x{80}' and 220 more characters$",
+    "0 3 " + "2" * 81 + " 4\n": ":1: .*game_over must be 0 or 1: '2{80}' and 1 more characters$",
+    "1_" + "0" * 80 + " 3 0 4\n":
+        ":1: .*reward must not contain '_': '1_0{78}' and 2 more characters$",
+    "0 3 0 " + "\u0663" * 81 + "\n":
+        ":1: .*ASCII digits: '3', '\u0663{80}' and 1 more characters$",
+    # A game_over other than 0/1, a non-finite reward past the cap, a step
+    # between a game over and its ---.
+    "1 3 2 4\n": ":1: .*game_over must be 0 or 1",
+    "1 3 00 4\n": ":1: .*game_over must be 0 or 1",
+    f"1 1 0 {MAX_EPISODE_FRAMES}\n2 1 0 4\ninf 1 0 4\n": ":3: .*NaN or infinite",
+    "-inf 1 0 4\n": ":1: .*NaN or infinite",
+    # An episode return that overflows, at the line or EOF that closes the episode.
+    "1e308 1 0 4\n1e308 1 1 4\n": ":EOF: episode return overflows: inf",
+    "1e308 1 0 4\n1e308 1 1 4\n---\n0 0 1 4\n": ":3: episode return overflows: inf",
+    "1 3 0 4\n0 0 1 4\n1 0 0 4\n---\n": ":3: .*after the game-over step",
+}
+
+
+class TestFoldOnEveryRoute:
+    @pytest.mark.parametrize("defects", [[None], sorted(DEFECTS)], ids=["valid", "one-defect"])
+    @given(data=st.data())
+    def test_drawn_log_folds_as_the_oracle_folds(self, log_file, defects, data):
+        lines = data.draw(st.sampled_from(defects).flatmap(episode_logs))
+        assert isinstance(fold_everywhere(lines, log_file), RunLedger) == (defects == [None])
+
+    @pytest.mark.parametrize("place, size, where, case", [
+        pytest.param(place, size, where, case, id=f"{kind}-{case}-{where}-{size}")
+        for kind, (place, sizes, wheres) in EDGES.items() for size in sizes for where in wheres
+        for case in EDGE_LINES if not (case == "blank" and where == "cut")])  # "\n" is never cut
+    def test_line_at_an_edge(self, log_file, place, size, where, case):
+        before, line, match = EDGE_LINES[case]
+        data, lineno = place(before, line, size, where)
+        got = fold_everywhere(data, log_file, oracle=match is None)
+        assert re.match(f":{lineno}: {match}", got) if match else isinstance(got, RunLedger), got
+
+    @pytest.mark.parametrize("log", PLACED_LOGS, ids=lambda log: "long-line"
+                             if len(log) > CHUNK_BYTES else None)
+    def test_placed_log(self, log_file, log):
+        error = PLACED_LOGS[log]
+        got = fold_everywhere(log, log_file, oracle=error is None)
+        assert re.match(error, got) if error else isinstance(got, RunLedger), got
 
 
 # Rewards from a small pool, so most step lines repeat and hit the memo.
 POOLED_LOGS = episode_logs(rewards=st.sampled_from(["0", "1", "-1", "2.5"]))
+# A step that no drawn log holds, so the line that closes its episode is known.
+CUT_SHORT = "7777 1 0 4\n"
 # Lines that fail a per-line check, whatever comes before them.
 DEFECT_LINES = ["1 2 3", "x 3 0 4", "0 3 0 0", "0 -1 0 4", "nan 3 0 4", "-inf 3 0 4",
                 "0 3 2 4", "1_0 3 0 4", "0 +3 0 4", "0 3 0 0_4"]
 
 
+def parsed_lines(source):
+    """The episodes of ``source``, and each line ``_parse_step`` parsed, as text."""
+    parsed = []
+
+    def spy(raw, *where):
+        parsed.append(raw if isinstance(raw, str) else raw.decode())
+        return protocol._parse_step(raw, *where)
+
+    with protocol._open_log(source) as (chunks, name):
+        return tuple(protocol._fold_log(chunks, name, parse=spy)), parsed
+
+
 class TestMemo:
-    @given(POOLED_LOGS, st.sampled_from([MEMO_LINES, 2, 1]))
-    def test_repeated_lines_give_the_oracle_ledger(self, log_file, lines, cap):
-        # A small cap fills the memo, so later distinct lines are parsed
-        # every time they occur.
-        with mock.patch.object(protocol, "MEMO_LINES", cap):
-            ledger = ledger_from_log(lines)
-            assert ledger == _oracle_ledger_from_log(lines)
-            assert fold_file(log_file, lines) == ledger
-            assert read_episode_log(lines) == _oracle_read_episode_log(lines)
-
-    @given(POOLED_LOGS)
-    def test_parser_runs_once_per_distinct_line(self, lines):
-        # A blank or comment line is never stored, so it is parsed each time.
-        parsed = []
-
-        def spy(raw, name, lineno):
-            parsed.append(raw)
-            return protocol._parse_step(raw, name, lineno)
-
-        episodes = tuple(protocol._fold_log(protocol._line_chunks(lines), "<log>", parse=spy))
-        assert episodes == ledger_from_log(lines).episodes
+    @given(POOLED_LOGS, st.integers(min_value=0), st.booleans(), st.sampled_from(DEFECT_LINES),
+           st.lists(st.integers(min_value=0), min_size=2, max_size=4))
+    def test_pooled_log_as_drawn_cut_short_and_with_a_repeated_defect(
+            self, log_file, lines, pick, at_eof, defect, cuts):
+        # As drawn, each distinct line is parsed once, and a blank or comment line each time.
+        ledger = fold_everywhere(lines, log_file)
         skipped = [line for line in lines if not line.strip() or line.lstrip()[0] == "#"]
-        assert sorted(parsed) == sorted(skipped + list(set(lines) - set(skipped)))
-
-    def test_more_distinct_lines_than_the_memo_holds(self, log_file):
-        # Three times the cap in distinct lines, then each of them again.
-        first = [f"{i} 1 0 1\n" for i in range(3 * MEMO_LINES)]
-        lines = first + first[::-1] + ["0 0 1 1\n"]
-        ledger = ledger_from_log(lines)
-        assert ledger == _oracle_ledger_from_log(lines)
-        assert fold_file(log_file, lines) == ledger
-        assert ledger.episodes == (
-            EpisodeSummary(float(sum(range(3 * MEMO_LINES)) * 2), 6 * MEMO_LINES + 1,
-                           "game_over"),)
-        # Once the memo is full, a new line is still checked in full.
-        with pytest.raises(MalformedLogError, match=f"^<log>:{len(lines)}: NaN or infinite"):
-            ledger_from_log(lines[:-1] + ["nan 1 0 1\n", "0 0 1 1\n"])
-
-    @pytest.mark.parametrize("lines, where, match", [
-        # "0 1 0 4" is stored at line 1; at line 4 it raises lives from 0.
-        (["0 1 0 4", "0 1 0 4", "0 0 0 4", "0 1 0 4"], 4, "lives increased 0 -> 1"),
-        # "0 0 1 4" is stored at line 1; at line 4 it follows a game over.
-        (["0 0 1 4", RESET_MARKER, "0 0 1 4", "0 0 1 4"], 4, "step after the game-over"),
-    ])
-    def test_remembered_line_still_meets_the_fold_checks(self, lines, where, match):
-        with pytest.raises(MalformedLogError, match=f"^<log>:{where}: {match}"):
-            ledger_from_log(lines)
-
-    @given(POOLED_LOGS, st.sampled_from(DEFECT_LINES),
-           st.lists(st.integers(min_value=0), min_size=2, max_size=4),
-           st.sampled_from([MEMO_LINES, 1]))
-    def test_repeated_defect_is_reported_at_its_first_line(self, log_file, lines, defect,
-                                                           cuts, cap):
-        lines = list(lines)
-        for cut in sorted(cuts, reverse=True):
-            lines.insert(cut % (len(lines) + 1), defect + "\n")
-        first = lines.index(defect + "\n") + 1
-        with mock.patch.object(protocol, "MEMO_LINES", cap):
-            with pytest.raises(MalformedLogError, match=f"^<log>:{first}: ") as exc:
-                ledger_from_log(lines)
-            assert fold_file(log_file, lines) == str(exc.value).removeprefix("<log>")
-
-
-CHUNK_SIZES = [CHUNK_LINES, 1, 2, 3]
-# A step that no drawn log holds, so the line that closes its episode is known.
-CUT_SHORT = "7777 1 0 4\n"
-
-
-class TestChunks:
-    # Chunks of 1, 2 and 3 lines put a chunk edge before every line of a
-    # drawn log; the default size reads a drawn log as one chunk.
-    @given(st.one_of(episode_logs(), POOLED_LOGS), st.sampled_from(CHUNK_SIZES))
-    def test_valid_logs_give_the_oracle_ledger(self, log_file, lines, size):
-        with mock.patch.object(protocol, "CHUNK_LINES", size):
-            ledger = ledger_from_log(lines)
-            assert ledger == _oracle_ledger_from_log(lines)
-            assert fold_file(log_file, lines) == ledger
-
-    @given(st.sampled_from(sorted(DEFECTS)).flatmap(episode_logs),
-           st.sampled_from(CHUNK_SIZES))
-    def test_one_defect_is_named_at_the_same_line(self, log_file, lines, size):
-        with pytest.raises(MalformedLogError) as want:
-            _oracle_ledger_from_log(lines)
-        assert len(lines) <= CHUNK_LINES
-        with pytest.raises(MalformedLogError) as whole:
-            ledger_from_log(lines)
-        # The oracle names the line of a step it cannot parse.
-        if parsed := re.match(r"line (\d+): ", str(want.value)):
-            assert str(whole.value).startswith(f"<log>:{parsed[1]}: ")
-        with mock.patch.object(protocol, "CHUNK_LINES", size):
-            with pytest.raises(MalformedLogError) as exc:
-                ledger_from_log(lines)
-            assert fold_file(log_file, lines) == str(exc.value).removeprefix("<log>")
-        assert str(exc.value) == str(whole.value)
-
-    @given(POOLED_LOGS, st.integers(min_value=0), st.booleans(),
-           st.sampled_from(CHUNK_SIZES))
-    def test_cut_short_episode_is_named_at_its_end(self, log_file, lines, pick, at_eof,
-                                                   size):
+        for source in (lines, io.BytesIO("".join(lines).encode()), log_file):  # as just written
+            episodes, parsed = parsed_lines(source)
+            assert episodes == ledger.episodes
+            assert sorted(parsed) == sorted(skipped + list(set(lines) - set(skipped)))
+        # An episode cut short is named at the ``---`` or EOF that closes it.
         if at_eof:
-            lines = lines + [RESET_MARKER + "\n", CUT_SHORT]
-            where = "EOF"
+            short, where = lines + [RESET_MARKER + "\n", CUT_SHORT], "EOF"
         else:
             starts = [i for i in range(len(lines) + 1)
                       if i == 0 or lines[i - 1].strip() == RESET_MARKER]
             i = starts[pick % len(starts)]
-            lines = lines[:i] + [CUT_SHORT, RESET_MARKER + "\n"] + lines[i:]
-            where = i + 2  # the closing ``---``
-        with pytest.raises(MalformedLogError):
-            _oracle_ledger_from_log(lines)
-        with mock.patch.object(protocol, "CHUNK_LINES", size):
-            with pytest.raises(MalformedLogError,
-                               match=f"^<log>:{where}: episode stream ended after 4 ") as exc:
-                ledger_from_log(lines)
-            assert fold_file(log_file, lines) == str(exc.value).removeprefix("<log>")
+            short, where = lines[:i] + [CUT_SHORT, RESET_MARKER + "\n"] + lines[i:], i + 2
+        got = fold_everywhere(short, log_file)
+        assert re.match(f":{where}: episode stream ended after 4 ", got), got
+        # A defect is never stored, so one that repeats is reported at its first
+        # line. The oracle reads some of these lines as steps (``float("1_0")``).
+        lines = list(lines)
+        for cut in sorted(cuts, reverse=True):
+            lines.insert(cut % (len(lines) + 1), defect + "\n")
+        first = lines.index(defect + "\n") + 1
+        got = fold_everywhere(lines, log_file, oracle=False)
+        assert got.startswith(f":{first}: "), got
 
-    @pytest.mark.parametrize("size", CHUNK_SIZES)
-    @pytest.mark.parametrize("offset", [0, 1], ids=["last", "next-first"])
-    @pytest.mark.parametrize("before, defect, match", [
-        ("0 2 0 4", "x 2 0 4", "could not convert string to float: 'x'"),
-        ("0 2 0 4", "0 3 0 4", "lives increased 2 -> 3"),  # a remembered line
-        ("0 2 1 4", "0 3 0 4", "step after the game-over step"),
-        ("0 2 0 4", RESET_MARKER, "episode stream ended after"),
-    ], ids=["parse", "lives", "after-game-over", "cut-short"])
-    def test_defect_at_a_chunk_edge(self, log_file, size, offset, before, defect, match):
-        # The defect is the third chunk's last line, or the fourth chunk's first.
-        where = 3 * size + offset
-        lines = ["0 3 0 4\n"] * (where - 2) + [before + "\n", defect + "\n", "0 0 1 4\n"]
-        with mock.patch.object(protocol, "CHUNK_LINES", size):
-            with pytest.raises(MalformedLogError, match=f"^<log>:{where}: {match}") as exc:
-                ledger_from_log(lines)
-            assert fold_file(log_file, lines) == str(exc.value).removeprefix("<log>")
+    def test_one_off_lines_do_not_fill_the_memo(self, log_file):
+        # More one-off steps than the memo holds, then lines that repeat: each line is
+        # parsed once, where a memo filled by the first lines it met would parse 50 times.
+        one_offs = [f"{i / 10000:.4f} 3 0 4\n" for i in range(1, MEMO_LINES + 77)]
+        later = ["1 3 0 4\n", "0 3 0 4\n", "0.5 2 0 4\n", "0 0 1 4\n", RESET_MARKER + "\n"]
+        lines = one_offs + ["0 0 1 4\n", RESET_MARKER + "\n"] + later * 50
+        assert len(fold_everywhere(lines, log_file).episodes) == 51
+        for source in (lines, io.BytesIO("".join(lines).encode()), log_file):
+            assert sorted(parsed_lines(source)[1]) == sorted(set(lines))
+        # A new line is still checked in full, however many lines came first.
+        got = fold_everywhere(lines + ["nan 3 0 4\n", "0 0 1 4\n"], log_file)
+        assert got.startswith(f":{len(lines) + 1}: NaN or infinite reward"), got
 
-    def test_first_summary_arrives_after_one_chunk(self):
-        # The first episode closes at line 3; the fold reads one chunk, no more.
-        pulled = []
-
-        def endless():
-            for line in itertools.cycle(["1 3 0 4\n", "0 0 1 4\n", RESET_MARKER + "\n"]):
-                if len(pulled) == CHUNK_LINES:
-                    pytest.fail("the fold read past its first chunk")
-                pulled.append(line)
-                yield line
-
-        assert next(iter_episodes(endless())) == EpisodeSummary(1.0, 8, "game_over")
-        assert len(pulled) == CHUNK_LINES
-
-
-BLOCK_SIZES = [1, 2, 3, 7, CHUNK_BYTES]
-
-
-def fold_bytes(path, data, size=CHUNK_BYTES):
-    """Fold ``data`` from ``path`` read ``size`` bytes at a time; as ``fold_file``."""
-    path.write_bytes(data)
-    with mock.patch.object(protocol, "CHUNK_BYTES", size):
-        try:
-            return ledger_from_log(path)
-        except MalformedLogError as exc:
-            return str(exc).removeprefix(str(path))
-
-
-def fold_iterable(data):
-    """Fold ``data`` as an iterable of lines split at ``\\n``, as stdin gives them."""
-    try:
-        return ledger_from_log(io.BytesIO(data))
-    except MalformedLogError as exc:
-        return str(exc).removeprefix("<log>")
-
-
-def oracle_fold(data):
-    return _oracle_ledger_from_log(data.decode().split("\n"))
-
-
-def block_starts(data, size):
-    """The byte offset of each block the path route reads from ``data``."""
-    starts, fh = [], io.BytesIO(data)
-    with mock.patch.object(protocol, "CHUNK_BYTES", size):
-        while lines := (starts.append(fh.tell()) or protocol._read_block(fh)):
-            assert b"".join(lines) == data[starts[-1]:fh.tell()]
-    return starts[:-1]
-
-
-def at_block_edge(before, line, size, where):
-    """``before``, a padding comment or blank lines, ``line`` and a closing step.
-
-    The padding puts ``line`` first in a block, last in a block, or across
-    the end of a block's first ``size`` bytes (``where`` is "first", "last"
-    or "cut"). Returns the log and ``line``'s number.
-    """
-    pads = [b"#" * m + b"\n" for m in (size - len(before) - 1, size - len(before) - 1 - len(line),
-                                       size - len(before) - 1 - len(line) // 2) if m >= 0]
-    pads += [b""] + [b"\n" * j for j in range(1, 9)] + [b"#" * m + b"\n" for m in range(9)]
-    for pad in pads:
-        data = before + pad + line + b"0 0 1 4\n"
-        start = len(before + pad)
-        end = start + len(line)
-        starts = block_starts(data, size)
-        if (where == "first" and start in starts[1:]
-                or where == "last" and end in starts
-                or where == "cut" and any(start < s + size < end for s in starts)):
-            return data, before.count(b"\n") + pad.count(b"\n") + 1
-    raise AssertionError(f"no padding puts {line!r} {where} in a {size}-byte block")
-
-
-# Logs that the path route reads differently from a line iterator: as
-# whole lines across blocks, with or without a final "\n", "\r\n" ends.
-BLOCK_CASES = {
-    "long-line": b"1 3 0 4\n# " + b"x" * (2 * CHUNK_BYTES) + b"\n0." + b"5" * 40
-                 + b" 3 0 4\n0 0 1 4\n---\n2 1 1 4\n",
-    "unterminated": b"1 3 0 4\n0 0 1 4\n---\n2 1 1 4",
-    "crlf": b"1 3 0 4\r\n\r\n0 0 1 4\r\n---\r\n2 1 1 4\r\n",
-    "blank-and-reset": b"\n1 3 0 4\n0 0 1 4\n\n---\n\n---\n2 1 1 4\n---\n",
-    "lone-cr": b"1 3 0 4\r0 3 0 4\n0 0 1 4\n",
-}
-# Lines that are not UTF-8, and the start of the message that names them.
-UNDECODABLE = {
-    "bad-byte": (b"0 2 0 4 \xff\n", "'utf-8' codec can't decode byte 0xff in position 8: "
-                                    "invalid start byte"),
-    # A truncated character before "\n" reads as a bad continuation byte...
-    "cut-char": (b"0 2 0 4\xe2\x82\n", "'utf-8' codec can't decode bytes in position 7-8: "
-                                      "invalid continuation byte"),
-    # ... and at the end of the file as the end of the data.
-    "cut-char-eof": (b"0 2 0 4\xe2\x82", "'utf-8' codec can't decode bytes in position 7-8: "
-                                        "unexpected end of data"),
-}
-
-
-class TestBlocks:
-    # Blocks of 1 to 7 bytes end within nearly every line, so each line is
-    # read to its end by ``readline``; the default size reads a drawn log
-    # as one block.
-    @given(st.one_of(episode_logs(), POOLED_LOGS), st.sampled_from(BLOCK_SIZES))
-    def test_drawn_logs_give_the_oracle_ledger(self, log_file, lines, size):
-        data = "".join(lines).encode()
-        assert fold_bytes(log_file, data, size) == _oracle_ledger_from_log(lines)
-
-    @given(st.sampled_from(sorted(DEFECTS)).flatmap(episode_logs), st.sampled_from(BLOCK_SIZES))
-    def test_one_defect_is_named_at_the_same_line(self, log_file, lines, size):
-        data = "".join(lines).encode()
-        assert fold_bytes(log_file, data, size) == fold_iterable(data)
-
-    @pytest.mark.parametrize("size", BLOCK_SIZES)
-    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
-    def test_case_gives_the_oracle_ledger(self, tmp_path, case, size):
-        data = BLOCK_CASES[case]
-        ledger = fold_bytes(tmp_path / "case.log", data, size)
-        assert ledger == fold_iterable(data)
-        if case != "lone-cr":  # the oracle's ``strip`` would not see a lone "\r" as space
-            assert ledger == oracle_fold(data)
-
-    @pytest.mark.parametrize("size", BLOCK_SIZES)
-    @pytest.mark.parametrize("case", sorted(UNDECODABLE))
-    def test_undecodable_line_is_named_as_a_line_iterator_names_it(self, tmp_path, case, size):
-        line, message = UNDECODABLE[case]
-        data = b"1 3 0 4\n" + line + (b"" if case.endswith("eof") else b"0 0 1 4\n")
-        assert fold_bytes(tmp_path / "case.log", data, size) == f":2: {message}"
-        assert fold_iterable(data) == f":2: {message}"
-
-    @pytest.mark.parametrize("size", BLOCK_SIZES)
-    @pytest.mark.parametrize("before, line, where", [  # a blank line holds no block's end
-        (b"1 3 0 4\n", b"\n", "first"), (b"1 3 0 4\n", b"\n", "last"),
-        *((b"1 3 0 4\n", b"#" * 10 + b"\n", where) for where in ("first", "last", "cut")),
-        *((b"1 0 1 4\n", b"---\n", where) for where in ("first", "last", "cut")),
-    ], ids=["blank-first", "blank-last", "comment-first", "comment-last", "comment-cut",
-            "reset-first", "reset-last", "reset-cut"])
-    def test_line_between_steps_at_a_block_edge(self, tmp_path, before, line, where, size):
-        data, _ = at_block_edge(before, line, size, where)
-        ledger = fold_bytes(tmp_path / "edge.log", data, size)
-        assert ledger == oracle_fold(data) == fold_iterable(data)
-
-    @pytest.mark.parametrize("size", BLOCK_SIZES)
-    @pytest.mark.parametrize("where", ["first", "last", "cut"])
-    @pytest.mark.parametrize("before, defect, match", [
-        (b"0 2 0 4\n", b"x 2 0 4\n", "could not convert string to float: 'x'"),
-        (b"0 2 0 4\n", b"0 2 0 4 \xff\n", "'utf-8' codec can't decode byte 0xff"),
-        (b"0 2 0 4\n", b"0 2 0 4\xe2\x82\n", "'utf-8' codec .* invalid continuation byte"),
-        (b"0 3 0 4\n0 2 0 4\n", b"0 3 0 4\n", "lives increased 2 -> 3"),  # a remembered line
-        (b"0 2 1 4\n", b"0 3 0 4\n", "step after the game-over step"),
-        (b"0 2 0 4\n", b"---\n", "episode stream ended after"),
-    ], ids=["parse", "bad-byte", "cut-char", "lives", "after-game-over", "cut-short"])
-    def test_defect_at_a_block_edge(self, tmp_path, before, defect, match, where, size):
-        data, where_line = at_block_edge(before, defect, size, where)
-        got = fold_bytes(tmp_path / "edge.log", data, size)
-        assert re.match(f":{where_line}: {match}", got), got
-        assert got == fold_iterable(data)
-
-    def test_first_summary_arrives_after_one_block(self, tmp_path):
-        # The first episode closes at line 3 of a log of many blocks; the
-        # fold reads one block, to the end of its last line, no more.
-        path = tmp_path / "long.log"
-        path.write_bytes(b"1 3 0 4\n0 0 1 4\n---\n" * (4 * CHUNK_BYTES // 20))
-        opened = []
-
-        def spy_open(*args):
-            opened.append(open(*args))
-            return opened[-1]
-
-        with mock.patch.object(protocol, "open", spy_open, create=True):
-            episodes = iter_episodes(path)
-            assert next(episodes) == EpisodeSummary(1.0, 8, "game_over")
-            assert opened[0].tell() == path.read_bytes().index(b"\n", CHUNK_BYTES - 1) + 1
-            episodes.close()
-        assert opened[0].closed
+    def test_wide_log_is_parsed_no_more_than_by_a_first_come_memo(self):
+        # Steps drawn from twice as many distinct lines as the memo holds; a memo that
+        # keeps the first MEMO_LINES lines it meets parses each sighting of the others.
+        rng = random.Random(0)
+        distinct = [f"{r} 3 0 4\n" for r in range(2 * MEMO_LINES)]
+        lines = [rng.choice(distinct) for _ in range(20 * MEMO_LINES)] + ["0 0 1 4\n"]
+        kept = set(list(dict.fromkeys(lines))[:MEMO_LINES])
+        episodes, parsed = parsed_lines(lines)
+        assert episodes == _oracle_ledger_from_log(lines).episodes
+        assert len(parsed) <= len(kept) + sum(line not in kept for line in lines)
