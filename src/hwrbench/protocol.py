@@ -18,16 +18,13 @@ is read as raw bytes in blocks of ``CHUNK_BYTES`` (16 KiB), each
 finished at the end of its last line and split at ``\n`` only; any
 other iterable of lines, stdin too, is read ``CHUNK_LINES`` lines at a
 time. Each chunk of lines is parsed and folded before the next is read.
-A step or ``---`` line is remembered by its raw bytes, and is admitted
-to the memo on its second sighting: its first waits in a table of up to
-``MEMO_LINES`` lines, emptied when full, and the memo keeps up to
-``MEMO_LINES`` lines to the end of the log. So lines that never recur
-cannot fill the memo, and at most ``2 * MEMO_LINES`` lines are held. A
-line that neither holds costs a full decode and parse.
+A line is remembered by its raw bytes: a step or ``---`` line that
+repeats is neither decoded nor parsed again. A line the memo misses (a
+new line, or any line once it is full) costs a full decode and parse.
 ``iter_episodes`` streams the episode summaries, so a caller that keeps
 only what it prints (``protocol-check`` keeps the last k returns) needs
-the last k returns, the two tables and one block of lines: memory that
-grows with k, not with episodes or steps. ``ledger_from_log`` keeps one
+the last k returns, the memo and one block of lines: memory that grows
+with k, not with episodes or steps. ``ledger_from_log`` keeps one
 summary per episode.
 """
 
@@ -50,7 +47,7 @@ DEFAULT_FRAME_BUDGET = 200_000_000
 FULL_ACTION_SET = 18
 
 RESET_MARKER = "---"
-MEMO_LINES = 1024  # lines seen twice that are kept, and lines seen once that wait
+MEMO_LINES = 1024  # distinct lines parsed once per log; a miss is a full parse
 CHUNK_LINES = 1024  # lines of an iterable read, then folded, at a time
 CHUNK_BYTES = 16384  # bytes of a log file read, then folded, at a time
 
@@ -215,7 +212,7 @@ def _echo(text: str) -> str:
 
 
 def _parse_step(raw: str | bytes, name: str, lineno: int) -> tuple | None:
-    """Parse one log line in full; the fold calls this on a line it holds nowhere.
+    """Parse one log line in full; the fold calls this on each memo miss.
 
     Returns ``(reward, lives, game_over, env_frames)``, ``()`` for a ``---``
     line, or None for a blank or ``#`` line. A bytes line is decoded first;
@@ -277,21 +274,15 @@ def _fold_log(chunks: Iterable[list], name: str,
     dropped, before the next is read; so an error that reading raises
     comes before any defect in the lines of its chunk. An episode closes
     at a ``---`` line or at the end of the lines; only the open episode's
-    running totals are kept. A raw line (bytes from a file, str from an
-    iterable) that passed every per-line check is stored with its parsed
-    fields, ``()`` for a ``---`` line; an error is never stored. Its first
-    sighting goes into ``once``, which is emptied when it holds
-    ``MEMO_LINES`` lines; a later sighting found there is stored in
-    ``memo`` too, which keeps up to ``MEMO_LINES`` lines and is never
-    emptied: at most ``2 * MEMO_LINES`` lines in all. A line found in
-    either is not decoded or parsed again, and lines that never recur
-    cannot fill ``memo``. The fold checks run on every step line, so the
-    first defect in file order is reported, at its ``file:line``.
+    running totals are kept. ``memo`` maps up to ``MEMO_LINES`` distinct
+    raw lines (bytes from a file, str from an iterable) that passed every
+    per-line check to their parsed fields, ``()`` for a ``---`` line, so a
+    repeated line is neither decoded nor parsed again; an error is never
+    stored. The fold checks run on every step line, so the first defect in
+    file order is reported, at its ``file:line``.
     """
     memo: dict[str | bytes, tuple] = {}
     memo_get = memo.get
-    once: dict[str | bytes, tuple] = {}
-    once_get = once.get
     # ``end`` numbers the chunk's last line; a line's number, worked out only
     # where it is used, is ``end`` less the chunk's lines not yet looked up.
     closed = end = 0
@@ -307,19 +298,14 @@ def _fold_log(chunks: Iterable[list], name: str,
                 lineno = end - length_hint(rest)
                 if step is None:
                     raw = chunk[lineno - end - 1]  # the line just looked up
-                    step = once_get(raw)
+                    step = parse(raw, name, lineno)
                     if step is None:
-                        step = parse(raw, name, lineno)
-                        if step is None:
-                            continue  # a blank or comment line
-                        if step and not isfinite(step[0]):
-                            raise MalformedLogError(
-                                f"{name}:{lineno}: NaN or infinite reward: {step[0]}")
-                        if len(once) == MEMO_LINES:
-                            once.clear()
-                        once[raw] = step
-                    elif len(memo) < MEMO_LINES:
-                        memo[raw] = step  # a second sighting
+                        continue  # a blank or comment line
+                    if step and not isfinite(step[0]):
+                        raise MalformedLogError(
+                            f"{name}:{lineno}: NaN or infinite reward: {step[0]}")
+                    if len(memo) < MEMO_LINES:
+                        memo[raw] = step
                 if not step:  # a ``---`` line closes the episode, if it has a step
                     if left < MAX_EPISODE_FRAMES or ended is not None:
                         yield _close_episode(episode_return, MAX_EPISODE_FRAMES - left,

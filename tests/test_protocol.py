@@ -747,26 +747,18 @@ class TestMemo:
         got = fold_everywhere(lines, log_file, oracle=False)
         assert got.startswith(f":{first}: "), got
 
-    def test_one_off_lines_do_not_fill_the_memo(self, log_file):
-        # More one-off steps than the memo holds, then lines that repeat: each line is
-        # parsed once, where a memo filled by the first lines it met would parse 50 times.
-        one_offs = [f"{i / 10000:.4f} 3 0 4\n" for i in range(1, MEMO_LINES + 77)]
-        later = ["1 3 0 4\n", "0 3 0 4\n", "0.5 2 0 4\n", "0 0 1 4\n", RESET_MARKER + "\n"]
-        lines = one_offs + ["0 0 1 4\n", RESET_MARKER + "\n"] + later * 50
-        assert len(fold_everywhere(lines, log_file).episodes) == 51
-        for source in (lines, io.BytesIO("".join(lines).encode()), log_file):
-            assert sorted(parsed_lines(source)[1]) == sorted(set(lines))
-        # A new line is still checked in full, however many lines came first.
-        got = fold_everywhere(lines + ["nan 3 0 4\n", "0 0 1 4\n"], log_file)
-        assert got.startswith(f":{len(lines) + 1}: NaN or infinite reward"), got
-
-    def test_wide_log_is_parsed_no_more_than_by_a_first_come_memo(self):
-        # Steps drawn from twice as many distinct lines as the memo holds; a memo that
-        # keeps the first MEMO_LINES lines it meets parses each sighting of the others.
-        rng = random.Random(0)
-        distinct = [f"{r} 3 0 4\n" for r in range(2 * MEMO_LINES)]
-        lines = [rng.choice(distinct) for _ in range(20 * MEMO_LINES)] + ["0 0 1 4\n"]
-        kept = set(list(dict.fromkeys(lines))[:MEMO_LINES])
-        episodes, parsed = parsed_lines(lines)
-        assert episodes == _oracle_ledger_from_log(lines).episodes
-        assert len(parsed) <= len(kept) + sum(line not in kept for line in lines)
+    def test_more_distinct_lines_than_the_memo_holds(self, log_file):
+        # Three times the memo in distinct lines, then each of them again: no line is
+        # parsed more often than by a memo that keeps the first MEMO_LINES lines it meets.
+        first = [f"{i} 1 0 1\n" for i in range(3 * MEMO_LINES)]
+        lines = first + first[::-1] + ["0 0 1 1\n"]
+        assert fold_everywhere(lines, log_file).episodes == (
+            EpisodeSummary(float(sum(range(3 * MEMO_LINES)) * 2), 6 * MEMO_LINES + 1,
+                           "game_over"),)
+        kept = set(first[:MEMO_LINES])
+        misses = len(kept) + sum(line not in kept for line in lines)
+        for source in (lines, io.BytesIO("".join(lines).encode()), log_file):  # as just written
+            assert len(parsed_lines(source)[1]) <= misses
+        # Once the memo is full, a new line is still checked in full.
+        got = fold_everywhere(lines[:-1] + ["nan 1 0 1\n", "0 0 1 1\n"], log_file)
+        assert got.startswith(f":{len(lines)}: NaN or infinite reward"), got
