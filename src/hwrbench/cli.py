@@ -16,10 +16,10 @@ written by ``numfmt.json_text``, so no verb imports ``json``; only the error
 line of a failed verb does. Each verb's flags are stated once, in
 ``VERBS``: ``main`` reads a plain, valid command line of one-value flags from
 that table itself, and argparse, built from the same table, reads the rest:
-help, usage errors, ``--dataset``, ``--algorithms``, ``--log -``,
-``--score -20.7``, abbreviations. Exit is part of a verb's wall time too: the
-first ``main`` call registers ``gc.freeze`` with ``atexit``, so the
-interpreter's exit-time collections skip every object still alive.
+help, usage errors, ``--dataset``, ``--algorithms``, ``--score -20.7``,
+abbreviations. Exit is part of a verb's wall time too: the first ``main``
+call registers ``gc.freeze`` with ``atexit``, so the interpreter's
+exit-time collections skip every object still alive.
 """
 
 from __future__ import annotations
@@ -212,10 +212,10 @@ def _cmd_protocol_check(args) -> int:
     episodes = total_env_frames = 0
     anomalies: set[str] = set()
     last_returns: deque[float] = deque(maxlen=min(args.k, sys.maxsize))  # a C ssize_t
-    # Raw bytes from stdin, as from a path: a line is decoded only if parsed.
-    log = getattr(sys.stdin, "buffer", sys.stdin) if args.log == "-" else args.log
-    if log is None:  # fd 0 is closed, so Python set ``sys.stdin`` to None
+    if args.log == "-" and sys.stdin is None:  # fd 0 is closed, so Python set it to None
         raise BenchmarkError("<stdin>: standard input is closed")
+    # Raw bytes from stdin, as from a path: a line is decoded only if parsed.
+    log = sys.stdin.buffer if args.log == "-" else args.log
     for episode in iter_episodes(log):
         episodes += 1
         total_env_frames += episode.env_frames_used
@@ -356,9 +356,10 @@ def _parse_flags(argv: list[str]) -> SimpleNamespace | None:
 
     It reads an exact verb, exact one-value flags as ``--flag value`` or
     ``--flag=value``, and the verb's positionals, and converts and defaults each
-    value as argparse does. On anything else (``-h``, ``--``, an abbreviation, a
-    value that starts with ``-``, a repeated flag, a flag with ``nargs`` or an
-    ``action``, a bad or missing value) it returns None for argparse to read.
+    value as argparse does; a lone ``-`` (stdin) is a value, as in argparse. On
+    anything else (``-h``, ``--``, an abbreviation, another value that starts
+    with ``-``, a repeated flag, a flag with ``nargs`` or an ``action``, a bad or
+    missing value) it returns None for argparse to read.
     """
     if not argv or argv[0] not in VERBS:
         return None
@@ -369,14 +370,14 @@ def _parse_flags(argv: list[str]) -> SimpleNamespace | None:
     while i < len(argv):
         arg = argv[i]
         i += 1
-        if not arg.startswith("-"):
+        if arg == "-" or not arg.startswith("-"):
             free.append(arg)
             continue
         flag, eq, text = arg.partition("=")
         options = arguments.get(flag) if flag.startswith("--") else None
         if options is None or flag in given or "nargs" in options or "action" in options:
             return None
-        if not eq and i < len(argv) and not argv[i].startswith("-"):
+        if not eq and i < len(argv) and (argv[i] == "-" or not argv[i].startswith("-")):
             text, i = argv[i], i + 1
         elif not eq or text == "--":
             return None  # no value, or ``--flag=--``: a usage error for argparse to print

@@ -14,10 +14,10 @@ Log file format, one step per line, whitespace separated::
 
 `game_over` is 0 or 1. Episodes are separated by a line containing only
 `---`. Blank lines and lines starting with `#` are ignored. A log file
-is read as raw bytes in blocks of ``CHUNK_BYTES`` (16 KiB), each
-finished at the end of its last line and split at ``\n`` only; any
-other iterable of lines, stdin too, is read ``CHUNK_LINES`` lines at a
-time. Each chunk of lines is parsed and folded before the next is read.
+is read as raw bytes, from a path or a binary file such as stdin, in
+blocks of ``CHUNK_BYTES`` (16 KiB), each finished at the end of its last
+line and split at ``\n`` only. Each block of lines is parsed and folded
+before the next is read.
 A line is remembered by its raw bytes: a step or ``---`` line that
 repeats is neither decoded nor parsed again. A line the memo misses (a
 new line, or any line once it is full) costs a full decode and parse.
@@ -32,10 +32,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from functools import partial, reduce
-from io import BytesIO
-from itertools import chain, islice
+from io import BufferedIOBase, BytesIO
+from itertools import chain
 from math import inf, isfinite
 from operator import add, length_hint
 from pathlib import Path
@@ -48,7 +48,6 @@ FULL_ACTION_SET = 18
 
 RESET_MARKER = "---"
 MEMO_LINES = 1024  # distinct lines parsed once per log; a miss is a full parse
-CHUNK_LINES = 1024  # lines of an iterable read, then folded, at a time
 CHUNK_BYTES = 16384  # bytes of a log file read, then folded, at a time
 
 
@@ -104,7 +103,7 @@ def accumulate_episode(stream: Iterable[StepEvent]) -> EpisodeSummary:
     error. Errors name a step by its 1-based position in ``stream``.
     """
     # A StepEvent is its own parsed step tuple; the fold checks it.
-    return next(_fold_log(_line_chunks(stream), "<episode>", parse=lambda step, *_: step))
+    return next(_fold_log((list(stream),), "<episode>", parse=lambda step, *_: step))
 
 
 def check_conformance(total_env_frames: int, action_set: int,
@@ -159,12 +158,6 @@ def training_score(returns: list[float], k: int) -> TrainingScore:
     return TrainingScore(series, final)
 
 
-def _line_chunks(lines: Iterable) -> Iterator[list]:
-    """``lines`` in lists of ``CHUNK_LINES``; none is held once the next is read."""
-    source = iter(lines)
-    return iter(lambda: list(islice(source, CHUNK_LINES)), [])
-
-
 def _read_block(fh) -> list[bytes]:
     """The lines of the file's next ``CHUNK_BYTES``, the last read to its end; [] at EOF."""
     block = fh.read(CHUNK_BYTES)
@@ -176,19 +169,18 @@ def _read_block(fh) -> list[bytes]:
 
 
 @contextmanager
-def _open_log(source: str | Path | Iterable[str | bytes]) -> Iterator[tuple[Iterator, str]]:
-    """``(chunks, name)``: the lines of a log path or iterable, in lists, read lazily.
+def _open_log(source: str | Path | BufferedIOBase) -> Iterator[tuple[Iterator, str]]:
+    """``(chunks, name)``: the lines of a log path or binary file, in lists, read lazily.
 
-    A path is opened in binary and read in blocks, so its lines are raw
-    bytes ending in ``\n`` (a ``\r`` before it is whitespace to the parser,
-    and a lone ``\r`` breaks no line), as iterating the file gives them;
-    ``_parse_step`` decodes the lines it parses.
+    A path is opened in binary, and closed after; a file object (such as
+    ``sys.stdin.buffer``) is read from where it stands, and left open. Both
+    are read in blocks, so a line is raw bytes ending in ``\n`` (a ``\r``
+    before it is whitespace to the parser, and a lone ``\r`` breaks no
+    line), as iterating the file gives it; ``_parse_step`` decodes the lines
+    it parses. A log is named by its file's ``name``, else ``<log>``.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as fh:
-            yield iter(partial(_read_block, fh), []), str(source)
-    else:
-        yield _line_chunks(source), getattr(source, "name", "<log>")
+    with open(source, "rb") if isinstance(source, (str, Path)) else nullcontext(source) as fh:
+        yield iter(partial(_read_block, fh), []), getattr(fh, "name", "<log>")
 
 
 def _close_episode(episode_return: float, frames_used: int, ended: str | None,
@@ -211,21 +203,20 @@ def _echo(text: str) -> str:
     return f"{text[:80]!r} and {len(text) - 80} more characters"
 
 
-def _parse_step(raw: str | bytes, name: str, lineno: int) -> tuple | None:
+def _parse_step(raw: bytes, name: str, lineno: int) -> tuple | None:
     """Parse one log line in full; the fold calls this on each memo miss.
 
     Returns ``(reward, lives, game_over, env_frames)``, ``()`` for a ``---``
-    line, or None for a blank or ``#`` line. A bytes line is decoded first;
-    one that is not UTF-8 is a MalformedLogError at its line. A step line
+    line, or None for a blank or ``#`` line. The line is decoded first; one
+    that is not UTF-8 is a MalformedLogError at its line. A step line
     needs four fields, a numeric reward with no ``_``, lives and env_frames
     in ASCII digits, a ``game_over`` of 0 or 1, lives >= 0, env_frames >= 1
     and ASCII characters only; the fold checks that the reward is finite.
     """
-    if isinstance(raw, bytes):
-        try:
-            raw = raw.decode()
-        except UnicodeDecodeError as exc:
-            raise MalformedLogError(f"{name}:{lineno}: {exc}") from None
+    try:
+        raw = raw.decode()
+    except UnicodeDecodeError as exc:
+        raise MalformedLogError(f"{name}:{lineno}: {exc}") from None
     fields = raw.split()
     if not fields or fields[0][0] == "#":
         return None
@@ -275,13 +266,12 @@ def _fold_log(chunks: Iterable[list], name: str,
     comes before any defect in the lines of its chunk. An episode closes
     at a ``---`` line or at the end of the lines; only the open episode's
     running totals are kept. ``memo`` maps up to ``MEMO_LINES`` distinct
-    raw lines (bytes from a file, str from an iterable) that passed every
-    per-line check to their parsed fields, ``()`` for a ``---`` line, so a
-    repeated line is neither decoded nor parsed again; an error is never
-    stored. The fold checks run on every step line, so the first defect in
+    raw lines that passed every per-line check to their parsed fields,
+    ``()`` for a ``---`` line, so a repeated line is neither decoded nor
+    parsed again; an error is never stored. The fold checks run on every step line, so the first defect in
     file order is reported, at its ``file:line``.
     """
-    memo: dict[str | bytes, tuple] = {}
+    memo: dict[bytes, tuple] = {}
     memo_get = memo.get
     # ``end`` numbers the chunk's last line; a line's number, worked out only
     # where it is used, is ``end`` less the chunk's lines not yet looked up.
@@ -343,10 +333,11 @@ def _fold_log(chunks: Iterable[list], name: str,
         raise MalformedLogError(f"{name}: log contains no step events")
 
 
-def read_episode_log(source: str | Path | Iterable[str | bytes]) -> list[list[StepEvent]]:
+def read_episode_log(source: str | Path | BufferedIOBase) -> list[list[StepEvent]]:
     """Parse an episode log into per-episode step lists, with no fold checks.
 
-    A non-finite reward passes here; the fold rejects it. Holds every step
+    Reads ``source``, a path or a binary file object, as ``iter_episodes``
+    does. A non-finite reward passes here; the fold rejects it. Holds every step
     in memory; ``iter_episodes`` streams instead.
     """
     episodes: list[list[StepEvent]] = []
@@ -366,22 +357,22 @@ def read_episode_log(source: str | Path | Iterable[str | bytes]) -> list[list[St
     return episodes
 
 
-def iter_episodes(source: str | Path | Iterable[str | bytes]) -> Iterator[EpisodeSummary]:
+def iter_episodes(source: str | Path | BufferedIOBase) -> Iterator[EpisodeSummary]:
     """Fold a log in one pass, yielding each episode's summary as it closes.
 
-    ``source`` is a path or an iterable of str or bytes lines, such as an
-    open file; errors name ``file:line`` (an iterable is named by its ``name``
-    attribute, else ``<log>``). The first defect in file order is reported.
-    A path is read ``CHUNK_BYTES`` at a time and an iterable ``CHUNK_LINES``
-    lines at a time, and a summary is yielded as soon as the chunk holding
-    its closing line is read: a first episode that closes within the first
-    chunk arrives after one chunk. Memory does not grow with the log.
+    ``source`` is a path or a binary file object, such as ``sys.stdin.buffer``,
+    ``open(path, "rb")`` or ``io.BytesIO``; errors name ``file:line`` (a file
+    object is named by its ``name`` attribute, else ``<log>``). The first
+    defect in file order is reported. Either is read ``CHUNK_BYTES`` at a
+    time, and a summary is yielded as soon as the block holding its closing
+    line is read: a first episode that closes within the first block arrives
+    after one block. Memory does not grow with the log.
     """
     with _open_log(source) as (chunks, name):
         yield from _fold_log(chunks, name)
 
 
-def ledger_from_log(source: str | Path | Iterable[str | bytes], *,
+def ledger_from_log(source: str | Path | BufferedIOBase, *,
                     averaging_k: int = 1) -> RunLedger:
     """Fold a log into a RunLedger, keeping one summary per episode.
 

@@ -314,6 +314,7 @@ FAST_ARGV = [
     ["report", "--metric", "hwrns", "--format", "csv"],
     ["reproduce", "--out", "out"],
     ["protocol-check", "--log", "train.log", "--k", "100"],
+    ["protocol-check", "--log", "-", "--k", "100"],  # a lone "-" is a value
 ]
 REQUIRED = {"score": [["--game", "alien"], ["--score", "1"]], "compare": [["A"], ["B"]],
             "protocol-check": [["--log", "train.log"]]}
@@ -363,13 +364,13 @@ def test_plain_command_lines_take_the_fast_path(argv):
 @pytest.mark.parametrize("argv", [
     ["score", "--game", "alien", "--score", "-20.7"],  # a value that starts with ``-``
     ["score", "--game", "alien", "--sc", "1"], ["score", "--game", "alien", "--score", "1", "-h"],
-    ["compare", "--", "A", "B"], ["compare", "A"], ["protocol-check", "--log", "-"],
+    ["compare", "--", "A", "B"], ["compare", "A"],
     ["aggregate", "--format", "json", "--format", "table"], ["report", "--algorithms=A"],
     ["score", "--game", "alien", "--score", "\u0661"], ["validate", "--dataset"],
     # the flags that take a list: the table reader reads one-value flags only
     ["validate", "--dataset", "sota-other"], ["validate", "--dataset=sota-other"],
     ["report", "--algorithms", "Rainbow", "LASER"], *HELP_AND_USAGE_ERRORS.values(),
-], ids=["negative", "abbreviation", "help", "double-dash", "positional-missing", "stdin",
+], ids=["negative", "abbreviation", "help", "double-dash", "positional-missing",
         "repeated", "nargs-equals", "non-ascii", "value-missing", "append", "append-equals",
         "nargs", *HELP_AND_USAGE_ERRORS])
 def test_other_command_lines_are_left_to_argparse(argv):
@@ -497,9 +498,10 @@ class TestDeferredImports:
         (VERB_ARGV["report"], TABLES),
         (VERB_ARGV["compare"], TABLES),
         (["protocol-check", "--log", "{log}"], {"protocol"}),
+        (["protocol-check", "--log", "-"], {"protocol"}),
         (["reproduce", "--out", "{out}"], TABLES | {"reproduce"}),
     ], ids=["import", "score", "score-json", "validate", "aggregate", "aggregate-json", "report",
-            "compare", "protocol-check", "reproduce"])
+            "compare", "protocol-check", "protocol-check-stdin", "reproduce"])
 
     def loaded_modules(self, tmp_path, argv, *python_flags) -> set[str]:
         # ``[]`` only imports the module.
@@ -507,10 +509,11 @@ class TestDeferredImports:
                                   python_flags, 0)
 
     def child_modules(self, tmp_path, child_argv, python_flags, code) -> set[str]:
+        # The conforming log, at ``{log}`` and on stdin.
         log = write_log(tmp_path, TestProtocolCheck.CONFORMING)
         child_argv = [a.format(log=log, out=tmp_path / "repro") for a in child_argv]
         result = subprocess.run([sys.executable, *python_flags, "-c", self.CHILD, *child_argv],
-                                capture_output=True, text=True,
+                                input=TestProtocolCheck.CONFORMING, capture_output=True, text=True,
                                 env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
         assert result.returncode == code, result.stderr
         return set(result.stderr.splitlines()[-1].split())
@@ -560,9 +563,10 @@ class TestDeferredImports:
 
     @pytest.mark.parametrize("python_flags", [(), ("-S",)], ids=["site", "no-site"])
     def test_protocol_check_loads_neither_json_nor_csv(self, tmp_path, python_flags):
-        modules = self.loaded_modules(tmp_path, ["protocol-check", "--log", "{log}"],
-                                      *python_flags)
-        assert modules & {"json", "csv", "_csv"} == set()
+        for log in ("{log}", "-"):  # a path, and stdin
+            modules = self.loaded_modules(tmp_path, ["protocol-check", "--log", log],
+                                          *python_flags)
+            assert modules & {"json", "csv", "_csv"} == set(), log
 
     def test_traced_names_resolve_on_first_use(self):
         import hwrbench.cli as cli
@@ -1104,14 +1108,11 @@ class TestProtocolCheck:
         assert json.loads(result.stderr) == {"error": "BenchmarkError",
                                              "detail": "<stdin>: standard input is closed"}
 
-    def test_log_from_stdin(self, capsys, monkeypatch, tmp_path):
+    def test_log_from_stdin(self, capsys, tmp_path):
         _, expected, _ = run(capsys, "protocol-check", "--k", "2",
                              "--log", write_log(tmp_path, self.CONFORMING))
         code, out, _ = check_stdin(self.CONFORMING.encode(), "--k", "2")
         assert (code, out) == (0, expected)
-        # A stdin with no binary buffer is read as str lines.
-        monkeypatch.setattr(sys, "stdin", io.StringIO(self.CONFORMING))
-        assert run(capsys, "protocol-check", "--k", "2", "--log", "-")[:2] == (0, expected)
         code, _, err = check_stdin((self.CONFORMING + "---\n1 3 0 4\n").encode(), "--k", "2")
         assert code == 1
         assert json.loads(err)["detail"].startswith("<stdin>:EOF: ")
@@ -1208,7 +1209,8 @@ class TestProtocolCheck:
         assert loggen.check_protocol(outs.pop(), truth) == []
 
     def test_long_log_from_path_and_stdin_prints_the_same_bytes(self, tmp_path):
-        # 15,000 lines: chunk edges fall inside episodes and on their ``---``.
+        # 15,000 lines in 121,909 bytes, about eight 16 KiB blocks: block edges fall
+        # inside episodes and on their ``---``.
         lines = []
         for e in range(1000):
             lines += [f"{(e * 7 + i) % 11 - 5} 3 0 4" for i in range(13)] + ["0 0 1 4", "---"]

@@ -1,4 +1,3 @@
-import contextlib
 import functools
 import io
 import math
@@ -19,7 +18,6 @@ from hwrbench.metrics import game_time_days
 from hwrbench.numfmt import scale_label_for
 from hwrbench.protocol import (
     CHUNK_BYTES,
-    CHUNK_LINES,
     DEFAULT_FRAME_BUDGET,
     FULL_ACTION_SET,
     MAX_EPISODE_FRAMES,
@@ -239,15 +237,15 @@ class TestEpisodeLog:
 
     def test_malformed_line_rejected(self):
         with pytest.raises(MalformedLogError, match="line 1"):
-            read_episode_log(["1 2 3"])
+            read_episode_log(io.BytesIO(b"1 2 3"))
 
     def test_empty_log_rejected(self):
         with pytest.raises(MalformedLogError, match="no step events"):
-            read_episode_log(["# nothing", ""])
+            read_episode_log(io.BytesIO(b"# nothing\n\n"))
 
     def test_bad_env_frames_rejected(self):
         with pytest.raises(MalformedLogError, match="env_frames"):
-            read_episode_log(["1 2 0 0\n", "0 0 1 4\n"])
+            read_episode_log(io.BytesIO(b"1 2 0 0\n0 0 1 4\n"))
 
     @pytest.mark.parametrize("line, match", [
         ("1_0 3 0 4", "reward must not contain '_'"),  # float() reads 10
@@ -264,19 +262,18 @@ class TestEpisodeLog:
         log = ["1 3 0 4\n", line + "\n", "0 0 1 4\n"]
         assert fold_everywhere(log, log_file, oracle=False).startswith(f":2: {match}")
         with pytest.raises(MalformedLogError, match=f"^<log>:2: {re.escape(match)}"):
-            read_episode_log(log)  # as every route reads it
+            read_episode_log(io.BytesIO("".join(log).encode()))  # as every route reads it
 
     def test_open_file_is_named_by_its_name(self, tmp_path):
         path = tmp_path / "episodes.log"
         path.write_text("1 3 0 4\n", encoding="utf-8")
-        with open(path, encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             with pytest.raises(MalformedLogError, match=f"^{re.escape(str(path))}:EOF: "):
                 ledger_from_log(fh)
 
     def test_steps_past_the_cap_are_checked_not_counted(self):
-        log = [f"1 1 0 {MAX_EPISODE_FRAMES}", "5 1 0 4", "7 2 1 4", RESET_MARKER,
-               "2 0 1 4"]
-        ledger = ledger_from_log(log)
+        log = f"1 1 0 {MAX_EPISODE_FRAMES}\n5 1 0 4\n7 2 1 4\n{RESET_MARKER}\n2 0 1 4\n"
+        ledger = ledger_from_log(io.BytesIO(log.encode()))
         assert ledger.episodes == (
             EpisodeSummary(1.0, MAX_EPISODE_FRAMES, "frame_cap"),
             EpisodeSummary(2.0, 4, "game_over"))
@@ -298,10 +295,10 @@ class TestEpisodeLog:
         # One capped episode of 200k one-frame steps: 108,000 counted, the
         # rest checked past the cap. A StepEvent per step would hold MBs.
         n = 200_000
-        lines = ("1 1 0 1\n" for _ in range(n))
+        stream = io.BytesIO(b"1 1 0 1\n" * n)
         tracemalloc.start()
         try:
-            ledger = ledger_from_log(lines)
+            ledger = ledger_from_log(stream)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -309,18 +306,17 @@ class TestEpisodeLog:
             EpisodeSummary(float(MAX_EPISODE_FRAMES), MAX_EPISODE_FRAMES, "frame_cap"),)
         assert peak < n * sys.getsizeof(step()) / 100
 
-    @pytest.mark.parametrize("route", ["lines", "path"])
+    @pytest.mark.parametrize("route", ["stream", "path"])
     def test_first_summary_arrives_after_one_chunk(self, tmp_path, route):
-        # The first episode closes at line 3: the fold reads one chunk, or one block.
+        # The first episode closes at line 3: the fold reads one block.
         path = tmp_path / "long.log"
         data = b"1 3 0 4\n0 0 1 4\n---\n" * (4 * CHUNK_BYTES // 20)
         path.write_bytes(data)
         with open(path, "rb") as fh, mock.patch.object(protocol, "open", lambda *_: fh,
                                                        create=True):
-            episodes = iter_episodes(fh if route == "lines" else path)
+            episodes = iter_episodes(fh if route == "stream" else path)
             assert next(episodes) == EpisodeSummary(1.0, 8, "game_over")
-            assert fh.tell() == (len(b"".join(data.splitlines(keepends=True)[:CHUNK_LINES]))
-                                 if route == "lines" else data.index(b"\n", CHUNK_BYTES - 1) + 1)
+            assert fh.tell() == data.index(b"\n", CHUNK_BYTES - 1) + 1
             episodes.close()
             assert fh.closed == (route == "path")
 
@@ -514,11 +510,10 @@ def log_file(tmp_path_factory):
     return tmp_path_factory.mktemp("drawn") / "drawn.log"
 
 
-# Each knob value, with the routes it changes; the first is every default. Small
-# chunks and blocks put an edge at nearly every line, and a small memo is full at once.
-SETTINGS = [*(("MEMO_LINES", n, ("str", "bytes", "path")) for n in (MEMO_LINES, 1, 2, 3)),
-            *(("CHUNK_LINES", n, ("str", "bytes")) for n in (1, 2, 3)),
-            *(("CHUNK_BYTES", n, ("path",)) for n in (1, 2, 3, 7))]
+# Each knob value, run on every route; the first is every default. Small blocks
+# put an edge at nearly every line, and a small memo is full at once.
+SETTINGS = [*(("MEMO_LINES", n) for n in (MEMO_LINES, 1, 2, 3)),
+            *(("CHUNK_BYTES", n) for n in (1, 2, 3, 7))]
 
 
 def outcome(read, source, name):
@@ -533,21 +528,18 @@ def outcome(read, source, name):
 def fold_everywhere(data, path, oracle=True):
     """Fold a log (bytes, or str lines) on every route under every setting: one outcome.
 
-    The routes are str lines, bytes lines as stdin gives them, and ``path``. All give
-    one ledger, or one error text after the log's name, and ``read_episode_log`` one
+    The routes are a binary stream, as stdin gives it, and ``path``. All give one
+    ledger, or one error text after the log's name, and ``read_episode_log`` one
     outcome. With ``oracle`` the ``_oracle_*`` fold runs once: the ledger is its ledger,
     and a log it rejects (one not UTF-8, too) is rejected, at any line it names."""
     data = data if isinstance(data, bytes) else "".join(data).encode()
     path.write_bytes(data)
-    sources = {"bytes": (lambda: io.BytesIO(data), "<log>"), "path": (lambda: path, str(path))}
-    with contextlib.suppress(UnicodeDecodeError):  # else there is no str route
-        text = data.decode()
-        sources["str"] = (lambda: io.StringIO(text, newline="\n"), "<log>")  # split at "\n" only
+    sources = {"stream": (lambda: io.BytesIO(data), "<log>"), "path": (lambda: path, str(path))}
     folds = {}
-    for knob, value, routes in SETTINGS:
+    for knob, value in SETTINGS:
         with mock.patch.object(protocol, knob, value):
-            folds.update((f"{route} {knob}={value}", outcome(ledger_from_log, *sources[route]))
-                         for route in routes if route in sources)
+            folds.update((f"{route} {knob}={value}", outcome(ledger_from_log, *source))
+                         for route, source in sources.items())
     reads = {route: outcome(read_episode_log, *source) for route, source in sources.items()}
     ledger, episodes = folds[f"path MEMO_LINES={MEMO_LINES}"], reads["path"]
     for setting, got in [*folds.items(), *reads.items()]:  # a read reward may be NaN
@@ -585,12 +577,6 @@ def at_block_edge(before, line, size, where):
     raise AssertionError(f"no padding puts {line!r} {where} in a {size}-byte block")
 
 
-def at_chunk_edge(before, line, size, where):
-    """As ``at_block_edge``, padded with steps: last in the third chunk, or first in the next."""
-    lineno = 3 * size + (where == "next-first")
-    return b"0 3 0 4\n" * (lineno - 1 - before.count(b"\n")) + before + line + b"0 0 1 4\n", lineno
-
-
 # A line, what comes before it, and the error at its line; the "lives" line is remembered.
 EDGE_LINES = {
     "parse": (b"0 2 0 4\n", b"x 2 0 4\n", "could not convert string to float: 'x'"),
@@ -606,12 +592,10 @@ EDGE_LINES = {
     "comment": (b"1 3 0 4\n", b"#" * 10 + b"\n", None),
     "reset": (b"1 0 1 4\n", b"---\n", None),
 }
-EDGES = {"chunk": (at_chunk_edge, (CHUNK_LINES, 1, 2, 3), ("last", "next-first")),
-         "block": (at_block_edge, (1, 2, 3, 7, CHUNK_BYTES), ("first", "last", "cut"))}
 # Logs, each with the error at its first defect (a regex), or None when it is valid:
 PLACED_LOGS = {
-    # ... some that the path route reads differently from a line iterator (whole
-    # lines across blocks, with or without a final "\n", "\r\n" ends, a lone "\r");
+    # ... some that a block must be read to the end of (whole lines across blocks,
+    # with or without a final "\n", "\r\n" ends, a lone "\r");
     b"1 3 0 4\n# " + b"x" * (2 * CHUNK_BYTES) + b"\n0." + b"5" * 40 + b" 3 0 4\n0 0 1 4\n"
     b"---\n2 1 1 4\n": None,
     b"1 3 0 4\n0 0 1 4\n---\n2 1 1 4": None,
@@ -677,13 +661,13 @@ class TestFoldOnEveryRoute:
         lines = data.draw(st.sampled_from(defects).flatmap(episode_logs))
         assert isinstance(fold_everywhere(lines, log_file), RunLedger) == (defects == [None])
 
-    @pytest.mark.parametrize("place, size, where, case", [
-        pytest.param(place, size, where, case, id=f"{kind}-{case}-{where}-{size}")
-        for kind, (place, sizes, wheres) in EDGES.items() for size in sizes for where in wheres
+    @pytest.mark.parametrize("size, where, case", [
+        pytest.param(size, where, case, id=f"block-{case}-{where}-{size}")
+        for size in (1, 2, 3, 7, CHUNK_BYTES) for where in ("first", "last", "cut")
         for case in EDGE_LINES if not (case == "blank" and where == "cut")])  # "\n" is never cut
-    def test_line_at_an_edge(self, log_file, place, size, where, case):
+    def test_line_at_an_edge(self, log_file, size, where, case):
         before, line, match = EDGE_LINES[case]
-        data, lineno = place(before, line, size, where)
+        data, lineno = at_block_edge(before, line, size, where)
         got = fold_everywhere(data, log_file, oracle=match is None)
         assert re.match(f":{lineno}: {match}", got) if match else isinstance(got, RunLedger), got
 
@@ -709,7 +693,7 @@ def parsed_lines(source):
     parsed = []
 
     def spy(raw, *where):
-        parsed.append(raw if isinstance(raw, str) else raw.decode())
+        parsed.append(raw.decode())
         return protocol._parse_step(raw, *where)
 
     with protocol._open_log(source) as (chunks, name):
@@ -724,7 +708,7 @@ class TestMemo:
         # As drawn, each distinct line is parsed once, and a blank or comment line each time.
         ledger = fold_everywhere(lines, log_file)
         skipped = [line for line in lines if not line.strip() or line.lstrip()[0] == "#"]
-        for source in (lines, io.BytesIO("".join(lines).encode()), log_file):  # as just written
+        for source in (io.BytesIO("".join(lines).encode()), log_file):  # as just written
             episodes, parsed = parsed_lines(source)
             assert episodes == ledger.episodes
             assert sorted(parsed) == sorted(skipped + list(set(lines) - set(skipped)))
@@ -757,7 +741,7 @@ class TestMemo:
                            "game_over"),)
         kept = set(first[:MEMO_LINES])
         misses = len(kept) + sum(line not in kept for line in lines)
-        for source in (lines, io.BytesIO("".join(lines).encode()), log_file):  # as just written
+        for source in (io.BytesIO("".join(lines).encode()), log_file):  # as just written
             assert len(parsed_lines(source)[1]) <= misses
         # Once the memo is full, a new line is still checked in full.
         got = fold_everywhere(lines[:-1] + ["nan 1 0 1\n", "0 0 1 1\n"], log_file)
