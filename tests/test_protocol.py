@@ -577,6 +577,24 @@ def at_block_edge(before, line, size, where):
     raise AssertionError(f"no padding puts {line!r} {where} in a {size}-byte block")
 
 
+def at_memo_edge(before, line, size, where):
+    """``before``, ``line`` and a closing step after ``size - 1`` distinct steps, so that
+    ``before``'s first line takes the last of ``size`` memo slots ("last"), or after ``size``,
+    so that the memo is full before ``before`` is read ("next-first"); and ``line``'s number."""
+    pad = b"".join(b"%d 3 0 4\n" % n for n in range(10, 10 + size - (where == "last")))
+    first = before[:before.index(b"\n") + 1]
+    parsed = []  # as the fold's memo keeps ``first``: seen again, it is parsed again or not
+
+    def spy(raw, *_):
+        parsed.append(raw)
+        return 0.0, 0, False, 1
+
+    with mock.patch.object(protocol, "MEMO_LINES", size), pytest.raises(MalformedLogError):
+        list(protocol._fold_log([(pad + first * 2).splitlines(keepends=True)], "", parse=spy))
+    assert parsed.count(first) == 1 + (where == "next-first"), (size, where)
+    return pad + before + line + b"0 0 1 4\n", (pad + before).count(b"\n") + 1
+
+
 # A line, what comes before it, and the error at its line; the "lives" line is remembered.
 EDGE_LINES = {
     "parse": (b"0 2 0 4\n", b"x 2 0 4\n", "could not convert string to float: 'x'"),
@@ -592,6 +610,8 @@ EDGE_LINES = {
     "comment": (b"1 3 0 4\n", b"#" * 10 + b"\n", None),
     "reset": (b"1 0 1 4\n", b"---\n", None),
 }
+EDGES = {"memo": (at_memo_edge, (MEMO_LINES, 1, 2, 3), ("last", "next-first")),
+         "block": (at_block_edge, (1, 2, 3, 7, CHUNK_BYTES), ("first", "last", "cut"))}
 # Logs, each with the error at its first defect (a regex), or None when it is valid:
 PLACED_LOGS = {
     # ... some that a block must be read to the end of (whole lines across blocks,
@@ -661,13 +681,13 @@ class TestFoldOnEveryRoute:
         lines = data.draw(st.sampled_from(defects).flatmap(episode_logs))
         assert isinstance(fold_everywhere(lines, log_file), RunLedger) == (defects == [None])
 
-    @pytest.mark.parametrize("size, where, case", [
-        pytest.param(size, where, case, id=f"block-{case}-{where}-{size}")
-        for size in (1, 2, 3, 7, CHUNK_BYTES) for where in ("first", "last", "cut")
+    @pytest.mark.parametrize("place, size, where, case", [
+        pytest.param(place, size, where, case, id=f"{kind}-{case}-{where}-{size}")
+        for kind, (place, sizes, wheres) in EDGES.items() for size in sizes for where in wheres
         for case in EDGE_LINES if not (case == "blank" and where == "cut")])  # "\n" is never cut
-    def test_line_at_an_edge(self, log_file, size, where, case):
+    def test_line_at_an_edge(self, log_file, place, size, where, case):
         before, line, match = EDGE_LINES[case]
-        data, lineno = at_block_edge(before, line, size, where)
+        data, lineno = place(before, line, size, where)
         got = fold_everywhere(data, log_file, oracle=match is None)
         assert re.match(f":{lineno}: {match}", got) if match else isinstance(got, RunLedger), got
 
