@@ -50,40 +50,42 @@ def read_csv(
     and every cell within csv's field limit; a ``numbers`` cell may hold no ``_``
     (``float`` reads 22_7.8 as 227.8) and no non-ASCII character (it reads ١٠
     as 10.0). Otherwise ``error`` names the file and, for a row, the line: the
-    row's first line, as a quoted cell may hold a line break.
+    row's first line, as a quoted cell may hold a line break. The file is read
+    once, split as text mode with ``newline=""`` splits it, a leading byte-order
+    mark dropped; each line is decoded on its own when csv asks for it, so the
+    first defect in file order is named.
     """
     import csv  # here, not at the top: ``protocol-check`` reads no CSV
 
     at = [columns.index(name) for name in numbers]
+    lines = src.read_bytes().removeprefix(codecs.BOM_UTF8).splitlines(keepends=True)
+    reader = csv.reader(line.decode() for line in lines)
     end = 0
     try:
-        with open(src, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            if tuple(next(reader, ())) != columns:
-                raise error(f"{src}: expected header {','.join(columns)}")
-            end = reader.line_num
-            for row in reader:
-                lineno, end = end + 1, reader.line_num
-                if len(row) != len(columns):
-                    if not row:
-                        continue
-                    raise error(f"{src}:{lineno}: expected {len(columns)} cells, got {len(row)}")
-                for i in at:
-                    cell = row[i]
-                    if "_" in cell or not cell.isascii():
-                        what = "'_'" if "_" in cell else "non-ASCII character"
-                        raise error(f"{src}:{lineno}: {what} in number {cell!r}")
-                yield lineno, row
+        if tuple(next(reader, ())) != columns:
+            raise error(f"{src}: expected header {','.join(columns)}")
+        end = reader.line_num
+        for row in reader:
+            lineno, end = end + 1, reader.line_num
+            if len(row) != len(columns):
+                if not row:
+                    continue
+                raise error(f"{src}:{lineno}: expected {len(columns)} cells, got {len(row)}")
+            for i in at:
+                cell = row[i]
+                if "_" in cell or not cell.isascii():
+                    what = "'_'" if "_" in cell else "non-ASCII character"
+                    raise error(f"{src}:{lineno}: {what} in number {cell!r}")
+            yield lineno, row
     except csv.Error as exc:
         raise error(f"{src}:{end + 1}: {exc}") from None
     except UnicodeDecodeError:
-        # Raised for a chunk decoded ahead of the rows: find the line in the bytes.
-        lines = src.read_bytes().removeprefix(codecs.BOM_UTF8).splitlines()
-        for lineno, line in enumerate(lines, 1):
-            try:
-                line.decode()
-            except UnicodeDecodeError as exc:
-                raise error(f"{src}:{lineno}: {exc}") from None
+        # The line csv asked for next; decoded again without its line end, a
+        # sequence cut short before it reads "unexpected end of data".
+        try:
+            lines[reader.line_num].rstrip(b"\r\n").decode()
+        except UnicodeDecodeError as exc:
+            raise error(f"{src}:{reader.line_num + 1}: {exc}") from None
         raise
 
 

@@ -4,35 +4,24 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines alongside the test ids.
 """
 
+import io
 import json
 import random
 from contextlib import contextmanager
 
 import pytest
 
-from hwrbench.aggregate import MetricColumn, aggregate, leaders
-from hwrbench.games import CANONICAL_GAMES, BaselineRegistry
-from hwrbench.metrics import (
-    CapMode,
-    MetricKind,
-    MetricValue,
-    chns,
-    game_time_days,
-    hns,
-    hwrns,
-    saber,
-)
+from hwrbench.aggregate import leaders, summarize
+from hwrbench.games import BaselineRecord, BaselineRegistry
+from hwrbench.metrics import CapMode, MetricKind, cell_ratios, game_time_days
 from hwrbench.numfmt import format_efficiency
 from hwrbench.protocol import (
     DEFAULT_FRAME_BUDGET,
     FULL_ACTION_SET,
     MAX_EPISODE_FRAMES,
-    EpisodeSummary,
-    RunLedger,
-    StepEvent,
-    accumulate_episode,
     check_conformance,
-    training_score,
+    final_score,
+    iter_episodes,
 )
 from hwrbench.reproduce import run_reproduction, write_artifacts
 
@@ -145,29 +134,31 @@ def test_c5_game_time():
 
 
 def test_c6_property_suites(registry):
+    # Each property is checked on the functions the CLI runs: ``cell_ratios``
+    # gives a cell's (HNS, CHNS, HWRNS, SABER), in that order.
     with criterion(6, "property suites (anchors, caps, oracles, episode sums)"):
         # normalization anchor identities, exactly, for all 57 baselines
         for rec in registry:
-            assert hns(rec.random, rec).value == 0.0
-            assert hns(rec.human_average, rec).value == 1.0
-            assert hwrns(rec.random, rec).value == 0.0
-            assert hwrns(rec.human_world_record, rec).value == 1.0
+            h, _, w, _ = cell_ratios(rec.random, rec, CapMode.SPEC_FLOOR, rec.game)
+            assert (h, w) == (0.0, 0.0)
+            assert cell_ratios(rec.human_average, rec, CapMode.SPEC_FLOOR, rec.game)[0] == 1.0
+            assert cell_ratios(rec.human_world_record, rec, CapMode.SPEC_FLOOR, rec.game)[2] == 1.0
 
         rng = random.Random(57_000)
 
-        # cap idempotence and ranges, both modes
+        # cap idempotence and ranges, both modes: under this baseline each
+        # ratio equals the raw score
+        unit = BaselineRecord("unit", 0.0, 1.0, 1.0)
         for _ in range(1000):
             ratio = rng.uniform(-3.0, 4.0)
-            h = chns(MetricValue(ratio, MetricKind.HNS))
-            assert 0.0 <= h.value <= 1.0 and chns(h) == h
-            w = MetricValue(ratio, MetricKind.HWRNS)
-            floor = saber(w, CapMode.SPEC_FLOOR)
-            compat = saber(w, CapMode.TABLE_COMPAT)
-            assert 0.0 <= floor.value <= 2.0 and compat.value <= 2.0
-            assert saber(floor, CapMode.SPEC_FLOOR) == floor
-            assert saber(compat, CapMode.TABLE_COMPAT) == compat
+            _, h, _, floor = cell_ratios(ratio, unit, CapMode.SPEC_FLOOR, "unit")
+            compat = cell_ratios(ratio, unit, CapMode.TABLE_COMPAT, "unit")[3]
+            assert 0.0 <= h <= 1.0 and cell_ratios(h, unit, CapMode.SPEC_FLOOR, "unit")[1] == h
+            assert 0.0 <= floor <= 2.0 and compat <= 2.0
+            assert cell_ratios(floor, unit, CapMode.SPEC_FLOOR, "unit")[3] == floor
+            assert cell_ratios(compat, unit, CapMode.TABLE_COMPAT, "unit")[3] == compat
             if ratio >= 0:
-                assert floor.value == compat.value
+                assert floor == compat
 
         # argmax invariance of per-game leaders under normalization
         baselines = list(registry)
@@ -179,45 +170,35 @@ def test_c6_property_suites(registry):
             if rng.random() < 0.3:  # force ties sometimes
                 raws["algo_tie"] = max(raws.values())
             best = leaders(raws)
-            assert leaders({a: hns(v, rec).value for a, v in raws.items()}) == best
-            assert leaders({a: hwrns(v, rec).value for a, v in raws.items()}) == best
+            ratios = {a: cell_ratios(v, rec, CapMode.SPEC_FLOOR, a) for a, v in raws.items()}
+            assert leaders({a: r[0] for a, r in ratios.items()}) == best
+            assert leaders({a: r[2] for a, r in ratios.items()}) == best
 
         # median and breakthrough count vs a sort/scan oracle, 1000 columns
         for _ in range(1000):
             size = rng.randint(1, 12)
-            games = rng.sample(CANONICAL_GAMES, size)
             values = [round(rng.uniform(-2, 3), 6) for _ in range(size)]
-            col = MetricColumn(
-                "a", MetricKind.HWRNS,
-                {g: MetricValue(v, MetricKind.HWRNS)
-                 for g, v in zip(games, values)})
             ordered = sorted(values)
             mid = len(ordered) // 2
             oracle_median = (ordered[mid] if len(ordered) % 2
                              else (ordered[mid - 1] + ordered[mid]) / 2)
-            row = aggregate(col, 1)
+            row = summarize(values, 1, MetricKind.HWRNS)
             assert row.median == pytest.approx(oracle_median)
             assert row.hwrb_count == sum(1 for v in values if v >= 1.0)
 
-        # episode return vs brute-force reward sum, 1000 random logs;
-        # no episode ever exceeds the frame cap
+        # episode return vs brute-force reward sum, 1000 random logs of one
+        # episode; no episode ever exceeds the frame cap
         for _ in range(1000):
-            steps = [StepEvent(
-                reward=round(rng.uniform(-10, 10), 3),
-                lives=1,
-                game_over=False,
-                env_frames=rng.choice([1, 4, 4, 7000, 50000]),
-            ) for _ in range(rng.randint(1, 80))]
-            steps.append(StepEvent(0.0, 0, True, 4))
-            summary = accumulate_episode(steps)
+            steps = [(round(rng.uniform(-10, 10), 3), rng.choice([1, 4, 4, 7000, 50000]))
+                     for _ in range(rng.randint(1, 80))]
+            log = "".join(f"{reward!r} 1 0 {frames}\n" for reward, frames in steps)
+            [summary] = iter_episodes(io.BytesIO(f"{log}0.0 0 1 4\n".encode()))
             expected_sum, frames = 0.0, 0
-            for s in steps:
-                if frames + s.env_frames > MAX_EPISODE_FRAMES:
+            for reward, env_frames in [*steps, (0.0, 4)]:
+                if frames + env_frames > MAX_EPISODE_FRAMES:
                     break
-                frames += s.env_frames
-                expected_sum += s.reward
-                if s.game_over:
-                    break
+                frames += env_frames
+                expected_sum += reward
             assert summary.episode_return == pytest.approx(expected_sum)
             assert summary.env_frames_used == frames
             assert summary.env_frames_used <= MAX_EPISODE_FRAMES
@@ -227,24 +208,13 @@ def test_c6_property_suites(registry):
             n = rng.randint(1, 40)
             returns = [round(rng.uniform(-100, 900), 2) for _ in range(n)]
             k = rng.randint(1, n)
-            oracle = [sum(returns[i:i + k]) / k for i in range(n - k + 1)]
-            result = training_score(returns, k)
-            assert result.series == pytest.approx(oracle)
-            assert result.final == pytest.approx(oracle[-1])
-
-
-def _synthetic_ledger(total_frames: int) -> RunLedger:
-    full, remainder = divmod(total_frames, MAX_EPISODE_FRAMES)
-    episodes = [EpisodeSummary(100.0, MAX_EPISODE_FRAMES, "frame_cap")
-                for _ in range(full)]
-    if remainder:
-        episodes.append(EpisodeSummary(100.0, remainder, "game_over"))
-    return RunLedger(tuple(episodes), total_frames, averaging_k=32)
+            for i in range(n - k + 1):
+                oracle = sum(returns[i:i + k]) / k
+                assert final_score(returns[:i + k], k) == pytest.approx(oracle)
 
 
 def _check(total_frames: int, action_set: int = FULL_ACTION_SET):
-    ledger = _synthetic_ledger(total_frames)
-    return check_conformance(ledger.total_env_frames, action_set, DEFAULT_FRAME_BUDGET)
+    return check_conformance(total_frames, action_set, DEFAULT_FRAME_BUDGET)
 
 
 def test_c7_protocol_conformance_fixtures(tmp_path, capsys):

@@ -11,13 +11,13 @@ import itertools
 import json
 import os
 import re
-import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from helpers import run_cli, run_python
 from hypothesis import strategies as st
 
 import hwrbench
@@ -30,8 +30,6 @@ from hwrbench.report import evaluate
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import loggen  # noqa: E402
-
-SRC = str(Path(hwrbench.__file__).parents[1])
 
 
 def run(capsys, *argv):
@@ -48,9 +46,7 @@ def write_log(tmp_path, text, name="episodes.log"):
 
 def check_stdin(data: bytes, *flags):
     """``protocol-check --log -`` in a fresh interpreter: (exit code, stdout, stderr)."""
-    result = subprocess.run(
-        [sys.executable, "-m", "hwrbench.cli", "protocol-check", "--log", "-", *flags],
-        input=data, capture_output=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+    result = run_cli("protocol-check", "--log", "-", *flags, input=data)
     return result.returncode, result.stdout.decode(), result.stderr.decode()
 
 
@@ -476,8 +472,9 @@ class TestDeferredImports:
              "finally:\n"
              "    print(*sorted(sys.modules), file=sys.stderr)\n"
              "sys.exit(code)\n")
-    # ``json`` too, which no verb loads: ``numfmt.json_text`` writes their JSON.
-    DEFERRED = {"datasets", "protocol", "report", "aggregate", "reproduce", "json"}
+    # ``json`` too, which no verb loads: ``numfmt.json_text`` writes their JSON;
+    # and ``csv``, which only the verbs that read a CSV load.
+    DEFERRED = {"datasets", "protocol", "report", "aggregate", "reproduce", "json", "csv", "_csv"}
     # No verb needs these; importing them costs milliseconds of start-up.
     SLOW = {"decimal", "statistics", "dataclasses", "inspect"}
     # The same for these, which this environment's ``site`` may preload;
@@ -485,13 +482,14 @@ class TestDeferredImports:
     SLOW_WITHOUT_SITE = {"typing", "importlib.resources", "dataclasses", "inspect"}
     # A valid command line is read without argparse, which would load these.
     ARGPARSE = {"argparse", "gettext", "locale"}
-    TABLES = {"datasets", "report", "aggregate"}
+    CSV = {"csv", "_csv"}  # ``score`` reads the baselines
+    TABLES = {"datasets", "report", "aggregate"} | CSV
     TRACED = {"evaluate": "report", "render_table": "report", "report_to_json": "report",
               "load_all_bundled": "datasets"}
     VERBS = pytest.mark.parametrize("argv, loaded", [
         ([], set()),
-        (VERB_ARGV["score"], set()),
-        ([*VERB_ARGV["score"], "--format", "json"], set()),
+        (VERB_ARGV["score"], CSV),
+        ([*VERB_ARGV["score"], "--format", "json"], CSV),
         (VERB_ARGV["validate"], TABLES),
         (VERB_ARGV["aggregate"], TABLES),
         (["aggregate", "--format", "json"], TABLES),
@@ -512,9 +510,8 @@ class TestDeferredImports:
         # The conforming log, at ``{log}`` and on stdin.
         log = write_log(tmp_path, TestProtocolCheck.CONFORMING)
         child_argv = [a.format(log=log, out=tmp_path / "repro") for a in child_argv]
-        result = subprocess.run([sys.executable, *python_flags, "-c", self.CHILD, *child_argv],
-                                input=TestProtocolCheck.CONFORMING, capture_output=True, text=True,
-                                env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+        result = run_python(*python_flags, "-c", self.CHILD, *child_argv,
+                            input=TestProtocolCheck.CONFORMING, text=True)
         assert result.returncode == code, result.stderr
         return set(result.stderr.splitlines()[-1].split())
 
@@ -555,18 +552,10 @@ class TestDeferredImports:
                  "before = set(sys.modules)\n"
                  "__import__(sys.argv[1])\n"
                  "print(*sorted(set(sys.modules) - before))\n")
-        result = subprocess.run([sys.executable, "-c", child, module], capture_output=True,
-                                text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+        result = run_python("-c", child, module, text=True)
         assert result.returncode == 0, result.stderr
         assert {m for m in result.stdout.split()
                 if m.split(".")[0] in ("hwrbench", "csv")} == loaded
-
-    @pytest.mark.parametrize("python_flags", [(), ("-S",)], ids=["site", "no-site"])
-    def test_protocol_check_loads_neither_json_nor_csv(self, tmp_path, python_flags):
-        for log in ("{log}", "-"):  # a path, and stdin
-            modules = self.loaded_modules(tmp_path, ["protocol-check", "--log", log],
-                                          *python_flags)
-            assert modules & {"json", "csv", "_csv"} == set(), log
 
     def test_traced_names_resolve_on_first_use(self):
         import hwrbench.cli as cli
@@ -812,9 +801,7 @@ def test_normalization_overflow_names_the_game(capsys, tmp_path, argv, rows, det
 def child_outcome(tmp_path, argv, unbuffered, **stdout):
     """(exit code, stderr) of ``argv`` in a child with ``PYTHONUNBUFFERED`` set to
     ``unbuffered``: ``"1"``, or ``""``, which Python reads as unset."""
-    env = {**os.environ, "PYTHONPATH": SRC, "PYTHONUNBUFFERED": unbuffered}
-    result = subprocess.run([sys.executable, "-m", "hwrbench.cli", *argv], **stdout,
-                            stderr=subprocess.PIPE, cwd=tmp_path, env=env, timeout=60)
+    result = run_cli(*argv, **stdout, cwd=tmp_path, env={"PYTHONUNBUFFERED": unbuffered})
     return result.returncode, result.stderr
 
 
@@ -911,9 +898,7 @@ class TestExitPath:
     @pytest.mark.parametrize("call_main", [False, True], ids=["import", "main"])
     def test_objects_alive_at_exit_are_frozen_only_after_main(self, call_main):
         child_argv = ["main", *VERB_ARGV["score"]] if call_main else ["import"]
-        result = subprocess.run([sys.executable, "-c", self.CHILD, *child_argv],
-                                capture_output=True, env={**os.environ, "PYTHONPATH": SRC},
-                                timeout=60)
+        result = run_python("-c", self.CHILD, *child_argv)
         assert result.returncode == 0
         start, at_exit = map(int, result.stderr.split())
         assert at_exit > start if call_main else at_exit == start
@@ -1100,10 +1085,7 @@ class TestProtocolCheck:
 
     def test_closed_stdin_is_a_data_error(self):
         # fd 0 is closed (``<&-``), so ``sys.stdin`` is None in the child.
-        result = subprocess.run(
-            [sys.executable, "-m", "hwrbench.cli", "protocol-check", "--log", "-"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            preexec_fn=lambda: os.close(0), env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+        result = run_cli("protocol-check", "--log", "-", preexec_fn=lambda: os.close(0))
         assert (result.returncode, result.stdout) == (1, b"")
         assert json.loads(result.stderr) == {"error": "BenchmarkError",
                                              "detail": "<stdin>: standard input is closed"}
@@ -1217,10 +1199,8 @@ class TestProtocolCheck:
         data = ("\n".join(lines) + "\n").encode()
         log = tmp_path / "long.log"
         log.write_bytes(data)
-        results = [subprocess.run(
-            [sys.executable, "-m", "hwrbench.cli", "protocol-check", "--log", name, "--k", "100"],
-            input=data, capture_output=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
-            for name in (str(log), "-")]
+        results = [run_cli("protocol-check", "--log", name, "--k", "100", input=data)
+                   for name in (str(log), "-")]
         assert [(r.returncode, r.stderr) for r in results] == [(0, b"")] * 2
         assert results[0].stdout == results[1].stdout
         assert json.loads(results[0].stdout)["episodes"] == 1000

@@ -1,12 +1,8 @@
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
+from helpers import bundled_copy, raises, run_python
 
-import hwrbench
 from hwrbench.datasets import (
     BUNDLED_DATASETS,
     DATASET_COLUMNS,
@@ -101,13 +97,6 @@ def test_empty_dataset_rejected(tmp_path):
         load_dataset(path)
 
 
-def test_bad_header_rejected(tmp_path):
-    path = write_dataset(tmp_path, ["A,alien,1,100"],
-                         header="algorithm,game,score,frames")
-    with pytest.raises(DatasetError, match="header"):
-        load_dataset(path)
-
-
 def test_unknown_bundled_label_rejected():
     with pytest.raises(DatasetError, match="unknown bundled dataset"):
         load_bundled_dataset("nope")
@@ -135,9 +124,7 @@ def test_frames_accept_scientific_notation(tmp_path):
     "A,alien,N/A,-4,-4",
     "A,alien,N/A,inf,x",
     "A,alien,N/A,100,x",
-    # float() would drop the ``_`` and read 10.0 and 200000000
-    "A,alien,1_0,100,100",
-    "A,alien,1,2_00000000,200M",
+    # float() would drop the ``_`` and read 100
     "A,alien,N/A,1_00,100",
     # an algorithm name must be nonempty and fit in one unquoted CSV cell
     " ,alien,100,200000000,200M",
@@ -163,50 +150,17 @@ def test_bad_row_names_file_and_line(tmp_path, row):
     ("A,alien,1,2.5,200M", "frame count must be integral: '2.5'"),
     ("A,alien,1,100,100", "A: inconsistent frame counts 200000000 vs 100"),
     ("A,alien,N/A,100,100", "A: inconsistent frame counts 200000000 vs 100"),
+    # int() reads fullwidth digits as 100
+    ("A,alien,N/A,\uff11\uff10\uff10,100", "non-ASCII character in number '\uff11\uff10\uff10'"),
+    # a record from line 4 to line 5 is named by line 4
+    ('"A\nB",alien,1,100,100', "bad algorithm name 'A\\nB'"),
+    ('"A\rB",alien,1,100,100', "bad algorithm name 'A\\rB'"),
 ])
 def test_every_row_of_an_algorithm_is_checked_in_full(tmp_path, row, message):
     # A later row of an algorithm already seen has its frames and label checked in full.
     # The earlier rows hold each of the bad row's other cells, and are valid.
     path = write_dataset(tmp_path, ["A,pong,1,200000000,200M", "B,boxing,N/A,100,100", row])
-    with pytest.raises(DatasetError, match=f"^{re.escape(f'{path}:4: {message}')}$"):
-        load_dataset(path)
-
-
-@pytest.mark.parametrize("row, cell", [
-    ("A,alien,\u0661\u0660,200000000,200M", "\u0661\u0660"),  # Arabic-Indic 10
-    ("A,alien,1,\uff11\uff10\uff10,100", "\uff11\uff10\uff10"),  # fullwidth 100
-    ("A,alien,N/A,\uff11\uff10\uff10,100", "\uff11\uff10\uff10"),
-], ids=["arabic-indic-score", "fullwidth-frames", "fullwidth-frames-na"])
-def test_non_ascii_number_rejected_at_its_line(tmp_path, row, cell):
-    # float() and int() read any Unicode digit: these would load as 10.0 and 100
-    path = write_dataset(tmp_path, ["A,pong,1,100,100", row])
-    message = f"{path}:3: non-ASCII character in number {cell!r}"
-    with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
-        load_dataset(path)
-
-
-@pytest.mark.parametrize("row, detail", [
-    (b"A,alien,1\xc3,100,100",
-     "'utf-8' codec can't decode byte 0xc3 in position 9: invalid continuation byte"),
-    (b"\xff,alien,1,100,100",
-     "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
-    (b"A,alien," + b"9" * 131_073 + b",100,100", "field larger than field limit (131072)"),
-], ids=["not-utf8", "not-utf8-at-line-start", "over-field-limit"])
-def test_unreadable_row_raises_at_its_line(tmp_path, row, detail):
-    path = write_dataset(tmp_path, ["A,pong,1,100,100", "ROW"])
-    path.write_bytes(path.read_bytes().replace(b"ROW", row).replace(b"\n", b"\r\n"))
-    with pytest.raises(DatasetError, match=f"^{re.escape(f'{path}:3: {detail}')}$"):
-        load_dataset(path)
-
-
-def test_blank_row_is_skipped_and_later_rows_keep_their_line(tmp_path):
-    rows = ["A,pong,1,100,100", "A,alien,2,100,100"]
-    expected = load_dataset(write_dataset(tmp_path, rows))
-    path = write_dataset(tmp_path, [rows[0], "", rows[1]])
-    assert load_dataset(path) == expected
-    path = write_dataset(tmp_path, [rows[0], "", "A,alien,2,100,200M"])
-    message = f"{path}:4: scale_label '200M' does not match 100 frames (100)"
-    with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+    with raises(DatasetError, f"{path}:4: {message}"):
         load_dataset(path)
 
 
@@ -214,37 +168,7 @@ def test_padded_algorithm_cell_names_the_same_algorithm(tmp_path):
     path = write_dataset(tmp_path, ["Rainbow,pong,1,100,100", " Rainbow,alien,2,100,100 "])
     assert {r.algorithm for r in load_dataset(path).records} == {"Rainbow"}
     path = write_dataset(tmp_path, ["Rainbow,alien,1,100,100", " Rainbow ,alien,2,100,100"])
-    with pytest.raises(DatasetError, match=re.escape(
-            f"{path}:3: duplicate cell ('Rainbow', 'alien')")):
-        load_dataset(path)
-
-
-def with_bom(path):
-    """A copy of ``path`` saved with a UTF-8 byte-order mark."""
-    marked = path.with_name("bom.csv")
-    marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
-    return marked
-
-
-def test_byte_order_mark_is_skipped(tmp_path):
-    plain = write_dataset(tmp_path, ["A,pong,1,100,100", "A,alien,N/A,100,100",
-                                     "B,alien,2.5,200000000,200M"])
-    assert load_dataset(with_bom(plain))[1:] == load_dataset(plain)[1:]
-
-
-def test_byte_order_mark_keeps_error_lines(tmp_path):
-    plain = write_dataset(tmp_path, ["A,pong,1,100,100", "A,alien,1,100,x"])
-    for path in (plain, with_bom(plain)):
-        with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}:3: scale_label "):
-            load_dataset(path)
-
-
-@pytest.mark.parametrize("name", ["A\nB", "A\rB"])
-def test_line_break_in_algorithm_name_rejected(tmp_path, name):
-    # The record starts on line 3 and ends on line 4; it is named by line 3.
-    path = write_dataset(tmp_path, ["A,pong,1,100,100", f'"{name}",alien,1,100,100'])
-    with pytest.raises(DatasetError,
-                       match=f"^{re.escape(str(path))}:3: bad algorithm name"):
+    with raises(DatasetError, f"{path}:3: duplicate cell ('Rainbow', 'alien')"):
         load_dataset(path)
 
 
@@ -252,20 +176,19 @@ def test_line_break_in_algorithm_name_rejected(tmp_path, name):
 def test_non_finite_score_names_file_and_line(tmp_path, score):
     # The loader is the only place a dataset score is checked for finiteness.
     path = write_dataset(tmp_path, ["A,pong,1,100,100", f"A,alien,{score},100,100"])
-    with pytest.raises(DatasetError,
-                       match=f"^{re.escape(str(path))}:3: A/alien: non-finite score$"):
+    with raises(DatasetError, f"{path}:3: A/alien: non-finite score"):
         load_dataset(path)
 
 
 @pytest.mark.parametrize("frames, label", [("abc", "1M"), ("1000000", "x")])
 def test_perturbed_bundled_na_row_rejected(tmp_path, frames, label):
     # sota-model-based.csv with one N/A row's frames or label replaced
-    text = data_path("datasets", "sota-model-based.csv").read_text(encoding="utf-8")
-    lines = text.splitlines(keepends=True)
-    lineno = lines.index("SimPLe,berzerk,N/A,1000000,1M\n") + 1
-    lines[lineno - 1] = f"SimPLe,berzerk,N/A,{frames},{label}\n"
-    path = tmp_path / "sota-model-based.csv"
-    path.write_text("".join(lines), encoding="utf-8")
+    def edit(lines):
+        lineno = lines.index(b"SimPLe,berzerk,N/A,1000000,1M\r\n") + 1
+        lines[lineno - 1] = f"SimPLe,berzerk,N/A,{frames},{label}\r\n".encode()
+        return lineno
+
+    path, lineno = bundled_copy(tmp_path, "datasets/sota-model-based.csv", edit)
     with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}:{lineno}: "):
         load_dataset(path)
 
@@ -292,6 +215,4 @@ def test_bundled_scale_labels_match_frames():
 def test_datasets_module_does_not_load_protocol():
     code = ("import sys, hwrbench.datasets; "
             "sys.exit('hwrbench.protocol' in sys.modules)")
-    src = str(Path(hwrbench.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert run_python("-c", code).returncode == 0

@@ -1,12 +1,16 @@
-import re
+import codecs
+from collections import namedtuple
+from functools import partial
 
 import pytest
+from helpers import bundled_copy, cell, raises, set_cell
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hwrbench.datasets import BUNDLED_DATASETS, load_dataset
-from hwrbench.errors import BenchmarkError, UnknownGameError, ValidationError
+from hwrbench.errors import BenchmarkError, DatasetError, UnknownGameError, ValidationError
 from hwrbench.games import (
+    BASELINE_COLUMNS,
     CANONICAL_GAMES,
     BaselineRegistry,
     canonical_game,
@@ -117,20 +121,14 @@ def test_registry_rejects_duplicates(registry):
 
 
 def test_non_numeric_cell_rejected(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text(
-        "game,random,human_average,human_world_record,source_tag\n"
-        "alien,not-a-number,7127.8,251916,x\n", encoding="utf-8")
+    path, _ = bundled_copy(tmp_path, "baselines.csv", cell(2, "random", "not-a-number"))
     with pytest.raises(ValidationError, match="non-numeric"):
         BaselineRegistry.load(path)
 
 
 def test_unknown_game_row_rejected(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text(
-        "game,random,human_average,human_world_record,source_tag\n"
-        "foo,0,1,2,x\n", encoding="utf-8")
-    with pytest.raises(UnknownGameError):
+    path, _ = bundled_copy(tmp_path, "baselines.csv", cell(2, "game", "foo"))
+    with raises(UnknownGameError, f"{path}:2: unknown game: 'foo'"):
         BaselineRegistry.load(path)
 
 
@@ -141,94 +139,149 @@ def test_non_finite_baseline_is_hard_error(registry, column, value):
         registry_with(registry, "pong", **{column: value})
 
 
-def baselines_with(registry, tmp_path, game, column, text):
-    """The bundled baselines with one cell replaced; returns the file and its line."""
-    lines = data_path("baselines.csv").read_text(encoding="utf-8").splitlines(keepends=True)
-    index = 1 + [r.game for r in registry].index(game)
-    cells = lines[index].rstrip("\n").split(",")
-    cells[("random", "human_average", "human_world_record").index(column) + 1] = text
-    lines[index] = ",".join(cells) + "\n"
-    path = tmp_path / "baselines.csv"
-    path.write_text("".join(lines), encoding="utf-8")
-    return path, index + 1
-
-
 @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("column", ["random", "human_average", "human_world_record"])
-def test_load_rejects_non_finite_with_location(registry, tmp_path, column, text):
-    path, lineno = baselines_with(registry, tmp_path, "alien", column, text)
-    where = f"{re.escape(str(path))}:{lineno}"
-    with pytest.raises(ValidationError, match=f"{where}: alien: {column} must be finite"):
+def test_load_rejects_non_finite_with_location(tmp_path, column, text):
+    path, _ = bundled_copy(tmp_path, "baselines.csv", cell(2, column, text))
+    with raises(ValidationError, f"{path}:2: alien: {column} must be finite, got {float(text)}"):
         BaselineRegistry.load(path)
 
 
-@pytest.mark.parametrize("column, text", [
-    ("random", "22_7.8"), ("human_average", "7_127.8"), ("human_world_record", "251_916")])
-def test_load_rejects_underscore_in_numbers(registry, tmp_path, column, text):
-    # float() drops the ``_``: each of these reads as alien's own bundled value
-    path, lineno = baselines_with(registry, tmp_path, "alien", column, text)
-    where = f"{re.escape(str(path))}:{lineno}"
-    with pytest.raises(ValidationError, match=f"^{where}: '_' in number '{text}'$"):
-        BaselineRegistry.load(path)
-
-
-@pytest.mark.parametrize("column", ["random", "human_average", "human_world_record"])
-def test_load_rejects_non_ascii_numbers(registry, tmp_path, column):
-    # float() reads the fullwidth digits of alien's bundled random score, 227.8
-    text = "\uff12\uff12\uff17.\uff18"
-    path, lineno = baselines_with(registry, tmp_path, "alien", column, text)
-    where = f"{re.escape(str(path))}:{lineno}"
-    with pytest.raises(ValidationError,
-                       match=f"^{where}: non-ASCII character in number '{text}'$"):
-        BaselineRegistry.load(path)
-
-
-@pytest.mark.parametrize("cell, detail", [
-    (b"22\xff7.8", "'utf-8' codec can't decode byte 0xff in position 8: invalid start byte"),
-    (b"9" * 131_073, "field larger than field limit (131072)"),
-], ids=["not-utf8", "over-field-limit"])
-def test_unreadable_cell_raises_at_its_line(tmp_path, cell, detail):
-    # Once a bare UnicodeDecodeError with a byte offset and no line, and an
-    # uncaught csv.Error.
-    lines = data_path("baselines.csv").read_bytes().splitlines(keepends=True)
-    assert lines[1].startswith(b"alien,227.8,")
-    lines[1] = lines[1].replace(b"227.8", cell, 1)
-    path = tmp_path / "baselines.csv"
-    path.write_bytes(b"".join(lines))
-    with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}:2: {detail}')}$"):
-        BaselineRegistry.load(path)
-
-
-def test_load_ordering_error_names_line(registry, tmp_path):
-    path, lineno = baselines_with(registry, tmp_path, "pong", "human_average", "-30")
-    with pytest.raises(ValidationError,
-                       match=f"{re.escape(str(path))}:{lineno}: pong: human_average"):
+def test_load_ordering_error_names_line(tmp_path):
+    path, _ = bundled_copy(tmp_path, "baselines.csv", cell(38, "human_average", "-30"))
+    with raises(ValidationError, f"{path}:38: pong: human_average -30.0 must exceed random -20.7"):
         BaselineRegistry.load(path)
 
 
 def test_load_duplicate_row_names_line(tmp_path):
-    path = tmp_path / "dup.csv"
-    path.write_text(
-        "game,random,human_average,human_world_record,source_tag\n"
-        "alien,0,1,2,x\n"
-        "Alien,0,1,2,x\n", encoding="utf-8")
-    where = f"{re.escape(str(path))}:3"
-    with pytest.raises(ValidationError, match=f"{where}: duplicate baseline row"):
+    path, _ = bundled_copy(tmp_path, "baselines.csv",
+                           lambda lines: lines.append(lines[1].replace(b"alien", b"Alien")))
+    with raises(ValidationError, f"{path}:59: duplicate baseline row for 'alien'"):
         BaselineRegistry.load(path)
 
 
-# Each bundled data file the package reads, and its loader.
+# Each bundled data file the package reads: its loader, whose value compares
+# equal for files that read the same, the error it raises, and its number columns.
+Loader = namedtuple("Loader", "load error numbers")
 LOADERS = {
-    "baselines.csv": BaselineRegistry.load,
-    **{f"datasets/{label}.csv": load_dataset for label in BUNDLED_DATASETS},
-    "golden/printed_cells.csv": load_golden_cells,
-    "golden/printed_aggregates.csv":
-        lambda path: load_golden_aggregates(load_golden_cells()[0], path),
+    "baselines.csv": Loader(lambda path: tuple(BaselineRegistry.load(path)), ValidationError,
+                            BASELINE_COLUMNS[1:4]),
+    **{f"datasets/{label}.csv": Loader(load_dataset, DatasetError, ("score", "frames"))
+       for label in BUNDLED_DATASETS},
+    "golden/printed_cells.csv": Loader(load_golden_cells, DatasetError,
+                                       ("printed_raw", "printed_pct")),
+    "golden/printed_aggregates.csv": Loader(
+        lambda path: load_golden_aggregates(load_golden_cells()[0], path), DatasetError,
+        ("printed",)),
 }
+
+
+# The rules every loader keeps, as ``read_csv`` enforces them. A rule edits a
+# bundled file's lines, given the row to edit and a number column, and returns
+# what loading the file then raises: (line, message), a line of None for the
+# whole file; or None, when the file must load to the bundled file's value.
+def cell_rule(value, message):
+    """The number cell set to ``value``; ``message`` may name its position, ``{at}``."""
+    return lambda lines, row, column: (
+        row, message.format(at=set_cell(lines, row, column, value)))
+
+
+def ff_at_line_start(lines, row, column):
+    lines[row - 1] = b"\xff" + lines[row - 1]
+    return row, "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+
+def cut_short_at_line_end(lines, row, column):
+    at = len(lines[row - 1].rstrip(b"\r\n"))
+    lines[row - 1] = lines[row - 1][:at] + b"\xc3" + lines[row - 1][at:]
+    return row, f"'utf-8' codec can't decode byte 0xc3 in position {at}: unexpected end of data"
+
+
+def changed_header(lines, row, column):
+    header = lines[0].decode().rstrip("\r\n")
+    lines[0] = lines[0].upper()
+    return None, f"expected header {header}"
+
+
+def line_ends(end, lines, row):  # the bundled files end each line with "\r\n"
+    lines[:] = [line.rstrip(b"\r\n") + end for line in lines]
+    return row
+
+
+# Changes after which every row loads as before: each returns the edited row's new line.
+LAYOUTS = {
+    "byte-order-mark": lambda lines, row: lines.insert(0, codecs.BOM_UTF8 + lines.pop(0)) or row,
+    "lf-line-ends": partial(line_ends, b"\n"),
+    "cr-line-ends": partial(line_ends, b"\r"),
+    "blank-line-above": lambda lines, row: lines.insert(row - 1, b"\n") or row + 1,
+}
+
+
+def laid_out(layout, defect):
+    """``layout`` after ``defect``, if any: the defect is named at the row's new line."""
+    def rule(lines, row, column):
+        if defect is None:
+            layout(lines, row)
+            return None
+        line, message = defect(lines, row, column)
+        return layout(lines, line), message
+    return rule
+
+
+def first_defect(line_of_ff):
+    """A ``_`` on the row, and a 0xff starting a later line: the ``_`` is named."""
+    def rule(lines, row, column):
+        ff_at_line_start(lines, line_of_ff(row, len(lines)), column)
+        return underscore(lines, row, column)
+    return rule
+
+
+underscore = cell_rule(b"1_0", "'_' in number '1_0'")  # float() reads 10.0
+RULES = {
+    "underscore": underscore,
+    "non-ascii-digit": cell_rule("١٠".encode(), "non-ASCII character in number '١٠'"),
+    "0xff-in-cell": cell_rule(
+        b"\xff", "'utf-8' codec can't decode byte 0xff in position {at}: invalid start byte"),
+    "0xff-at-line-start": ff_at_line_start,
+    "cut-short-at-line-end": cut_short_at_line_end,
+    # 131,073 characters, the first a line break: the limit is passed on the next line.
+    "over-field-limit": cell_rule(b'"\n' + b"9" * 131_072 + b'"',
+                                  "field larger than field limit (131072)"),
+    **{f"quoted-{name}": cell_rule(b'"1_' + brk + b'0"',
+                                   f"'_' in number {'1_' + brk.decode() + '0'!r}")
+       for name, brk in [("lf", b"\n"), ("cr", b"\r"), ("crlf", b"\r\n")]},
+    **{f"{name}{then}": laid_out(layout, defect) for name, layout in LAYOUTS.items()
+       for then, defect in [("", None), ("-then-underscore", underscore),
+                            ("-then-cut-short", cut_short_at_line_end)]},
+    "changed-header": changed_header,
+    "first-defect-next-line": first_defect(lambda row, n: row + 1),
+    "first-defect-last-line": first_defect(lambda row, n: n),
+}
+PER_COLUMN = ("underscore", "non-ascii-digit")  # run on each number column
+
+
+@pytest.mark.parametrize("name, rule, column", [
+    pytest.param(name, rule, column, id=f"{name}-{rule}" + f"-{column}" * (rule in PER_COLUMN))
+    for name, loader in LOADERS.items() for rule in RULES
+    for column in (loader.numbers if rule in PER_COLUMN else loader.numbers[:1])])
+def test_every_loader_keeps_every_csv_rule(tmp_path, name, rule, column):
+    # The row edited is the third line from the end: its next line and the last
+    # line fall within the 8 KiB that a text-mode file decodes ahead of the rows.
+    path, outcome = bundled_copy(
+        tmp_path, name, lambda lines: RULES[rule](lines, len(lines) - 2, column))
+    loader = LOADERS[name]
+    if outcome is None:
+        assert loader.load(path) == loader.load(data_path(*name.split("/")))
+        return
+    line, message = outcome
+    with raises(loader.error, f"{path}{'' if line is None else f':{line}'}: {message}"):
+        loader.load(path)
+
+
 # Digits, CSV syntax, the refused ``_``, line breaks, a byte-order mark, an
 # Arabic-Indic digit and bytes that are not UTF-8.
 MUTATION_BYTES = [b"0", b"7", b".", b",", b'"', b"_", b"\r", b"\n", b"\xef\xbb\xbf",
-                  "\u0661".encode(), b"\xff", b"\xc3", b"\x80"]
+                  "١".encode(), b"\xff", b"\xc3", b"\x80"]
 # What a file, not one of its rows, can fail on.
 FILE_ERRORS = ("expected header", "missing baseline rows", "dataset is empty")
 
@@ -245,7 +298,7 @@ def test_mutated_bundled_file_loads_or_names_file_and_line(tmp_path_factory, nam
     path = tmp_path_factory.mktemp("mutated") / name.split("/")[-1]
     path.write_bytes(mutated)
     try:
-        LOADERS[name](path)
+        LOADERS[name].load(path)
     except BenchmarkError as exc:
         where, _, rest = str(exc).partition(": ")
         assert where == str(path) or where.startswith(f"{path}:"), str(exc)

@@ -2,23 +2,21 @@ import csv
 import hashlib
 import json
 import os
-import re
-import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from helpers import SRC, bundled_copy, cell, raises, run_cli
 
-import hwrbench
 from hwrbench import numfmt, report, reproduce
 from hwrbench.cli import main
 from hwrbench.datasets import load_bundled_dataset
 from hwrbench.errors import DatasetError
-from hwrbench.games import BaselineRegistry, data_path
+from hwrbench.games import BaselineRegistry, data_path, read_csv
 from hwrbench.metrics import MetricKind
 from hwrbench.reproduce import (
-    CELL_COLUMNS,
+    AGGREGATE_COLUMNS,
     Inconsistency,
     load_golden_aggregates,
     load_golden_cells,
@@ -26,9 +24,8 @@ from hwrbench.reproduce import (
     write_artifacts,
 )
 
-SRC = str(Path(hwrbench.__file__).parents[1])
-GOLDEN_CELLS = data_path("golden", "printed_cells.csv")
-GOLDEN_AGGREGATES = data_path("golden", "printed_aggregates.csv")
+CELLS = "golden/printed_cells.csv"
+AGGREGATES = "golden/printed_aggregates.csv"
 
 # Column order of the printed tables, per table family.
 PRINT_ORDER = {
@@ -39,32 +36,9 @@ PRINT_ORDER = {
 }
 
 
-def run_cli(*argv) -> subprocess.CompletedProcess:
-    """``python -m hwrbench.cli *argv`` in a fresh interpreter."""
-    return subprocess.run([sys.executable, "-m", "hwrbench.cli", *argv], capture_output=True,
-                          env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
-
-
 @pytest.fixture(scope="module")
 def golden():
     return load_golden_cells()
-
-
-def golden_copy(tmp_path, cell_at=None, duplicate=None):
-    """The bundled golden cells in a temp file, with column ``cell_at[1]`` of
-    file line ``cell_at[0]`` set to ``cell_at[2]``, and file line
-    ``duplicate`` appended again."""
-    lines = GOLDEN_CELLS.read_text(encoding="utf-8").splitlines(keepends=True)
-    if cell_at is not None:
-        lineno, field, value = cell_at
-        cells = lines[lineno - 1].rstrip("\n").split(",")
-        cells[CELL_COLUMNS.index(field)] = value
-        lines[lineno - 1] = ",".join(cells) + "\n"
-    if duplicate is not None:
-        lines.append(lines[duplicate - 1])
-    path = tmp_path / "printed_cells.csv"
-    path.write_text("".join(lines), encoding="utf-8")
-    return path, re.escape(str(path))
 
 
 def test_layouts_follow_print_order(golden):
@@ -83,78 +57,43 @@ def test_index_holds_every_golden_cell(golden):
 
 def test_bundled_golden_files_agree(golden):
     layouts, _cells = golden
-    with open(data_path("golden", "printed_aggregates.csv"), newline="",
-              encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
+    rows = list(read_csv(data_path(*AGGREGATES.split("/")), AGGREGATE_COLUMNS, DatasetError))
     assert rows
-    for row in rows:
-        layout = layouts[row["table"]]
-        assert row["algorithm"] in layout.algorithms, row
-        assert row["metric"] == layout.metric.value, row
+    for _, (table, metric, algorithm, *_) in rows:
+        assert algorithm in layouts[table].algorithms, (table, algorithm)
+        assert metric == layouts[table].metric.value, (table, metric)
 
 
 def test_unknown_metric_rejected(tmp_path):
-    path, where = golden_copy(tmp_path, cell_at=(3, "metric", "bogus"))
-    with pytest.raises(DatasetError, match=f"{where}:3: unknown metric 'bogus'"):
+    path, _ = bundled_copy(tmp_path, CELLS, cell(3, "metric", "bogus"))
+    with raises(DatasetError, f"{path}:3: unknown metric 'bogus'"):
         load_golden_cells(path)
 
 
 @pytest.mark.parametrize("metric", ["raw", "minmax", ""])
 def test_non_table_metric_rejected(tmp_path, metric):
-    path, where = golden_copy(tmp_path, cell_at=(2, "metric", metric))
-    with pytest.raises(DatasetError, match=f"{where}:2: unknown metric"):
+    path, _ = bundled_copy(tmp_path, CELLS, cell(2, "metric", metric))
+    with raises(DatasetError, f"{path}:2: unknown metric {metric!r}"):
         load_golden_cells(path)
 
 
 def test_table_mixing_metrics_rejected(tmp_path):
-    path, where = golden_copy(tmp_path, cell_at=(4, "metric", "hwrns"))
-    with pytest.raises(DatasetError, match=f"{where}:4: table hns-sota-200m-model-free "
-                                           "mixes metrics hns and hwrns"):
+    path, _ = bundled_copy(tmp_path, CELLS, cell(4, "metric", "hwrns"))
+    with raises(DatasetError, f"{path}:4: table hns-sota-200m-model-free "
+                              "mixes metrics hns and hwrns"):
         load_golden_cells(path)
 
 
 def test_duplicate_cell_rejected(tmp_path):
-    path, where = golden_copy(tmp_path, duplicate=6)
-    with pytest.raises(DatasetError, match=f"{where}:3251: duplicate cell "
-                                           "hns-sota-200m-model-free/GDI-H3/alien"):
+    path, _ = bundled_copy(tmp_path, CELLS, lambda lines: lines.append(lines[5]))
+    with raises(DatasetError, f"{path}:3251: duplicate cell "
+                              "hns-sota-200m-model-free/GDI-H3/alien"):
         load_golden_cells(path)
 
 
 def test_unknown_game_rejected(tmp_path):
-    path, where = golden_copy(tmp_path, cell_at=(619, "game", "berzrek"))
-    with pytest.raises(DatasetError, match=f"{where}:619: unknown game 'berzrek'"):
-        load_golden_cells(path)
-
-
-@pytest.mark.parametrize("field, text", [("printed_pct", "13_4.26"), ("printed_raw", "9_491.7")])
-def test_underscore_in_a_printed_number_rejected(tmp_path, field, text):
-    path, where = golden_copy(tmp_path, cell_at=(2, field, text))
-    with pytest.raises(DatasetError, match=f"^{where}:2: '_' in number '{text}'$"):
-        load_golden_cells(path)
-
-
-def test_non_ascii_printed_number_rejected(tmp_path):
-    text = "\u0661\u0663\u0664.\u0662\u0666"  # Arabic-Indic 134.26, which float() reads
-    path, where = golden_copy(tmp_path, cell_at=(2, "printed_pct", text))
-    with pytest.raises(DatasetError,
-                       match=f"^{where}:2: non-ASCII character in number '{text}'$"):
-        load_golden_cells(path)
-
-
-UNREADABLE = pytest.mark.parametrize("text, detail", [
-    (b"1\x80", "'utf-8' codec can't decode byte 0x80 in position {}: invalid start byte"),
-    (b"9" * 131_073, "field larger than field limit (131072)"),
-], ids=["not-utf8", "over-field-limit"])
-
-
-@UNREADABLE
-def test_unreadable_printed_cell_raises_at_its_line(tmp_path, text, detail):
-    # Line 3000 is far past the first chunk a text file decodes.
-    path, _where = golden_copy(tmp_path, cell_at=(3000, "printed_pct", "PCT"))
-    data = path.read_bytes()
-    detail = detail.format(data.splitlines()[2999].index(b"PCT") + 1)
-    path.write_bytes(data.replace(b"PCT", text))
-    with pytest.raises(DatasetError, match=f"^{re.escape(f'{path}:3000: {detail}')}$"):
+    path, _ = bundled_copy(tmp_path, CELLS, cell(619, "game", "berzrek"))
+    with raises(DatasetError, f"{path}:619: unknown game 'berzrek'"):
         load_golden_cells(path)
 
 
@@ -184,22 +123,6 @@ def test_number_printed_for_an_omitted_game_is_a_coverage_inconsistency(
         result.inconsistencies)
 
 
-def aggregates_copy(tmp_path, line=None, field=None, value=None, duplicate=None):
-    """The bundled golden aggregates in a temp file, with column ``field`` of
-    file line ``line`` set to ``value``, and file line ``duplicate`` appended again."""
-    lines = GOLDEN_AGGREGATES.read_text(encoding="utf-8").splitlines(keepends=True)
-    if line is not None:
-        header = lines[0].rstrip("\n").split(",")
-        cells = lines[line - 1].rstrip("\n").split(",")
-        cells[header.index(field)] = value
-        lines[line - 1] = ",".join(cells) + "\n"
-    if duplicate is not None:
-        lines.append(lines[duplicate - 1])
-    path = tmp_path / "printed_aggregates.csv"
-    path.write_text("".join(lines), encoding="utf-8")
-    return path, re.escape(str(path))
-
-
 def test_bundled_golden_aggregates_load(golden):
     rows = load_golden_aggregates(golden[0])
     assert len(rows) == 266
@@ -210,28 +133,12 @@ def test_bundled_golden_aggregates_load(golden):
 @pytest.mark.parametrize("field, value, message", [
     ("algorithm", "Nope", "no golden cells for hns-sota-200m-model-free/Nope"),
     ("table", "hns-nowhere", "no golden cells for hns-nowhere/Rainbow"),
-    ("metric", "hwrns", "metric 'hwrns' disagrees with table hns-sota-200m-model-free \\(hns\\)"),
+    ("metric", "hwrns", "metric 'hwrns' disagrees with table hns-sota-200m-model-free (hns)"),
     ("row", "max", "unknown row 'max'"),
 ])
 def test_bad_aggregate_row_rejected(tmp_path, golden, field, value, message):
-    path, where = aggregates_copy(tmp_path, line=2, field=field, value=value)
-    with pytest.raises(DatasetError, match=f"{where}:2: {message}"):
-        load_golden_aggregates(golden[0], path)
-
-
-def test_underscore_in_a_printed_aggregate_rejected(tmp_path, golden):
-    path, where = aggregates_copy(tmp_path, line=2, field="printed", value="87_3.97")
-    with pytest.raises(DatasetError, match=f"^{where}:2: '_' in number '87_3.97'$"):
-        load_golden_aggregates(golden[0], path)
-
-
-@UNREADABLE
-def test_unreadable_printed_aggregate_raises_at_its_line(tmp_path, golden, text, detail):
-    path, _where = aggregates_copy(tmp_path, line=200, field="printed", value="TEXT")
-    data = path.read_bytes()
-    detail = detail.format(data.splitlines()[199].index(b"TEXT") + 1)
-    path.write_bytes(data.replace(b"TEXT", text))
-    with pytest.raises(DatasetError, match=f"^{re.escape(f'{path}:200: {detail}')}$"):
+    path, _ = bundled_copy(tmp_path, AGGREGATES, cell(2, field, value))
+    with raises(DatasetError, f"{path}:2: {message}"):
         load_golden_aggregates(golden[0], path)
 
 
@@ -240,9 +147,9 @@ HWRB_LINE = 98  # hwrns-sota-200m-model-free,hwrns,Rainbow,hwrb,4
 
 @pytest.mark.parametrize("value", ["4.7", "-1", "-0.5", "1e-3"])
 def test_printed_hwrb_count_must_be_a_nonnegative_integer(tmp_path, golden, value):
-    path, where = aggregates_copy(tmp_path, line=HWRB_LINE, field="printed", value=value)
-    with pytest.raises(DatasetError, match=f"^{where}:{HWRB_LINE}: hwrb count '{value}' "
-                                           "is not a nonnegative integer$"):
+    path, _ = bundled_copy(tmp_path, AGGREGATES, cell(HWRB_LINE, "printed", value))
+    with raises(DatasetError, f"{path}:{HWRB_LINE}: hwrb count '{value}' "
+                              "is not a nonnegative integer"):
         load_golden_aggregates(golden[0], path)
 
 
@@ -250,7 +157,7 @@ def test_printed_hwrb_count_must_be_a_nonnegative_integer(tmp_path, golden, valu
     ("4.0", 4), ("5", 5), ("nan", None), ("inf", None), ("N/A", None)])
 def test_printed_hwrb_count_compared_only_when_a_number(
         monkeypatch, tmp_path, golden, value, recorded):
-    path, _where = aggregates_copy(tmp_path, line=HWRB_LINE, field="printed", value=value)
+    path, _ = bundled_copy(tmp_path, AGGREGATES, cell(HWRB_LINE, "printed", value))
     rows = load_golden_aggregates(golden[0], path)
     monkeypatch.setattr(reproduce, "load_golden_aggregates", lambda layouts: rows)
     result = run_reproduction()
@@ -266,11 +173,8 @@ def test_a_footer_the_golden_file_omits_is_not_compared(monkeypatch, tmp_path, g
     # SimPLe's HNS mean (line 44) is the one footer off its recomputed value;
     # without it the column's cells and median are still compared, and its mean is not.
     expected = run_reproduction()
-    path, _where = aggregates_copy(tmp_path)
-    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    removed = lines.pop(43)
-    assert removed == "hns-sota-model-based,hns,SimPLe,mean,25.3\n"
-    path.write_text("".join(lines), encoding="utf-8")
+    path, removed = bundled_copy(tmp_path, AGGREGATES, lambda lines: lines.pop(43))
+    assert removed == b"hns-sota-model-based,hns,SimPLe,mean,25.3\r\n"
     rows = load_golden_aggregates(golden[0], path)
     monkeypatch.setattr(reproduce, "load_golden_aggregates", lambda layouts: rows)
     result = run_reproduction()
@@ -282,9 +186,9 @@ def test_a_footer_the_golden_file_omits_is_not_compared(monkeypatch, tmp_path, g
 
 
 def test_duplicate_aggregate_row_rejected(tmp_path, golden):
-    path, where = aggregates_copy(tmp_path, duplicate=2)
-    with pytest.raises(DatasetError, match=f"{where}:268: duplicate row "
-                                           "hns-sota-200m-model-free/Rainbow/mean"):
+    path, _ = bundled_copy(tmp_path, AGGREGATES, lambda lines: lines.append(lines[1]))
+    with raises(DatasetError, f"{path}:268: duplicate row "
+                              "hns-sota-200m-model-free/Rainbow/mean"):
         load_golden_aggregates(golden[0], path)
 
 
