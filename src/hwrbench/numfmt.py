@@ -12,8 +12,7 @@ ratio many times rounds it once. A zero ratio is never remembered:
 
 ``json_text`` writes every JSON document the package prints or saves,
 as ``json.dumps(value, indent=2)`` writes it, without importing ``json``
-unless a string needs escaping. It remembers the text of up to
-``MEMO_VALUES`` floats, as ``format_percent`` does.
+unless a string needs escaping.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ import math
 MEMO_VALUES = 4096  # distinct values formatted once per process; a miss formats in full
 
 _PERCENTS: dict[float, str] = {}
-_FLOATS: dict[float, str] = {}  # ``json_text``'s text of finite nonzero floats
 
 
 def round_half_up(value: float) -> float:
@@ -111,14 +109,9 @@ def json_text(value, sort_keys: bool = False) -> str:
 def _json(value, sort_keys: bool, pad: str) -> str:
     """``value`` as JSON; ``pad`` starts each line of its closing bracket."""
     if isinstance(value, float):
-        text = _FLOATS.get(value)
-        if text is None:
-            if not math.isfinite(value):
-                return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
-            text = float.__repr__(value)
-            if value and len(_FLOATS) < MEMO_VALUES:  # 0.0 == -0.0, yet they print apart
-                _FLOATS[value] = text
-        return text
+        if not math.isfinite(value):
+            return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
     if isinstance(value, str):
         return _quote(value)
     if isinstance(value, int):

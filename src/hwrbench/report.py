@@ -109,10 +109,10 @@ class TableLayout(namedtuple("TableLayout", "metric algorithms")):
 
 
 def _layout_algorithms(report: EvaluationReport, layout: TableLayout) -> list[str]:
-    missing = [a for a in layout.algorithms if a not in report.aggregates]
+    missing = [repr(a) for a in layout.algorithms if a not in report.aggregates]
     if missing:
         raise ValidationError(f"algorithms not in the report: {', '.join(missing)}")
-    repeated = [a for a, n in Counter(layout.algorithms).items() if n > 1]
+    repeated = [repr(a) for a, n in Counter(layout.algorithms).items() if n > 1]
     if repeated:
         raise ValidationError(f"algorithms repeated in the layout: {', '.join(repeated)}")
     if not layout.algorithms:

@@ -1,5 +1,8 @@
-"""Shared by the tests: a child interpreter, and edited copies of the bundled data."""
+"""Shared by the tests: the CLI in this process or a child interpreter, and
+edited copies of the bundled data."""
 
+import contextlib
+import io
 import os
 import re
 import subprocess
@@ -9,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import hwrbench
+from hwrbench.cli import main
 from hwrbench.games import data_path
 
 SRC = str(Path(hwrbench.__file__).parents[1])
@@ -28,6 +32,24 @@ def run_cli(*argv, **kwargs) -> subprocess.CompletedProcess:
     return run_python("-m", "hwrbench.cli", *argv, **kwargs)
 
 
+def decoded(result: subprocess.CompletedProcess) -> tuple[int, str, str]:
+    """A child's (exit code, stdout, stderr), decoded as ``run_main`` returns them."""
+    return result.returncode, result.stdout.decode(), result.stderr.decode()
+
+
+def run_main(*argv) -> tuple[int, str, str]:
+    """``main(argv)`` in this process, the twin of ``run_cli``: (exit code,
+    stdout, stderr). Help and usage errors exit through ``SystemExit``, whose
+    code is the exit code."""
+    with (contextlib.redirect_stdout(io.StringIO()) as out,
+          contextlib.redirect_stderr(io.StringIO()) as err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 def set_cell(lines, lineno, column, value: bytes) -> int:
     """Set cell ``column`` of file line ``lineno`` to ``value``; returns where the
     cell starts in the line. ``lines`` are a file's bytes split with their ends."""
@@ -45,13 +67,13 @@ def cell(lineno, column, value: str):
     return lambda lines: set_cell(lines, lineno, column, value.encode())
 
 
-def bundled_copy(tmp_path, name, edit=lambda lines: None):
+def bundled_copy(tmp_path, name, edit=None):
     """The bundled data file ``name`` (such as ``golden/printed_cells.csv``)
-    copied into ``tmp_path`` under its own file name, after ``edit`` has
-    changed its lines (bytes, each with its line end) in place. Returns the
-    copy's path and what ``edit`` returned."""
+    copied into ``tmp_path`` under its own file name, after ``edit``, if any,
+    has changed its lines (bytes, each with its line end) in place. Returns
+    the copy's path and what ``edit`` returned."""
     lines = data_path(*name.split("/")).read_bytes().splitlines(keepends=True)
-    result = edit(lines)
+    result = edit(lines) if edit else None
     path = tmp_path / name.rpartition("/")[2]
     path.write_bytes(b"".join(lines))
     return path, result

@@ -10,6 +10,7 @@ import random
 from contextlib import contextmanager
 
 import pytest
+from helpers import run_main
 
 from hwrbench.aggregate import leaders, summarize
 from hwrbench.games import BaselineRecord, BaselineRegistry
@@ -217,7 +218,7 @@ def _check(total_frames: int, action_set: int = FULL_ACTION_SET):
     return check_conformance(total_frames, action_set, DEFAULT_FRAME_BUDGET)
 
 
-def test_c7_protocol_conformance_fixtures(tmp_path, capsys):
+def test_c7_protocol_conformance_fixtures(tmp_path):
     with criterion(7, "protocol conformance fixtures (200M pass, 10B and "
                       "4-action violations)"):
         conforming = _check(200_000_000)
@@ -232,8 +233,6 @@ def test_c7_protocol_conformance_fixtures(tmp_path, capsys):
         assert [v.code for v in reduced.violations] == ["reduced_action_set"]
 
         # same verdicts through the CLI on a generated 200M-frame log
-        from hwrbench.cli import main
-
         lines = []
         for _ in range(1851):  # 1851 x 108000 frames, capped episodes
             lines += ["0 1 0 36000"] * 3 + ["---"]
@@ -241,11 +240,13 @@ def test_c7_protocol_conformance_fixtures(tmp_path, capsys):
         log = tmp_path / "train-200m.log"
         log.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-        assert main(["protocol-check", "--log", str(log), "--k", "32"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        code, out, _ = run_main("protocol-check", "--log", str(log), "--k", "32")
+        assert code == 0
+        payload = json.loads(out)
         assert payload["total_env_frames"] == 200_000_000
         assert payload["conforming"] is True
 
-        assert main(["protocol-check", "--log", str(log), "--action-set", "4"]) == 1
-        payload = json.loads(capsys.readouterr().out)
+        code, out, _ = run_main("protocol-check", "--log", str(log), "--action-set", "4")
+        assert code == 1
+        payload = json.loads(out)
         assert [v["code"] for v in payload["violations"]] == ["reduced_action_set"]

@@ -8,16 +8,13 @@ The benchmark's log generator is the one reader of the bundled
 ``protocol_settings.csv``, so its reading of that file is checked here too.
 """
 
-import sys
 from contextlib import nullcontext
-from pathlib import Path
+
+import layers
+import loggen
+import oracle
 
 from hwrbench.games import data_path
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-import layers  # noqa: E402
-import loggen  # noqa: E402
-import oracle  # noqa: E402
 
 
 def no_span(_name):

@@ -15,39 +15,54 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import loggen
 import pytest
+from helpers import bundled_copy, decoded, run_cli, run_main, run_python, set_cell
 from hypothesis import HealthCheck, given, settings
-from helpers import run_cli, run_python
 from hypothesis import strategies as st
 
 import hwrbench
-from hwrbench.cli import VERBS, _parse_flags, build_parser, main
+from hwrbench.cli import VERBS, _parse_flags, build_parser
 from hwrbench.datasets import Dataset, RunRecord
-from hwrbench.games import CANONICAL_GAMES, BaselineRegistry, data_path
+from hwrbench.games import CANONICAL_GAMES, BaselineRegistry
 from hwrbench.metrics import METRIC_KINDS, CapMode, MetricKind, MetricValue
 from hwrbench.numfmt import format_percent
 from hwrbench.report import evaluate
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-import loggen  # noqa: E402
+
+def data_error(outcome) -> dict:
+    """The error JSON of a run that failed on its data: exit 1, nothing on stdout."""
+    code, out, err = outcome
+    assert (code, out) == (1, ""), err
+    return json.loads(err)
 
 
-def run(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+def usage_error(outcome) -> str:
+    """The stderr of a command line that is a usage error: exit 2, nothing on stdout."""
+    code, out, err = outcome
+    assert (code, out) == (2, ""), err
+    return err
 
 
-def write_log(tmp_path, text, name="episodes.log"):
-    path = tmp_path / name
+LOG = "1 3 0 4\n-2 3 0 4\n3 0 1 4\n---\n5 1 0 4\n0 0 1 4\n"  # two conforming episodes
+
+
+def write_log(tmp_path, text=LOG) -> str:
+    path = tmp_path / "episodes.log"
     path.write_text(text, encoding="utf-8")
     return str(path)
 
 
-def check_stdin(data: bytes, *flags):
-    """``protocol-check --log -`` in a fresh interpreter: (exit code, stdout, stderr)."""
-    result = run_cli("protocol-check", "--log", "-", *flags, input=data)
-    return result.returncode, result.stdout.decode(), result.stderr.decode()
+def run_log(tmp_path, data, *flags, stdin=False):
+    """``protocol-check`` on a log of ``data`` (str or bytes), by path in this
+    process or on stdin in a child (``--log -``): (exit code, stdout, stderr),
+    and the name the log is reported under."""
+    data = data.encode() if isinstance(data, str) else data
+    if stdin:
+        return decoded(run_cli("protocol-check", "--log", "-", *flags, input=data)), "<stdin>"
+    log = tmp_path / "episodes.log"
+    log.write_bytes(data)
+    return run_main("protocol-check", "--log", str(log), *flags), str(log)
 
 
 def test_version_matches_pyproject():
@@ -79,9 +94,8 @@ def test_package_imports_only_itself_and_the_standard_library():
 
 
 class TestScore:
-    def test_alien_example(self, capsys):
-        code, out, _ = run(capsys, "score", "--game", "alien",
-                           "--score", "9491.7", "--frames", "2e8")
+    def test_alien_example(self):
+        code, out, _ = run_main("score", "--game", "alien", "--score", "9491.7", "--frames", "2e8")
         assert code == 0
         assert "hns_pct: 134.26" in out
         assert "hwrns_pct: 3.68" in out
@@ -89,34 +103,30 @@ class TestScore:
         assert "hwrb: False" in out
         assert "game_time_days: 38.58" in out
 
-    def test_boxing_breakthrough(self, capsys):
-        code, out, _ = run(capsys, "score", "--game", "boxing", "--score", "100",
-                           "--format", "json")
+    def test_boxing_breakthrough(self):
+        code, out, _ = run_main("score", "--game", "boxing", "--score", "100", "--format", "json")
         assert code == 0
         payload = json.loads(out)
         assert payload["hns_pct"] == "832.50"
         assert payload["hwrns_pct"] == "100.00"
         assert payload["hwrb"] is True
 
-    def test_random_anchor_all_zero(self, capsys):
-        code, out, _ = run(capsys, "score", "--game", "pong", "--score", "-20.7",
-                           "--format", "json")
+    def test_random_anchor_all_zero(self):
+        code, out, _ = run_main("score", "--game", "pong", "--score", "-20.7", "--format", "json")
         assert code == 0
         payload = json.loads(out)
         assert payload["hns_pct"] == payload["hwrns_pct"] == "0.00"
 
-    def test_unknown_game_is_data_error(self, capsys):
-        code, out, err = run(capsys, "score", "--game", "foo", "--score", "1")
-        assert code == 1
-        assert json.loads(err)["error"] == "UnknownGameError"
-        assert out == ""
+    def test_unknown_game_is_data_error(self):
+        assert data_error(run_main("score", "--game", "foo", "--score", "1")) == {
+            "error": "UnknownGameError", "detail": "unknown game: 'foo'"}
 
-    def test_cap_mode_flag(self, capsys):
-        _, out, _ = run(capsys, "score", "--game", "skiing", "--score", "-29970.32",
-                        "--cap-mode", "table-compat", "--format", "json")
+    def test_cap_mode_flag(self):
+        _, out, _ = run_main("score", "--game", "skiing", "--score", "-29970.32",
+                             "--cap-mode", "table-compat", "--format", "json")
         assert json.loads(out)["saber_pct"] == "-93.10"
-        _, out, _ = run(capsys, "score", "--game", "skiing", "--score", "-29970.32",
-                        "--format", "json")
+        _, out, _ = run_main("score", "--game", "skiing", "--score", "-29970.32",
+                             "--format", "json")
         assert json.loads(out)["saber_pct"] == "0.00"
 
 
@@ -129,11 +139,10 @@ def test_score_prints_the_cell_evaluate_computes(game, cap_mode, data):
     raw = data.draw(st.one_of(
         st.sampled_from([base.random, base.human_average, base.human_world_record]),
         st.floats(min_value=-1e7, max_value=1e7, allow_nan=False)))
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert main(["score", "--game", game, f"--score={raw!r}",
-                     "--cap-mode", cap_mode.value, "--format", "json"]) == 0
-    payload = json.loads(out.getvalue())
+    code, out, err = run_main("score", "--game", game, f"--score={raw!r}",
+                              "--cap-mode", cap_mode.value, "--format", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
     report = evaluate([Dataset("d", (RunRecord("A", game, raw, 200_000_000),))],
                       REGISTRY, cap_mode)
     cell = report.cells["A"][game].metrics
@@ -142,7 +151,7 @@ def test_score_prints_the_cell_evaluate_computes(game, cap_mode, data):
     assert payload["hwrb"] == report.aggregates["A"][MetricKind.HWRNS].hwrb_count
 
 
-def test_no_verb_builds_a_metric_value(capsys, monkeypatch, tmp_path):
+def test_no_verb_builds_a_metric_value(monkeypatch, tmp_path):
     def refuse(cls, *args, **kwargs):
         raise AssertionError("a verb built a MetricValue")
 
@@ -152,7 +161,7 @@ def test_no_verb_builds_a_metric_value(capsys, monkeypatch, tmp_path):
     for argv in (["score", "--game", "alien", "--score", "9491.7", "--frames", "2e8"],
                  ["aggregate", "--format", "json"],
                  ["reproduce", "--out", str(tmp_path / "repro")]):
-        assert run(capsys, *argv)[0] == 0, argv
+        assert run_main(*argv)[0] == 0, argv
 
 
 # Each verb registers exactly the flags that change its output.
@@ -224,19 +233,16 @@ class TestSurface:
         ("validate", "--out", None), ("compare", "--cap-mode", "table-compat"),
         ("compare", "--format", "json"), ("compare", "--out", None), ("score", "--out", None),
         ("score", "--format", "csv"), ("aggregate", "--format", "csv"),
-        ("report", "--format", "json"),
+        ("report", "--format", "json"), ("score", "--bogus", None),
         # an empty ``--out`` names no file or directory
         ("aggregate", "--out", ""), ("report", "--out", ""), ("reproduce", "--out", ""),
     ])
-    def test_removed_flag_or_format_is_usage_error(self, capsys, monkeypatch, tmp_path, verb,
-                                                   flag, value):
+    def test_removed_flag_or_format_is_usage_error(self, monkeypatch, tmp_path, verb, flag,
+                                                   value):
         monkeypatch.chdir(tmp_path)
         value = "out.txt" if value is None else value
         for tail in ([flag, value], [f"{flag}={value}"]):
-            with pytest.raises(SystemExit) as exc:
-                main([*VERB_ARGV.get(verb, [verb]), *tail])
-            assert exc.value.code == 2
-            assert capsys.readouterr().out == ""
+            usage_error(run_main(*VERB_ARGV.get(verb, [verb]), *tail))
             assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("flag, value", [
@@ -247,13 +253,10 @@ class TestSurface:
         # float() reads any Unicode digit: Arabic-Indic 10 and fullwidth 100.
         ("--score", "\u0661\u0660"), ("--frames", "\uff11\uff10\uff10"),
     ])
-    def test_bad_score_values_are_usage_errors(self, capsys, flag, value):
+    def test_bad_score_values_are_usage_errors(self, flag, value):
         argv = ["score", "--game", "alien", "--score", "1", "--frames", "2e8"]
         argv[argv.index(flag) + 1] = value
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert f"argument {flag}: invalid" in capsys.readouterr().err
+        assert f"argument {flag}: invalid" in usage_error(run_main(*argv))
 
 
 # One usage error per verb that the verb's own parser reports, besides an
@@ -265,38 +268,30 @@ VERB_USAGE_ERROR = {
 }
 
 
-def parse_outcome(parse, argv):
-    """(exit code, stdout, stderr) of a parse that exits."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        with pytest.raises(SystemExit) as exc:
-            parse(argv)
-    return exc.value.code, out.getvalue(), err.getvalue()
-
-
 # Help and usage errors of each verb, which ``main`` leaves to argparse.
 HELP_AND_USAGE_ERRORS = {
-    f"{verb}-{tail}": [verb, *{"help": ["-h"], "unknown-flag": ["--nope"],
-                               "usage-error": VERB_USAGE_ERROR[verb]}[tail]]
-    for verb in VERB_OPTIONS for tail in ("help", "unknown-flag", "usage-error")}
+    **{f"{verb}-{tail}": [verb, *{"help": ["-h"], "unknown-flag": ["--nope"],
+                                  "usage-error": VERB_USAGE_ERROR[verb]}[tail]]
+       for verb in VERB_OPTIONS for tail in ("help", "unknown-flag", "usage-error")},
+    "unknown-verb": ["frobnicate"], "report-no-algorithm": ["report", "--algorithms"],
+}
 
 
 class TestHelpAndUsageErrorsGoThroughArgparse:
     """Help and usage errors, of each verb and of the top level, go through argparse."""
 
-    @pytest.mark.parametrize("tail", ["help", "unknown-flag", "usage-error"])
-    @pytest.mark.parametrize("verb", list(VERB_OPTIONS))
-    def test_help_and_usage_errors_match_the_full_parser(self, verb, tail):
-        code, out, err = parse_outcome(main, HELP_AND_USAGE_ERRORS[f"{verb}-{tail}"])
-        if tail == "help":
-            assert (code, err) == (0, "") and out.startswith(f"usage: hwrbench {verb} ")
+    @pytest.mark.parametrize("argv", HELP_AND_USAGE_ERRORS.values(), ids=HELP_AND_USAGE_ERRORS)
+    def test_help_and_usage_errors_match_the_full_parser(self, argv):
+        outcome = code, out, err = run_main(*argv)
+        if argv[-1] == "-h":
+            assert (code, err) == (0, "") and out.startswith(f"usage: hwrbench {argv[0]} ")
         else:
-            assert (code, out) == (2, "") and "error: " in err
+            assert "error: " in usage_error(outcome)
 
     @pytest.mark.parametrize("argv", [["-h"], [], ["scor"], ["--nope"]],
                              ids=["help", "no-verb", "unknown-verb", "unknown-flag"])
     def test_top_level_lists_every_verb(self, argv):
-        code, out, err = parse_outcome(main, argv)
+        code, out, err = run_main(*argv)
         assert code == (0 if argv == ["-h"] else 2)
         assert "{" + ",".join(VERB_OPTIONS) + "}" in out + err
 
@@ -385,17 +380,12 @@ BASE_ARGV = {**VERB_ARGV, "protocol-check": ["protocol-check", "--log", "train.l
       for name in arguments if name.startswith("--")),
     (["compare", "A", "--", "--"], "algorithm_b"),
 ], ids=" ".join)
-def test_double_dash_value_is_a_usage_error(capsys, argv, argument):
+def test_double_dash_value_is_a_usage_error(argv, argument):
     # argparse drops the ``--`` and stored an empty list, on which the verb
     # crashed (``Path([])``, an unhashable game) or, for ``--algorithms``,
     # printed every column.
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.endswith(f"hwrbench {argv[0]}: error: argument {argument}: "
-                        "expected one argument\n")
+    err = usage_error(run_main(*argv))
+    assert err.endswith(f"hwrbench {argv[0]}: error: argument {argument}: expected one argument\n")
 
 
 def test_readme_lists_each_verbs_flags():
@@ -448,18 +438,11 @@ def test_no_command_line_crashes_main(tmp_path_factory, argv):
     # (0 or 1), or the line is a usage error (exit 2); nothing else escapes.
     stdin = io.TextIOWrapper(io.BytesIO())
     stdin.close()
-    cwd = os.getcwd()
-    os.chdir(tmp_path_factory.mktemp("fuzz"))
-    try:
-        with (contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()),
-              pytest.MonkeyPatch.context() as patch):
-            patch.setattr(sys, "stdin", stdin)
-            try:
-                assert main(argv) in (0, 1)
-            except SystemExit as exc:
-                assert exc.code == 2
-    finally:
-        os.chdir(cwd)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(tmp_path_factory.mktemp("fuzz"))
+        patch.setattr(sys, "stdin", stdin)
+        outcome = run_main(*argv)
+    assert outcome[0] in (0, 1) or "error: " in usage_error(outcome)
 
 
 class TestDeferredImports:
@@ -501,32 +484,23 @@ class TestDeferredImports:
     ], ids=["import", "score", "score-json", "validate", "aggregate", "aggregate-json", "report",
             "compare", "protocol-check", "protocol-check-stdin", "reproduce"])
 
-    def loaded_modules(self, tmp_path, argv, *python_flags) -> set[str]:
-        # ``[]`` only imports the module.
-        return self.child_modules(tmp_path, ["main", *argv] if argv else ["import"],
-                                  python_flags, 0)
-
     def child_modules(self, tmp_path, child_argv, python_flags, code) -> set[str]:
         # The conforming log, at ``{log}`` and on stdin.
-        log = write_log(tmp_path, TestProtocolCheck.CONFORMING)
+        log = write_log(tmp_path)
         child_argv = [a.format(log=log, out=tmp_path / "repro") for a in child_argv]
-        result = run_python(*python_flags, "-c", self.CHILD, *child_argv,
-                            input=TestProtocolCheck.CONFORMING, text=True)
+        result = run_python(*python_flags, "-c", self.CHILD, *child_argv, input=LOG, text=True)
         assert result.returncode == code, result.stderr
         return set(result.stderr.splitlines()[-1].split())
 
+    @pytest.mark.parametrize("python_flags, slow", [((), SLOW), (("-S",), SLOW_WITHOUT_SITE)],
+                             ids=["site", "no-site"])
     @VERBS
-    def test_verb_loads_only_what_it_runs(self, tmp_path, argv, loaded):
-        modules = self.loaded_modules(tmp_path, argv)
+    def test_verb_loads_only_what_it_runs(self, tmp_path, argv, loaded, python_flags, slow):
+        # ``[]`` only imports the module.
+        modules = self.child_modules(tmp_path, ["main", *argv] if argv else ["import"],
+                                     python_flags, 0)
         assert {m.removeprefix("hwrbench.") for m in modules} & self.DEFERRED == loaded
-        assert modules & self.SLOW == set()
-        assert modules & self.ARGPARSE == set()
-
-    @VERBS
-    def test_verb_imports_no_slow_module_without_site(self, tmp_path, argv, loaded):
-        modules = self.loaded_modules(tmp_path, argv, "-S")
-        assert {m.removeprefix("hwrbench.") for m in modules} & self.DEFERRED == loaded
-        assert modules & self.SLOW_WITHOUT_SITE == set()
+        assert modules & slow == set()
         assert modules & self.ARGPARSE == set()
 
     @pytest.mark.parametrize("python_flags", [(), ("-S",)], ids=["site", "no-site"])
@@ -571,7 +545,7 @@ class TestDeferredImports:
         (["report"], ["load_all_bundled", "evaluate", "render_table"]),
         (["compare", "Rainbow", "LASER"], ["load_all_bundled", "evaluate"]),
     ], ids=["validate", "aggregate", "report", "compare"])
-    def test_verbs_call_through_the_module(self, capsys, monkeypatch, argv, calls):
+    def test_verbs_call_through_the_module(self, monkeypatch, argv, calls):
         import hwrbench.cli as cli
         seen = []
         for name in self.TRACED:
@@ -579,8 +553,7 @@ class TestDeferredImports:
                 seen.append(_name)
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(cli, name, wrapped)
-        code, _, _ = run(capsys, *argv)
-        assert code == 0
+        assert run_main(*argv)[0] == 0
         assert seen == calls
 
 
@@ -592,85 +565,38 @@ FORMER_VARIABLES = {
 }
 
 
-def exit_code_and_stdout(capsys, argv):
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    return code, capsys.readouterr().out
-
-
 @pytest.mark.parametrize("argv", [
     *VERB_ARGV.values(), ["protocol-check", "--log", "episodes.log"],
 ], ids=[*VERB_ARGV, "protocol-check"])
-def test_environment_changes_no_verb(capsys, monkeypatch, tmp_path, argv):
+def test_environment_changes_no_verb(monkeypatch, tmp_path, argv):
     monkeypatch.chdir(tmp_path)
-    write_log(tmp_path, TestProtocolCheck.CONFORMING)
-    clean = exit_code_and_stdout(capsys, argv)
+    write_log(tmp_path)
+    clean = run_main(*argv)
     for var, value in FORMER_VARIABLES.items():
         monkeypatch.setenv(var, value)
-    assert exit_code_and_stdout(capsys, argv) == clean
+    assert run_main(*argv) == clean
     assert clean[0] == 0 and not (tmp_path / "o.txt").exists()
 
 
-class TestUsageErrors:
-    def test_unknown_flag_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["score", "--game", "alien", "--score", "1", "--bogus"])
-        assert exc.value.code == 2
-
-    def test_unknown_verb_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["frobnicate"])
-        assert exc.value.code == 2
-
-    def test_algorithms_without_names_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["report", "--algorithms"])
-        assert exc.value.code == 2
-        assert capsys.readouterr().out == ""
-
-
 class TestValidate:
-    def test_bundled_data_validates(self, capsys):
-        code, out, _ = run(capsys, "validate")
+    def test_bundled_data_validates(self):
+        code, out, _ = run_main("validate")
         assert code == 0
         assert "57 games OK" in out
 
-    def test_bad_baselines_exit_1(self, capsys, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text(
-            "game,random,human_average,human_world_record,source_tag\n"
-            "alien,10,5,251916,x\n", encoding="utf-8")
-        code, _, err = run(capsys, "validate", "--baselines", str(path))
-        assert code == 1
-        assert json.loads(err)["error"] == "ValidationError"
-
-
-    def test_non_finite_baseline_exit_1(self, capsys, tmp_path):
-        lines = data_path("baselines.csv").read_text(encoding="utf-8").splitlines(keepends=True)
-        assert lines[1].startswith("alien,")
-        lines[1] = "alien,nan," + lines[1].split(",", 2)[2]
-        path = tmp_path / "nan.csv"
-        path.write_text("".join(lines), encoding="utf-8")
-        code, out, err = run(capsys, "validate", "--baselines", str(path))
-        assert code == 1 and out == ""
-        error = json.loads(err)
-        assert error["error"] == "ValidationError"
-        assert error["detail"] == f"{path}:2: alien: random must be finite, got nan"
-
-    @pytest.mark.parametrize("cell, detail", [
-        (b"\xff", "'utf-8' codec can't decode byte 0xff in position 6: invalid start byte"),
-        (b"9" * 131_073, "field larger than field limit (131072)"),
-    ], ids=["not-utf8", "over-field-limit"])
-    def test_unreadable_baselines_exit_1(self, capsys, tmp_path, cell, detail):
+    @pytest.mark.parametrize("column, value, detail", [
+        ("human_average", b"5", "alien: human_average 5.0 must exceed random 227.8"),
+        ("random", b"nan", "alien: random must be finite, got nan"),
         # Once a decode error with no file or line, and a csv traceback.
-        data = data_path("baselines.csv").read_bytes()
-        path = tmp_path / "baselines.csv"
-        path.write_bytes(data.replace(b"alien,227.8,", b"alien," + cell + b",", 1))
-        code, out, err = run(capsys, "validate", "--baselines", str(path))
-        assert code == 1 and out == ""
-        assert json.loads(err) == {"error": "ValidationError", "detail": f"{path}:2: {detail}"}
+        ("random", b"\xff",
+         "'utf-8' codec can't decode byte 0xff in position 6: invalid start byte"),
+        ("random", b"9" * 131_073, "field larger than field limit (131072)"),
+    ], ids=["below-random", "non-finite", "not-utf8", "over-field-limit"])
+    def test_bad_baselines_exit_1(self, tmp_path, column, value, detail):
+        path, _ = bundled_copy(tmp_path, "baselines.csv",
+                               lambda lines: set_cell(lines, 2, column, value))
+        assert data_error(run_main("validate", "--baselines", str(path))) == {
+            "error": "ValidationError", "detail": f"{path}:2: {detail}"}
 
     @pytest.mark.parametrize("case, detail", [
         ("duplicate", "duplicate cell ('Muesli', 'alien') across datasets "
@@ -678,9 +604,8 @@ class TestValidate:
         ("frames", "A: inconsistent frame counts 100 vs 200"),
         ("overflow", "Muesli/alien: normalized score overflows"),
     ], ids=["duplicate", "frames", "overflow"])
-    def test_rejects_what_aggregate_rejects(self, capsys, tmp_path, case, detail):
+    def test_rejects_what_aggregate_rejects(self, tmp_path, case, detail):
         # Checks that span records and datasets run in evaluate, which validate calls.
-        baselines = data_path("baselines.csv")
         if case == "duplicate":
             flags = ["--dataset", "sota-other", "--dataset", "sota-other"]
         elif case == "frames":
@@ -691,111 +616,97 @@ class TestValidate:
                                 encoding="utf-8")
                 flags += ["--dataset", str(path)]
         else:
-            baselines = tiny_baselines(tmp_path)
-            flags = ["--dataset", "sota-other", "--baselines", baselines]
-        code, _, err = run(capsys, "aggregate", *flags)
-        assert code == 1
-        assert json.loads(err)["detail"] == detail
-        code, out, err = run(capsys, "validate", *flags)
-        assert (code, out) == (1, "")
-        assert json.loads(err)["detail"] == detail
+            baselines, _ = bundled_copy(tmp_path, "baselines.csv", tiny)
+            flags = ["--dataset", "sota-other", "--baselines", str(baselines)]
+        for verb in ("aggregate", "validate"):
+            assert data_error(run_main(verb, *flags))["detail"] == detail
 
 
 class TestReport:
-    def test_hns_table_contains_rainbow_alien_cell(self, capsys):
-        code, out, _ = run(capsys, "report", "--metric", "hns",
-                           "--dataset", "sota-200m-model-free", "--format", "csv")
+    def test_hns_table_contains_rainbow_alien_cell(self):
+        code, out, _ = run_main("report", "--metric", "hns",
+                                "--dataset", "sota-200m-model-free", "--format", "csv")
         assert code == 0
         alien = next(l for l in out.splitlines() if l.startswith("alien"))
         cells = alien.split(",")
         assert cells[1] == "9491.7" and cells[2] == "134.26"
 
-    def test_leader_marks_boxing_tie(self, capsys):
-        _, out, _ = run(capsys, "report", "--metric", "hns",
-                        "--dataset", "sota-200m-model-free", "--format", "csv",
-                        "--algorithms", "Rainbow", "LASER", "GDI-H3")
+    def test_leader_marks_boxing_tie(self):
+        _, out, _ = run_main("report", "--metric", "hns",
+                             "--dataset", "sota-200m-model-free", "--format", "csv",
+                             "--algorithms", "Rainbow", "LASER", "GDI-H3")
         boxing = next(l for l in out.splitlines() if l.startswith("boxing"))
         assert boxing.count("100*") == 2  # LASER and GDI-H3, not Rainbow
 
-    def test_unknown_algorithms_are_data_errors(self, capsys):
-        code, out, err = run(capsys, "report", "--algorithms", "Rainbow", "Nope", "Zip")
-        assert code == 1 and out == ""
-        error = json.loads(err)
-        assert error["error"] == "ValidationError"
-        assert error["detail"] == "algorithms not in the report: Nope, Zip"
+    # Each name is quoted, so that an empty or space-padded one shows.
+    @pytest.mark.parametrize("names, detail", [
+        (["Rainbow", "Nope", "Zip"], "algorithms not in the report: 'Nope', 'Zip'"),
+        ([""], "algorithms not in the report: ''"),
+        ([" Rainbow"], "algorithms not in the report: ' Rainbow'"),
+        (["Rainbow", "LASER", "Rainbow"], "algorithms repeated in the layout: 'Rainbow'"),
+    ], ids=["unknown", "empty", "space-padded", "repeated"])
+    def test_bad_algorithm_list_is_data_error(self, names, detail):
+        assert data_error(run_main("report", "--algorithms", *names)) == {
+            "error": "ValidationError", "detail": detail}
 
-    def test_repeated_algorithm_is_data_error(self, capsys):
-        code, out, err = run(capsys, "report", "--algorithms", "Rainbow", "LASER", "Rainbow")
-        assert code == 1 and out == ""
-        error = json.loads(err)
-        assert error["error"] == "ValidationError"
-        assert error["detail"] == "algorithms repeated in the layout: Rainbow"
-
-    def test_out_file(self, capsys, tmp_path):
+    def test_out_file(self, tmp_path):
         out_path = tmp_path / "table.csv"
-        code, out, _ = run(capsys, "report", "--format", "csv",
-                           "--out", str(out_path))
+        code, out, _ = run_main("report", "--format", "csv", "--out", str(out_path))
         assert code == 0 and out == ""
         assert out_path.read_text(encoding="utf-8").startswith("game,")
 
 
 class TestAggregate:
-    def test_json_aggregates(self, capsys):
-        code, out, _ = run(capsys, "aggregate", "--format", "json",
-                           "--cap-mode", "table-compat")
+    def test_json_aggregates(self):
+        code, out, _ = run_main("aggregate", "--format", "json", "--cap-mode", "table-compat")
         assert code == 0
         payload = json.loads(out)
         rainbow = payload["aggregates"]["Rainbow"]
         assert rainbow["hns"]["mean"] == pytest.approx(8.7397, abs=5e-4)
         assert rainbow["hwrns"]["hwrb"] == 4
 
-    def test_text_aggregates(self, capsys):
-        code, out, _ = run(capsys, "aggregate", "--dataset", "sota-other")
+    def test_text_aggregates(self):
+        code, out, _ = run_main("aggregate", "--dataset", "sota-other")
         assert code == 0
         assert "Muesli" in out and "Go-Explore" in out and "hwrb" in out
 
 
-def crafted_baselines(tmp_path, rows: dict[str, str]) -> str:
-    """The bundled baselines with each game in ``rows`` given that row."""
-    lines = data_path("baselines.csv").read_text(encoding="utf-8").splitlines(keepends=True)
-    lines = [rows.get(line.split(",", 1)[0], line) for line in lines]
-    path = tmp_path / "crafted.csv"
-    path.write_text("".join(lines), encoding="utf-8")
-    return str(path)
+# Edits that leave the bundled baselines valid, yet let a score overflow.
+def tiny(lines):
+    """Alien's human average 1e-305 above a random score of 0: 139409 / 1e-305 overflows."""
+    set_cell(lines, 2, "random", b"0")
+    set_cell(lines, 2, "human_average", b"1e-305")
 
 
-# Valid references: 139409 / 1e-305 overflows. A human average one point
-# above random normalizes 1.7e308 to 1.7e308, finite, yet its percent is
-# not, and two such cells overflowed fsum.
-TINY = {"alien": "alien,0,1e-305,1e-305,x\n"}
-NEAR = {"boxing": "boxing,0.1,1.1,100,x\n", "pong": "pong,-20.7,-19.7,21,x\n"}
+def near(lines):
+    """Human averages one point above random, for boxing and pong. Each normalizes
+    1.7e308 to 1.7e308, finite, yet its percent is not, and two such cells
+    overflowed fsum."""
+    set_cell(lines, 13, "human_average", b"1.1")
+    set_cell(lines, 38, "human_average", b"-19.7")
+
+
 HUGE = "huge.csv"  # three 1.7e308 cells, written by the test
 
 
-def tiny_baselines(tmp_path) -> str:
-    return crafted_baselines(tmp_path, TINY)
-
-
-@pytest.mark.parametrize("argv, rows, detail", [
-    (["score", "--game", "alien", "--score", "139409"], TINY, "alien"),
-    (["aggregate", "--dataset", "sota-other"], TINY, "Muesli/alien"),
-    (["score", "--game", "boxing", "--score", "1e308"], {}, "boxing"),
-    (["aggregate", "--dataset", HUGE], {}, "Big/boxing"),
-    *(([*verb, "--dataset", HUGE], NEAR, "Big/boxing") for verb in (
+@pytest.mark.parametrize("argv, edit, detail", [
+    (["score", "--game", "alien", "--score", "139409"], tiny, "alien"),
+    (["aggregate", "--dataset", "sota-other"], tiny, "Muesli/alien"),
+    (["score", "--game", "boxing", "--score", "1e308"], None, "boxing"),
+    (["aggregate", "--dataset", HUGE], None, "Big/boxing"),
+    *(([*verb, "--dataset", HUGE], near, "Big/boxing") for verb in (
         ["validate"], ["aggregate"], ["report"],
         ["compare", "Big", "Rainbow", "--dataset", "sota-200m-model-free"])),
 ], ids=["score", "aggregate", "score-percent", "aggregate-percent", "validate-fsum",
         "aggregate-fsum", "report-fsum", "compare-fsum"])
-def test_normalization_overflow_names_the_game(capsys, tmp_path, argv, rows, detail):
+def test_normalization_overflow_names_the_game(tmp_path, argv, edit, detail):
     (tmp_path / HUGE).write_text("algorithm,game,score,frames,scale_label\n" + "".join(
         f"Big,{game},1.7e308,200000000,200M\n" for game in ("boxing", "pong", "alien")),
         encoding="utf-8")
-    baselines = crafted_baselines(tmp_path, rows)
+    baselines, _ = bundled_copy(tmp_path, "baselines.csv", edit)
     argv = [str(tmp_path / a) if a == HUGE else a for a in argv]
-    code, out, err = run(capsys, *argv, "--baselines", baselines)
-    assert (code, out) == (1, "")
-    assert json.loads(err) == {"error": "ValidationError",
-                               "detail": f"{detail}: normalized score overflows"}
+    assert data_error(run_main(*argv, "--baselines", str(baselines))) == {
+        "error": "ValidationError", "detail": f"{detail}: normalized score overflows"}
 
 
 def child_outcome(tmp_path, argv, unbuffered, **stdout):
@@ -827,7 +738,7 @@ def lost_stdout_outcomes(tmp_path, argv):
 ], ids=["score", "validate", "aggregate-json", "reproduce", "report-csv", "compare",
         "protocol-check"])
 def test_closed_stdout_exits_1_with_nothing_on_stderr(tmp_path, argv):
-    write_log(tmp_path, TestProtocolCheck.CONFORMING)
+    write_log(tmp_path)
     assert lost_stdout_outcomes(tmp_path, argv) == [(1, b"")] * 6
 
 
@@ -842,11 +753,11 @@ def test_data_error_with_lost_stdout_is_reported(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["report", "--format", "csv"], ["aggregate", "--format", "json"],
 ], ids=["report-csv", "aggregate-json"])
-def test_closed_stdout_with_out_file_exits_0(capsys, tmp_path, argv):
+def test_closed_stdout_with_out_file_exits_0(tmp_path, argv):
     # However stdout is lost, nothing meant for it is when the output goes to
     # ``--out``: the file holds what the verb prints in-process.
-    assert main(argv) == 0
-    printed = capsys.readouterr().out
+    code, printed, _ = run_main(*argv)
+    assert code == 0
     assert lost_stdout_outcomes(tmp_path, [*argv, "--out", "out.txt"]) == [(0, b"")] * 6
     assert (tmp_path / "out.txt").read_bytes() == printed.encode("utf-8")
 
@@ -903,23 +814,22 @@ class TestExitPath:
         start, at_exit = map(int, result.stderr.split())
         assert at_exit > start if call_main else at_exit == start
 
-    def test_main_neither_freezes_nor_disables_the_collector(self, capsys):
+    def test_main_neither_freezes_nor_disables_the_collector(self):
         before = gc.get_freeze_count(), gc.isenabled()
-        assert main(VERB_ARGV["score"]) == 0
+        assert run_main(*VERB_ARGV["score"])[0] == 0
         assert (gc.get_freeze_count(), gc.isenabled()) == before
 
-    def test_repeated_calls_register_one_callback(self, capsys):
-        assert main(VERB_ARGV["score"]) == 0
+    def test_repeated_calls_register_one_callback(self):
+        assert run_main(*VERB_ARGV["score"])[0] == 0
         callbacks = atexit._ncallbacks()
         for argv in VERB_ARGV.values():
-            assert main(argv) == 0
+            assert run_main(*argv)[0] == 0
         assert atexit._ncallbacks() == callbacks
 
 
 class TestCompare:
-    def test_leader_diff(self, capsys):
-        code, out, _ = run(capsys, "compare", "Rainbow", "LASER",
-                           "--dataset", "sota-200m-model-free")
+    def test_leader_diff(self):
+        code, out, _ = run_main("compare", "Rainbow", "LASER", "--dataset", "sota-200m-model-free")
         assert code == 0
         payload = json.loads(out)
         assert payload["games_compared"] == 57
@@ -928,44 +838,36 @@ class TestCompare:
         assert "pong" in payload["LASER"]["games"]  # 21 beats 20.9
         assert "amidar" in payload["Rainbow"]["games"]
 
-    def test_ties_reported(self, capsys):
-        _, out, _ = run(capsys, "compare", "LASER", "GDI-H3",
-                        "--dataset", "sota-200m-model-free")
+    def test_ties_reported(self):
+        _, out, _ = run_main("compare", "LASER", "GDI-H3", "--dataset", "sota-200m-model-free")
         payload = json.loads(out)
         assert "boxing" in payload["ties"] and "pong" in payload["ties"]
 
-    def test_missing_algorithm_is_data_error(self, capsys):
-        code, _, err = run(capsys, "compare", "Rainbow", "NotAnAlgo")
-        assert code == 1
-        assert json.loads(err)["error"] == "BenchmarkError"
+    def test_missing_algorithm_is_data_error(self):
+        assert data_error(run_main("compare", "Rainbow", "NotAnAlgo")) == {
+            "error": "BenchmarkError",
+            "detail": "algorithm 'NotAnAlgo' not present in the datasets"}
 
-    def test_repeated_algorithm_is_data_error(self, capsys):
-        code, out, err = run(capsys, "compare", "Rainbow", "Rainbow")
-        assert code == 1 and out == ""
-        error = json.loads(err)
-        assert error["error"] == "BenchmarkError"
-        assert error["detail"] == "algorithm 'Rainbow' compared with itself"
+    def test_repeated_algorithm_is_data_error(self):
+        assert data_error(run_main("compare", "Rainbow", "Rainbow")) == {
+            "error": "BenchmarkError", "detail": "algorithm 'Rainbow' compared with itself"}
 
     @pytest.mark.parametrize("name", ["algorithms", "games_compared", "ties"])
-    def test_name_of_an_output_key_is_data_error(self, capsys, tmp_path, name):
+    def test_name_of_an_output_key_is_data_error(self, tmp_path, name):
         # ``name`` leads alien; as a key of the JSON its entry would be lost.
         path = tmp_path / "keys.csv"
         path.write_text("algorithm,game,score,frames,scale_label\n"
                         f"{name},alien,9000,200000000,200M\nB,alien,1000,200000000,200M\n",
                         encoding="utf-8")
         for argv in ([name, "B"], ["B", name]):
-            code, out, err = run(capsys, "compare", *argv, "--dataset", str(path))
-            assert (code, out) == (1, "")
-            assert json.loads(err) == {"error": "BenchmarkError",
-                                       "detail": f"algorithm {name!r} is a key of compare's output"}
+            assert data_error(run_main("compare", *argv, "--dataset", str(path))) == {
+                "error": "BenchmarkError",
+                "detail": f"algorithm {name!r} is a key of compare's output"}
 
 
 class TestProtocolCheck:
-    CONFORMING = "1 3 0 4\n-2 3 0 4\n3 0 1 4\n---\n5 1 0 4\n0 0 1 4\n"
-
-    def test_conforming_log(self, capsys, tmp_path):
-        log = write_log(tmp_path, self.CONFORMING)
-        code, out, _ = run(capsys, "protocol-check", "--log", log, "--k", "2")
+    def test_conforming_log(self, tmp_path):
+        code, out, _ = run_log(tmp_path, LOG, "--k", "2")[0]
         assert code == 0
         payload = json.loads(out)
         assert payload["conforming"] is True
@@ -973,17 +875,14 @@ class TestProtocolCheck:
         assert payload["total_env_frames"] == 20
         assert payload["training_score"] == 3.5  # mean of [2.0, 5.0]
 
-    def test_budget_violation(self, capsys, tmp_path):
-        log = write_log(tmp_path, self.CONFORMING)
-        code, out, _ = run(capsys, "protocol-check", "--log", log, "--budget", "16")
+    def test_budget_violation(self, tmp_path):
+        code, out, _ = run_log(tmp_path, LOG, "--budget", "16")[0]
         assert code == 1
         payload = json.loads(out)
         assert [v["code"] for v in payload["violations"]] == ["budget_exceeded"]
 
-    def test_reduced_action_set_violation(self, capsys, tmp_path):
-        log = write_log(tmp_path, self.CONFORMING)
-        code, out, _ = run(capsys, "protocol-check", "--log", log,
-                           "--action-set", "4")
+    def test_reduced_action_set_violation(self, tmp_path):
+        code, out, _ = run_log(tmp_path, LOG, "--action-set", "4")[0]
         assert code == 1
         payload = json.loads(out)
         assert [v["code"] for v in payload["violations"]] == ["reduced_action_set"]
@@ -994,17 +893,15 @@ class TestProtocolCheck:
         (("--budget", "1e2", "--action-set", "4"), 1,
          "b3790dd0860213eb84462eee42842a653f0014039658cefbbd10b881e7558532"),
     ], ids=["k-2", "budget-action-set"])
-    def test_stdout_bytes_are_pinned(self, capsys, tmp_path, flags, code, digest):
-        log = write_log(tmp_path, self.CONFORMING)
-        status, out, _ = run(capsys, "protocol-check", "--log", log, *flags)
+    def test_stdout_bytes_are_pinned(self, tmp_path, flags, code, digest):
+        status, out, _ = run_log(tmp_path, LOG, *flags)[0]
         assert status == code
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
-    def test_malformed_log_is_data_error(self, capsys, tmp_path):
-        log = write_log(tmp_path, "1 2 0 4\n")  # truncated episode
-        code, _, err = run(capsys, "protocol-check", "--log", log)
-        assert code == 1
-        assert json.loads(err)["error"] == "MalformedLogError"
+    def test_malformed_log_is_data_error(self, tmp_path):
+        outcome, log = run_log(tmp_path, "1 2 0 4\n")  # truncated episode
+        assert data_error(outcome) == {"error": "MalformedLogError", "detail": (
+            f"{log}:EOF: episode stream ended after 4 frames without game over or frame cap")}
 
     @pytest.mark.parametrize("text, line, detail", [
         ("1 3 0 4\n0 0 1 4\n---\n2 3 2 4\n0 0 1 4\n", 4, "game_over must be 0 or 1"),
@@ -1012,12 +909,9 @@ class TestProtocolCheck:
         ("1 3 0 4\n0 0 1 4\n5 0 0 4\n---\n", 3, "step after the game-over step"),
         ("1 2 0 4\n", "EOF", "episode stream ended after 4 frames"),
     ])
-    def test_log_defects_are_data_errors_with_file_and_line(self, capsys, tmp_path,
-                                                             text, line, detail):
-        log = write_log(tmp_path, text)
-        code, out, err = run(capsys, "protocol-check", "--log", log)
-        assert code == 1 and out == ""
-        error = json.loads(err)
+    def test_log_defects_are_data_errors_with_file_and_line(self, tmp_path, text, line, detail):
+        outcome, log = run_log(tmp_path, text)
+        error = data_error(outcome)
         assert error["error"] == "MalformedLogError"
         assert error["detail"].startswith(f"{log}:{line}: {detail}")
 
@@ -1027,14 +921,12 @@ class TestProtocolCheck:
         ("1e308 0 1 4\n---\n1e308 0 1 4\n", "2", "ValidationError",
          "mean of the last 2 returns overflows"),
     ], ids=["episode", "window"])
-    def test_overflowing_returns_are_data_errors(self, capsys, tmp_path, text, k, error,
-                                                 detail):
+    def test_overflowing_returns_are_data_errors(self, tmp_path, text, k, error, detail):
         # Finite rewards whose sum is infinite; JSON has no Infinity.
-        log = write_log(tmp_path, text)
-        code, out, err = run(capsys, "protocol-check", "--log", log, "--k", k)
-        assert code == 1 and out == ""
-        assert json.loads(err)["error"] == error
-        assert json.loads(err)["detail"].startswith(detail.format(log=log))
+        outcome, log = run_log(tmp_path, text, "--k", k)
+        got = data_error(outcome)
+        assert got["error"] == error
+        assert got["detail"].startswith(detail.format(log=log))
 
     @pytest.mark.parametrize("flag, value", [
         ("--k", "0"), ("--k", "-1"), ("--budget", "-5"), ("--budget", "0"),
@@ -1044,15 +936,12 @@ class TestProtocolCheck:
         # and non-ASCII digits: int("\u0661") is 1.
         ("--k", "\u0661"), ("--budget", "\uff11\uff10\uff10"), ("--action-set", "\uff11\uff18"),
     ])
-    def test_nonpositive_flags_are_usage_errors(self, capsys, tmp_path, flag, value):
-        log = write_log(tmp_path, self.CONFORMING)
-        with pytest.raises(SystemExit) as exc:
-            main(["protocol-check", "--log", log, flag, value])
-        assert exc.value.code == 2
-        assert f"argument {flag}: invalid" in capsys.readouterr().err
+    def test_nonpositive_flags_are_usage_errors(self, tmp_path, flag, value):
+        outcome, _ = run_log(tmp_path, LOG, flag, value)
+        assert f"argument {flag}: invalid" in usage_error(outcome)
 
     @pytest.mark.parametrize("distinct", [False, True], ids=["repeated", "distinct"])
-    def test_memory_does_not_grow_with_episodes(self, capsys, tmp_path, distinct):
+    def test_memory_does_not_grow_with_episodes(self, tmp_path, distinct):
         # 20-step episodes; with distinct rewards every line is new, so the
         # bounded line memo fills up on both logs.
         def peak(episodes):
@@ -1063,7 +952,7 @@ class TestProtocolCheck:
             log = write_log(tmp_path, "\n".join(lines) + "\n")
             tracemalloc.start()
             try:
-                code, out, _ = run(capsys, "protocol-check", "--log", log, "--k", "5")
+                code, out, _ = run_main("protocol-check", "--log", log, "--k", "5")
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -1075,29 +964,24 @@ class TestProtocolCheck:
         # A summary and a return kept per episode would add about 250 KB.
         assert abs(large - small) < 64 * 1024, (small, large)
 
-    def test_k_above_sys_maxsize_is_a_k_above_the_episode_count(self, capsys, tmp_path):
-        log = write_log(tmp_path, self.CONFORMING)
-        _, expected, _ = run(capsys, "protocol-check", "--log", log, "--k", "3")
-        code, out, err = run(capsys, "protocol-check", "--log", log,
-                             "--k", str(sys.maxsize * 10**4))
+    def test_k_above_sys_maxsize_is_a_k_above_the_episode_count(self, tmp_path):
+        (_, expected, _), log = run_log(tmp_path, LOG, "--k", "3")
+        code, out, err = run_main("protocol-check", "--log", log, "--k", str(sys.maxsize * 10**4))
         assert (code, out, err) == (0, expected, "")
         assert "training_score" not in json.loads(out)
 
     def test_closed_stdin_is_a_data_error(self):
         # fd 0 is closed (``<&-``), so ``sys.stdin`` is None in the child.
         result = run_cli("protocol-check", "--log", "-", preexec_fn=lambda: os.close(0))
-        assert (result.returncode, result.stdout) == (1, b"")
-        assert json.loads(result.stderr) == {"error": "BenchmarkError",
-                                             "detail": "<stdin>: standard input is closed"}
+        assert data_error(decoded(result)) == {
+            "error": "BenchmarkError", "detail": "<stdin>: standard input is closed"}
 
-    def test_log_from_stdin(self, capsys, tmp_path):
-        _, expected, _ = run(capsys, "protocol-check", "--k", "2",
-                             "--log", write_log(tmp_path, self.CONFORMING))
-        code, out, _ = check_stdin(self.CONFORMING.encode(), "--k", "2")
-        assert (code, out) == (0, expected)
-        code, _, err = check_stdin((self.CONFORMING + "---\n1 3 0 4\n").encode(), "--k", "2")
-        assert code == 1
-        assert json.loads(err)["detail"].startswith("<stdin>:EOF: ")
+    def test_log_from_stdin(self, tmp_path):
+        by_path = run_log(tmp_path, LOG, "--k", "2")[0]
+        assert by_path[0] == 0
+        assert run_log(tmp_path, LOG, "--k", "2", stdin=True) == (by_path, "<stdin>")
+        outcome, _ = run_log(tmp_path, LOG + "---\n1 3 0 4\n", "--k", "2", stdin=True)
+        assert data_error(outcome)["detail"].startswith("<stdin>:EOF: ")
 
     @pytest.mark.parametrize("data, line, detail", [
         # Lives rise at line 2, ahead of the byte 0xff on line 5.
@@ -1108,83 +992,54 @@ class TestProtocolCheck:
          "'utf-8' codec can't decode byte 0xff in position 2: invalid start byte"),
     ], ids=["rise-first", "not-utf8-first"])
     @pytest.mark.parametrize("stdin", [False, True], ids=["path", "stdin"])
-    def test_line_not_utf8_is_a_data_error_in_file_order(self, capsys, tmp_path, data, line,
-                                                          detail, stdin):
-        if stdin:
-            name, (code, out, err) = "<stdin>", check_stdin(data)
-        else:
-            name = tmp_path / "episodes.log"
-            name.write_bytes(data)
-            code, out, err = run(capsys, "protocol-check", "--log", str(name))
-        assert code == 1 and out == ""
-        error = json.loads(err)
+    def test_line_not_utf8_is_a_data_error_in_file_order(self, tmp_path, data, line, detail,
+                                                          stdin):
+        outcome, log = run_log(tmp_path, data, stdin=stdin)
+        error = data_error(outcome)
         assert error["error"] == "MalformedLogError"
-        assert error["detail"].startswith(f"{name}:{line}: {detail}")
+        assert error["detail"].startswith(f"{log}:{line}: {detail}")
 
-    @pytest.mark.parametrize("text", [CONFORMING, "# c\n1 3 0 4\n1 2 3\n", "1 3 0 4\n---\n"],
+    @pytest.mark.parametrize("text", [LOG, "# c\n1 3 0 4\n1 2 3\n", "1 3 0 4\n---\n"],
                              ids=["conforming", "three-fields", "truncated"])
-    def test_crlf_log_gives_the_output_of_its_lf_original(self, capsys, tmp_path, text):
-        def check(name, data):
-            path = tmp_path / name
-            path.write_bytes(data)
-            code, out, err = run(capsys, "protocol-check", "--log", str(path), "--k", "1")
-            return code, out, err.replace(str(path), "{log}")
+    def test_crlf_log_gives_the_output_of_its_lf_original(self, tmp_path, text):
+        assert (run_log(tmp_path, text.replace("\n", "\r\n"), "--k", "1")
+                == run_log(tmp_path, text, "--k", "1"))
 
-        assert (check("crlf.log", text.replace("\n", "\r\n").encode())
-                == check("lf.log", text.encode()))
-
-    def test_lone_carriage_return_breaks_no_line(self, capsys, tmp_path):
+    def test_lone_carriage_return_breaks_no_line(self, tmp_path):
         # A log is read as bytes and split at "\n" only, so a log whose lines
         # end in a lone "\r" is one line of too many fields.
-        log = tmp_path / "episodes.log"
-        log.write_bytes(self.CONFORMING.replace("\n", "\r").encode())
-        code, out, err = run(capsys, "protocol-check", "--log", str(log))
-        assert code == 1 and out == ""
-        assert json.loads(err)["detail"].startswith(
+        outcome, log = run_log(tmp_path, LOG.replace("\n", "\r"))
+        assert data_error(outcome)["detail"].startswith(
             f"{log}:1: expected 'reward lives game_over env_frames' on line 1, got ")
 
     @pytest.mark.parametrize("stdin", [False, True], ids=["path", "stdin"])
-    def test_one_huge_malformed_line_is_echoed_in_part(self, capsys, tmp_path, stdin):
+    def test_one_huge_malformed_line_is_echoed_in_part(self, tmp_path, stdin):
         data = b"1 3 0 4\r" * (1 << 17)  # 1 MiB with no "\n": one line
-        if stdin:
-            name, (code, out, err) = "<stdin>", check_stdin(data)
-        else:
-            name = tmp_path / "episodes.log"
-            name.write_bytes(data)
-            code, out, err = run(capsys, "protocol-check", "--log", str(name))
-        assert code == 1 and out == ""
+        outcome, log = run_log(tmp_path, data, stdin=stdin)
         # The first 80 characters, then the count of the rest (the trailing
         # "\r" is stripped).
         head = "1 3 0 4\r" * 10
-        assert json.loads(err)["detail"] == (
-            f"{name}:1: expected 'reward lives game_over env_frames' on line 1, "
+        assert data_error(outcome)["detail"] == (
+            f"{log}:1: expected 'reward lives game_over env_frames' on line 1, "
             f"got {head!r} and {len(data) - 1 - len(head)} more characters")
-        assert len(err) < 400
+        assert len(outcome[2]) < 400
 
     @pytest.mark.parametrize("stdin", [False, True], ids=["path", "stdin"])
-    def test_one_huge_non_numeric_field_is_echoed_in_part(self, capsys, tmp_path, stdin):
+    def test_one_huge_non_numeric_field_is_echoed_in_part(self, tmp_path, stdin):
         data = b"x" * 1_000_000 + b" 3 0 4\n"  # a reward float() rejects
-        if stdin:
-            name, (code, out, err) = "<stdin>", check_stdin(data)
-        else:
-            name = tmp_path / "episodes.log"
-            name.write_bytes(data)
-            code, out, err = run(capsys, "protocol-check", "--log", str(name))
-        assert code == 1 and out == ""
-        assert json.loads(err)["detail"] == (
-            f"{name}:1: could not convert string to float: {'x' * 80!r} "
+        outcome, log = run_log(tmp_path, data, stdin=stdin)
+        assert data_error(outcome)["detail"] == (
+            f"{log}:1: could not convert string to float: {'x' * 80!r} "
             f"and {1_000_000 - 80} more characters")
-        assert len(err) < 400
+        assert len(outcome[2]) < 400
 
-    def test_generated_log_from_path_crlf_copy_and_stdin(self, capsys, tmp_path):
+    def test_generated_log_from_path_crlf_copy_and_stdin(self, tmp_path):
         log = tmp_path / "train.log"
         truth = loggen.generate(log, seed=7, ks=[5, 10], target_steps=2000)
-        crlf = tmp_path / "train-crlf.log"
-        crlf.write_bytes(log.read_bytes().replace(b"\n", b"\r\n"))
-        k = str(truth.k)
-        results = [run(capsys, "protocol-check", "--log", str(path), "--k", k)
-                   for path in (log, crlf)]
-        results.append(check_stdin(log.read_bytes(), "--k", k))
+        data, k = log.read_bytes(), str(truth.k)
+        results = [run_log(tmp_path, data, "--k", k)[0],
+                   run_log(tmp_path, data.replace(b"\n", b"\r\n"), "--k", k)[0],
+                   run_log(tmp_path, data, "--k", k, stdin=True)[0]]
         assert [code for code, _, _ in results] == [0, 0, 0]
         outs = {out for _, out, _ in results}
         assert len(outs) == 1
@@ -1207,9 +1062,9 @@ class TestProtocolCheck:
 
 
 class TestReproduce:
-    def test_writes_artifacts_and_is_idempotent(self, capsys, tmp_path):
+    def test_writes_artifacts_and_is_idempotent(self, tmp_path):
         out_dir = tmp_path / "repro"
-        code, out, _ = run(capsys, "reproduce", "--out", str(out_dir))
+        code, out, _ = run_main("reproduce", "--out", str(out_dir))
         assert code == 0
         assert "cells compared: 3174" in out
         log = json.loads((out_dir / "inconsistency_log.json").read_text())
@@ -1217,15 +1072,12 @@ class TestReproduce:
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["match_rate"] >= 0.95
         first = (out_dir / "summary.json").read_bytes()
-        code, _, _ = run(capsys, "reproduce", "--out", str(out_dir))
-        assert code == 0
+        assert run_main("reproduce", "--out", str(out_dir))[0] == 0
         assert (out_dir / "summary.json").read_bytes() == first
         assert (out_dir / "tables" / "hwrns-sota-200m-model-free.csv").exists()
         assert (out_dir / "figures" / "hwrb_vs_gametime.json").exists()
 
     @pytest.mark.parametrize("flag", [["--cap-mode", "spec-floor"], ["--format", "json"]])
-    def test_mode_flags_are_usage_errors(self, capsys, tmp_path, flag):
-        with pytest.raises(SystemExit) as exc:
-            main(["reproduce", "--out", str(tmp_path / "repro"), *flag])
-        assert exc.value.code == 2
+    def test_mode_flags_are_usage_errors(self, tmp_path, flag):
+        usage_error(run_main("reproduce", "--out", str(tmp_path / "repro"), *flag))
         assert not (tmp_path / "repro").exists()

@@ -150,27 +150,11 @@ json_values = st.recursive(json_leaves, lambda inner: st.one_of(
 ), max_leaves=30)
 
 
-@contextmanager
-def empty_json_memo():
-    with patch.dict(numfmt._FLOATS, clear=True):
-        yield
-
-
 @given(json_values, st.booleans())
 @example([0.0, -0.0, 0.0, {"-0.0": -0.0}], False)
 @example([1e15, 10 ** 15, True, 1.0, 1], True)  # equal and hashed alike, yet printed apart
 def test_json_text_writes_what_json_dumps_writes(value, sort_keys):
-    want = json.dumps(value, indent=2, sort_keys=sort_keys)
-    with empty_json_memo():
-        assert json_text(value, sort_keys) == want
-        assert json_text(value, sort_keys) == want  # now from the memo
-
-
-def test_json_memo_stops_growing_at_its_cap():
-    values = [i / 7 for i in range(1, numfmt.MEMO_VALUES + 100)] * 2
-    with empty_json_memo():
-        assert json_text(values) == json.dumps(values, indent=2)
-        assert len(numfmt._FLOATS) == numfmt.MEMO_VALUES
+    assert json_text(value, sort_keys) == json.dumps(value, indent=2, sort_keys=sort_keys)
 
 
 @pytest.mark.parametrize("value", [{1, 2}, b"bytes", [{"a": frozenset()}], {"a": bytearray()}],

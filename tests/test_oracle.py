@@ -7,21 +7,16 @@ plus ``datasets/<label>.csv`` for the four bundled labels) go through
 the CLI, and every output must agree with the oracle.
 """
 
-import io
-import sys
 import tempfile
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import oracle
+from helpers import run_main
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
-from hwrbench.cli import main
 from hwrbench.games import CANONICAL_GAMES
 from hwrbench.numfmt import scale_label_for
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-import oracle  # noqa: E402
 
 # Mixed training scales, including one whose label is not integral ("2.5M").
 FRAMES = (1_000_000, 2_500_000, 200_000_000, 10_000_000_000, 35_000_000_000)
@@ -91,14 +86,6 @@ def write_dir(root: Path, base, datasets) -> None:
                                                         encoding="utf-8")
 
 
-def cli(*argv: str) -> str:
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(list(argv))
-    assert code == 0, err.getvalue()
-    return out.getvalue()
-
-
 # No shrinking: a draw has hundreds of parts, each run makes seven CLI calls,
 # and the oracle's problem list already names the cell that differs.
 @settings(max_examples=30, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate],
@@ -115,11 +102,15 @@ def test_table_verbs_agree_with_oracle(drawn, data):
             inputs += ["--dataset", str(root / "datasets" / f"{label}.csv")]
         problems = []
         for mode in ("spec-floor", "table-compat"):
-            out = cli("aggregate", "--format", "json", "--cap-mode", mode, *inputs)
+            code, out, err = run_main("aggregate", "--format", "json", "--cap-mode", mode, *inputs)
+            assert code == 0, err
             problems += oracle.check_report_json(out, tables, mode)
         for metric in oracle.KINDS:
-            out = cli("report", "--metric", metric, "--format", "csv", *inputs)
+            code, out, err = run_main("report", "--metric", metric, "--format", "csv", *inputs)
+            assert code == 0, err
             problems += oracle.check_report_csv(out, tables, metric)
         a, b = data.draw(st.permutations(tables.algos))[:2]
-        problems += oracle.check_compare(cli("compare", a, b, *inputs), tables, a, b)
+        code, out, err = run_main("compare", a, b, *inputs)
+        assert code == 0, err
+        problems += oracle.check_compare(out, tables, a, b)
     assert problems == []

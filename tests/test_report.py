@@ -151,7 +151,7 @@ def test_render_rejects_unknown_layout(registry):
         render_table(report, TableLayout(MetricKind.HNS, ("NotThere",)))
     with pytest.raises(ValidationError):
         render_table(report, TableLayout(MetricKind.HNS, ("Rainbow",)), fmt="html")
-    with pytest.raises(ValidationError, match="repeated in the layout: Rainbow$"):
+    with pytest.raises(ValidationError, match="repeated in the layout: 'Rainbow'$"):
         render_table(report, TableLayout(MetricKind.HNS, ("Rainbow", "LASER", "Rainbow")))
     with pytest.raises(ValidationError, match="^layout selects no algorithm$"):
         render_table(report, TableLayout(MetricKind.HNS, ()))

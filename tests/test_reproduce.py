@@ -7,10 +7,9 @@ import sys
 from pathlib import Path
 
 import pytest
-from helpers import SRC, bundled_copy, cell, raises, run_cli
+from helpers import SRC, bundled_copy, cell, decoded, raises, run_cli, run_main
 
 from hwrbench import numfmt, report, reproduce
-from hwrbench.cli import main
 from hwrbench.datasets import load_bundled_dataset
 from hwrbench.errors import DatasetError
 from hwrbench.games import BaselineRegistry, data_path, read_csv
@@ -373,14 +372,12 @@ STDOUT_SHA256 = {
     *(pytest.param(argv, True, id=" ".join(argv) + " in a fresh interpreter")
       for argv in STDOUT_SHA256),
 ])
-def test_verb_stdout_bytes_are_pinned(capsys, argv, fresh):
+def test_verb_stdout_bytes_are_pinned(argv, fresh):
     if fresh:  # the whole process, its exit included
-        result = run_cli(*argv)
-        assert (result.returncode, result.stderr) == (0, b"")
-        out = result.stdout.decode("utf-8")
+        code, out, err = decoded(run_cli(*argv))
     else:
-        assert main(list(argv)) == 0
-        out = capsys.readouterr().out
+        code, out, err = run_main(*argv)
+    assert (code, err) == (0, "")
     out = out.replace(str(data_path()), "<data>")
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == STDOUT_SHA256[argv]
 
