@@ -11,15 +11,14 @@ pipe with no reader); ``--out`` with fd 1 closed loses nothing and exits 0.
 Any other write error is a data error (exit 1, JSON on stderr), buffered or
 not; help exits 0 silently. Flags are the only configuration. Each verb imports
 only the modules it runs, and the value types are named tuples, so start-up
-loads none of ``inspect``, ``typing`` or ``importlib.resources``. JSON is
-written by ``numfmt.json_text``, so no verb imports ``json``; only the error
-line of a failed verb does. Each verb's flags are stated once, in
-``VERBS``: ``main`` reads a plain, valid command line of one-value flags from
-that table itself, and argparse, built from the same table, reads the rest:
-help, usage errors, ``--dataset``, ``--algorithms``, ``--score -20.7``,
-abbreviations. Exit is part of a verb's wall time too: the first ``main``
-call registers ``gc.freeze`` with ``atexit``, so the interpreter's
-exit-time collections skip every object still alive.
+loads none of ``inspect``, ``typing`` or ``importlib.resources``. JSON, a data
+error's line too, is written by ``numfmt``, so no verb imports ``json``. Each
+verb's flags are stated once, in ``VERBS``: ``main`` reads a plain, valid
+command line of one-value flags from that table itself, and argparse, built
+from the same table, reads the rest: help, usage errors, ``--dataset``,
+``--algorithms``, ``--score -20.7``, abbreviations. Exit is part of a verb's
+wall time too: the first ``main`` call registers ``gc.freeze`` with ``atexit``,
+so the interpreter's exit-time collections skip every object still alive.
 """
 
 from __future__ import annotations
@@ -49,6 +48,7 @@ from hwrbench.numfmt import (
     format_efficiency,
     format_number,
     format_percent,
+    json_string,
     json_text,
     parse_frames,
 )
@@ -435,9 +435,8 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         return 1
     except (BenchmarkError, ValueError, OSError) as exc:  # a verb prints after its last check
-        import json
-
-        print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}), file=sys.stderr)
+        print(f'{{"error": {json_string(type(exc).__name__)}, '
+              f'"detail": {json_string(str(exc))}}}', file=sys.stderr)
         return 1
 
 

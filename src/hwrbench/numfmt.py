@@ -10,9 +10,9 @@ two-digit scientific notation).
 ratio many times rounds it once. A zero ratio is never remembered:
 ``0.0 == -0.0``, yet they print as ``0.00`` and ``-0.00``.
 
-``json_text`` writes every JSON document the package prints or saves,
-as ``json.dumps(value, indent=2)`` writes it, without importing ``json``
-unless a string needs escaping.
+``json_text`` and ``json_string`` write every JSON document and string the
+package prints or saves, as ``json.dumps`` writes them, without importing
+``json`` unless a string needs escaping.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def parse_frames(text: str) -> int:
     return int(value)
 
 
-def _quote(text: str) -> str:
+def json_string(text: str) -> str:
     """``text`` as a JSON string, escaped as ``json.dumps`` escapes it."""
     if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
         return '"' + text + '"'
@@ -113,7 +113,7 @@ def _json(value, sort_keys: bool, pad: str) -> str:
             return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
         return float.__repr__(value)
     if isinstance(value, str):
-        return _quote(value)
+        return json_string(value)
     if isinstance(value, int):
         return "true" if value is True else "false" if value is False else int.__repr__(value)
     if value is None:
@@ -123,7 +123,7 @@ def _json(value, sort_keys: bool, pad: str) -> str:
         items = [_json(item, sort_keys, inner) for item in value]
         brackets = "[]"
     elif isinstance(value, dict):
-        items = [_quote(key) + ": " + _json(item, sort_keys, inner)
+        items = [json_string(key) + ": " + _json(item, sort_keys, inner)
                  for key, item in (sorted(value.items()) if sort_keys else value.items())]
         brackets = "{}"
     else:

@@ -3,6 +3,7 @@ edited copies of the bundled data."""
 
 import contextlib
 import io
+import json
 import os
 import re
 import subprocess
@@ -48,6 +49,13 @@ def run_main(*argv) -> tuple[int, str, str]:
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+def data_error(outcome) -> dict:
+    """The error JSON of a run that failed on its data: exit 1, no stdout, one stderr line."""
+    code, out, err = outcome
+    assert (code, out, err.count("\n")) == (1, "", 1), err
+    return json.loads(err)
 
 
 def set_cell(lines, lineno, column, value: bytes) -> int:

@@ -17,24 +17,20 @@ from pathlib import Path
 
 import loggen
 import pytest
-from helpers import bundled_copy, decoded, run_cli, run_main, run_python, set_cell
+from helpers import bundled_copy, data_error, decoded, run_cli, run_main, run_python, set_cell
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from test_protocol import PLACED_LOGS, placed_id
 
 import hwrbench
 from hwrbench.cli import VERBS, _parse_flags, build_parser
 from hwrbench.datasets import Dataset, RunRecord
+from hwrbench.errors import MalformedLogError
 from hwrbench.games import CANONICAL_GAMES, BaselineRegistry
 from hwrbench.metrics import METRIC_KINDS, CapMode, MetricKind, MetricValue
 from hwrbench.numfmt import format_percent
+from hwrbench.protocol import CHUNK_BYTES, iter_episodes
 from hwrbench.report import evaluate
-
-
-def data_error(outcome) -> dict:
-    """The error JSON of a run that failed on its data: exit 1, nothing on stdout."""
-    code, out, err = outcome
-    assert (code, out) == (1, ""), err
-    return json.loads(err)
 
 
 def usage_error(outcome) -> str:
@@ -513,6 +509,12 @@ class TestDeferredImports:
         modules = self.child_modules(tmp_path, ["main", *argv], python_flags, code)
         assert self.ARGPARSE <= modules
 
+    @pytest.mark.parametrize("python_flags", [(), ("-S",)], ids=["site", "no-site"])
+    def test_data_error_loads_neither_json_nor_argparse(self, tmp_path, python_flags):
+        modules = self.child_modules(
+            tmp_path, ["main", "score", "--game", "nope", "--score", "1"], python_flags, 1)
+        assert modules & {"json", *self.ARGPARSE} == set()
+
     # The package re-exports nothing, so importing a module loads only that
     # module and what it imports itself.
     @pytest.mark.parametrize("module, loaded", [
@@ -584,14 +586,11 @@ class TestValidate:
         assert code == 0
         assert "57 games OK" in out
 
+    # The registry's own rules; ``tests/test_games.py`` runs the CSV rules through validate.
     @pytest.mark.parametrize("column, value, detail", [
         ("human_average", b"5", "alien: human_average 5.0 must exceed random 227.8"),
         ("random", b"nan", "alien: random must be finite, got nan"),
-        # Once a decode error with no file or line, and a csv traceback.
-        ("random", b"\xff",
-         "'utf-8' codec can't decode byte 0xff in position 6: invalid start byte"),
-        ("random", b"9" * 131_073, "field larger than field limit (131072)"),
-    ], ids=["below-random", "non-finite", "not-utf8", "over-field-limit"])
+    ], ids=["below-random", "non-finite"])
     def test_bad_baselines_exit_1(self, tmp_path, column, value, detail):
         path, _ = bundled_copy(tmp_path, "baselines.csv",
                                lambda lines: set_cell(lines, 2, column, value))
@@ -866,67 +865,62 @@ class TestCompare:
 
 
 class TestProtocolCheck:
-    def test_conforming_log(self, tmp_path):
-        code, out, _ = run_log(tmp_path, LOG, "--k", "2")[0]
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["conforming"] is True
-        assert payload["episodes"] == 2
-        assert payload["total_env_frames"] == 20
-        assert payload["training_score"] == 3.5  # mean of [2.0, 5.0]
-
-    def test_budget_violation(self, tmp_path):
-        code, out, _ = run_log(tmp_path, LOG, "--budget", "16")[0]
+    @pytest.mark.parametrize("flag, value, violation", [
+        ("--budget", "16", "budget_exceeded"), ("--action-set", "4", "reduced_action_set"),
+    ], ids=["budget", "action-set"])
+    def test_each_violation_exits_1(self, tmp_path, flag, value, violation):
+        code, out, _ = run_log(tmp_path, LOG, flag, value)[0]
         assert code == 1
-        payload = json.loads(out)
-        assert [v["code"] for v in payload["violations"]] == ["budget_exceeded"]
+        assert [v["code"] for v in json.loads(out)["violations"]] == [violation]
 
-    def test_reduced_action_set_violation(self, tmp_path):
-        code, out, _ = run_log(tmp_path, LOG, "--action-set", "4")[0]
+    def test_stdout_bytes_are_pinned(self, tmp_path):
+        # The exit-1 pin: stdout's sha256 on the conforming log, with two violations.
+        code, out, _ = run_log(tmp_path, LOG, "--budget", "1e2", "--action-set", "4")[0]
         assert code == 1
-        payload = json.loads(out)
-        assert [v["code"] for v in payload["violations"]] == ["reduced_action_set"]
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "b3790dd0860213eb84462eee42842a653f0014039658cefbbd10b881e7558532")
 
-    # sha256 of stdout, and the exit code, on the conforming log.
-    @pytest.mark.parametrize("flags, code, digest", [
-        (("--k", "2"), 0, "20c99bee605ee1d917f0d2cb0a7646814142574cb18eba66844ecc4e83f63192"),
-        (("--budget", "1e2", "--action-set", "4"), 1,
-         "b3790dd0860213eb84462eee42842a653f0014039658cefbbd10b881e7558532"),
-    ], ids=["k-2", "budget-action-set"])
-    def test_stdout_bytes_are_pinned(self, tmp_path, flags, code, digest):
-        status, out, _ = run_log(tmp_path, LOG, *flags)[0]
-        assert status == code
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    @pytest.mark.parametrize("log", PLACED_LOGS, ids=placed_id)
+    def test_reports_what_the_library_reads(self, tmp_path, log):
+        # Each placed log by path, and on stdin in a child too if it holds a byte
+        # that is not ASCII or a line longer than a block: the library's episodes,
+        # or exit 1, an empty stdout and the library's own error on one line.
+        data = log if isinstance(log, bytes) else log.encode()
+        path = tmp_path / "episodes.log"
+        path.write_bytes(data)
+        routes = [(path, run_main("protocol-check", "--log", str(path)))]
+        if len(data) > CHUNK_BYTES or not data.isascii():
+            stdin = io.BytesIO(data)
+            stdin.name = "<stdin>"  # as ``sys.stdin.buffer`` is named
+            routes.append((stdin, decoded(run_cli("protocol-check", "--log", "-", input=data))))
+        for source, outcome in routes:
+            try:
+                episodes = list(iter_episodes(source))
+            except MalformedLogError as exc:
+                assert data_error(outcome) == {"error": "MalformedLogError", "detail": str(exc)}
+                assert len(outcome[2]) < 400 or len(data) <= CHUNK_BYTES  # echoed in part
+            else:
+                code, out, err = outcome
+                assert (code, err) == (0, "")
+                result = json.loads(out)
+                assert (result["episodes"], result["total_env_frames"]) == (
+                    len(episodes), sum(e.env_frames_used for e in episodes))
 
-    def test_malformed_log_is_data_error(self, tmp_path):
-        outcome, log = run_log(tmp_path, "1 2 0 4\n")  # truncated episode
-        assert data_error(outcome) == {"error": "MalformedLogError", "detail": (
-            f"{log}:EOF: episode stream ended after 4 frames without game over or frame cap")}
+    def test_overflowing_returns_are_data_errors(self, tmp_path):
+        # Finite returns whose window mean is infinite; JSON has no Infinity.
+        outcome, _ = run_log(tmp_path, "1e308 0 1 4\n---\n1e308 0 1 4\n", "--k", "2")
+        assert data_error(outcome) == {"error": "ValidationError",
+                                       "detail": "mean of the last 2 returns overflows: inf"}
 
-    @pytest.mark.parametrize("text, line, detail", [
-        ("1 3 0 4\n0 0 1 4\n---\n2 3 2 4\n0 0 1 4\n", 4, "game_over must be 0 or 1"),
-        ("1 3 0 4\n1 3 0 108000\ninf 3 0 4\n", 3, "NaN or infinite reward"),
-        ("1 3 0 4\n0 0 1 4\n5 0 0 4\n---\n", 3, "step after the game-over step"),
-        ("1 2 0 4\n", "EOF", "episode stream ended after 4 frames"),
-    ])
-    def test_log_defects_are_data_errors_with_file_and_line(self, tmp_path, text, line, detail):
-        outcome, log = run_log(tmp_path, text)
-        error = data_error(outcome)
-        assert error["error"] == "MalformedLogError"
-        assert error["detail"].startswith(f"{log}:{line}: {detail}")
-
-    @pytest.mark.parametrize("text, k, error, detail", [
-        ("1e308 1 0 4\n1e308 1 1 4\n", "1", "MalformedLogError",
-         "{log}:EOF: episode return overflows"),
-        ("1e308 0 1 4\n---\n1e308 0 1 4\n", "2", "ValidationError",
-         "mean of the last 2 returns overflows"),
-    ], ids=["episode", "window"])
-    def test_overflowing_returns_are_data_errors(self, tmp_path, text, k, error, detail):
-        # Finite rewards whose sum is infinite; JSON has no Infinity.
-        outcome, log = run_log(tmp_path, text, "--k", k)
-        got = data_error(outcome)
-        assert got["error"] == error
-        assert got["detail"].startswith(detail.format(log=log))
+    def test_error_line_is_what_json_dumps_writes(self, tmp_path):
+        # A log path may hold a quote, a backslash, a non-ASCII character and, for a
+        # byte that is not UTF-8, a lone surrogate; the error's detail quotes it.
+        path = tmp_path / 'a"b\\c\u00e9\udcff.log'
+        path.write_bytes(b"1 2 3\n")
+        line = json.dumps({"error": "MalformedLogError", "detail": (
+            f"{path}:1: expected 'reward lives game_over env_frames' on line 1, got '1 2 3'")})
+        assert run_main("protocol-check", "--log", str(path)) == (1, "", line + "\n")
+        assert decoded(run_cli("protocol-check", "--log", str(path))) == (1, "", line + "\n")
 
     @pytest.mark.parametrize("flag, value", [
         ("--k", "0"), ("--k", "-1"), ("--budget", "-5"), ("--budget", "0"),
@@ -975,63 +969,6 @@ class TestProtocolCheck:
         result = run_cli("protocol-check", "--log", "-", preexec_fn=lambda: os.close(0))
         assert data_error(decoded(result)) == {
             "error": "BenchmarkError", "detail": "<stdin>: standard input is closed"}
-
-    def test_log_from_stdin(self, tmp_path):
-        by_path = run_log(tmp_path, LOG, "--k", "2")[0]
-        assert by_path[0] == 0
-        assert run_log(tmp_path, LOG, "--k", "2", stdin=True) == (by_path, "<stdin>")
-        outcome, _ = run_log(tmp_path, LOG + "---\n1 3 0 4\n", "--k", "2", stdin=True)
-        assert data_error(outcome)["detail"].startswith("<stdin>:EOF: ")
-
-    @pytest.mark.parametrize("data, line, detail", [
-        # Lives rise at line 2, ahead of the byte 0xff on line 5.
-        (b"1 1 0 4\n1 3 0 4\n0 0 1 4\n---\n\xff 3 0 4\n0 0 1 4\n", 2,
-         "lives increased 1 -> 3"),
-        # The byte 0xff on line 2, ahead of lives that rise at line 4.
-        (b"1 3 0 4\n1 \xff 0 4\n1 1 0 4\n1 3 0 4\n", 2,
-         "'utf-8' codec can't decode byte 0xff in position 2: invalid start byte"),
-    ], ids=["rise-first", "not-utf8-first"])
-    @pytest.mark.parametrize("stdin", [False, True], ids=["path", "stdin"])
-    def test_line_not_utf8_is_a_data_error_in_file_order(self, tmp_path, data, line, detail,
-                                                          stdin):
-        outcome, log = run_log(tmp_path, data, stdin=stdin)
-        error = data_error(outcome)
-        assert error["error"] == "MalformedLogError"
-        assert error["detail"].startswith(f"{log}:{line}: {detail}")
-
-    @pytest.mark.parametrize("text", [LOG, "# c\n1 3 0 4\n1 2 3\n", "1 3 0 4\n---\n"],
-                             ids=["conforming", "three-fields", "truncated"])
-    def test_crlf_log_gives_the_output_of_its_lf_original(self, tmp_path, text):
-        assert (run_log(tmp_path, text.replace("\n", "\r\n"), "--k", "1")
-                == run_log(tmp_path, text, "--k", "1"))
-
-    def test_lone_carriage_return_breaks_no_line(self, tmp_path):
-        # A log is read as bytes and split at "\n" only, so a log whose lines
-        # end in a lone "\r" is one line of too many fields.
-        outcome, log = run_log(tmp_path, LOG.replace("\n", "\r"))
-        assert data_error(outcome)["detail"].startswith(
-            f"{log}:1: expected 'reward lives game_over env_frames' on line 1, got ")
-
-    @pytest.mark.parametrize("stdin", [False, True], ids=["path", "stdin"])
-    def test_one_huge_malformed_line_is_echoed_in_part(self, tmp_path, stdin):
-        data = b"1 3 0 4\r" * (1 << 17)  # 1 MiB with no "\n": one line
-        outcome, log = run_log(tmp_path, data, stdin=stdin)
-        # The first 80 characters, then the count of the rest (the trailing
-        # "\r" is stripped).
-        head = "1 3 0 4\r" * 10
-        assert data_error(outcome)["detail"] == (
-            f"{log}:1: expected 'reward lives game_over env_frames' on line 1, "
-            f"got {head!r} and {len(data) - 1 - len(head)} more characters")
-        assert len(outcome[2]) < 400
-
-    @pytest.mark.parametrize("stdin", [False, True], ids=["path", "stdin"])
-    def test_one_huge_non_numeric_field_is_echoed_in_part(self, tmp_path, stdin):
-        data = b"x" * 1_000_000 + b" 3 0 4\n"  # a reward float() rejects
-        outcome, log = run_log(tmp_path, data, stdin=stdin)
-        assert data_error(outcome)["detail"] == (
-            f"{log}:1: could not convert string to float: {'x' * 80!r} "
-            f"and {1_000_000 - 80} more characters")
-        assert len(outcome[2]) < 400
 
     def test_generated_log_from_path_crlf_copy_and_stdin(self, tmp_path):
         log = tmp_path / "train.log"

@@ -3,7 +3,7 @@ from collections import namedtuple
 from functools import partial
 
 import pytest
-from helpers import bundled_copy, cell, raises, set_cell
+from helpers import bundled_copy, cell, data_error, raises, run_main, set_cell
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -258,6 +258,10 @@ RULES = {
     "first-defect-last-line": first_defect(lambda row, n: n),
 }
 PER_COLUMN = ("underscore", "non-ascii-digit")  # run on each number column
+# The ``validate`` command line that reads a copy of a file, ahead of its path. One
+# dataset stands for all four, and the smallest keeps a baselines run short.
+VALIDATE = {"baselines.csv": ("--dataset", "sota-other", "--baselines"),
+            "datasets/sota-other.csv": ("--dataset",)}
 
 
 @pytest.mark.parametrize("name, rule, column", [
@@ -272,10 +276,15 @@ def test_every_loader_keeps_every_csv_rule(tmp_path, name, rule, column):
     loader = LOADERS[name]
     if outcome is None:
         assert loader.load(path) == loader.load(data_path(*name.split("/")))
-        return
-    line, message = outcome
-    with raises(loader.error, f"{path}{'' if line is None else f':{line}'}: {message}"):
-        loader.load(path)
+    else:
+        line, message = outcome
+        detail = f"{path}{'' if line is None else f':{line}'}: {message}"
+        with raises(loader.error, detail):
+            loader.load(path)
+    if name in VALIDATE:  # ``validate`` exits 0, or reports the loader's own error
+        validated = run_main("validate", *VALIDATE[name], str(path))
+        assert validated[0] == 0 if outcome is None else data_error(validated) == {
+            "error": loader.error.__name__, "detail": detail}, validated
 
 
 # Digits, CSV syntax, the refused ``_``, line breaks, a byte-order mark, an

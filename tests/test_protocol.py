@@ -622,6 +622,9 @@ PLACED_LOGS = {
     b"1 3 0 4\r\n\r\n0 0 1 4\r\n---\r\n2 1 1 4\r\n": None,
     b"\n1 3 0 4\n0 0 1 4\n\n---\n\n---\n2 1 1 4\n---\n": None,
     b"1 3 0 4\r0 3 0 4\n0 0 1 4\n": ":1: expected 'reward lives game_over",
+    # ... "\r\n" ends before a defect, named as "\n" ends are, with no "\r" echoed;
+    b"# c\r\n1 3 0 4\r\n1 2 3\r\n": ":3: expected .* on line 3, got '1 2 3'$",
+    b"1 3 0 4\r\n---\r\n": ":2: episode stream ended after 4 frames without",
     # ... a character cut short at the end of the file, read as the end of the data;
     b"1 3 0 4\n0 2 0 4\xe2\x82":
         ":2: 'utf-8' codec can't decode bytes in position 7-8: unexpected end of data",
@@ -648,10 +651,12 @@ PLACED_LOGS = {
     # A line without four fields is echoed up to 80 characters...
     "1" * 80 + "\n": ":1: .*got '1{80}'$",
     "1" * 81 + "\n": ":1: .*got '1{80}' and 1 more characters$",
+    b"1 3 0 4\r" * (1 << 17): r":1: .*got '(1 3 0 4\\r){10}' and 1048495 more characters$",
     # ... and so is a field that is not a number, whichever conversion rejects it.
     "x" * 80 + " 3 0 4\n": ":1: .*could not convert string to float: 'x{80}'$",
     "x" * 81 + " 3 0 4\n":
         ":1: .*could not convert string to float: 'x{80}' and 1 more characters$",
+    b"x" * 1_000_000 + b" 3 0 4\n": ":1: .*float: 'x{80}' and 999920 more characters$",
     "0 " + "x" * 81 + " 0 4\n":
         r":1: .*invalid literal for int\(\) with base 10: 'x{80}' and 1 more characters$",
     "0 3 0 " + "x" * 300 + "\n":
@@ -674,6 +679,10 @@ PLACED_LOGS = {
 }
 
 
+def placed_id(log):  # pytest's own id, or the size of a log longer than a block
+    return f"{len(log)}-bytes" if len(log) > CHUNK_BYTES else None
+
+
 class TestFoldOnEveryRoute:
     @pytest.mark.parametrize("defects", [[None], sorted(DEFECTS)], ids=["valid", "one-defect"])
     @given(data=st.data())
@@ -691,8 +700,7 @@ class TestFoldOnEveryRoute:
         got = fold_everywhere(data, log_file, oracle=match is None)
         assert re.match(f":{lineno}: {match}", got) if match else isinstance(got, RunLedger), got
 
-    @pytest.mark.parametrize("log", PLACED_LOGS, ids=lambda log: "long-line"
-                             if len(log) > CHUNK_BYTES else None)
+    @pytest.mark.parametrize("log", PLACED_LOGS, ids=placed_id)
     def test_placed_log(self, log_file, log):
         error = PLACED_LOGS[log]
         got = fold_everywhere(log, log_file, oracle=error is None)
